@@ -69,7 +69,6 @@ from .mixloss import (
     run_mixloss_game,
 )
 from .parallel import (
-    CopyPool,
     ShuffleSummary,
     run_parallel,
     shuffle_experiment,
@@ -128,7 +127,6 @@ __all__ = [
     "mix_loss",
     "regret_lower_bound",
     "run_mixloss_game",
-    "CopyPool",
     "ShuffleSummary",
     "run_parallel",
     "shuffle_experiment",

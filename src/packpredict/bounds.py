@@ -25,8 +25,8 @@ bound - learner_total.  Anything below -1e-9 is a violation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,15 +43,59 @@ AAP_CURRENT_AVERAGE = "aap-current-average"
 AAP_CURRENT_PLAIN = "aap-current-plain"
 PARALLEL = "parallel"
 
-ALGORITHMS = (
-    AA,
-    AAP_EQUAL,
-    AAP_MAX,
-    AAP_INCREMENTAL,
-    AAP_CURRENT_AVERAGE,
-    AAP_CURRENT_PLAIN,
-    PARALLEL,
-)
+
+@dataclass(frozen=True)
+class _Guarantee:
+    """One row of the table above.
+
+    `sizes` names the pack sizes the row depends on, as they appear in a
+    report's params and as `theoretical_bound` keywords.  `divisor` and
+    `mult` map those sizes to D and mult; in an audit the running sizes are
+    arrays over prefixes.
+    """
+
+    metric: str  # "total" or "average"
+    sizes: tuple
+    divisor: Callable
+    mult: Callable = lambda s: 1
+
+
+_GUARANTEES = {
+    AA: _Guarantee("total", (), lambda s: 1),
+    AAP_EQUAL: _Guarantee("total", ("pack_size",), lambda s: s["pack_size"]),
+    AAP_MAX: _Guarantee("total", ("pack_size",), lambda s: s["pack_size"]),
+    AAP_INCREMENTAL: _Guarantee("total", ("max_pack",),
+                                lambda s: s["max_pack"]),
+    AAP_CURRENT_AVERAGE: _Guarantee("average", (), lambda s: 1),
+    AAP_CURRENT_PLAIN: _Guarantee("total", ("max_pack", "min_pack"),
+                                  lambda s: s["max_pack"],
+                                  lambda s: s["max_pack"] / s["min_pack"]),
+    PARALLEL: _Guarantee("total", ("max_delay",), lambda s: s["max_delay"]),
+}
+
+ALGORITHMS = tuple(_GUARANTEES)
+
+
+def _guarantee(algorithm: str) -> _Guarantee:
+    try:
+        return _GUARANTEES[algorithm]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {algorithm!r}") from None
+
+
+def _sizes(declared, running_max, running_min) -> dict:
+    """The named sizes of a run; the parallel pool size `max_delay` is the
+    largest pack seen so far."""
+    return {"pack_size": declared, "max_pack": running_max,
+            "min_pack": running_min, "max_delay": running_max}
+
+
+def _bound(g: _Guarantee, expert_loss, prior, sizes: dict, c: float,
+           eta: float):
+    """mult * c * expert_loss + (c * D / eta) * ln(1 / prior), broadcast."""
+    log_terms = np.log(1.0 / prior)
+    return (g.mult(sizes) * c * expert_loss
+            + (c * g.divisor(sizes) / eta) * log_terms)
 
 
 def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
@@ -65,31 +109,14 @@ def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
     """
     if not 0 < prior_weight <= 1:
         raise ValueError(f"prior weight must be in (0, 1], got {prior_weight}")
-    log_term = math.log(1.0 / prior_weight)
-    loss = np.asarray(expert_loss, dtype=float)
-
-    if algorithm == AA:
-        out = c * loss + (c / eta) * log_term
-    elif algorithm in (AAP_EQUAL, AAP_MAX):
-        if pack_size is None or pack_size < 1:
-            raise ValueError(f"{algorithm} bound needs pack_size >= 1")
-        out = c * loss + (c * pack_size / eta) * log_term
-    elif algorithm == AAP_INCREMENTAL:
-        if max_pack is None or max_pack < 1:
-            raise ValueError("aap-incremental bound needs max_pack >= 1")
-        out = c * loss + (c * max_pack / eta) * log_term
-    elif algorithm == AAP_CURRENT_AVERAGE:
-        out = c * loss + (c / eta) * log_term
-    elif algorithm == AAP_CURRENT_PLAIN:
-        if max_pack is None or min_pack is None or min_pack < 1:
-            raise ValueError("aap-current-plain bound needs max_pack and min_pack")
-        out = (max_pack / min_pack) * c * loss + (c * max_pack / eta) * log_term
-    elif algorithm == PARALLEL:
-        if max_delay is None or max_delay < 1:
-            raise ValueError("parallel bound needs max_delay (pool size) >= 1")
-        out = c * loss + (c * max_delay / eta) * log_term
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    g = _guarantee(algorithm)
+    sizes = {"pack_size": pack_size, "max_pack": max_pack,
+             "min_pack": min_pack, "max_delay": max_delay}
+    for name in g.sizes:
+        if sizes[name] is None or sizes[name] < 1:
+            raise ValueError(f"{algorithm} bound needs {name} >= 1")
+    out = _bound(g, np.asarray(expert_loss, dtype=float), prior_weight, sizes,
+                 c, eta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -190,13 +217,11 @@ def audit_run(records, algorithm: str, game, prior, *,
     after every trial, not just the last; prefix-dependent divisors (running
     max size, pool size, max/min ratio) use their value as of that prefix.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    g = _guarantee(algorithm)
     prior = _as_weights(prior)
     params = {"c": game.c, "eta": game.eta}
-    metric = "average" if algorithm == AAP_CURRENT_AVERAGE else "total"
     if not records:
-        return BoundReport(algorithm, metric, params, ())
+        return BoundReport(algorithm, g.metric, params, ())
 
     learner_total, learner_avg, expert_total, expert_avg, sizes = \
         _stack_records(records)
@@ -216,7 +241,6 @@ def audit_run(records, algorithm: str, game, prior, *,
                 f"aap-equal audit declared size {declared_pack_size} but "
                 f"saw sizes {sorted(set(sizes.tolist()))}"
             )
-        params["pack_size"] = declared_pack_size
     if algorithm == AAP_MAX:
         if declared_pack_size is None:
             raise ValueError("aap-max audit needs declared_pack_size")
@@ -225,7 +249,6 @@ def audit_run(records, algorithm: str, game, prior, *,
                 f"aap-max audit declared max size {declared_pack_size} but "
                 f"saw a pack of size {int(sizes.max())}"
             )
-        params["pack_size"] = declared_pack_size
 
     running_max = np.maximum.accumulate(sizes)
     running_min = np.minimum.accumulate(sizes)
@@ -233,34 +256,20 @@ def audit_run(records, algorithm: str, game, prior, *,
         else np.array([num_trials])
     idx = prefixes - 1
 
-    log_terms = np.log(1.0 / prior)[None, :]  # (1, N)
-    if metric == "average":
+    if g.metric == "average":
         learner = learner_avg[idx, None]
         expert = expert_avg[idx, :]
     else:
         learner = learner_total[idx, None]
         expert = expert_total[idx, :]
 
-    c, eta = game.c, game.eta
-    if algorithm == AA:
-        bounds = c * expert + (c / eta) * log_terms
-    elif algorithm in (AAP_EQUAL, AAP_MAX):
-        bounds = c * expert + (c * declared_pack_size / eta) * log_terms
-    elif algorithm == AAP_INCREMENTAL:
-        divisors = running_max[idx, None]
-        bounds = c * expert + (c * divisors / eta) * log_terms
-        params["max_pack"] = int(running_max[-1])
-    elif algorithm == AAP_CURRENT_AVERAGE:
-        bounds = c * expert + (c / eta) * log_terms
-    elif algorithm == AAP_CURRENT_PLAIN:
-        ratio = (running_max[idx, None] / running_min[idx, None])
-        bounds = ratio * c * expert + (c * running_max[idx, None] / eta) * log_terms
-        params["max_pack"] = int(running_max[-1])
-        params["min_pack"] = int(running_min[-1])
-    else:  # PARALLEL: pool size = largest pack seen so far
-        divisors = running_max[idx, None]
-        bounds = c * expert + (c * divisors / eta) * log_terms
-        params["max_delay"] = int(running_max[-1])
+    final = _sizes(declared_pack_size, int(running_max[-1]),
+                   int(running_min[-1]))
+    params.update((name, final[name]) for name in g.sizes)
+    bounds = _bound(g, expert, prior,
+                    _sizes(declared_pack_size, running_max[idx, None],
+                           running_min[idx, None]),
+                    game.c, game.eta)
 
     slack = bounds - learner
     entries = []
@@ -274,4 +283,4 @@ def audit_run(records, algorithm: str, game, prior, *,
                 slack=float(slack[row, n]),
                 prefix=int(prefix),
             ))
-    return BoundReport(algorithm, metric, params, tuple(entries))
+    return BoundReport(algorithm, g.metric, params, tuple(entries))

@@ -142,6 +142,21 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _run_and_emit(stream, game: GameSpec, args) -> int:
+    """Run the chosen algorithms on a stream and emit the report (the shared
+    tail of `run` and `synth`)."""
+    result = run_experiment(
+        stream, game,
+        algorithms=_parse_algorithms(args.algorithms),
+        prior=_parse_prior(args.prior, stream.num_experts),
+        shuffles=args.shuffles,
+        shuffle_seed=args.seed,
+        every_prefix=args.every_prefix,
+    )
+    _emit(emit_report(result, args.format), args.out)
+    return EXIT_OK if result.passed else EXIT_BOUND_FAILED
+
+
 def _cmd_run(args) -> int:
     expert_cols = _expand_columns(args.experts)
     spec = DatasetSpec(
@@ -158,16 +173,7 @@ def _cmd_run(args) -> int:
     )
     stream, game = load_pack_csv(spec)
     _warn_eta(game)
-    result = run_experiment(
-        stream, game,
-        algorithms=_parse_algorithms(args.algorithms),
-        prior=_parse_prior(args.prior, stream.num_experts),
-        shuffles=args.shuffles,
-        shuffle_seed=args.seed,
-        every_prefix=args.every_prefix,
-    )
-    _emit(emit_report(result, args.format), args.out)
-    return EXIT_OK if result.passed else EXIT_BOUND_FAILED
+    return _run_and_emit(stream, game, args)
 
 
 def _cmd_synth(args) -> int:
@@ -190,16 +196,7 @@ def _cmd_synth(args) -> int:
     _warn_eta(game)
     if args.emit_data is not None:
         write_pack_csv(stream, args.emit_data)
-    result = run_experiment(
-        stream, game,
-        algorithms=_parse_algorithms(args.algorithms),
-        prior=_parse_prior(args.prior, stream.num_experts),
-        shuffles=args.shuffles,
-        shuffle_seed=args.seed,
-        every_prefix=args.every_prefix,
-    )
-    _emit(emit_report(result, args.format), args.out)
-    return EXIT_OK if result.passed else EXIT_BOUND_FAILED
+    return _run_and_emit(stream, game, args)
 
 
 def _cmd_adversary(args) -> int:

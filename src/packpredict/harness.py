@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from dataclasses import dataclass
 from io import StringIO
 
@@ -37,15 +39,25 @@ from .parallel import ShuffleSummary, run_parallel, shuffle_experiment
 
 SCHEMA_VERSION = 1
 
-# Algorithm names accepted by run_experiment / the command line.
-ALGORITHM_CHOICES = (
-    "aa",
-    "aap-equal",
-    "aap-max",
-    "aap-incremental",
-    "aap-current",
-    "parallel",
-)
+# Algorithm names accepted by run_experiment / the command line, each with
+# (runner, guarantees its run is audited against, declared pack size rule).
+# A runner takes (stream, declared size or None, game, prior) and looks its
+# run_* function up when called, so wrappers installed on those names by a
+# profiler still see the calls.
+_ALGORITHM_TABLE = {
+    "aa": (lambda s, k, g, p: run_aa(s, g, p), (bd.AA,), None),
+    "aap-equal": (lambda s, k, g, p: run_aap_equal(s, k, g, p),
+                  (bd.AAP_EQUAL,), lambda s: s.pack_sizes[0]),
+    "aap-max": (lambda s, k, g, p: run_aap_max(s, k, g, p),
+                (bd.AAP_MAX,), lambda s: s.max_pack_size),
+    "aap-incremental": (lambda s, k, g, p: run_aap_incremental(s, g, p),
+                        (bd.AAP_INCREMENTAL,), None),
+    "aap-current": (lambda s, k, g, p: run_aap_current(s, g, p),
+                    (bd.AAP_CURRENT_AVERAGE, bd.AAP_CURRENT_PLAIN), None),
+    "parallel": (lambda s, k, g, p: run_parallel(s, g, p),
+                 (bd.PARALLEL,), None),
+}
+ALGORITHM_CHOICES = tuple(_ALGORITHM_TABLE)
 
 
 @dataclass(frozen=True)
@@ -90,23 +102,29 @@ class DatasetSpec:
             raise ValueError("calibration_packs must be >= 1")
 
 
+_MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+
+
 def _month_key(raw: str, line_num: int, column: str) -> str:
-    s = raw.strip()
-    if len(s) >= 7 and s[0:4].isdigit() and s[4] == "-" and s[5:7].isdigit():
+    s = (raw or "").strip()
+    if _MONTH.match(s):
         return s[:7]
     raise ValueError(
         f"line {line_num}: cannot parse month from {column}={raw!r} "
-        f"(expected YYYY-MM...)"
+        f"(expected YYYY-MM... with month 01-12)"
     )
 
 
 def _parse_float(raw: str, line_num: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
         raise ValueError(
             f"line {line_num}: bad numeric value {raw!r} in column {column!r}"
-        ) from None
+        )
+    return value
 
 
 def load_pack_csv(spec: DatasetSpec):
@@ -382,42 +400,16 @@ def _expand_algorithms(names, stream: PackStream):
 def _run_one(name: str, stream: PackStream, game: GameSpec, prior,
              every_prefix: bool):
     """Run one named algorithm and audit it; returns an AlgorithmResult."""
-    params = {}
-    if name == "aa":
-        records = run_aa(stream, game, prior)
-        reports = [audit_run(records, bd.AA, game, prior,
-                             every_prefix=every_prefix)]
-    elif name == "aap-equal":
-        k = stream.pack_sizes[0]
-        params["pack_size"] = k
-        records = run_aap_equal(stream, k, game, prior)
-        reports = [audit_run(records, bd.AAP_EQUAL, game, prior,
-                             declared_pack_size=k, every_prefix=every_prefix)]
-    elif name == "aap-max":
-        k = stream.max_pack_size
-        params["pack_size"] = k
-        records = run_aap_max(stream, k, game, prior)
-        reports = [audit_run(records, bd.AAP_MAX, game, prior,
-                             declared_pack_size=k, every_prefix=every_prefix)]
-    elif name == "aap-incremental":
-        records = run_aap_incremental(stream, game, prior)
-        reports = [audit_run(records, bd.AAP_INCREMENTAL, game, prior,
-                             every_prefix=every_prefix)]
-    elif name == "aap-current":
-        records = run_aap_current(stream, game, prior)
-        reports = [
-            audit_run(records, bd.AAP_CURRENT_AVERAGE, game, prior,
-                      every_prefix=every_prefix),
-            audit_run(records, bd.AAP_CURRENT_PLAIN, game, prior,
-                      every_prefix=every_prefix),
-        ]
-    elif name == "parallel":
-        records = run_parallel(stream, game, prior)
-        reports = [audit_run(records, bd.PARALLEL, game, prior,
-                             every_prefix=every_prefix)]
-    else:
-        raise ValueError(f"unknown algorithm {name!r}")
-    return AlgorithmResult(name, params, tuple(records), tuple(reports))
+    run, guarantees, declare = _ALGORITHM_TABLE[name]
+    k = declare(stream) if declare is not None else None
+    params = {} if k is None else {"pack_size": k}
+    records = run(stream, k, game, prior)
+    reports = tuple(
+        audit_run(records, g, game, prior, declared_pack_size=k,
+                  every_prefix=every_prefix)
+        for g in guarantees
+    )
+    return AlgorithmResult(name, params, tuple(records), reports)
 
 
 def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",

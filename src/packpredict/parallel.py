@@ -1,17 +1,17 @@
 """Parallel copies: pack prediction by multiplexing single-item aggregators.
 
-Keep a pool of independent copies of the one-item aggregator.  Within a pack,
-item k goes to the lowest-numbered copy that is *ready* (has seen the outcome
-for everything it predicted); a copy that predicts becomes blocked until the
-pack's outcomes arrive at the end of the trial.  Since all outcomes of a pack
-arrive together, a pack of size K occupies copies 0..K-1, so the pool never
-needs more copies than the largest pack.
+Keep independent copies of the one-item aggregator and give item k of every
+pack to copy k.  This is the reduction of Weinberger & Ordentlich ("On
+delayed prediction of individual sequences", IEEE Trans. IT 2002): send each
+item to the lowest-numbered copy that has seen the outcomes of everything it
+predicted.  Since all outcomes of a pack arrive together when the pack
+closes, that copy is always copy k, and the number of copies never exceeds
+the largest pack.
 
-Each copy thus sees a subsequence of the items as its own one-item game, and
-delays between a copy's prediction and its feedback never exceed the pack
-structure's span.  The aggregate guarantee degrades with the number of copies
-an expert's loss is split across, which is why item order inside packs (and
-pack order) changes the total loss: shuffling reassigns items to copies.
+Each copy thus sees a subsequence of the items as its own one-item game.
+The aggregate guarantee degrades with the number of copies an expert's loss
+is split across, which is why item order inside packs (and pack order)
+changes the total loss: shuffling reassigns items to copies.
 """
 
 from __future__ import annotations
@@ -31,76 +31,36 @@ from .algorithms import PackStream, _LossLedger
 from .games import GameSpec
 
 
-class CopyPool:
-    """Lazily grown pool of one-item aggregators with lowest-ready dispatch."""
-
-    def __init__(self, game: GameSpec, prior):
-        self.game = game
-        self.prior = np.asarray(prior, dtype=float)
-        self.states = []
-        self.blocked = []           # blocked[i]: copy i awaits feedback
-        self.pending = []           # (copy_index, expert_losses) for this pack
-        self.assignment_log = []    # copy index per item, in stream order
-
-    @property
-    def num_copies(self) -> int:
-        return len(self.states)
-
-    def _acquire(self) -> int:
-        for i, busy in enumerate(self.blocked):
-            if not busy:
-                return i
-        self.states.append(init_state(self.prior))
-        self.blocked.append(False)
-        return len(self.states) - 1
-
-    def predict(self, expert_preds) -> float:
-        """Route one item to the lowest-numbered ready copy and predict."""
-        i = self._acquire()
-        self.blocked[i] = True
-        pred = predict_item(self.states[i], expert_preds, self.game)
-        self.pending.append((i, np.asarray(expert_preds, dtype=float)))
-        return pred
-
-    def feed_outcomes(self, outcomes) -> None:
-        """Deliver a pack's outcomes to the copies that predicted its items,
-        releasing them in the order they were acquired."""
-        outcomes = np.asarray(outcomes, dtype=float)
-        if outcomes.size != len(self.pending):
-            raise ValueError(
-                f"{outcomes.size} outcomes for {len(self.pending)} pending items"
-            )
-        policy = DivisorPolicy.fixed(1)
-        for (i, preds), omega in zip(self.pending, outcomes):
-            losses = (preds - omega) ** 2
-            observe_pack(self.states[i], losses[:, None], policy, self.game)
-            self.blocked[i] = False
-            self.assignment_log.append(i)
-        self.pending = []
-
-
 def run_parallel(stream: PackStream, game: GameSpec, prior=None) -> list:
-    """Run the copy pool over a pack stream, returning per-trial records."""
+    """Run the parallel copies over a pack stream, returning per-trial
+    records."""
     if len(stream) == 0:
         return []
     stream.validate_for_game(game)
     if prior is None:
         prior = uniform_prior(stream.num_experts)
-    pool = CopyPool(game, prior)
+    policy = DivisorPolicy.fixed(1)
+    copies = []
     ledger = _LossLedger(stream.num_experts)
     for t, pack in enumerate(stream):
-        preds = np.array([pool.predict(pack.expert_preds[:, k])
-                          for k in range(pack.size)])
-        pool.feed_outcomes(pack.outcomes)
-        learner_losses = (preds - pack.outcomes) ** 2
+        while len(copies) < pack.size:
+            copies.append(init_state(prior))
+        preds = np.array([
+            predict_item(copies[k], pack.expert_preds[:, k], game)
+            for k in range(pack.size)
+        ])
         expert_losses = (pack.expert_preds - pack.outcomes[None, :]) ** 2
+        for k in range(pack.size):
+            observe_pack(copies[k], expert_losses[:, k:k + 1], policy, game)
+        learner_losses = (preds - pack.outcomes) ** 2
         ledger.record(t, preds, learner_losses, expert_losses)
     return ledger.records
 
 
 @dataclass(frozen=True)
 class ShuffleSummary:
-    """Total losses of the copy pool over within-pack reshuffles of one stream."""
+    """Total losses of the parallel copies over within-pack reshuffles of one
+    stream."""
 
     losses: tuple
     mean: float
@@ -145,11 +105,11 @@ def shuffle_within_packs(stream: PackStream, rng) -> PackStream:
 
 def shuffle_experiment(stream: PackStream, game: GameSpec, prior=None,
                        num_shuffles: int = 20, seed: int = 0) -> ShuffleSummary:
-    """Total copy-pool loss across `num_shuffles` within-pack reshuffles.
+    """Total parallel-copies loss across `num_shuffles` within-pack reshuffles.
 
-    The spread (max - min) measures how order-sensitive the copy pool is on
-    this stream; the pack algorithms are invariant to within-pack order, so
-    any nonzero spread is attributable to item-to-copy assignment.
+    The spread (max - min) measures how order-sensitive the parallel copies
+    are on this stream; the pack algorithms are invariant to within-pack
+    order, so any nonzero spread is attributable to item-to-copy assignment.
     """
     if num_shuffles < 1:
         raise ValueError("need at least one shuffle")

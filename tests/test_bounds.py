@@ -218,6 +218,34 @@ class TestAuditRun:
                            every_prefix=True)
         assert BoundReport.from_dict(report.to_dict()) == report
 
+    def test_theoretical_bound_matches_final_audit(self, rng):
+        # Both read the one guarantee table; they must give the same bound
+        # for every guarantee name.  aa needs unit packs and aap-equal one
+        # common size; aap-max declares more than the largest pack so that
+        # the declared size and the running max differ.
+        game = GameSpec(0.0, 1.0, 1.5, 1.25)
+        prior = random_prior(rng, 4)
+        varied = make_stream(rng, 4, 15, size_min=2, size_max=6)
+        streams = {
+            bd.AA: (make_stream(rng, 4, 15, size_min=1, size_max=1), None),
+            bd.AAP_EQUAL: (make_stream(rng, 4, 15, size_min=3, size_max=3), 3),
+            bd.AAP_MAX: (varied, varied.max_pack_size + 2),
+        }
+        for algorithm in bd.ALGORITHMS:
+            stream, declared = streams.get(algorithm, (varied, None))
+            records = run_aap_current(stream, game, prior)
+            report = audit_run(records, algorithm, game, prior,
+                               declared_pack_size=declared)
+            for e in report.entries:
+                expected = theoretical_bound(
+                    algorithm, e.expert_loss, c=game.c, eta=game.eta,
+                    prior_weight=prior[e.expert_index], pack_size=declared,
+                    max_pack=stream.max_pack_size,
+                    min_pack=stream.min_pack_size,
+                    max_delay=stream.max_pack_size)
+                assert expected == pytest.approx(e.bound, rel=1e-14, abs=0), \
+                    algorithm
+
     def test_aa_audit_on_unit_packs(self, rng):
         stream = make_stream(rng, 3, 15, size_min=1, size_max=1)
         records = run_aa(stream, GAME)

@@ -147,22 +147,33 @@ class TestLoadPackCsv:
             load_pack_csv(fixture_spec(target_col="nope"))
 
     def test_bad_number_reports_line(self, tmp_path):
+        # Non-finite values are rejected too, never clipped or passed on.
         p = tmp_path / "bad.csv"
-        p.write_text("month,price,m1\n2006-01,0.5,0.4\n2006-01,oops,0.4\n")
         spec = DatasetSpec(path=str(p), timestamp_col="month",
                            target_col="price", expert_cols=("m1",),
                            clip_lower=0.0, clip_upper=1.0)
-        with pytest.raises(ValueError, match="line 3.*price"):
-            load_pack_csv(spec)
+        for row, column in [("2006-01,oops,0.4", "price"),
+                            ("2006-01,nan,0.4", "price"),
+                            ("2006-01,0.5,inf", "m1"),
+                            ("2006-01,0.5,-inf", "m1")]:
+            p.write_text(f"month,price,m1\n2006-01,0.5,0.4\n{row}\n")
+            with pytest.raises(ValueError, match=f"line 3.*{column}"):
+                load_pack_csv(spec)
 
     def test_bad_month_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("month,price,m1\nJanuary,0.5,0.4\n")
         spec = DatasetSpec(path=str(p), timestamp_col="month",
                            target_col="price", expert_cols=("m1",),
                            clip_lower=0.0, clip_upper=1.0)
-        with pytest.raises(ValueError, match="line 2"):
-            load_pack_csv(spec)
+        # The last file's short row has no month cell at all.
+        for text in ("month,price,m1\nJanuary,0.5,0.4\n",
+                     "month,price,m1\n2020-13-05,0.5,0.4\n",
+                     "month,price,m1\n2020-00,0.5,0.4\n",
+                     "month,price,m1\n2020-1,0.5,0.4\n",
+                     "price,m1,month\n0.5,0.4\n"):
+            p.write_text(text)
+            with pytest.raises(ValueError, match="line 2"):
+                load_pack_csv(spec)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from packpredict import (
-    CopyPool,
     GameSpec,
     Pack,
     PackStream,
@@ -20,53 +19,6 @@ from conftest import make_stream
 GAME = GameSpec(0.0, 1.0, 2.0)
 
 
-def _stream_of_sizes(rng, sizes, num_experts=2):
-    packs = []
-    for k in sizes:
-        preds = rng.uniform(0, 1, size=(num_experts, k))
-        outcomes = rng.uniform(0, 1, size=k)
-        packs.append(Pack(preds, outcomes))
-    return PackStream(tuple(packs))
-
-
-class TestDispatch:
-    def test_lowest_ready_assignment(self, rng):
-        stream = _stream_of_sizes(rng, [3, 1, 2])
-        pool = CopyPool(GAME, uniform_prior(2))
-        for pack in stream:
-            for k in range(pack.size):
-                pool.predict(pack.expert_preds[:, k])
-            pool.feed_outcomes(pack.outcomes)
-        # Copies free up at pack end, so each pack occupies copies 0..K-1.
-        assert pool.assignment_log == [0, 1, 2, 0, 0, 1]
-        assert pool.num_copies == 3
-
-    def test_pool_size_is_max_pack_size(self, rng):
-        sizes = [2, 5, 1, 4, 3]
-        stream = _stream_of_sizes(rng, sizes)
-        pool = CopyPool(GAME, uniform_prior(2))
-        for pack in stream:
-            for k in range(pack.size):
-                pool.predict(pack.expert_preds[:, k])
-            pool.feed_outcomes(pack.outcomes)
-        assert pool.num_copies == max(sizes)
-
-    def test_round_robin_on_constant_size(self, rng):
-        stream = _stream_of_sizes(rng, [3, 3, 3, 3])
-        pool = CopyPool(GAME, uniform_prior(2))
-        for pack in stream:
-            for k in range(pack.size):
-                pool.predict(pack.expert_preds[:, k])
-            pool.feed_outcomes(pack.outcomes)
-        assert pool.assignment_log == [0, 1, 2] * 4
-
-    def test_outcome_count_mismatch(self, rng):
-        pool = CopyPool(GAME, uniform_prior(2))
-        pool.predict(np.array([0.2, 0.6]))
-        with pytest.raises(ValueError):
-            pool.feed_outcomes(np.array([0.5, 0.6]))
-
-
 class TestEquivalences:
     def test_size_one_equals_classic(self, rng):
         stream = make_stream(rng, 3, 25, size_min=1, size_max=1)
@@ -76,18 +28,16 @@ class TestEquivalences:
             np.testing.assert_array_equal(rp.learner_preds, rb.learner_preds)
 
     def test_each_copy_runs_its_own_classic_game(self, rng):
-        # Reconstruct the subsequence each copy saw and replay it as a
-        # stand-alone single-item game; predictions must match bitwise.
+        # Copy k takes item k of every pack.  Reconstruct the subsequence
+        # each copy saw and replay it as a stand-alone single-item game;
+        # predictions must match bitwise.
         stream = make_stream(rng, 4, 12, size_min=1, size_max=5)
         records = run_parallel(stream, GAME)
         flat = []  # (copy, expert_preds, outcome, prediction)
         for r, pack in zip(records, stream):
-            busy = set()
             for k in range(pack.size):
-                copy = min(i for i in range(pack.size) if i not in busy)
-                busy.add(copy)
                 flat.append(
-                    (copy, pack.expert_preds[:, k], pack.outcomes[k],
+                    (k, pack.expert_preds[:, k], pack.outcomes[k],
                      r.learner_preds[k])
                 )
         num_copies = max(c for c, *_ in flat) + 1
