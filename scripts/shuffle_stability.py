@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Order sensitivity of the copy pool versus the pack algorithms.
+"""Order sensitivity of the parallel copies versus the pack algorithms.
 
 Reshuffles the items inside every pack of a synthetic stream many times.
 The pack algorithms commit to the same weights for a whole pack, so their
 totals are invariant to within-pack order (up to float summation noise);
-the copy pool reassigns items to copies when order changes, so its total
+the parallel copies reassign items to copies when order changes, so their total
 moves.  This script quantifies both effects and confirms that every
-reshuffled copy-pool run still satisfies its guarantee.
+reshuffled parallel-copies run still satisfies its guarantee.
 
 Example:
     python scripts/shuffle_stability.py --experts 4 --trials 40 --shuffles 50
@@ -69,7 +69,7 @@ def main():
         print(f"{name:>18}: total {base:.6f}   max |shift| over reshuffles "
               f"{dev:.3e}  (invariant)")
 
-    # Copy pool: real spread, and the guarantee on every reshuffle.
+    # Parallel copies: real spread, and the guarantee on every reshuffle.
     summary = shuffle_experiment(stream, game, num_shuffles=args.shuffles,
                                  seed=args.seed)
     print(f"{'parallel copies':>18}: mean {summary.mean:.6f}   "
@@ -82,7 +82,7 @@ def main():
         report = audit_run(records, bounds.PARALLEL, game, prior,
                            every_prefix=True)
         violations += 0 if report.passed else 1
-    print(f"\nguarantee on reshuffled copy-pool runs: "
+    print(f"\nguarantee on reshuffled parallel-copies runs: "
           f"{args.shuffles - violations}/{args.shuffles} hold")
     return 0 if violations == 0 else 2
 

@@ -1,6 +1,7 @@
-"""Weight-update engine for pack-structured aggregation.
+"""The online learner: predict a pack, then observe its outcomes.
 
-One observed pack of K_t items costs expert n the sum of its K_t square
+The month-by-month form of the pack algorithms, and the oracle for the
+whole-stream replay of `algorithms` and `parallel`.  One observed pack of K_t items costs expert n the sum of its K_t square
 losses.  The divisor policy decides what fraction of that sum hits the
 exponential weights:
 
@@ -20,12 +21,11 @@ silent renormalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .games import GameSpec, _as_weights, substitute, substitute_pack
+from .games import GameSpec, _as_weights, _logsumexp, substitute, substitute_pack
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,17 @@ class AggregatorState:
         return self.prior.size
 
 
-def init_state(prior) -> AggregatorState:
+def _as_prior(prior) -> np.ndarray:
     p = _as_weights(prior)
     if np.any(p == 0):
         # A zero prior weight can never recover under any policy; forbid it
         # so every bound ln(1/p^n) is finite.
         raise ValueError("prior must give every expert positive weight")
+    return p
+
+
+def init_state(prior) -> AggregatorState:
+    p = _as_prior(prior)
     return AggregatorState(
         prior=p.copy(),
         log_weights=np.log(p),
@@ -101,7 +106,7 @@ def normalized_weights(state: AggregatorState) -> np.ndarray:
             "all expert weights have underflowed to zero; "
             "the learning rate or losses are too large for this prior"
         )
-    return np.exp(lw - logsumexp(lw))
+    return np.exp(lw - _logsumexp(lw))
 
 
 def predict_item(state: AggregatorState, expert_preds, game: GameSpec) -> float:
@@ -123,32 +128,32 @@ def predict_pack(state: AggregatorState, expert_pred_matrix, game: GameSpec) -> 
 
 def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
                  game: GameSpec) -> None:
-    """Fold an N x K_t matrix of per-item expert losses into the weights."""
+    """Fold an N x K_t matrix of per-item expert losses into the weights; a
+    rejected pack leaves the state as it was."""
     losses = np.atleast_2d(np.asarray(expert_losses, dtype=float))
     if losses.shape[0] != state.num_experts:
         raise ValueError(
             f"expected losses for {state.num_experts} experts, got shape {losses.shape}"
         )
-    if np.any(losses < 0) or np.any(np.isnan(losses)):
-        raise ValueError("losses must be non-negative and free of NaN")
+    if not np.all(np.isfinite(losses) & (losses >= 0)):
+        raise ValueError("losses must be non-negative and finite")
     pack_size = losses.shape[1]
     if pack_size < 1:
         raise ValueError("empty pack")
+    if policy.kind == "fixed" and pack_size > policy.pack_size:
+        raise ValueError(
+            f"pack of size {pack_size} exceeds declared size {policy.pack_size}"
+        )
     sums = losses.sum(axis=1)
     state.cumulative_losses = state.cumulative_losses + sums
     state.trial_index += 1
 
-    if policy.kind == "fixed":
-        if pack_size > policy.pack_size:
-            raise ValueError(
-                f"pack of size {pack_size} exceeds declared size {policy.pack_size}"
-            )
-        state.log_weights = state.log_weights - (game.eta / policy.pack_size) * sums
-    elif policy.kind == "current_pack":
-        state.log_weights = state.log_weights - (game.eta / pack_size) * sums
-    else:  # running_max
+    if policy.kind == "running_max":
         state.running_max_pack = max(state.running_max_pack, pack_size)
         state.log_weights = (
             np.log(state.prior)
             - (game.eta / state.running_max_pack) * state.cumulative_losses
         )
+    else:
+        divisor = policy.pack_size if policy.kind == "fixed" else pack_size
+        state.log_weights = state.log_weights - (game.eta / divisor) * sums

@@ -1,4 +1,4 @@
-"""Pack prediction protocols built on the aggregation engine.
+"""Pack prediction protocols, replayed over a whole stream at once.
 
 A pack is a batch of items revealed together: the learner sees all expert
 predictions for the batch, commits predictions for every item, and only then
@@ -12,24 +12,23 @@ Four variants, differing only in the loss divisor fed to the weight update:
   run_aap_incremental  nothing known ahead                (divisor: running max)
   run_aap_current      nothing known ahead                (divisor: current size)
 
-Every variant predicts each item with the plain full-rate substitution at
-the current weights; only the weight update is slowed by the divisor.
+plus `run_aa` (single items, divisor 1).  Every variant predicts each item
+with the full-rate substitution; only the weight update is slowed.  The
+predictions never feed back into the weights, so `_replay` computes a whole
+run from cumulative sums of the experts' losses and one vectorized
+substitution; `parallel` runs its copies through the same replay.  The
+online learner of `aggregator` is the month-by-month form of the same rules
+and the test oracle for the replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aggregator import (
-    DivisorPolicy,
-    init_state,
-    observe_pack,
-    predict_pack,
-    uniform_prior,
-)
-from .games import GameSpec
+from .aggregator import DivisorPolicy, _as_prior, uniform_prior
+from .games import GameSpec, _substitute
 
 
 @dataclass(eq=False)
@@ -151,99 +150,87 @@ class TrialRecord:
     expert_cumulative_average_losses: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "pack_size": self.pack_size,
-            "learner_preds": list(self.learner_preds),
-            "learner_pack_loss": self.learner_pack_loss,
-            "expert_pack_losses": list(self.expert_pack_losses),
-            "cumulative_loss": self.cumulative_loss,
-            "cumulative_average_loss": self.cumulative_average_loss,
-            "expert_cumulative_losses": list(self.expert_cumulative_losses),
-            "expert_cumulative_average_losses": list(
-                self.expert_cumulative_average_losses
-            ),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
-        return cls(
-            trial_index=int(d["trial_index"]),
-            pack_size=int(d["pack_size"]),
-            learner_preds=tuple(d["learner_preds"]),
-            learner_pack_loss=float(d["learner_pack_loss"]),
-            expert_pack_losses=tuple(d["expert_pack_losses"]),
-            cumulative_loss=float(d["cumulative_loss"]),
-            cumulative_average_loss=float(d["cumulative_average_loss"]),
-            expert_cumulative_losses=tuple(d["expert_cumulative_losses"]),
-            expert_cumulative_average_losses=tuple(
-                d["expert_cumulative_average_losses"]
-            ),
-        )
+        # Field types are strings under postponed annotations.
+        convert = {"int": int, "float": float, "tuple": tuple}
+        return cls(**{f.name: convert[f.type](d[f.name]) for f in fields(cls)})
 
 
-class _LossLedger:
-    """Accumulates totals and average-loss totals while a run unfolds."""
+def _losses_before(losses: np.ndarray) -> np.ndarray:
+    """Per column t of an N x T loss matrix, each expert's sum over the
+    columns before t, less the smallest such sum: the shift leaves the
+    weights unchanged and keeps the log-weights near zero, the most precise."""
+    before = np.zeros_like(losses)
+    np.cumsum(losses[:, :-1], axis=1, out=before[:, 1:])
+    return before - before.min(axis=0)
 
-    def __init__(self, num_experts: int):
-        self.total = 0.0
-        self.avg_total = 0.0
-        self.expert_totals = np.zeros(num_experts)
-        self.expert_avg_totals = np.zeros(num_experts)
-        self.records = []
 
-    def record(self, trial_index: int, learner_preds: np.ndarray,
-               learner_losses: np.ndarray, expert_losses: np.ndarray) -> None:
-        k = learner_losses.size
-        pack_loss = float(learner_losses.sum())
-        expert_pack = expert_losses.sum(axis=1)
-        self.total += pack_loss
-        self.avg_total += pack_loss / k
-        self.expert_totals += expert_pack
-        self.expert_avg_totals += expert_pack / k
-        self.records.append(
-            TrialRecord(
-                trial_index=trial_index,
-                pack_size=k,
-                learner_preds=tuple(float(x) for x in learner_preds),
-                learner_pack_loss=pack_loss,
-                expert_pack_losses=tuple(float(x) for x in expert_pack),
-                cumulative_loss=self.total,
-                cumulative_average_loss=self.avg_total,
-                expert_cumulative_losses=tuple(float(x) for x in self.expert_totals),
-                expert_cumulative_average_losses=tuple(
-                    float(x) for x in self.expert_avg_totals
-                ),
-            )
-        )
+def _replay(stream: PackStream, game: GameSpec, prior, charges) -> list:
+    """Per-trial records of a whole run, from whole-stream arrays: the packs
+    side by side as N x items matrices, pack t from column starts[t].
+    `charges(expert_losses, pack_losses, sizes, starts)` gives each item's
+    N charges c, the weights at that item being proportional to p * exp(-c).
+    """
+    if len(stream) == 0:
+        return []
+    preds = np.concatenate([t.expert_preds for t in stream], axis=1)
+    outcomes = np.concatenate([t.outcomes for t in stream])
+    if not (game.contains(preds) and game.contains(outcomes)):
+        stream.validate_for_game(game)  # raises, naming the first bad trial
+    num_experts = stream.num_experts
+    p = _as_prior(uniform_prior(num_experts) if prior is None else prior)
+    if p.size != num_experts:
+        raise ValueError(f"prior has {p.size} entries for {num_experts} experts")
+    sizes = np.array(stream.pack_sizes)
+    starts = np.cumsum(sizes) - sizes
+    expert_losses = (preds - outcomes) ** 2
+    pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
+    log_w = np.log(p)[:, None] - charges(expert_losses, pack_losses, sizes, starts)
+    del expert_losses  # as large as `preds`; free it before the substitution
+    learner = _substitute(log_w, preds, game)
+    learner_pack = np.add.reduceat((learner - outcomes) ** 2, starts)
+    flat = learner.tolist()
+    columns = zip(
+        sizes.tolist(), starts.tolist(), learner_pack.tolist(),
+        pack_losses.T.tolist(),
+        np.cumsum(learner_pack).tolist(),
+        np.cumsum(learner_pack / sizes).tolist(),
+        np.cumsum(pack_losses, axis=1).T.tolist(),
+        np.cumsum(pack_losses / sizes, axis=1).T.tolist(),
+    )
+    return [
+        TrialRecord(t, k, tuple(flat[s:s + k]), loss, tuple(experts), total,
+                    avg_total, tuple(expert_totals), tuple(expert_avg_totals))
+        for t, (k, s, loss, experts, total, avg_total, expert_totals,
+                expert_avg_totals) in enumerate(columns)
+    ]
 
 
 def _run_with_policy(stream: PackStream, game: GameSpec, policy: DivisorPolicy,
                      prior) -> list:
-    if len(stream) == 0:
-        return []
-    stream.validate_for_game(game)
-    if prior is None:
-        prior = uniform_prior(stream.num_experts)
-    state = init_state(prior)
-    if np.asarray(prior).size != stream.num_experts:
-        raise ValueError(
-            f"prior has {np.asarray(prior).size} entries for "
-            f"{stream.num_experts} experts"
-        )
-    if policy.kind == "fixed" and stream.max_pack_size > policy.pack_size:
-        raise ValueError(
-            f"pack of size {stream.max_pack_size} exceeds declared size "
-            f"{policy.pack_size}"
-        )
-    ledger = _LossLedger(stream.num_experts)
-    for t, pack in enumerate(stream):
-        preds = predict_pack(state, pack.expert_preds, game)
-        learner_losses = (preds - pack.outcomes) ** 2
-        expert_losses = (pack.expert_preds - pack.outcomes[None, :]) ** 2
-        ledger.record(t, preds, learner_losses, expert_losses)
-        observe_pack(state, expert_losses, policy, game)
-    return ledger.records
+    """Weights before trial t: p * exp(-(eta / D_t) * L_{t-1}), or with
+    per-pack average losses and D_t = 1 for the current-pack divisor."""
+
+    def charges(expert_losses, pack_losses, sizes, starts):
+        if policy.kind == "current_pack":
+            pack_losses, divisor = pack_losses / sizes, 1
+        elif policy.kind == "running_max":
+            divisor = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
+        elif sizes.max() > policy.pack_size:
+            raise ValueError(
+                f"pack of size {sizes.max()} exceeds declared size "
+                f"{policy.pack_size}"
+            )
+        else:
+            divisor = policy.pack_size
+        charged = (game.eta / divisor) * _losses_before(pack_losses)
+        return np.repeat(charged, sizes, axis=1)
+
+    return _replay(stream, game, prior, charges)
 
 
 def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,

@@ -17,10 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Probability vectors must sum to 1 within this tolerance.
 WEIGHT_TOL = 1e-12
+
+
+def _logsumexp(a, axis=None):
+    """ln(sum(exp(a))) along `axis`, shifted by the maximum; -inf entries and
+    all-(-inf) slices behave as in scipy.special.logsumexp."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    shifted = a - top
+    np.exp(shifted, out=shifted)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(shifted, axis=axis, keepdims=True)) + top
+    return np.squeeze(out, axis=axis)[()]
 
 
 def max_mixable_eta(lower: float, upper: float) -> float:
@@ -136,7 +148,7 @@ class GeneralizedPrediction:
         losses = self.loss_scale * (self.expert_preds[:, None] - o[None, :]) ** 2
         with np.errstate(divide="ignore"):
             log_w = np.log(self.weights)
-        g = -(self.game.c / self.game.eta) * logsumexp(
+        g = -(self.game.c / self.game.eta) * _logsumexp(
             log_w[:, None] - self.game.eta * losses, axis=0
         )
         return float(g[0]) if scalar else g
@@ -171,16 +183,24 @@ def substitute_pack(weights, expert_pred_matrix, game: GameSpec,
         )
     if not game.contains(preds):
         raise ValueError(f"expert prediction outside [{game.lower}, {game.upper}]")
-    if w.size == 1:
-        # Mixing a single expert can only reproduce it; skip the closed form
-        # to avoid pointless cancellation noise.
-        return np.clip(preds[0], game.lower, game.upper)
-    a, b = game.lower, game.upper
     with np.errstate(divide="ignore"):
         log_w = np.log(w)[:, None]
-    scaled_eta = game.eta * loss_scale
-    g_a = -(game.c / game.eta) * logsumexp(log_w - scaled_eta * (preds - a) ** 2, axis=0)
-    g_b = -(game.c / game.eta) * logsumexp(log_w - scaled_eta * (preds - b) ** 2, axis=0)
+    return _substitute(log_w, preds, game, loss_scale)
+
+
+def _substitute(log_w, preds, game: GameSpec, loss_scale: float = 1.0) -> np.ndarray:
+    """The closed form of `substitute_pack`, unchecked, with column k of
+    `preds` mixed under the log-weights log_w[:, k].  Only differences within
+    a column matter, so they need not be normalized."""
+    a, b = game.lower, game.upper
+    if preds.shape[0] == 1:
+        # Mixing a single expert can only reproduce it; skip the closed form
+        # to avoid pointless cancellation noise.
+        return np.clip(preds[0], a, b)
+    # Each exponent is written so that numpy builds it in one temporary.
+    rate = -game.eta * loss_scale
+    g_a = -(game.c / game.eta) * _logsumexp((preds - a) ** 2 * rate + log_w, axis=0)
+    g_b = -(game.c / game.eta) * _logsumexp((preds - b) ** 2 * rate + log_w, axis=0)
     gamma = 0.5 * (a + b) + (g_a - g_b) / (2.0 * loss_scale * (b - a))
     return np.clip(gamma, a, b)
 

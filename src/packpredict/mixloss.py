@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .games import _logsumexp
 
 # Distribution rows must sum to 1 within this tolerance.
 _ROW_TOL = 1e-9
@@ -65,7 +66,7 @@ def mix_loss(distributions, losses) -> float:
     with np.errstate(divide="ignore"):
         log_p = np.log(p)  # (K, N)
     # exponent for item k, expert n: ln p_{k,n} - loss_{n,k}
-    per_item = logsumexp(log_p - ell.T, axis=1)
+    per_item = _logsumexp(log_p - ell.T, axis=1)
     return float(-per_item.sum())
 
 
@@ -150,7 +151,7 @@ class ExponentialWeightsLearner:
         lw = self.log_weights
         if np.all(np.isinf(lw) & (lw < 0)):
             lw = np.zeros(self.num_experts)
-        p = np.exp(lw - logsumexp(lw))
+        p = np.exp(lw - _logsumexp(lw))
         return np.tile(p, (pack_size, 1))
 
     def observe(self, losses) -> None:

@@ -12,6 +12,10 @@ Each copy thus sees a subsequence of the items as its own one-item game.
 The aggregate guarantee degrades with the number of copies an expert's loss
 is split across, which is why item order inside packs (and pack order)
 changes the total loss: shuffling reassigns items to copies.
+
+`run_parallel` replays all copies at once through the replay of
+`algorithms`; stepping copy k item by item with the online learner
+(`predict_item`, then `observe_pack` with divisor 1) gives the same run.
 """
 
 from __future__ import annotations
@@ -20,41 +24,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregator import (
-    DivisorPolicy,
-    init_state,
-    observe_pack,
-    predict_item,
-    uniform_prior,
-)
-from .algorithms import PackStream, _LossLedger
+from .algorithms import Pack, PackStream, _losses_before, _replay
 from .games import GameSpec
 
 
 def run_parallel(stream: PackStream, game: GameSpec, prior=None) -> list:
     """Run the parallel copies over a pack stream, returning per-trial
     records."""
-    if len(stream) == 0:
-        return []
-    stream.validate_for_game(game)
-    if prior is None:
-        prior = uniform_prior(stream.num_experts)
-    policy = DivisorPolicy.fixed(1)
-    copies = []
-    ledger = _LossLedger(stream.num_experts)
-    for t, pack in enumerate(stream):
-        while len(copies) < pack.size:
-            copies.append(init_state(prior))
-        preds = np.array([
-            predict_item(copies[k], pack.expert_preds[:, k], game)
-            for k in range(pack.size)
-        ])
-        expert_losses = (pack.expert_preds - pack.outcomes[None, :]) ** 2
-        for k in range(pack.size):
-            observe_pack(copies[k], expert_losses[:, k:k + 1], policy, game)
-        learner_losses = (preds - pack.outcomes) ** 2
-        ledger.record(t, preds, learner_losses, expert_losses)
-    return ledger.records
+
+    def charges(expert_losses, pack_losses, sizes, starts):
+        # Copy k's weights for item k of pack t: p * exp(-eta * L), with L
+        # the experts' losses on item k of the packs before t.
+        charged = np.empty_like(expert_losses)
+        for k in range(sizes.max()):
+            items = starts[sizes > k] + k  # what copy k sees, in order
+            charged[:, items] = game.eta * _losses_before(expert_losses[:, items])
+        return charged
+
+    return _replay(stream, game, prior, charges)
 
 
 @dataclass(frozen=True)
@@ -94,8 +81,6 @@ class ShuffleSummary:
 def shuffle_within_packs(stream: PackStream, rng) -> PackStream:
     """Permute items inside each pack (expert columns and outcomes jointly);
     pack order and membership are untouched."""
-    from .algorithms import Pack
-
     shuffled = []
     for pack in stream:
         perm = rng.permutation(pack.size)

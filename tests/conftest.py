@@ -56,6 +56,29 @@ def invariant_gap(records, game, prior, mode):
     return min(gaps)
 
 
+# Intervals for the replay-vs-online comparison: the unit interval and two
+# dollar-scale ones, one of them far from zero.
+INTERVALS = ((0.0, 1.0), (3e4, 8e5), (1e9, 1e9 + 1e7))
+
+
+def assert_matches_online(records, online_preds, online_totals, stream, game):
+    """Replay records against the online learner's per-trial predictions and
+    cumulative expert losses: predictions within 1e-12*(B-A), cumulative
+    losses within 1e-12*(B-A)^2*items."""
+    width = game.upper - game.lower
+    loss_tol = 1e-12 * width ** 2 * stream.num_items
+    learner_total = 0.0
+    assert len(records) == len(stream)
+    for r, pack, preds, totals in zip(records, stream, online_preds,
+                                      online_totals):
+        np.testing.assert_allclose(r.learner_preds, preds, rtol=0,
+                                   atol=1e-12 * width)
+        np.testing.assert_allclose(r.expert_cumulative_losses, totals,
+                                   rtol=0, atol=loss_tol)
+        learner_total += np.sum((np.asarray(preds) - pack.outcomes) ** 2)
+        assert abs(r.cumulative_loss - learner_total) <= loss_tol
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -86,9 +86,18 @@ class TestObserve:
         np.testing.assert_allclose(state.log_weights, expected, atol=0)
 
     def test_fixed_rejects_oversize_pack(self):
+        # A rejected pack, here one too large for the declared size or one
+        # with an infinite loss, must leave the state untouched.
         state = init_state(uniform_prior(2))
-        with pytest.raises(ValueError):
-            observe_pack(state, np.zeros((2, 3)), DivisorPolicy.fixed(2), GAME)
+        observe_pack(state, np.full((2, 1), 0.5), DivisorPolicy.fixed(2), GAME)
+        before = (state.log_weights.copy(), state.cumulative_losses.copy(),
+                  state.running_max_pack, state.trial_index)
+        for losses in (np.zeros((2, 3)), np.array([[0.1, np.inf], [0.2, 0.3]])):
+            with pytest.raises(ValueError):
+                observe_pack(state, losses, DivisorPolicy.fixed(2), GAME)
+            np.testing.assert_array_equal(state.log_weights, before[0])
+            np.testing.assert_array_equal(state.cumulative_losses, before[1])
+            assert (state.running_max_pack, state.trial_index) == before[2:]
 
     def test_running_max_recomputes_from_prior(self):
         # Sizes 2 then 5: after the second pack every log-weight must equal

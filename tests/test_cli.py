@@ -200,3 +200,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert proc.stderr
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency: importing the library and its
+        # command line must not load it.
+        code = ("import sys, packpredict, packpredict.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from packpredict import (
     substitute,
     substitute_pack,
 )
+from packpredict.games import _logsumexp
 
 # Reference values for weights (0.75, 0.25), experts (0.2, 0.8) on [0, 1]
 # with eta = 2, computed independently with 60-digit arithmetic.
@@ -25,6 +26,31 @@ REF_GAMMA_GRID = 0.36233623362336237
 
 def unit_game(eta=2.0):
     return GameSpec(0.0, 1.0, eta)
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self, rng):
+        # The library's own max-shift helper against scipy's, including
+        # -inf entries, all-(-inf) slices and large magnitudes.
+        from scipy.special import logsumexp
+
+        ninf = -np.inf
+        cases = [
+            rng.normal(scale=50.0, size=7),
+            rng.normal(size=(4, 6)),
+            np.array([ninf, 0.3, ninf]),
+            np.full(3, ninf),
+            np.array([[ninf, ninf, 0.0], [0.5, ninf, ninf], [-2.0, ninf, 1.0]]),
+            np.full((2, 3), ninf),
+            np.array([-1e4, -1e4 - 1.0, -3e4]),
+            np.array([1e308, 1e308]),
+        ]
+        for a in cases:
+            for axis in ((None, 0, 1, -1) if a.ndim == 2 else (None, 0)):
+                got = _logsumexp(a, axis=axis)
+                want = logsumexp(a, axis=axis)
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestGameSpec:

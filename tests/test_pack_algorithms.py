@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from packpredict import (
+    DivisorPolicy,
     GameSpec,
     Pack,
     PackStream,
     TrialRecord,
+    init_state,
+    observe_pack,
+    predict_pack,
+    rescale_stream,
     run_aa,
     run_aap_current,
     run_aap_equal,
@@ -13,7 +18,13 @@ from packpredict import (
     run_aap_max,
 )
 
-from conftest import invariant_gap, make_stream, random_prior
+from conftest import (
+    INTERVALS,
+    assert_matches_online,
+    invariant_gap,
+    make_stream,
+    random_prior,
+)
 
 GAME = GameSpec(0.0, 1.0, 2.0)
 
@@ -212,3 +223,59 @@ class TestOrderInvariance:
         assert records[-1].cumulative_loss == pytest.approx(
             records_b[-1].cumulative_loss, abs=1e-9
         )
+
+
+class TestReplayMatchesOnline:
+    """Each runner replays the whole stream at once; stepping the online
+    learner (predict_pack, then observe_pack with the runner's divisor
+    policy) pack by pack must give the same run."""
+
+    @staticmethod
+    def online(stream, game, policy, prior):
+        state = init_state(prior)
+        preds, totals = [], []
+        for pack in stream:
+            preds.append(predict_pack(state, pack.expert_preds, game))
+            observe_pack(state, (pack.expert_preds - pack.outcomes) ** 2,
+                         policy, game)
+            totals.append(state.cumulative_losses)
+        return preds, totals
+
+    def cases(self, rng, size_min=1, size_max=7):
+        """Random streams over every interval, N = 1 included, each with a
+        non-uniform prior."""
+        for lower, upper in INTERVALS:
+            game = GameSpec.for_interval(lower, upper)
+            for n in (1, 2, 5):
+                unit = make_stream(rng, n, 30, size_min, size_max)
+                yield (rescale_stream(unit, lower, upper), game,
+                       random_prior(rng, n))
+
+    def test_variable_size_protocols(self, rng):
+        for stream, game, prior in self.cases(rng):
+            k = stream.max_pack_size
+            for records, policy in (
+                (run_aap_max(stream, k + 1, game, prior),
+                 DivisorPolicy.fixed(k + 1)),
+                (run_aap_incremental(stream, game, prior),
+                 DivisorPolicy.running_max()),
+                (run_aap_current(stream, game, prior),
+                 DivisorPolicy.current_pack()),
+            ):
+                assert_matches_online(
+                    records, *self.online(stream, game, policy, prior),
+                    stream, game)
+
+    def test_equal_size_protocol(self, rng):
+        for stream, game, prior in self.cases(rng, 3, 3):
+            assert_matches_online(
+                run_aap_equal(stream, 3, game, prior),
+                *self.online(stream, game, DivisorPolicy.fixed(3), prior),
+                stream, game)
+
+    def test_classic_aggregation(self, rng):
+        for stream, game, prior in self.cases(rng, 1, 1):
+            assert_matches_online(
+                run_aa(stream, game, prior),
+                *self.online(stream, game, DivisorPolicy.fixed(1), prior),
+                stream, game)

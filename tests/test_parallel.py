@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from packpredict import (
+    DivisorPolicy,
     GameSpec,
     Pack,
     PackStream,
     audit_run,
+    init_state,
+    observe_pack,
+    predict_item,
+    rescale_stream,
     run_aa,
     run_parallel,
     shuffle_experiment,
@@ -14,7 +19,7 @@ from packpredict import (
 )
 from packpredict import bounds as bd
 
-from conftest import make_stream
+from conftest import INTERVALS, assert_matches_online, make_stream, random_prior
 
 GAME = GameSpec(0.0, 1.0, 2.0)
 
@@ -56,6 +61,34 @@ class TestEquivalences:
         assert records[-1].cumulative_loss == pytest.approx(
             records[-1].expert_cumulative_losses[0], abs=0
         )
+
+
+class TestReplayMatchesOnline:
+    def test_copies_step_item_by_item(self, rng):
+        # run_parallel replays every copy at once; stepping copy k through
+        # item k of each pack with predict_item and observe_pack (divisor 1)
+        # must give the same run.
+        for lower, upper in INTERVALS:
+            game = GameSpec.for_interval(lower, upper)
+            for n in (1, 2, 5):
+                stream = rescale_stream(make_stream(rng, n, 30), lower, upper)
+                prior = random_prior(rng, n)
+                copies, preds, totals = [], [], []
+                for pack in stream:
+                    while len(copies) < pack.size:
+                        copies.append(init_state(prior))
+                    preds.append([
+                        predict_item(copies[k], pack.expert_preds[:, k], game)
+                        for k in range(pack.size)
+                    ])
+                    for k in range(pack.size):
+                        losses = (pack.expert_preds[:, k:k + 1]
+                                  - pack.outcomes[k]) ** 2
+                        observe_pack(copies[k], losses, DivisorPolicy.fixed(1),
+                                     game)
+                    totals.append(sum(c.cumulative_losses for c in copies))
+                assert_matches_online(run_parallel(stream, game, prior),
+                                      preds, totals, stream, game)
 
 
 class TestBound:
