@@ -30,14 +30,12 @@ from .algorithms import (
 from .bounds import (
     ALGORITHMS,
     SLACK_TOL,
-    BoundEntry,
     BoundReport,
     audit_run,
     theoretical_bound,
 )
 from .games import (
     GameSpec,
-    GeneralizedPrediction,
     check_substitution_validity,
     generalized_prediction,
     max_mixable_eta,
@@ -96,12 +94,10 @@ __all__ = [
     "run_aap_max",
     "ALGORITHMS",
     "SLACK_TOL",
-    "BoundEntry",
     "BoundReport",
     "audit_run",
     "theoretical_bound",
     "GameSpec",
-    "GeneralizedPrediction",
     "check_substitution_validity",
     "generalized_prediction",
     "max_mixable_eta",

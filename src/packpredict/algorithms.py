@@ -156,7 +156,8 @@ class TrialRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
         # Field types are strings under postponed annotations.
-        convert = {"int": int, "float": float, "tuple": tuple}
+        convert = {"int": int, "float": float,
+                   "tuple": lambda v: tuple(float(x) for x in v)}
         return cls(**{f.name: convert[f.type](d[f.name]) for f in fields(cls)})
 
 

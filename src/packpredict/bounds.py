@@ -120,53 +120,36 @@ def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    """One (prefix, expert) check: did the guarantee hold at this point?"""
-
-    expert_index: int
-    learner_loss: float
-    expert_loss: float
-    bound: float
-    slack: float
-    prefix: int  # number of trials included
-
-    def to_dict(self) -> dict:
-        return {
-            "expert_index": self.expert_index,
-            "learner_loss": self.learner_loss,
-            "expert_loss": self.expert_loss,
-            "bound": self.bound,
-            "slack": self.slack,
-            "prefix": self.prefix,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundEntry":
-        return cls(
-            expert_index=int(d["expert_index"]),
-            learner_loss=float(d["learner_loss"]),
-            expert_loss=float(d["expert_loss"]),
-            bound=float(d["bound"]),
-            slack=float(d["slack"]),
-            prefix=int(d["prefix"]),
-        )
+# One row per (prefix, expert) check, with the type each JSON value is
+# converted by; a report's entries are these rows as a structured array.
+_ENTRY_FIELDS = (
+    ("expert_index", int),
+    ("learner_loss", float),
+    ("expert_loss", float),
+    ("bound", float),
+    ("slack", float),
+    ("prefix", int),  # number of trials included
+)
+_ENTRY_DTYPE = np.dtype(list(_ENTRY_FIELDS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
-    """All guarantee checks for one algorithm on one run."""
+    """All guarantee checks for one algorithm on one run.  `entries` is a
+    structured array with one row per (prefix, expert) check, prefix-major,
+    and the fields expert_index, learner_loss, expert_loss, bound, slack and
+    prefix (the number of trials included)."""
 
     algorithm: str
     metric: str  # "total" or "average"
     params: dict
-    entries: tuple
+    entries: np.ndarray
 
     @property
     def min_slack(self) -> float | None:
-        if not self.entries:
+        if len(self.entries) == 0:
             return None
-        return min(e.slack for e in self.entries)
+        return float(self.entries["slack"].min())
 
     @property
     def passed(self) -> bool:
@@ -174,26 +157,36 @@ class BoundReport:
         return ms is None or ms >= -SLACK_TOL
 
     @property
-    def violations(self) -> tuple:
-        return tuple(e for e in self.entries if e.slack < -SLACK_TOL)
+    def violations(self) -> np.ndarray:
+        return self.entries[self.entries["slack"] < -SLACK_TOL]
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundReport):
+            return NotImplemented
+        return ((self.algorithm, self.metric, self.params)
+                == (other.algorithm, other.metric, other.params)
+                and np.array_equal(self.entries, other.entries))
 
     def to_dict(self) -> dict:
+        names = _ENTRY_DTYPE.names
         return {
             "algorithm": self.algorithm,
             "metric": self.metric,
             "params": dict(self.params),
             "passed": self.passed,
             "min_slack": self.min_slack,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [dict(zip(names, row)) for row in self.entries.tolist()],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundReport":
+        rows = [tuple(cast(e[name]) for name, cast in _ENTRY_FIELDS)
+                for e in d["entries"]]
         return cls(
             algorithm=str(d["algorithm"]),
             metric=str(d["metric"]),
             params=dict(d["params"]),
-            entries=tuple(BoundEntry.from_dict(e) for e in d["entries"]),
+            entries=np.array(rows, dtype=_ENTRY_DTYPE),
         )
 
 
@@ -221,7 +214,8 @@ def audit_run(records, algorithm: str, game, prior, *,
     prior = _as_weights(prior)
     params = {"c": game.c, "eta": game.eta}
     if not records:
-        return BoundReport(algorithm, g.metric, params, ())
+        return BoundReport(algorithm, g.metric, params,
+                           np.empty(0, dtype=_ENTRY_DTYPE))
 
     learner_total, learner_avg, expert_total, expert_avg, sizes = \
         _stack_records(records)
@@ -271,16 +265,11 @@ def audit_run(records, algorithm: str, game, prior, *,
                            running_min[idx, None]),
                     game.c, game.eta)
 
-    slack = bounds - learner
-    entries = []
-    for row, prefix in enumerate(prefixes):
-        for n in range(num_experts):
-            entries.append(BoundEntry(
-                expert_index=n,
-                learner_loss=float(learner[row, 0]),
-                expert_loss=float(expert[row, n]),
-                bound=float(bounds[row, n]),
-                slack=float(slack[row, n]),
-                prefix=int(prefix),
-            ))
-    return BoundReport(algorithm, g.metric, params, tuple(entries))
+    entries = np.empty(bounds.size, dtype=_ENTRY_DTYPE)
+    entries["expert_index"] = np.tile(np.arange(num_experts), idx.size)
+    entries["learner_loss"] = np.repeat(learner[:, 0], num_experts)
+    entries["expert_loss"] = expert.ravel()
+    entries["bound"] = bounds.ravel()
+    entries["slack"] = (bounds - learner).ravel()
+    entries["prefix"] = np.repeat(prefixes, num_experts)
+    return BoundReport(algorithm, g.metric, params, entries)

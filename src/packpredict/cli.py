@@ -20,6 +20,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from .bounds import SLACK_TOL, audit_run
 from .games import GameSpec, max_mixable_eta
 from .harness import (
@@ -258,7 +260,8 @@ def _cmd_audit(args) -> int:
     try:
         with open(args.result) as fh:
             result = result_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as e:
         print(f"error: cannot read result file {args.result!r}: {e}",
               file=sys.stderr)
         return EXIT_ERROR
@@ -267,8 +270,8 @@ def _cmd_audit(args) -> int:
     lines = []
     for alg in result.algorithms:
         for stored in alg.reports:
-            prefixes = {e.prefix for e in stored.entries}
-            every_prefix = args.every_prefix or len(prefixes) > 1
+            every_prefix = (args.every_prefix
+                            or np.unique(stored.entries["prefix"]).size > 1)
             fresh = audit_run(
                 alg.records, stored.algorithm, result.game, result.prior,
                 declared_pack_size=alg.params.get("pack_size"),

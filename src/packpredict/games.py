@@ -121,56 +121,40 @@ def _as_expert_preds(expert_preds, game: GameSpec, num_experts: int) -> np.ndarr
     return p
 
 
-@dataclass(frozen=True)
-class GeneralizedPrediction:
-    """The exponentially mixed loss profile g(omega) induced by a weight vector
-    and the experts' predictions:
+def _mixed_loss(log_w, preds, omega, game: GameSpec):
+    """The mixed loss profile of the experts' predictions `preds` (one row
+    per expert) under the log-weights `log_w`, at the outcomes `omega`:
 
-        g(omega) = -(C/eta) * ln sum_n p^n * exp(-eta * scale * (gamma^n - omega)^2)
+        g(omega) = -(C/eta) * ln sum_n p^n * exp(-eta * (gamma^n - omega)^2)
 
-    Callable on scalars or arrays of outcomes.  `loss_scale` evaluates the
-    profile for the scaled loss scale*(gamma-omega)^2.
-    """
-
-    weights: np.ndarray
-    expert_preds: np.ndarray
-    game: GameSpec
-    loss_scale: float = 1.0
-
-    def __call__(self, omega):
-        o = np.asarray(omega, dtype=float)
-        if not self.game.contains(o):
-            raise ValueError(
-                f"outcome outside [{self.game.lower}, {self.game.upper}]"
-            )
-        scalar = o.ndim == 0
-        o = np.atleast_1d(o)
-        losses = self.loss_scale * (self.expert_preds[:, None] - o[None, :]) ** 2
-        with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
-        g = -(self.game.c / self.game.eta) * _logsumexp(
-            log_w[:, None] - self.game.eta * losses, axis=0
-        )
-        return float(g[0]) if scalar else g
+    reduced over the rows; the arguments broadcast.  The exponent is written
+    so that numpy builds it in one temporary."""
+    return -(game.c / game.eta) * _logsumexp(
+        (preds - omega) ** 2 * (-game.eta) + log_w, axis=0
+    )
 
 
-def generalized_prediction(weights, expert_preds, game: GameSpec, omega,
-                           loss_scale: float = 1.0):
+def generalized_prediction(weights, expert_preds, game: GameSpec, omega):
     """Evaluate the mixed loss profile g at `omega` (scalar or array)."""
     w = _as_weights(weights)
     p = _as_expert_preds(expert_preds, game, w.size)
-    return GeneralizedPrediction(w, p, game, loss_scale)(omega)
+    o = np.asarray(omega, dtype=float)
+    if not game.contains(o):
+        raise ValueError(f"outcome outside [{game.lower}, {game.upper}]")
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)[:, None]
+    g = _mixed_loss(log_w, p[:, None], np.atleast_1d(o), game)
+    return float(g[0]) if o.ndim == 0 else g
 
 
-def substitute_pack(weights, expert_pred_matrix, game: GameSpec,
-                    loss_scale: float = 1.0) -> np.ndarray:
+def substitute_pack(weights, expert_pred_matrix, game: GameSpec) -> np.ndarray:
     """Predictions solving the aggregation inequality for each column of an
     N x K matrix of expert predictions, all under the same weights.
 
     Closed form for the square loss: the prediction equalizes the slack of the
     inequality at the two interval endpoints,
 
-        gamma = (A+B)/2 + (g(A) - g(B)) / (2 * scale * (B-A)),
+        gamma = (A+B)/2 + (g(A) - g(B)) / (2 * (B-A)),
 
     clipped to [A, B].  A single expert is reproduced exactly.
     """
@@ -185,10 +169,10 @@ def substitute_pack(weights, expert_pred_matrix, game: GameSpec,
         raise ValueError(f"expert prediction outside [{game.lower}, {game.upper}]")
     with np.errstate(divide="ignore"):
         log_w = np.log(w)[:, None]
-    return _substitute(log_w, preds, game, loss_scale)
+    return _substitute(log_w, preds, game)
 
 
-def _substitute(log_w, preds, game: GameSpec, loss_scale: float = 1.0) -> np.ndarray:
+def _substitute(log_w, preds, game: GameSpec) -> np.ndarray:
     """The closed form of `substitute_pack`, unchecked, with column k of
     `preds` mixed under the log-weights log_w[:, k].  Only differences within
     a column matter, so they need not be normalized."""
@@ -197,36 +181,32 @@ def _substitute(log_w, preds, game: GameSpec, loss_scale: float = 1.0) -> np.nda
         # Mixing a single expert can only reproduce it; skip the closed form
         # to avoid pointless cancellation noise.
         return np.clip(preds[0], a, b)
-    # Each exponent is written so that numpy builds it in one temporary.
-    rate = -game.eta * loss_scale
-    g_a = -(game.c / game.eta) * _logsumexp((preds - a) ** 2 * rate + log_w, axis=0)
-    g_b = -(game.c / game.eta) * _logsumexp((preds - b) ** 2 * rate + log_w, axis=0)
-    gamma = 0.5 * (a + b) + (g_a - g_b) / (2.0 * loss_scale * (b - a))
+    g_a = _mixed_loss(log_w, preds, a, game)
+    g_b = _mixed_loss(log_w, preds, b, game)
+    gamma = 0.5 * (a + b) + (g_a - g_b) / (2.0 * (b - a))
     return np.clip(gamma, a, b)
 
 
-def substitute(weights, expert_preds, game: GameSpec, loss_scale: float = 1.0) -> float:
+def substitute(weights, expert_preds, game: GameSpec) -> float:
     """Single prediction solving the aggregation inequality for one round of
     expert predictions."""
     p = np.asarray(expert_preds, dtype=float)
     if p.ndim != 1:
         raise ValueError("expert predictions must be a 1-d vector")
-    return float(substitute_pack(weights, p[:, None], game, loss_scale)[0])
+    return float(substitute_pack(weights, p[:, None], game)[0])
 
 
 def check_substitution_validity(gamma: float, weights, expert_preds, game: GameSpec,
-                                grid_size: int = 1001, loss_scale: float = 1.0) -> float:
+                                grid_size: int = 1001) -> float:
     """Worst slack of the aggregation inequality over a uniform outcome grid.
 
-    Returns max over the grid of scale*(gamma - omega)^2 - g(omega); a valid
+    Returns max over the grid of (gamma - omega)^2 - g(omega); a valid
     substitution keeps this at or below numerical noise (<= 1e-12).
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     if not game.contains(gamma):
         raise ValueError(f"prediction outside [{game.lower}, {game.upper}]")
-    w = _as_weights(weights)
-    p = _as_expert_preds(expert_preds, game, w.size)
     grid = np.linspace(game.lower, game.upper, grid_size)
-    g = GeneralizedPrediction(w, p, game, loss_scale)(grid)
-    return float(np.max(loss_scale * (gamma - grid) ** 2 - g))
+    g = generalized_prediction(weights, expert_preds, game, grid)
+    return float(np.max((gamma - grid) ** 2 - g))

@@ -423,6 +423,8 @@ def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
     """
     if len(stream) == 0:
         raise ValueError("cannot run an experiment on an empty stream")
+    if shuffles < 0:
+        raise ValueError(f"shuffles must be >= 0, got {shuffles}")
     if prior is None:
         prior = uniform_prior(stream.num_experts)
     prior = np.asarray(prior, dtype=float)

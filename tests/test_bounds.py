@@ -140,10 +140,15 @@ class TestAuditRun:
         prior = uniform_prior(3)
         final_only = audit_run(records, bd.AAP_INCREMENTAL, GAME, prior)
         assert len(final_only.entries) == 3
-        assert {e.prefix for e in final_only.entries} == {10}
+        assert set(final_only.entries["prefix"].tolist()) == {10}
         full = audit_run(records, bd.AAP_INCREMENTAL, GAME, prior,
                          every_prefix=True)
         assert len(full.entries) == 30
+        # One row per (prefix, expert), prefix-major, read off the records.
+        expected = [(n, r.cumulative_loss, r.expert_cumulative_losses[n], t + 1)
+                    for t, r in enumerate(records) for n in range(3)]
+        assert full.entries[["expert_index", "learner_loss", "expert_loss",
+                             "prefix"]].tolist() == expected
 
     def test_average_metric_selected(self, rng):
         stream = make_stream(rng, 2, 5)
@@ -151,8 +156,7 @@ class TestAuditRun:
         report = audit_run(records, bd.AAP_CURRENT_AVERAGE, GAME,
                            uniform_prior(2))
         assert report.metric == "average"
-        entry = report.entries[0]
-        assert entry.learner_loss == pytest.approx(
+        assert report.entries["learner_loss"][0] == pytest.approx(
             records[-1].cumulative_average_loss, abs=0
         )
 
@@ -166,11 +170,12 @@ class TestAuditRun:
         tampered = records[:-1] + [TrialRecord.from_dict(bad)]
         report = audit_run(tampered, bd.AAP_INCREMENTAL, GAME, uniform_prior(3))
         assert not report.passed
-        assert report.violations
+        assert len(report.violations) > 0
 
     def test_empty_records(self):
         report = audit_run([], bd.AA, GAME, uniform_prior(2))
-        assert report.passed and report.entries == () and report.min_slack is None
+        assert report.passed and len(report.entries) == 0
+        assert report.min_slack is None
 
     def test_declared_size_validation(self, rng):
         stream = make_stream(rng, 2, 6, size_min=1, size_max=4)
@@ -198,15 +203,14 @@ class TestAuditRun:
         report = audit_run(records, bd.AAP_INCREMENTAL, GAME, uniform_prior(2),
                            every_prefix=True)
         assert report.passed
-        by_prefix = {}
-        for e in report.entries:
-            by_prefix.setdefault(e.prefix, []).append(e)
+        entries = report.entries
+        term = entries["bound"] - entries["expert_loss"]
         # Early prefixes use divisor 1, so their additive term is smaller
         # than the final one with divisor 6.
-        early = by_prefix[1][0]
-        late = by_prefix[4][0]
-        early_term = early.bound - early.expert_loss
-        late_term = late.bound - late.expert_loss
+        early_term = term[(entries["prefix"] == 1)
+                          & (entries["expert_index"] == 0)][0]
+        late_term = term[(entries["prefix"] == 4)
+                         & (entries["expert_index"] == 0)][0]
         assert early_term == pytest.approx((1 / 2) * math.log(2), abs=1e-12)
         assert late_term == pytest.approx((6 / 2) * math.log(2), abs=1e-12)
 
@@ -236,14 +240,15 @@ class TestAuditRun:
             records = run_aap_current(stream, game, prior)
             report = audit_run(records, algorithm, game, prior,
                                declared_pack_size=declared)
-            for e in report.entries:
+            for n, expert_loss, bound in report.entries[
+                    ["expert_index", "expert_loss", "bound"]].tolist():
                 expected = theoretical_bound(
-                    algorithm, e.expert_loss, c=game.c, eta=game.eta,
-                    prior_weight=prior[e.expert_index], pack_size=declared,
+                    algorithm, expert_loss, c=game.c, eta=game.eta,
+                    prior_weight=prior[n], pack_size=declared,
                     max_pack=stream.max_pack_size,
                     min_pack=stream.min_pack_size,
                     max_delay=stream.max_pack_size)
-                assert expected == pytest.approx(e.bound, rel=1e-14, abs=0), \
+                assert expected == pytest.approx(bound, rel=1e-14, abs=0), \
                     algorithm
 
     def test_aa_audit_on_unit_packs(self, rng):

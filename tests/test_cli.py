@@ -62,6 +62,11 @@ class TestSynth:
         assert code == 1
         assert "prior" in capsys.readouterr().err
 
+    def test_negative_shuffles_rejected(self, capsys):
+        code = main(["synth", "--trials", "5", "--shuffles", "-2"])
+        assert code == 1
+        assert "shuffles" in capsys.readouterr().err
+
     def test_rescaled_interval(self, capsys):
         code = main(["synth", "--experts", "2", "--trials", "6", "--seed", "2",
                      "--lower", "10", "--upper", "20", "--format", "json"])
@@ -181,6 +186,30 @@ class TestAudit:
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
         assert main(["audit", str(p)]) == 1
+        # Valid JSON of the wrong shape is a read error too, not a traceback:
+        # each case sets the value at a key path of a good result.
+        with open(self._write_result(tmp_path, capsys)) as fh:
+            good = fh.read()
+        cases = [
+            (("algorithms", 0, "records"), None),
+            (("algorithms", 0, "records", 0), 1),
+            (("algorithms", 0, "reports", 0, "entries", 0), 1),
+            (("algorithms", 0, "reports", 0, "entries", 0, "slack"), None),
+            (("algorithms", 0, "reports", 0, "entries", 0, "prefix"), 10**20),
+            (("game",), [1, 2]),
+            (("algorithms",), {"a": 1}),
+            (("algorithms", 0, "records", -1, "expert_cumulative_losses", 0),
+             "x"),
+        ]
+        for path, value in cases:
+            payload = json.loads(good)
+            node = payload
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            p.write_text(json.dumps(payload))
+            assert main(["audit", str(p)]) == 1, path
+            assert "cannot read result file" in capsys.readouterr().err, path
 
 
 class TestEntryPoint:

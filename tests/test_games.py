@@ -173,19 +173,6 @@ class TestSubstitute:
         singles = np.array([substitute(w, preds[:, k], g) for k in range(6)])
         np.testing.assert_array_equal(pack, singles)
 
-    def test_loss_scale_equals_scaled_game(self, rng):
-        # Substituting for the loss a*(gamma-omega)^2 at rate eta is the same
-        # as substituting for the plain loss at rate a*eta.
-        for _ in range(25):
-            n = int(rng.integers(2, 6))
-            w = rng.uniform(0.1, 1, size=n)
-            w /= w.sum()
-            preds = rng.uniform(0, 1, size=n)
-            a = float(rng.uniform(0.1, 1.0))
-            via_scale = substitute(w, preds, unit_game(2.0), loss_scale=a)
-            via_game = substitute(w, preds, unit_game(2.0 * a))
-            assert via_scale == pytest.approx(via_game, rel=1e-12, abs=1e-12)
-
     def test_shape_errors(self):
         g = unit_game()
         with pytest.raises(ValueError):

@@ -306,6 +306,11 @@ class TestRunExperiment:
         assert result.shuffle is not None
         assert result.shuffle.num_shuffles == 4
 
+    def test_negative_shuffles_rejected(self, rng):
+        stream = make_stream(rng, 2, 4)
+        with pytest.raises(ValueError, match="shuffles"):
+            run_experiment(stream, GameSpec(0, 1, 2.0), shuffles=-2)
+
     def test_totals_match_records(self, rng):
         stream = make_stream(rng, 3, 9)
         result = run_experiment(stream, GameSpec(0, 1, 2.0),
