@@ -13,8 +13,6 @@ Example:
 
 import argparse
 
-import numpy as np
-
 from packpredict import SyntheticConfig, generate_synthetic_stream, run_experiment
 
 
@@ -59,7 +57,7 @@ def main():
     for m in marks:
         row = f"{m:>5}"
         for a in result.algorithms:
-            row += f"{a.records[m - 1].cumulative_loss:>18.6f}"
+            row += f"{a.records.cumulative_loss[m - 1]:>18.6f}"
         print(row)
     print()
     best = None
@@ -70,8 +68,7 @@ def main():
               f"min guarantee slack {slack:+.6f}   [{status}]")
         if best is None or a.total_loss < best[1]:
             best = (a.name, a.total_loss)
-    expert_losses = np.array(result.algorithms[0].records[-1]
-                             .expert_cumulative_losses)
+    expert_losses = result.algorithms[0].records.expert_cumulative_losses[-1]
     print(f"{'best expert':>18}: total loss {expert_losses.min():.6f}   "
           f"(expert {int(expert_losses.argmin())})")
     print(f"\nlowest learner loss: {best[0]} ({best[1]:.6f})")

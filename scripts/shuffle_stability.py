@@ -64,8 +64,8 @@ def main():
     reshuffled = [shuffle_within_packs(stream, rng) for _ in range(args.shuffles)]
     print(f"\nwithin-pack reshuffles: {args.shuffles}")
     for name, runner in runners.items():
-        base = runner(stream)[-1].cumulative_loss
-        dev = max(abs(runner(s)[-1].cumulative_loss - base) for s in reshuffled)
+        base = runner(stream).cumulative_loss[-1]
+        dev = max(abs(runner(s).cumulative_loss[-1] - base) for s in reshuffled)
         print(f"{name:>18}: total {base:.6f}   max |shift| over reshuffles "
               f"{dev:.3e}  (invariant)")
 

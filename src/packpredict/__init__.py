@@ -20,7 +20,7 @@ from .aggregator import (
 from .algorithms import (
     Pack,
     PackStream,
-    TrialRecord,
+    RunRecords,
     run_aa,
     run_aap_current,
     run_aap_equal,
@@ -86,7 +86,7 @@ __all__ = [
     "uniform_prior",
     "Pack",
     "PackStream",
-    "TrialRecord",
+    "RunRecords",
     "run_aa",
     "run_aap_current",
     "run_aap_equal",

@@ -19,11 +19,17 @@ run from cumulative sums of the experts' losses and one vectorized
 substitution; `parallel` runs its copies through the same replay.  The
 online learner of `aggregator` is the month-by-month form of the same rules
 and the test oracle for the replay.
+
+A run's records are the replay's arrays, kept as columns (`RunRecords`): one
+row per trial, T x N for the experts.  Only `to_dict`/`from_dict` turn them
+into the per-trial JSON objects and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -135,30 +141,80 @@ class PackStream:
                 )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Everything an audit needs about one trial, in plain Python floats."""
+def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
+    """JSON values as an array of `dtype`, checked as a whole: each must be
+    a number, and an integer for an int `dtype`; a bool or a string is an
+    error, never converted.  With `lengths`, each value is a list of that
+    many numbers (one length for all, or one each), concatenated."""
+    values = list(values)
+    if lengths is not None:
+        if (set(map(type, values)) - {list}
+                or np.any(np.fromiter(map(len, values), int, len(values))
+                          != lengths)):
+            raise ValueError(f"{name}: a list has the wrong length")
+        values = list(chain.from_iterable(values))
+    if set(map(type, values)) - ({int} if dtype is int else {int, float}):
+        kind = "integers" if dtype is int else "numbers"
+        raise ValueError(f"{name}: values must be JSON {kind}")
+    return np.array(values, dtype=dtype)
 
-    trial_index: int
-    pack_size: int
-    learner_preds: tuple
-    learner_pack_loss: float
-    expert_pack_losses: tuple
-    cumulative_loss: float
-    cumulative_average_loss: float
-    expert_cumulative_losses: tuple
-    expert_cumulative_average_losses: tuple
 
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in vars(self).items()}
+@dataclass(frozen=True, eq=False)
+class RunRecords:
+    """A run's per-trial records as columns; row t is trial t.
+
+    `learner_preds` holds every item's prediction in stream order (trial t's
+    are the next `pack_size[t]`); the `expert_*` columns are T x N.
+    """
+
+    pack_size: np.ndarray
+    learner_preds: np.ndarray
+    learner_pack_loss: np.ndarray
+    cumulative_loss: np.ndarray
+    cumulative_average_loss: np.ndarray
+    expert_pack_losses: np.ndarray
+    expert_cumulative_losses: np.ndarray
+    expert_cumulative_average_losses: np.ndarray
+
+    def __len__(self):
+        return len(self.pack_size)
+
+    def __eq__(self, other):
+        if not isinstance(other, RunRecords):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def to_dict(self) -> list:
+        """The JSON form: one object per trial, with its `trial_index`."""
+        columns = {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        preds, ends = columns["learner_preds"], np.cumsum(self.pack_size).tolist()
+        columns["learner_preds"] = [preds[e - k:e]
+                                    for k, e in zip(columns["pack_size"], ends)]
+        columns["trial_index"] = range(len(self))
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        # Field types are strings under postponed annotations.
-        convert = {"int": int, "float": float,
-                   "tuple": lambda v: tuple(float(x) for x in v)}
-        return cls(**{f.name: convert[f.type](d[f.name]) for f in fields(cls)})
+    def from_dict(cls, rows: list) -> "RunRecords":
+        """Inverse of `to_dict`.  Trial t must have `trial_index` t and
+        `pack_size` predictions, and every expert list the same length."""
+        def column(name, dtype=float, lengths=None):
+            return _json_column(name, map(itemgetter(name), rows), dtype, lengths)
+
+        if not np.array_equal(column("trial_index", int), np.arange(len(rows))):
+            raise ValueError("records: trial_index must count 0, 1, 2, ...")
+        sizes = column("pack_size", int)
+        width = len(rows[0]["expert_pack_losses"]) if rows else 0
+
+        def experts(name):
+            return column(name, float, width).reshape(len(rows), width)
+
+        return cls(sizes, column("learner_preds", float, sizes),
+                   column("learner_pack_loss"), column("cumulative_loss"),
+                   column("cumulative_average_loss"),
+                   experts("expert_pack_losses"),
+                   experts("expert_cumulative_losses"),
+                   experts("expert_cumulative_average_losses"))
 
 
 def _losses_before(losses: np.ndarray) -> np.ndarray:
@@ -170,14 +226,14 @@ def _losses_before(losses: np.ndarray) -> np.ndarray:
     return before - before.min(axis=0)
 
 
-def _replay(stream: PackStream, game: GameSpec, prior, charges) -> list:
-    """Per-trial records of a whole run, from whole-stream arrays: the packs
-    side by side as N x items matrices, pack t from column starts[t].
+def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
+    """A whole run's records, from whole-stream arrays: the packs side by
+    side as N x items matrices, pack t from column starts[t].
     `charges(expert_losses, pack_losses, sizes, starts)` gives each item's
     N charges c, the weights at that item being proportional to p * exp(-c).
     """
     if len(stream) == 0:
-        return []
+        return RunRecords.from_dict([])
     preds = np.concatenate([t.expert_preds for t in stream], axis=1)
     outcomes = np.concatenate([t.outcomes for t in stream])
     if not (game.contains(preds) and game.contains(outcomes)):
@@ -194,25 +250,14 @@ def _replay(stream: PackStream, game: GameSpec, prior, charges) -> list:
     del expert_losses  # as large as `preds`; free it before the substitution
     learner = _substitute(log_w, preds, game)
     learner_pack = np.add.reduceat((learner - outcomes) ** 2, starts)
-    flat = learner.tolist()
-    columns = zip(
-        sizes.tolist(), starts.tolist(), learner_pack.tolist(),
-        pack_losses.T.tolist(),
-        np.cumsum(learner_pack).tolist(),
-        np.cumsum(learner_pack / sizes).tolist(),
-        np.cumsum(pack_losses, axis=1).T.tolist(),
-        np.cumsum(pack_losses / sizes, axis=1).T.tolist(),
-    )
-    return [
-        TrialRecord(t, k, tuple(flat[s:s + k]), loss, tuple(experts), total,
-                    avg_total, tuple(expert_totals), tuple(expert_avg_totals))
-        for t, (k, s, loss, experts, total, avg_total, expert_totals,
-                expert_avg_totals) in enumerate(columns)
-    ]
+    return RunRecords(sizes, learner, learner_pack, np.cumsum(learner_pack),
+                      np.cumsum(learner_pack / sizes), pack_losses.T,
+                      np.cumsum(pack_losses, axis=1).T,
+                      np.cumsum(pack_losses / sizes, axis=1).T)
 
 
 def _run_with_policy(stream: PackStream, game: GameSpec, policy: DivisorPolicy,
-                     prior) -> list:
+                     prior) -> RunRecords:
     """Weights before trial t: p * exp(-(eta / D_t) * L_{t-1}), or with
     per-pack average losses and D_t = 1 for the current-pack divisor."""
 
@@ -235,7 +280,7 @@ def _run_with_policy(stream: PackStream, game: GameSpec, policy: DivisorPolicy,
 
 
 def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
-                  prior=None) -> list:
+                  prior=None) -> RunRecords:
     """Pack prediction when every pack has the same known size.
 
     Raises if any pack's size differs from `pack_size`.
@@ -250,24 +295,24 @@ def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
 
 
 def run_aap_max(stream: PackStream, max_pack_size: int, game: GameSpec,
-                prior=None) -> list:
+                prior=None) -> RunRecords:
     """Pack prediction when only an upper bound on pack sizes is known ahead."""
     return _run_with_policy(stream, game, DivisorPolicy.fixed(max_pack_size), prior)
 
 
-def run_aap_incremental(stream: PackStream, game: GameSpec, prior=None) -> list:
+def run_aap_incremental(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Pack prediction with no size information: divisor is the running max
     pack size, with weights recomputed from the prior whenever it grows."""
     return _run_with_policy(stream, game, DivisorPolicy.running_max(), prior)
 
 
-def run_aap_current(stream: PackStream, game: GameSpec, prior=None) -> list:
+def run_aap_current(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Pack prediction with no size information: divisor is the current pack
     size.  Controls average per-item loss rather than total loss."""
     return _run_with_policy(stream, game, DivisorPolicy.current_pack(), prior)
 
 
-def run_aa(stream: PackStream, game: GameSpec, prior=None) -> list:
+def run_aa(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Classic one-item-at-a-time aggregation: a stream whose packs all have
     size one, run with divisor 1."""
     for i, t in enumerate(stream):

@@ -18,18 +18,21 @@ of per-pack average losses:
   aap-current-plain      total     max size seen so far     max/min size seen
   parallel               total     pool size (= max size)   1
 
-`audit_run` replays a finished run's records against the matching guarantee
-for every expert, either at the end or at every prefix, and reports the slack
-bound - learner_total.  Anything below -1e-9 is a violation.
+`audit_run` reads a finished run's cumulative-loss columns (`RunRecords`)
+and checks the matching guarantee for every expert, either at the end or at
+every prefix, and reports the slack bound - learner_total.  Anything below
+-1e-9 is a violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
+from .algorithms import _json_column
 from .games import _as_weights
 
 # A guarantee holds if bound - loss >= -SLACK_TOL (room for float accumulation).
@@ -120,8 +123,8 @@ def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
     return float(out) if out.ndim == 0 else out
 
 
-# One row per (prefix, expert) check, with the type each JSON value is
-# converted by; a report's entries are these rows as a structured array.
+# One row per (prefix, expert) check, with the type of each JSON value; a
+# report's entries are these rows as a structured array.
 _ENTRY_FIELDS = (
     ("expert_index", int),
     ("learner_loss", float),
@@ -180,24 +183,16 @@ class BoundReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoundReport":
-        rows = [tuple(cast(e[name]) for name, cast in _ENTRY_FIELDS)
-                for e in d["entries"]]
+        rows = d["entries"]
+        entries = np.empty(len(rows), dtype=_ENTRY_DTYPE)
+        for name, dtype in _ENTRY_FIELDS:
+            entries[name] = _json_column(name, map(itemgetter(name), rows), dtype)
         return cls(
             algorithm=str(d["algorithm"]),
             metric=str(d["metric"]),
             params=dict(d["params"]),
-            entries=np.array(rows, dtype=_ENTRY_DTYPE),
+            entries=entries,
         )
-
-
-def _stack_records(records):
-    """Per-trial cumulative arrays out of a record list."""
-    learner_total = np.array([r.cumulative_loss for r in records])
-    learner_avg = np.array([r.cumulative_average_loss for r in records])
-    expert_total = np.array([r.expert_cumulative_losses for r in records])
-    expert_avg = np.array([r.expert_cumulative_average_losses for r in records])
-    sizes = np.array([r.pack_size for r in records])
-    return learner_total, learner_avg, expert_total, expert_avg, sizes
 
 
 def audit_run(records, algorithm: str, game, prior, *,
@@ -213,13 +208,12 @@ def audit_run(records, algorithm: str, game, prior, *,
     g = _guarantee(algorithm)
     prior = _as_weights(prior)
     params = {"c": game.c, "eta": game.eta}
-    if not records:
+    if len(records) == 0:
         return BoundReport(algorithm, g.metric, params,
                            np.empty(0, dtype=_ENTRY_DTYPE))
 
-    learner_total, learner_avg, expert_total, expert_avg, sizes = \
-        _stack_records(records)
-    num_trials, num_experts = expert_total.shape
+    sizes = records.pack_size
+    num_trials, num_experts = records.expert_cumulative_losses.shape
     if prior.size != num_experts:
         raise ValueError(
             f"prior has {prior.size} entries for {num_experts} experts"
@@ -251,11 +245,11 @@ def audit_run(records, algorithm: str, game, prior, *,
     idx = prefixes - 1
 
     if g.metric == "average":
-        learner = learner_avg[idx, None]
-        expert = expert_avg[idx, :]
+        learner = records.cumulative_average_loss[idx, None]
+        expert = records.expert_cumulative_average_losses[idx, :]
     else:
-        learner = learner_total[idx, None]
-        expert = expert_total[idx, :]
+        learner = records.cumulative_loss[idx, None]
+        expert = records.expert_cumulative_losses[idx, :]
 
     final = _sizes(declared_pack_size, int(running_max[-1]),
                    int(running_min[-1]))

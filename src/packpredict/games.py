@@ -68,6 +68,10 @@ class GameSpec:
             raise ValueError(f"learning rate must be positive, got {self.eta}")
         if not self.c >= 1:
             raise ValueError(f"aggregation constant must be >= 1, got {self.c}")
+        if not np.isfinite([self.eta, self.c, self.c / self.eta]).all():
+            raise ValueError(
+                f"eta, c and c/eta must be finite, got eta={self.eta}, c={self.c}"
+            )
 
     @classmethod
     def for_interval(cls, lower: float, upper: float, eta: float | None = None,

@@ -26,7 +26,8 @@ from .aggregator import uniform_prior
 from .algorithms import (
     Pack,
     PackStream,
-    TrialRecord,
+    RunRecords,
+    _json_column,
     run_aa,
     run_aap_current,
     run_aap_equal,
@@ -280,16 +281,16 @@ class AlgorithmResult:
 
     name: str
     params: dict
-    records: tuple
+    records: RunRecords
     reports: tuple
 
     @property
     def total_loss(self) -> float:
-        return self.records[-1].cumulative_loss if self.records else 0.0
+        return float(self.records.cumulative_loss[-1:].sum())  # 0 if empty
 
     @property
     def total_average_loss(self) -> float:
-        return self.records[-1].cumulative_average_loss if self.records else 0.0
+        return float(self.records.cumulative_average_loss[-1:].sum())
 
     @property
     def passed(self) -> bool:
@@ -301,16 +302,20 @@ class AlgorithmResult:
             "params": dict(self.params),
             "total_loss": self.total_loss,
             "total_average_loss": self.total_average_loss,
-            "records": [r.to_dict() for r in self.records],
+            "records": self.records.to_dict(),
             "reports": [r.to_dict() for r in self.reports],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmResult":
+        params = dict(d["params"])
+        if "pack_size" in params:
+            params["pack_size"] = int(
+                _json_column("pack_size", [params["pack_size"]], int)[0])
         return cls(
             name=str(d["name"]),
-            params=dict(d["params"]),
-            records=tuple(TrialRecord.from_dict(r) for r in d["records"]),
+            params=params,
+            records=RunRecords.from_dict(d["records"]),
             reports=tuple(BoundReport.from_dict(r) for r in d["reports"]),
         )
 
@@ -368,12 +373,23 @@ class ExperimentResult:
                 f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
             )
         g = d["game"]
+        game = _json_column("game", [g["lower"], g["upper"], g["eta"], g["c"]])
+        prior = _json_column("prior", d["prior"])
+        pack_sizes = _json_column("pack_sizes", d["pack_sizes"], int)
+        algorithms = tuple(AlgorithmResult.from_dict(a) for a in d["algorithms"])
+        for a in algorithms:
+            # One record per pack, of its size, with one loss per expert.
+            records = a.records
+            if not (np.array_equal(records.pack_size, pack_sizes)
+                    and records.expert_pack_losses.size
+                    == pack_sizes.size * prior.size):
+                raise ValueError(
+                    f"{a.name}: records do not match pack_sizes and prior")
         return cls(
-            game=GameSpec(float(g["lower"]), float(g["upper"]),
-                          float(g["eta"]), float(g["c"])),
-            prior=tuple(float(x) for x in d["prior"]),
-            pack_sizes=tuple(int(k) for k in d["pack_sizes"]),
-            algorithms=tuple(AlgorithmResult.from_dict(a) for a in d["algorithms"]),
+            game=GameSpec(*game.tolist()),
+            prior=tuple(prior.tolist()),
+            pack_sizes=tuple(pack_sizes.tolist()),
+            algorithms=algorithms,
             shuffle=(ShuffleSummary.from_dict(d["shuffle"])
                      if d.get("shuffle") else None),
         )
@@ -409,7 +425,7 @@ def _run_one(name: str, stream: PackStream, game: GameSpec, prior,
                   every_prefix=every_prefix)
         for g in guarantees
     )
-    return AlgorithmResult(name, params, tuple(records), reports)
+    return AlgorithmResult(name, params, records, reports)
 
 
 def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
@@ -453,12 +469,10 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
     if format == "csv":
         buf = StringIO()
         writer = csv.writer(buf)
-        names = [a.name for a in result.algorithms]
-        writer.writerow(["trial", "pack_size"] + names)
-        for t in range(result.num_trials):
-            row = [t, result.pack_sizes[t]]
-            row += [repr(a.records[t].cumulative_loss) for a in result.algorithms]
-            writer.writerow(row)
+        writer.writerow(["trial", "pack_size"] + [a.name for a in result.algorithms])
+        columns = [a.records.cumulative_loss.tolist() for a in result.algorithms]
+        for t, row in enumerate(zip(result.pack_sizes, *columns)):
+            writer.writerow([t, row[0], *map(repr, row[1:])])
         return buf.getvalue()
     if format == "table":
         lines = []

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Pack, PackStream, _losses_before, _replay
+from .algorithms import Pack, PackStream, RunRecords, _losses_before, _replay
 from .games import GameSpec
 
 
-def run_parallel(stream: PackStream, game: GameSpec, prior=None) -> list:
-    """Run the parallel copies over a pack stream, returning per-trial
-    records."""
+def run_parallel(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
+    """Run the parallel copies over a pack stream, returning its records."""
 
     def charges(expert_losses, pack_losses, sizes, starts):
         # Copy k's weights for item k of pack t: p * exp(-eta * L), with L
@@ -102,7 +101,7 @@ def shuffle_experiment(stream: PackStream, game: GameSpec, prior=None,
     losses = []
     for _ in range(num_shuffles):
         records = run_parallel(shuffle_within_packs(stream, rng), game, prior)
-        losses.append(records[-1].cumulative_loss if records else 0.0)
+        losses.append(float(records.cumulative_loss[-1:].sum()))  # 0 if empty
     arr = np.array(losses)
     return ShuffleSummary(
         losses=tuple(losses),

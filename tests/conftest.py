@@ -37,23 +37,24 @@ def invariant_gap(records, game, prior, mode):
     nonnegative (within float noise) means the invariant held everywhere.
     """
     log_prior = np.log(np.asarray(prior, dtype=float))
-    gaps = []
-    running_max = 0
-    for r in records:
-        running_max = max(running_max, r.pack_size)
-        if mode == "average":
-            rate = game.eta
-            learner = r.cumulative_average_loss
-            experts = np.array(r.expert_cumulative_average_losses)
-        else:
-            divisor = running_max if mode == "running_max" else int(mode)
-            rate = game.eta / divisor
-            learner = r.cumulative_loss
-            experts = np.array(r.expert_cumulative_losses)
-        lhs = -rate * learner
-        rhs = logsumexp(log_prior - rate * experts)
-        gaps.append(lhs - rhs)
-    return min(gaps)
+    if mode == "average":
+        rate = np.full(len(records), game.eta)
+        learner = records.cumulative_average_loss
+        experts = records.expert_cumulative_average_losses
+    else:
+        divisor = (np.maximum.accumulate(records.pack_size)
+                   if mode == "running_max" else np.full(len(records), int(mode)))
+        rate = game.eta / divisor
+        learner = records.cumulative_loss
+        experts = records.expert_cumulative_losses
+    lhs = -rate * learner
+    rhs = logsumexp(log_prior - rate[:, None] * experts, axis=1)
+    return float(np.min(lhs - rhs))
+
+
+def trial_preds(records):
+    """The learner's predictions split by trial: one array per pack."""
+    return np.split(records.learner_preds, np.cumsum(records.pack_size)[:-1])
 
 
 # Intervals for the replay-vs-online comparison: the unit interval and two
@@ -67,16 +68,16 @@ def assert_matches_online(records, online_preds, online_totals, stream, game):
     losses within 1e-12*(B-A)^2*items."""
     width = game.upper - game.lower
     loss_tol = 1e-12 * width ** 2 * stream.num_items
-    learner_total = 0.0
     assert len(records) == len(stream)
-    for r, pack, preds, totals in zip(records, stream, online_preds,
-                                      online_totals):
-        np.testing.assert_allclose(r.learner_preds, preds, rtol=0,
-                                   atol=1e-12 * width)
-        np.testing.assert_allclose(r.expert_cumulative_losses, totals,
-                                   rtol=0, atol=loss_tol)
-        learner_total += np.sum((np.asarray(preds) - pack.outcomes) ** 2)
-        assert abs(r.cumulative_loss - learner_total) <= loss_tol
+    np.testing.assert_allclose(records.learner_preds,
+                               np.concatenate(online_preds), rtol=0,
+                               atol=1e-12 * width)
+    np.testing.assert_allclose(records.expert_cumulative_losses,
+                               np.array(online_totals), rtol=0, atol=loss_tol)
+    learner_totals = np.cumsum([np.sum((np.asarray(preds) - pack.outcomes) ** 2)
+                                for preds, pack in zip(online_preds, stream)])
+    np.testing.assert_allclose(records.cumulative_loss, learner_totals, rtol=0,
+                               atol=loss_tol)
 
 
 @pytest.fixture

@@ -112,11 +112,9 @@ def test_acceptance_3_coincidence_checks():
             pp.run_aap_current(stream, GAME),
         ]
         for alt, records in zip(("max", "incremental", "current"), runs[1:]):
-            for ra, rb in zip(runs[0], records):
-                diff = np.max(np.abs(np.array(ra.learner_preds)
-                                     - np.array(rb.learner_preds)))
-                if diff > 1e-12:
-                    failures.append((i, alt, diff))
+            diff = np.max(np.abs(runs[0].learner_preds - records.learner_preds))
+            if diff > 1e-12:
+                failures.append((i, alt, diff))
     # Pack size one: everything, parallel copies included, is classic AA.
     for i in range(10):
         n = int(rng.integers(2, 6))
@@ -130,10 +128,9 @@ def test_acceptance_3_coincidence_checks():
             "parallel": pp.run_parallel(stream, GAME),
         }
         for name, records in contenders.items():
-            for ra, rb in zip(base, records):
-                diff = abs(ra.learner_preds[0] - rb.learner_preds[0])
-                if diff > 1e-12:
-                    failures.append(("unit", i, name, diff))
+            diff = np.max(np.abs(base.learner_preds - records.learner_preds))
+            if diff > 1e-12:
+                failures.append(("unit", i, name, diff))
     _verdict(3, "protocol coincidence checks", failures)
 
 
@@ -149,8 +146,8 @@ def test_acceptance_4_pack_order_invariance():
             ("incremental", lambda s: pp.run_aap_incremental(s, GAME)),
             ("current", lambda s: pp.run_aap_current(s, GAME)),
         ):
-            a = runner(stream)[-1].cumulative_loss
-            b = runner(shuffled)[-1].cumulative_loss
+            a = runner(stream).cumulative_loss[-1]
+            b = runner(shuffled).cumulative_loss[-1]
             rel = abs(a - b) / max(abs(a), 1e-12)
             if rel > 1e-9:
                 failures.append((i, name, rel))

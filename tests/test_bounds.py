@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestGuaranteeInstantiations:
             packs.append(Pack(np.stack([outcomes, other]), outcomes))
         stream = PackStream(tuple(packs))
         records = run_aap_equal(stream, k, GAME)
-        assert records[-1].cumulative_loss <= (k / 2) * math.log(2) + 1e-9
+        assert records.cumulative_loss[-1] <= (k / 2) * math.log(2) + 1e-9
 
     def test_mixed_sizes_known_max(self, rng):
         # Sizes {3,1,2} with K=3, two experts: regret term (3/2)*ln 2.
@@ -98,10 +99,9 @@ class TestGuaranteeInstantiations:
                               rng.uniform(0, 1, size=k)))
         stream = PackStream(tuple(packs))
         records = run_aap_max(stream, 3, GAME)
-        final = records[-1]
         for n in range(2):
-            bound = final.expert_cumulative_losses[n] + 1.5 * math.log(2)
-            assert final.cumulative_loss <= bound + 1e-9
+            bound = records.expert_cumulative_losses[-1, n] + 1.5 * math.log(2)
+            assert records.cumulative_loss[-1] <= bound + 1e-9
 
     def test_average_regret_three_experts(self, rng):
         # Uniform prior over three experts: average-loss regret is at most
@@ -109,9 +109,8 @@ class TestGuaranteeInstantiations:
         for _ in range(5):
             stream = make_stream(rng, 3, 30)
             records = run_aap_current(stream, GAME)
-            final = records[-1]
-            regret = final.cumulative_average_loss - min(
-                final.expert_cumulative_average_losses
+            regret = records.cumulative_average_loss[-1] - min(
+                records.expert_cumulative_average_losses[-1]
             )
             assert regret <= 0.5493061443340548457 + 1e-9
 
@@ -145,8 +144,10 @@ class TestAuditRun:
                          every_prefix=True)
         assert len(full.entries) == 30
         # One row per (prefix, expert), prefix-major, read off the records.
-        expected = [(n, r.cumulative_loss, r.expert_cumulative_losses[n], t + 1)
-                    for t, r in enumerate(records) for n in range(3)]
+        learner = records.cumulative_loss.tolist()
+        experts = records.expert_cumulative_losses.tolist()
+        expected = [(n, learner[t], experts[t][n], t + 1)
+                    for t in range(len(records)) for n in range(3)]
         assert full.entries[["expert_index", "learner_loss", "expert_loss",
                              "prefix"]].tolist() == expected
 
@@ -157,23 +158,22 @@ class TestAuditRun:
                            uniform_prior(2))
         assert report.metric == "average"
         assert report.entries["learner_loss"][0] == pytest.approx(
-            records[-1].cumulative_average_loss, abs=0
+            records.cumulative_average_loss[-1], abs=0
         )
 
     def test_tampered_run_fails(self, rng):
         stream = make_stream(rng, 3, 8)
         records = run_aap_incremental(stream, GAME)
-        bad = records[-1].to_dict()
-        bad["cumulative_loss"] = bad["cumulative_loss"] + 100.0
-        from packpredict import TrialRecord
-
-        tampered = records[:-1] + [TrialRecord.from_dict(bad)]
+        bad = records.cumulative_loss.copy()
+        bad[-1] += 100.0
+        tampered = dataclasses.replace(records, cumulative_loss=bad)
         report = audit_run(tampered, bd.AAP_INCREMENTAL, GAME, uniform_prior(3))
         assert not report.passed
         assert len(report.violations) > 0
 
     def test_empty_records(self):
-        report = audit_run([], bd.AA, GAME, uniform_prior(2))
+        report = audit_run(run_aa(PackStream(()), GAME), bd.AA, GAME,
+                           uniform_prior(2))
         assert report.passed and len(report.entries) == 0
         assert report.min_slack is None
 

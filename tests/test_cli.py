@@ -67,6 +67,13 @@ class TestSynth:
         assert code == 1
         assert "shuffles" in capsys.readouterr().err
 
+    def test_nonfinite_rate_rejected(self, capsys):
+        # Bad input, not a failed guarantee: each would give NaN losses.
+        for flags in (["--c", "inf"], ["--eta", "inf"], ["--eta", "1e-320"]):
+            code = main(["synth", "--trials", "5", *flags])
+            assert code == 1, flags
+            assert "finite" in capsys.readouterr().err, flags
+
     def test_rescaled_interval(self, capsys):
         code = main(["synth", "--experts", "2", "--trials", "6", "--seed", "2",
                      "--lower", "10", "--upper", "20", "--format", "json"])
@@ -190,6 +197,8 @@ class TestAudit:
         # each case sets the value at a key path of a good result.
         with open(self._write_result(tmp_path, capsys)) as fh:
             good = fh.read()
+        # A callable value maps the old value to the new one.
+        shorten = lambda v: v[:-1]  # noqa: E731
         cases = [
             (("algorithms", 0, "records"), None),
             (("algorithms", 0, "records", 0), 1),
@@ -200,13 +209,24 @@ class TestAudit:
             (("algorithms",), {"a": 1}),
             (("algorithms", 0, "records", -1, "expert_cumulative_losses", 0),
              "x"),
+            # Coerced or self-inconsistent values.
+            (("algorithms", 0, "records"), shorten),
+            (("pack_sizes",), shorten),
+            (("algorithms", 0, "records", 0, "pack_size"), 3.7),
+            (("algorithms", 0, "records", 0, "trial_index"), 99),
+            (("algorithms", 0, "records", 0, "learner_preds"), shorten),
+            (("algorithms", 0, "records", 0, "expert_pack_losses"), shorten),
+            (("algorithms", 0, "records", 0, "cumulative_loss"), True),
+            (("algorithms", 0, "reports", 0, "entries", 0, "prefix"), True),
+            (("algorithms", 0, "params", "pack_size"), 7.5),
+            (("game", "eta"), "2"),
         ]
         for path, value in cases:
             payload = json.loads(good)
             node = payload
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = value
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
             p.write_text(json.dumps(payload))
             assert main(["audit", str(p)]) == 1, path
             assert "cannot read result file" in capsys.readouterr().err, path

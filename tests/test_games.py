@@ -80,6 +80,14 @@ class TestGameSpec:
             GameSpec(0.0, 1.0, 2.0, c=0.5)
         with pytest.raises(ValueError):
             GameSpec(0.0, np.nan, 2.0)
+        # Non-finite eta or c, or a c/eta that overflows, would give NaN
+        # losses rather than a guarantee.
+        for eta, c in ((np.inf, 1.0), (2.0, np.inf), (1e-320, 1.0),
+                       (1e-10, 1e300)):
+            with pytest.raises(ValueError, match="finite"):
+                GameSpec(0.0, 1.0, eta, c)
+        assert GameSpec(0.0, 1.0, 1e-307).eta == 1e-307
+        assert GameSpec(0.0, 1.0, 2.0, 1e300).c == 1e300
 
     def test_loss(self):
         g = unit_game()

@@ -316,8 +316,8 @@ class TestRunExperiment:
         result = run_experiment(stream, GameSpec(0, 1, 2.0),
                                 algorithms=["aap-current"])
         alg = result.algorithms[0]
-        assert alg.total_loss == alg.records[-1].cumulative_loss
-        assert alg.total_average_loss == alg.records[-1].cumulative_average_loss
+        assert alg.total_loss == alg.records.cumulative_loss[-1]
+        assert alg.total_average_loss == alg.records.cumulative_average_loss[-1]
 
 
 class TestReports:
@@ -344,7 +344,7 @@ class TestReports:
         assert len(lines) == 1 + result.num_trials
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert float(first[2]) == result.algorithms[0].records[0].cumulative_loss
+        assert float(first[2]) == result.algorithms[0].records.cumulative_loss[0]
 
     def test_table_mentions_algorithms(self, rng):
         result = self._result(rng, shuffles=2)

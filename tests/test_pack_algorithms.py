@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from packpredict import (
     GameSpec,
     Pack,
     PackStream,
-    TrialRecord,
+    RunRecords,
     init_state,
     observe_pack,
     predict_pack,
@@ -16,6 +18,7 @@ from packpredict import (
     run_aap_equal,
     run_aap_incremental,
     run_aap_max,
+    run_parallel,
 )
 
 from conftest import (
@@ -24,6 +27,7 @@ from conftest import (
     invariant_gap,
     make_stream,
     random_prior,
+    trial_preds,
 )
 
 GAME = GameSpec(0.0, 1.0, 2.0)
@@ -71,48 +75,60 @@ class TestPackTypes:
         with pytest.raises(ValueError):
             run_aap_current(s, GAME)
 
-    def test_record_round_trip(self):
-        r = TrialRecord(0, 2, (0.5, 0.6), 0.1, (0.2, 0.3), 0.1, 0.05,
-                        (0.2, 0.3), (0.1, 0.15))
-        assert TrialRecord.from_dict(r.to_dict()) == r
+    def test_record_round_trip(self, rng):
+        stream = make_stream(rng, 3, 12)
+        unit = make_stream(rng, 3, 12, size_min=1, size_max=1)
+        equal = make_stream(rng, 3, 12, size_min=3, size_max=3)
+        runs = (
+            run_aa(unit, GAME), run_aap_equal(equal, 3, GAME),
+            run_aap_max(stream, 7, GAME), run_aap_incremental(stream, GAME),
+            run_aap_current(stream, GAME), run_parallel(stream, GAME),
+            run_aap_current(PackStream(()), GAME),
+        )
+        for records in runs:
+            rows = json.loads(json.dumps(records.to_dict()))
+            assert [r["trial_index"] for r in rows] == list(range(len(records)))
+            assert RunRecords.from_dict(rows) == records
 
 
 class TestRunners:
     def test_empty_stream(self):
         empty = PackStream(())
-        assert run_aap_incremental(empty, GAME) == []
-        assert run_aap_current(empty, GAME) == []
+        assert len(run_aap_incremental(empty, GAME)) == 0
+        assert len(run_aap_current(empty, GAME)) == 0
 
     def test_record_bookkeeping(self, rng):
         stream = make_stream(rng, 3, 15)
         records = run_aap_incremental(stream, GAME)
-        assert [r.trial_index for r in records] == list(range(15))
-        assert tuple(r.pack_size for r in records) == stream.pack_sizes
-        total = 0.0
-        avg_total = 0.0
-        expert_totals = np.zeros(3)
-        for r, pack in zip(records, stream):
-            assert all(0.0 <= p <= 1.0 for p in r.learner_preds)
-            per_item = (np.array(r.learner_preds) - pack.outcomes) ** 2
-            assert r.learner_pack_loss == pytest.approx(per_item.sum(), abs=1e-12)
-            total += r.learner_pack_loss
-            avg_total += r.learner_pack_loss / r.pack_size
-            expert_totals += np.array(r.expert_pack_losses)
-            assert r.cumulative_loss == pytest.approx(total, abs=1e-12)
-            assert r.cumulative_average_loss == pytest.approx(avg_total, abs=1e-12)
-            np.testing.assert_allclose(
-                r.expert_cumulative_losses, expert_totals, atol=1e-12
-            )
+        assert len(records) == 15
+        assert tuple(records.pack_size.tolist()) == stream.pack_sizes
+        assert np.all((records.learner_preds >= 0.0)
+                      & (records.learner_preds <= 1.0))
+        per_pack = [np.sum((preds - pack.outcomes) ** 2)
+                    for preds, pack in zip(trial_preds(records), stream)]
+        np.testing.assert_allclose(records.learner_pack_loss, per_pack,
+                                   rtol=0, atol=1e-12)
+        loss = records.learner_pack_loss
+        np.testing.assert_allclose(records.cumulative_loss, np.cumsum(loss),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(records.cumulative_average_loss,
+                                   np.cumsum(loss / records.pack_size),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            records.expert_cumulative_losses,
+            np.cumsum(records.expert_pack_losses, axis=0), atol=1e-12
+        )
 
     def test_single_expert_reproduced_exactly(self, rng):
         stream = make_stream(rng, 1, 10)
         for runner in (run_aap_incremental, run_aap_current):
             records = runner(stream, GAME)
-            for r, pack in zip(records, stream):
-                np.testing.assert_array_equal(
-                    np.array(r.learner_preds), pack.expert_preds[0]
-                )
-                assert r.learner_pack_loss == r.expert_pack_losses[0]
+            np.testing.assert_array_equal(
+                records.learner_preds,
+                np.concatenate([pack.expert_preds[0] for pack in stream])
+            )
+            np.testing.assert_array_equal(records.learner_pack_loss,
+                                          records.expert_pack_losses[:, 0])
 
     def test_aap_equal_requires_constant_size(self, rng):
         stream = make_stream(rng, 2, 8, size_min=1, size_max=4)
@@ -139,7 +155,8 @@ class TestRunners:
         stream = make_stream(rng, 3, 6)
         uniform = run_aap_current(stream, GAME)
         skewed = run_aap_current(stream, GAME, prior=[0.90, 0.05, 0.05])
-        assert uniform[0].learner_preds != skewed[0].learner_preds
+        assert not np.array_equal(trial_preds(uniform)[0],
+                                  trial_preds(skewed)[0])
 
 
 class TestCoincidence:
@@ -153,20 +170,18 @@ class TestCoincidence:
         ]
         base = runs[0]
         for other in runs[1:]:
-            for rb, ro in zip(base, other):
-                np.testing.assert_allclose(
-                    rb.learner_preds, ro.learner_preds, atol=1e-12
-                )
+            np.testing.assert_allclose(
+                base.learner_preds, other.learner_preds, atol=1e-12
+            )
 
     def test_size_one_reduces_to_classic(self, rng):
         stream = make_stream(rng, 3, 20, size_min=1, size_max=1)
         base = run_aa(stream, GAME)
         for runner in (run_aap_incremental, run_aap_current):
             other = runner(stream, GAME)
-            for rb, ro in zip(base, other):
-                np.testing.assert_allclose(
-                    rb.learner_preds, ro.learner_preds, atol=1e-12
-                )
+            np.testing.assert_allclose(
+                base.learner_preds, other.learner_preds, atol=1e-12
+            )
 
 
 class TestInductionInvariants:
@@ -214,14 +229,12 @@ class TestOrderInvariance:
         for runner in (run_aap_incremental, run_aap_current):
             a = runner(stream, GAME)
             b = runner(shuffled, GAME)
-            for ra, rb in zip(a, b):
-                assert ra.learner_pack_loss == pytest.approx(
-                    rb.learner_pack_loss, abs=1e-12
-                )
+            np.testing.assert_allclose(a.learner_pack_loss, b.learner_pack_loss,
+                                       rtol=0, atol=1e-12)
         records = run_aap_max(stream, stream.max_pack_size, GAME)
         records_b = run_aap_max(shuffled, stream.max_pack_size, GAME)
-        assert records[-1].cumulative_loss == pytest.approx(
-            records_b[-1].cumulative_loss, abs=1e-9
+        assert records.cumulative_loss[-1] == pytest.approx(
+            records_b.cumulative_loss[-1], abs=1e-9
         )
 
 

@@ -19,7 +19,13 @@ from packpredict import (
 )
 from packpredict import bounds as bd
 
-from conftest import INTERVALS, assert_matches_online, make_stream, random_prior
+from conftest import (
+    INTERVALS,
+    assert_matches_online,
+    make_stream,
+    random_prior,
+    trial_preds,
+)
 
 GAME = GameSpec(0.0, 1.0, 2.0)
 
@@ -29,8 +35,7 @@ class TestEquivalences:
         stream = make_stream(rng, 3, 25, size_min=1, size_max=1)
         par = run_parallel(stream, GAME)
         base = run_aa(stream, GAME)
-        for rp, rb in zip(par, base):
-            np.testing.assert_array_equal(rp.learner_preds, rb.learner_preds)
+        np.testing.assert_array_equal(par.learner_preds, base.learner_preds)
 
     def test_each_copy_runs_its_own_classic_game(self, rng):
         # Copy k takes item k of every pack.  Reconstruct the subsequence
@@ -39,11 +44,10 @@ class TestEquivalences:
         stream = make_stream(rng, 4, 12, size_min=1, size_max=5)
         records = run_parallel(stream, GAME)
         flat = []  # (copy, expert_preds, outcome, prediction)
-        for r, pack in zip(records, stream):
+        for preds, pack in zip(trial_preds(records), stream):
             for k in range(pack.size):
                 flat.append(
-                    (k, pack.expert_preds[:, k], pack.outcomes[k],
-                     r.learner_preds[k])
+                    (k, pack.expert_preds[:, k], pack.outcomes[k], preds[k])
                 )
         num_copies = max(c for c, *_ in flat) + 1
         for j in range(num_copies):
@@ -52,14 +56,14 @@ class TestEquivalences:
                 Pack(p[:, None], np.array([o])) for p, o, _ in own
             ))
             replay = run_aa(sub, GAME)
-            for (_, _, pred), rr in zip(own, replay):
-                assert rr.learner_preds[0] == pred
+            for (_, _, pred), rr in zip(own, replay.learner_preds):
+                assert rr == pred
 
     def test_single_expert_loss_equals_expert(self, rng):
         stream = make_stream(rng, 1, 10, size_min=1, size_max=4)
         records = run_parallel(stream, GAME)
-        assert records[-1].cumulative_loss == pytest.approx(
-            records[-1].expert_cumulative_losses[0], abs=0
+        assert records.cumulative_loss[-1] == pytest.approx(
+            records.expert_cumulative_losses[-1, 0], abs=0
         )
 
 
@@ -107,8 +111,8 @@ class TestBound:
         for _ in range(5):
             stream = make_stream(rng, 2, 15, size_min=1, size_max=4)
             records = run_parallel(stream, GAME)
-            final = records[-1]
-            regret = final.cumulative_loss - min(final.expert_cumulative_losses)
+            regret = (records.cumulative_loss[-1]
+                      - min(records.expert_cumulative_losses[-1]))
             assert regret <= 2.0 * np.log(2.0) + 1e-9
             assert 2.0 * np.log(2.0) == pytest.approx(
                 1.3862943611198906188, abs=1e-15
