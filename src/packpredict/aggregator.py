@@ -1,18 +1,10 @@
 """The online learner: predict a pack, then observe its outcomes.
 
-The month-by-month form of the pack algorithms, and the oracle for the
-whole-stream replay of `algorithms` and `parallel`.  One observed pack of K_t items costs expert n the sum of its K_t square
-losses.  The divisor policy decides what fraction of that sum hits the
-exponential weights:
-
-  * fixed(K):       log-weight -= (eta / K) * pack_loss_sum      (K known upfront)
-  * current_pack:   log-weight -= (eta / K_t) * pack_loss_sum    (whatever just arrived)
-  * running_max:    log-weights are *recomputed from the prior* each trial as
-                    ln p^n - (eta / Kmax_t) * cumulative_loss_n, where Kmax_t
-                    is the largest pack size seen so far.
-
-Recomputation matters: when Kmax_t grows, earlier losses must be re-discounted
-at the new, slower rate, which a multiplicative update cannot do.
+The month-by-month form of the pack algorithms that `algorithms` and
+`parallel` replay over a whole stream.  One observed pack of K_t items costs
+expert n the sum of its K_t square losses.  The divisor policy decides how
+much of that sum reaches the exponential weights; `DivisorPolicy` states the
+schedule, and both this learner and the replay call it.
 
 All weight arithmetic stays in the log domain; a weight of exactly zero is
 represented as -inf and an all-(-inf) state is a fatal error rather than a
@@ -30,7 +22,23 @@ from .games import GameSpec, _as_weights, _logsumexp, substitute, substitute_pac
 
 @dataclass(frozen=True)
 class DivisorPolicy:
-    """How pack loss sums are scaled before entering the weight update."""
+    """How pack losses enter the weights: the one statement of the schedule.
+
+    After packs 1..t of sizes K_1..K_t, every policy's log-weights are
+
+        ln p^n - (eta / D_t) * (charged losses of expert n, summed to t)
+
+    with each pack's charge (`charge`) and the divisor D_t (`divisor`):
+
+      policy          charge of pack s               D_t
+      fixed(K)        its loss sum (K_s <= K)        K, declared upfront
+      running_max     its loss sum                   max(1, K_1, ..., K_t)
+      current_pack    its loss sum / K_s             1
+
+    The weights are recomputed from the prior, never updated in place:
+    when the running max grows, the earlier losses must be re-discounted at
+    the new, slower rate, which a multiplicative update cannot do.
+    """
 
     kind: str
     pack_size: int | None = None
@@ -58,14 +66,35 @@ class DivisorPolicy:
     def current_pack(cls) -> "DivisorPolicy":
         return cls("current_pack")
 
+    def charge(self, pack_losses, sizes):
+        """Each pack's charge, from its experts' loss sums `pack_losses`
+        (N, or N x T for T packs) and its size(s) `sizes`.  Raises for a
+        fixed policy's pack larger than the declared size."""
+        if self.kind == "current_pack":
+            return pack_losses / sizes
+        if self.kind == "fixed" and np.max(sizes) > self.pack_size:
+            raise ValueError(
+                f"pack of size {np.max(sizes)} exceeds declared size "
+                f"{self.pack_size}"
+            )
+        return pack_losses
+
+    def divisor(self, running_max):
+        """D for the largest pack size seen so far (a scalar or an array)."""
+        if self.kind == "fixed":
+            return self.pack_size
+        return running_max if self.kind == "running_max" else 1
+
 
 @dataclass
 class AggregatorState:
-    """Mutable per-run state: prior, current log-weights, loss ledger."""
+    """Mutable per-run state: prior, current log-weights, loss ledgers (the
+    experts' loss sums, and their charges under the policy)."""
 
     prior: np.ndarray
     log_weights: np.ndarray
     cumulative_losses: np.ndarray
+    charged_losses: np.ndarray
     running_max_pack: int = 1
     trial_index: int = 0
 
@@ -89,6 +118,7 @@ def init_state(prior) -> AggregatorState:
         prior=p.copy(),
         log_weights=np.log(p),
         cumulative_losses=np.zeros(p.size),
+        charged_losses=np.zeros(p.size),
     )
 
 
@@ -140,20 +170,13 @@ def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
     pack_size = losses.shape[1]
     if pack_size < 1:
         raise ValueError("empty pack")
-    if policy.kind == "fixed" and pack_size > policy.pack_size:
-        raise ValueError(
-            f"pack of size {pack_size} exceeds declared size {policy.pack_size}"
-        )
     sums = losses.sum(axis=1)
+    charged = state.charged_losses + policy.charge(sums, pack_size)
     state.cumulative_losses = state.cumulative_losses + sums
+    state.charged_losses = charged
+    state.running_max_pack = max(state.running_max_pack, pack_size)
     state.trial_index += 1
-
-    if policy.kind == "running_max":
-        state.running_max_pack = max(state.running_max_pack, pack_size)
-        state.log_weights = (
-            np.log(state.prior)
-            - (game.eta / state.running_max_pack) * state.cumulative_losses
-        )
-    else:
-        divisor = policy.pack_size if policy.kind == "fixed" else pack_size
-        state.log_weights = state.log_weights - (game.eta / divisor) * sums
+    state.log_weights = (
+        np.log(state.prior)
+        - (game.eta / policy.divisor(state.running_max_pack)) * charged
+    )

@@ -5,20 +5,21 @@ predictions for the batch, commits predictions for every item, and only then
 observes the outcomes.  Weights are therefore frozen within a pack and updated
 once per pack.
 
-Four variants, differing only in the loss divisor fed to the weight update:
+Four variants, differing only in the divisor schedule of the weight update
+(stated once, in `aggregator.DivisorPolicy`):
 
-  run_aap_equal        packs of one known size K          (divisor: K)
-  run_aap_max          sizes vary, max size K known ahead (divisor: K)
-  run_aap_incremental  nothing known ahead                (divisor: running max)
-  run_aap_current      nothing known ahead                (divisor: current size)
+  run_aap_equal        packs of one known size K          fixed(K)
+  run_aap_max          sizes vary, max size K known ahead fixed(K)
+  run_aap_incremental  nothing known ahead                running_max
+  run_aap_current      nothing known ahead                current_pack
 
-plus `run_aa` (single items, divisor 1).  Every variant predicts each item
+plus `run_aa` (single items, fixed(1)).  Every variant predicts each item
 with the full-rate substitution; only the weight update is slowed.  The
 predictions never feed back into the weights, so `_replay` computes a whole
 run from cumulative sums of the experts' losses and one vectorized
 substitution; `parallel` runs its copies through the same replay.  The
-online learner of `aggregator` is the month-by-month form of the same rules
-and the test oracle for the replay.
+online learner of `aggregator` is the month-by-month form of the same
+schedule; an mpmath oracle in the tests checks both.
 
 A run's records are the replay's arrays, kept as columns (`RunRecords`): one
 row per trial, T x N for the experts.  Only `to_dict`/`from_dict` turn them
@@ -258,22 +259,13 @@ def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
 
 def _run_with_policy(stream: PackStream, game: GameSpec, policy: DivisorPolicy,
                      prior) -> RunRecords:
-    """Weights before trial t: p * exp(-(eta / D_t) * L_{t-1}), or with
-    per-pack average losses and D_t = 1 for the current-pack divisor."""
+    """Weights before trial t: p * exp(-(eta / D_t) * charges before t), on
+    the schedule of `DivisorPolicy`."""
 
     def charges(expert_losses, pack_losses, sizes, starts):
-        if policy.kind == "current_pack":
-            pack_losses, divisor = pack_losses / sizes, 1
-        elif policy.kind == "running_max":
-            divisor = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
-        elif sizes.max() > policy.pack_size:
-            raise ValueError(
-                f"pack of size {sizes.max()} exceeds declared size "
-                f"{policy.pack_size}"
-            )
-        else:
-            divisor = policy.pack_size
-        charged = (game.eta / divisor) * _losses_before(pack_losses)
+        running_max = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
+        charged = ((game.eta / policy.divisor(running_max))
+                   * _losses_before(policy.charge(pack_losses, sizes)))
         return np.repeat(charged, sizes, axis=1)
 
     return _replay(stream, game, prior, charges)

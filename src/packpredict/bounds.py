@@ -187,10 +187,15 @@ class BoundReport:
         entries = np.empty(len(rows), dtype=_ENTRY_DTYPE)
         for name, dtype in _ENTRY_FIELDS:
             entries[name] = _json_column(name, map(itemgetter(name), rows), dtype)
+        params = dict(d["params"])
+        for name, value in params.items():
+            # The rate and constant are numbers, the named sizes integers.
+            _json_column(f"params.{name}", [value],
+                         float if name in ("c", "eta") else int)
         return cls(
             algorithm=str(d["algorithm"]),
             metric=str(d["metric"]),
-            params=dict(d["params"]),
+            params=params,
             entries=entries,
         )
 

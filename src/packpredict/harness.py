@@ -44,13 +44,13 @@ SCHEMA_VERSION = 1
 # (runner, guarantees its run is audited against, declared pack size rule).
 # A runner takes (stream, declared size or None, game, prior) and looks its
 # run_* function up when called, so wrappers installed on those names by a
-# profiler still see the calls.
+# profiler still see the calls.  A size rule maps the pack sizes to K.
 _ALGORITHM_TABLE = {
     "aa": (lambda s, k, g, p: run_aa(s, g, p), (bd.AA,), None),
     "aap-equal": (lambda s, k, g, p: run_aap_equal(s, k, g, p),
-                  (bd.AAP_EQUAL,), lambda s: s.pack_sizes[0]),
+                  (bd.AAP_EQUAL,), lambda sizes: sizes[0]),
     "aap-max": (lambda s, k, g, p: run_aap_max(s, k, g, p),
-                (bd.AAP_MAX,), lambda s: s.max_pack_size),
+                (bd.AAP_MAX,), max),
     "aap-incremental": (lambda s, k, g, p: run_aap_incremental(s, g, p),
                         (bd.AAP_INCREMENTAL,), None),
     "aap-current": (lambda s, k, g, p: run_aap_current(s, g, p),
@@ -374,25 +374,69 @@ class ExperimentResult:
             )
         g = d["game"]
         game = _json_column("game", [g["lower"], g["upper"], g["eta"], g["c"]])
+        game = GameSpec(*game.tolist())
         prior = _json_column("prior", d["prior"])
         pack_sizes = _json_column("pack_sizes", d["pack_sizes"], int)
+        counts = _json_column("num_experts, num_trials, num_items",
+                              [d["num_experts"], d["num_trials"], d["num_items"]],
+                              int)
+        if counts.tolist() != [prior.size, pack_sizes.size, pack_sizes.sum()]:
+            raise ValueError(
+                "num_experts, num_trials or num_items does not match prior "
+                "and pack_sizes")
+        pack_sizes = tuple(pack_sizes.tolist())
         algorithms = tuple(AlgorithmResult.from_dict(a) for a in d["algorithms"])
         for a in algorithms:
             # One record per pack, of its size, with one loss per expert.
             records = a.records
             if not (np.array_equal(records.pack_size, pack_sizes)
                     and records.expert_pack_losses.size
-                    == pack_sizes.size * prior.size):
+                    == len(pack_sizes) * prior.size):
                 raise ValueError(
                     f"{a.name}: records do not match pack_sizes and prior")
+            _check_declarations(a, game, prior, pack_sizes)
         return cls(
-            game=GameSpec(*game.tolist()),
+            game=game,
             prior=tuple(prior.tolist()),
-            pack_sizes=tuple(pack_sizes.tolist()),
+            pack_sizes=pack_sizes,
             algorithms=algorithms,
             shuffle=(ShuffleSummary.from_dict(d["shuffle"])
                      if d.get("shuffle") else None),
         )
+
+
+def _declared(name: str, pack_sizes: tuple) -> dict:
+    """The params of algorithm `name` on these packs: the pack size it
+    declares, if it declares one."""
+    declare = _ALGORITHM_TABLE[name][2]
+    return {} if declare is None else {"pack_size": declare(pack_sizes)}
+
+
+def _audit(name: str, records: RunRecords, game: GameSpec, prior, declared,
+           every_prefix: bool) -> tuple:
+    """The reports of a run of algorithm `name`, one per guarantee."""
+    return tuple(
+        audit_run(records, g, game, prior, declared_pack_size=declared,
+                  every_prefix=every_prefix)
+        for g in _ALGORITHM_TABLE[name][1]
+    )
+
+
+def _check_declarations(a: AlgorithmResult, game: GameSpec, prior,
+                        pack_sizes: tuple) -> None:
+    """Raise unless `a`'s params and its reports' algorithm, metric and
+    params are those a run of `a.name` on these packs gives.  The verdicts
+    (`passed`, `min_slack`, `entries`) stay advisory: `audit` re-derives
+    them."""
+    if a.name not in _ALGORITHM_TABLE:
+        raise ValueError(f"unknown algorithm {a.name!r}")
+    if a.params != _declared(a.name, pack_sizes):
+        raise ValueError(f"{a.name}: params {a.params} do not match pack_sizes")
+    fresh = _audit(a.name, a.records, game, prior, a.params.get("pack_size"),
+                   every_prefix=False)
+    if ([(r.algorithm, r.metric, r.params) for r in a.reports]
+            != [(r.algorithm, r.metric, r.params) for r in fresh]):
+        raise ValueError(f"{a.name}: reports do not match its guarantees")
 
 
 def _expand_algorithms(names, stream: PackStream):
@@ -416,16 +460,11 @@ def _expand_algorithms(names, stream: PackStream):
 def _run_one(name: str, stream: PackStream, game: GameSpec, prior,
              every_prefix: bool):
     """Run one named algorithm and audit it; returns an AlgorithmResult."""
-    run, guarantees, declare = _ALGORITHM_TABLE[name]
-    k = declare(stream) if declare is not None else None
-    params = {} if k is None else {"pack_size": k}
-    records = run(stream, k, game, prior)
-    reports = tuple(
-        audit_run(records, g, game, prior, declared_pack_size=k,
-                  every_prefix=every_prefix)
-        for g in guarantees
-    )
-    return AlgorithmResult(name, params, records, reports)
+    params = _declared(name, stream.pack_sizes)
+    k = params.get("pack_size")
+    records = _ALGORITHM_TABLE[name][0](stream, k, game, prior)
+    return AlgorithmResult(name, params, records,
+                           _audit(name, records, game, prior, k, every_prefix))
 
 
 def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",

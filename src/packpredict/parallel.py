@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Pack, PackStream, RunRecords, _losses_before, _replay
+from .algorithms import (
+    Pack,
+    PackStream,
+    RunRecords,
+    _json_column,
+    _losses_before,
+    _replay,
+)
 from .games import GameSpec
 
 
@@ -67,14 +74,19 @@ class ShuffleSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShuffleSummary":
-        return cls(
-            losses=tuple(float(x) for x in d["losses"]),
-            mean=float(d["mean"]),
-            min=float(d["min"]),
-            max=float(d["max"]),
-            num_shuffles=int(d["num_shuffles"]),
-            seed=int(d["seed"]),
-        )
+        """Inverse of `to_dict`: JSON numbers only, integer counts, one loss
+        per shuffle.  `seed` stays a Python int of any size, as `--seed`
+        takes it."""
+        losses = _json_column("shuffle.losses", d["losses"])
+        stats = _json_column("shuffle", [d["mean"], d["min"], d["max"]])
+        num_shuffles, seed = d["num_shuffles"], d["seed"]
+        if type(num_shuffles) is not int or type(seed) is not int:
+            raise ValueError("shuffle: num_shuffles and seed must be JSON integers")
+        if num_shuffles < 1 or num_shuffles != losses.size:
+            raise ValueError(
+                f"shuffle: num_shuffles is {num_shuffles} for {losses.size} losses"
+            )
+        return cls(tuple(losses.tolist()), *stats.tolist(), num_shuffles, seed)
 
 
 def shuffle_within_packs(stream: PackStream, rng) -> PackStream:

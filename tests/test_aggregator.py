@@ -39,6 +39,28 @@ class TestPolicy:
         with pytest.raises(ValueError):
             DivisorPolicy("nonsense")
 
+    def test_charge_and_divisor(self):
+        # Two packs of sizes 2 and 4 with loss sums 1 and 2 per expert.
+        losses, sizes = np.array([[1.0, 2.0]] * 3), np.array([2, 4])
+        running_max = np.array([1, 2])
+        fixed = DivisorPolicy.fixed(4)
+        np.testing.assert_array_equal(fixed.charge(losses, sizes), losses)
+        assert fixed.divisor(running_max) == 4
+        with pytest.raises(ValueError, match="exceeds declared size 3"):
+            DivisorPolicy.fixed(3).charge(losses, sizes)
+        with pytest.raises(ValueError):
+            DivisorPolicy.fixed(3).charge(losses[:, 1], 4)
+        growing = DivisorPolicy.running_max()
+        np.testing.assert_array_equal(growing.charge(losses, sizes), losses)
+        np.testing.assert_array_equal(growing.divisor(running_max), [1, 2])
+        assert growing.divisor(5) == 5
+        current = DivisorPolicy.current_pack()
+        np.testing.assert_array_equal(current.charge(losses, sizes),
+                                      [[0.5, 0.5]] * 3)
+        np.testing.assert_array_equal(current.charge(losses[:, 1], 4),
+                                      [0.5] * 3)
+        assert current.divisor(running_max) == 1
+
 
 class TestInit:
     def test_uniform_prior_logs(self):
@@ -47,12 +69,14 @@ class TestInit:
         assert state.trial_index == 0
         assert state.running_max_pack == 1
         np.testing.assert_array_equal(state.cumulative_losses, np.zeros(4))
+        np.testing.assert_array_equal(state.charged_losses, np.zeros(4))
 
     def test_explicit_prior_logs(self):
         state = init_state([0.7, 0.3])
         np.testing.assert_array_equal(
             state.log_weights, np.log(np.array([0.7, 0.3]))
         )
+        np.testing.assert_array_equal(state.charged_losses, np.zeros(2))
 
     def test_zero_prior_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +101,7 @@ class TestObserve:
         assert w[1] == pytest.approx(REF_P2, abs=1e-15)
         assert state.trial_index == 1
         np.testing.assert_allclose(state.cumulative_losses, [0.0, 0.5], atol=0)
+        np.testing.assert_allclose(state.charged_losses, [0.0, 0.25], atol=0)
 
     def test_fixed_divisor_decrement(self):
         state = init_state([0.7, 0.3])
@@ -91,13 +116,15 @@ class TestObserve:
         state = init_state(uniform_prior(2))
         observe_pack(state, np.full((2, 1), 0.5), DivisorPolicy.fixed(2), GAME)
         before = (state.log_weights.copy(), state.cumulative_losses.copy(),
-                  state.running_max_pack, state.trial_index)
+                  state.charged_losses.copy(), state.running_max_pack,
+                  state.trial_index)
         for losses in (np.zeros((2, 3)), np.array([[0.1, np.inf], [0.2, 0.3]])):
             with pytest.raises(ValueError):
                 observe_pack(state, losses, DivisorPolicy.fixed(2), GAME)
             np.testing.assert_array_equal(state.log_weights, before[0])
             np.testing.assert_array_equal(state.cumulative_losses, before[1])
-            assert (state.running_max_pack, state.trial_index) == before[2:]
+            np.testing.assert_array_equal(state.charged_losses, before[2])
+            assert (state.running_max_pack, state.trial_index) == before[3:]
 
     def test_running_max_recomputes_from_prior(self):
         # Sizes 2 then 5: after the second pack every log-weight must equal

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from packpredict import result_from_json
 from packpredict.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_20.csv")
@@ -189,13 +190,35 @@ class TestAudit:
         assert main(["audit", str(tmp_path / "missing.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_big_shuffle_seed_round_trips(self, tmp_path, capsys):
+        # --seed takes any integer; the file keeps it exactly, past int64.
+        seed = 2 ** 64 + 1
+        path = self._write_result(tmp_path, capsys, "--shuffles", "2",
+                                  "--seed", str(seed))
+        with open(path) as fh:
+            assert result_from_json(fh.read()).shuffle.seed == seed
+        assert main(["audit", path]) == 0
+
+    def test_verdicts_stay_advisory(self, tmp_path, capsys):
+        # Stored verdicts and totals are re-derived, so editing them is no
+        # read error.
+        path = self._write_result(tmp_path, capsys)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["passed"] = False
+        payload["algorithms"][0]["total_loss"] = 5.0
+        payload["algorithms"][0]["reports"][0]["min_slack"] = -3.0
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert main(["audit", path]) == 0
+
     def test_corrupt_json(self, tmp_path, capsys):
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
         assert main(["audit", str(p)]) == 1
         # Valid JSON of the wrong shape is a read error too, not a traceback:
         # each case sets the value at a key path of a good result.
-        with open(self._write_result(tmp_path, capsys)) as fh:
+        with open(self._write_result(tmp_path, capsys, "--shuffles", "2")) as fh:
             good = fh.read()
         # A callable value maps the old value to the new one.
         shorten = lambda v: v[:-1]  # noqa: E731
@@ -220,6 +243,24 @@ class TestAudit:
             (("algorithms", 0, "reports", 0, "entries", 0, "prefix"), True),
             (("algorithms", 0, "params", "pack_size"), 7.5),
             (("game", "eta"), "2"),
+            (("shuffle", "seed"), 3.7),
+            (("shuffle", "seed"), "7"),
+            (("shuffle", "num_shuffles"), True),
+            (("shuffle", "num_shuffles"), 3),
+            (("shuffle", "losses"), ["1.5", "2.5"]),
+            (("shuffle", "mean"), "0.1"),
+            # Fields that contradict the rest of the file.
+            (("num_experts",), 7),
+            (("num_trials",), 11),
+            (("num_items",), 999),
+            (("algorithms", 0, "name"), "bogus"),
+            (("algorithms", 0, "params", "pack_size"), 8),
+            (("algorithms", 0, "reports", 0, "algorithm"), "aap-incremental"),
+            (("algorithms", 0, "reports", 0, "metric"), "bogus"),
+            (("algorithms", 0, "reports", 0, "params", "eta"), "x"),
+            (("algorithms", 0, "reports", 0, "params", "c"), True),
+            (("algorithms", 0, "reports", 0, "params", "pack_size"), 100),
+            (("algorithms", 2, "reports"), shorten),
         ]
         for path, value in cases:
             payload = json.loads(good)
