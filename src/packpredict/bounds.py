@@ -27,12 +27,10 @@ every prefix, and reports the slack bound - learner_total.  Anything below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from .algorithms import _json_column
 from .games import _as_weights
 
 # A guarantee holds if bound - loss >= -SLACK_TOL (room for float accumulation).
@@ -123,17 +121,15 @@ def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
     return float(out) if out.ndim == 0 else out
 
 
-# One row per (prefix, expert) check, with the type of each JSON value; a
-# report's entries are these rows as a structured array.
-_ENTRY_FIELDS = (
+# One row per (prefix, expert) check: a report's entries, as a structured array.
+_ENTRY_DTYPE = np.dtype([
     ("expert_index", int),
     ("learner_loss", float),
     ("expert_loss", float),
     ("bound", float),
     ("slack", float),
     ("prefix", int),  # number of trials included
-)
-_ENTRY_DTYPE = np.dtype(list(_ENTRY_FIELDS))
+])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +137,28 @@ class BoundReport:
     """All guarantee checks for one algorithm on one run.  `entries` is a
     structured array with one row per (prefix, expert) check, prefix-major,
     and the fields expert_index, learner_loss, expert_loss, bound, slack and
-    prefix (the number of trials included)."""
+    prefix (the number of trials included); `every_prefix` says whether
+    every prefix was checked or only the whole run."""
 
     algorithm: str
     metric: str  # "total" or "average"
     params: dict
     entries: np.ndarray
+    every_prefix: bool = False
 
     @property
     def min_slack(self) -> float | None:
         if len(self.entries) == 0:
             return None
         return float(self.entries["slack"].min())
+
+    @property
+    def binding(self) -> tuple | None:
+        """(expert_index, prefix) of the check with the minimum slack."""
+        if len(self.entries) == 0:
+            return None
+        row = self.entries[np.argmin(self.entries["slack"])]
+        return int(row["expert_index"]), int(row["prefix"])
 
     @property
     def passed(self) -> bool:
@@ -166,38 +172,22 @@ class BoundReport:
     def __eq__(self, other):
         if not isinstance(other, BoundReport):
             return NotImplemented
-        return ((self.algorithm, self.metric, self.params)
-                == (other.algorithm, other.metric, other.params)
+        return ((self.algorithm, self.metric, self.params, self.every_prefix)
+                == (other.algorithm, other.metric, other.params,
+                    other.every_prefix)
                 and np.array_equal(self.entries, other.entries))
 
     def to_dict(self) -> dict:
-        names = _ENTRY_DTYPE.names
+        """The JSON form: the verdict and how the audit ran.  The checks
+        themselves are not stored; a reader re-runs the audit."""
         return {
             "algorithm": self.algorithm,
             "metric": self.metric,
             "params": dict(self.params),
+            "every_prefix": self.every_prefix,
             "passed": self.passed,
             "min_slack": self.min_slack,
-            "entries": [dict(zip(names, row)) for row in self.entries.tolist()],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundReport":
-        rows = d["entries"]
-        entries = np.empty(len(rows), dtype=_ENTRY_DTYPE)
-        for name, dtype in _ENTRY_FIELDS:
-            entries[name] = _json_column(name, map(itemgetter(name), rows), dtype)
-        params = dict(d["params"])
-        for name, value in params.items():
-            # The rate and constant are numbers, the named sizes integers.
-            _json_column(f"params.{name}", [value],
-                         float if name in ("c", "eta") else int)
-        return cls(
-            algorithm=str(d["algorithm"]),
-            metric=str(d["metric"]),
-            params=params,
-            entries=entries,
-        )
 
 
 def audit_run(records, algorithm: str, game, prior, *,
@@ -212,10 +202,11 @@ def audit_run(records, algorithm: str, game, prior, *,
     """
     g = _guarantee(algorithm)
     prior = _as_weights(prior)
-    params = {"c": game.c, "eta": game.eta}
+    every_prefix = bool(every_prefix)
+    params = {"c": float(game.c), "eta": float(game.eta)}
     if len(records) == 0:
         return BoundReport(algorithm, g.metric, params,
-                           np.empty(0, dtype=_ENTRY_DTYPE))
+                           np.empty(0, dtype=_ENTRY_DTYPE), every_prefix)
 
     sizes = records.pack_size
     num_trials, num_experts = records.expert_cumulative_losses.shape
@@ -271,4 +262,4 @@ def audit_run(records, algorithm: str, game, prior, *,
     entries["bound"] = bounds.ravel()
     entries["slack"] = (bounds - learner).ravel()
     entries["prefix"] = np.repeat(prefixes, num_experts)
-    return BoundReport(algorithm, g.metric, params, entries)
+    return BoundReport(algorithm, g.metric, params, entries, every_prefix)

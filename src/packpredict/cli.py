@@ -20,19 +20,18 @@ import json
 import re
 import sys
 
-import numpy as np
-
 from .bounds import SLACK_TOL, audit_run
 from .games import GameSpec, max_mixable_eta
 from .harness import (
     ALGORITHM_CHOICES,
     DatasetSpec,
+    ExperimentResult,
     SyntheticConfig,
+    _where,
     emit_report,
     generate_synthetic_stream,
     load_pack_csv,
     rescale_stream,
-    result_from_json,
     run_experiment,
     write_pack_csv,
 )
@@ -259,37 +258,39 @@ def _cmd_adversary(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         with open(args.result) as fh:
-            result = result_from_json(fh.read())
+            payload = json.load(fh)
+        result = ExperimentResult.from_dict(payload)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
             OverflowError) as e:
         print(f"error: cannot read result file {args.result!r}: {e}",
               file=sys.stderr)
         return EXIT_ERROR
 
+    # Reading re-ran every audit; only a deeper audit than the file's runs
+    # again.  The stored verdicts are advisory.
     all_ok = True
     lines = []
-    for alg in result.algorithms:
-        for stored in alg.reports:
-            every_prefix = (args.every_prefix
-                            or np.unique(stored.entries["prefix"]).size > 1)
-            fresh = audit_run(
-                alg.records, stored.algorithm, result.game, result.prior,
-                declared_pack_size=alg.params.get("pack_size"),
-                every_prefix=every_prefix,
-            )
-            ok = fresh.passed
+    for alg, stored in zip(result.algorithms, payload["algorithms"]):
+        for report, said in zip(alg.reports, stored["reports"]):
+            if args.every_prefix and not report.every_prefix:
+                report = audit_run(
+                    alg.records, report.algorithm, result.game, result.prior,
+                    declared_pack_size=alg.params.get("pack_size"),
+                    every_prefix=True,
+                )
+            ok = report.passed
             all_ok = all_ok and ok
-            ms = fresh.min_slack
+            ms = report.min_slack
             lines.append(
-                f"{alg.name:<18} {stored.algorithm:<22} {fresh.metric:<8} "
-                f"checks={len(fresh.entries):<6} "
+                f"{alg.name:<18} {report.algorithm:<22} {report.metric:<8} "
+                f"checks={len(report.entries):<6} "
                 f"min slack={'n/a' if ms is None else format(ms, '.4e'):>12} "
-                f"{'ok' if ok else 'FAIL'}"
+                f"{'ok' if ok else 'FAIL'}  at {_where(report)}"
             )
-            if stored.passed != ok:
+            if said["passed"] != ok:
                 lines.append(
                     f"  note: stored report said "
-                    f"{'ok' if stored.passed else 'FAIL'}, recomputation says "
+                    f"{'ok' if said['passed'] else 'FAIL'}, recomputation says "
                     f"{'ok' if ok else 'FAIL'}"
                 )
     lines.append("all guarantees hold" if all_ok else "guarantee VIOLATED")

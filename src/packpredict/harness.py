@@ -6,8 +6,9 @@ per expert.  Months are played in chronological order; within a month, rows
 keep file order unless an explicit order column says otherwise.
 
 An experiment runs one stream through any subset of the algorithms, audits
-each run against its guarantee, and serializes everything (records, bound
-checks, shuffle spread) to JSON that round-trips losslessly.
+each run against its guarantee, and serializes everything (records, audit
+verdicts, shuffle spread) to JSON that round-trips losslessly: a reader
+re-runs the audit from the stored records.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .bounds import BoundReport, audit_run
 from .games import GameSpec, max_mixable_eta
 from .parallel import ShuffleSummary, run_parallel, shuffle_experiment
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Algorithm names accepted by run_experiment / the command line, each with
 # (runner, guarantees its run is audited against, declared pack size rule).
@@ -307,17 +308,36 @@ class AlgorithmResult:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AlgorithmResult":
+    def from_dict(cls, d: dict, game: GameSpec, prior: np.ndarray,
+                  pack_sizes: tuple) -> "AlgorithmResult":
+        """Inverse of `to_dict` for a run on packs of `pack_sizes`.  Raise
+        unless the file agrees with itself: the params are those a run of
+        `name` declares, there is one record per pack with one loss per
+        expert, and each stored report is the one re-auditing the records
+        gives, up to its verdict.  The verdicts (`passed`, `min_slack`) stay
+        advisory: the returned reports are the re-audit's."""
+        name = str(d["name"])
+        if name not in _ALGORITHM_TABLE:
+            raise ValueError(f"unknown algorithm {name!r}")
         params = dict(d["params"])
         if "pack_size" in params:
             params["pack_size"] = int(
                 _json_column("pack_size", [params["pack_size"]], int)[0])
-        return cls(
-            name=str(d["name"]),
-            params=params,
-            records=RunRecords.from_dict(d["records"]),
-            reports=tuple(BoundReport.from_dict(r) for r in d["reports"]),
-        )
+        if params != _declared(name, pack_sizes):
+            raise ValueError(f"{name}: params {params} do not match pack_sizes")
+        records = RunRecords.from_dict(d["records"])
+        if not (np.array_equal(records.pack_size, pack_sizes)
+                and records.expert_pack_losses.size
+                == len(pack_sizes) * prior.size):
+            raise ValueError(f"{name}: records do not match pack_sizes and prior")
+        stored = d["reports"]
+        every_prefix = bool(stored) and stored[0]["every_prefix"] is True
+        reports = _audit(name, records, game, prior, params.get("pack_size"),
+                         every_prefix)
+        if len(stored) != len(reports) or not all(
+                _same_audit(s, r) for s, r in zip(stored, reports)):
+            raise ValueError(f"{name}: reports do not match its guarantees")
+        return cls(name, params, records, reports)
 
 
 @dataclass(frozen=True)
@@ -367,11 +387,11 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentResult":
-        version = d.get("schema_version")
+        version = d.get("schema_version") if isinstance(d, dict) else None
         if version != SCHEMA_VERSION:
             raise ValueError(
-                f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-            )
+                f"unsupported schema_version {version!r}; re-run to write "
+                f"version {SCHEMA_VERSION}")
         g = d["game"]
         game = _json_column("game", [g["lower"], g["upper"], g["eta"], g["c"]])
         game = GameSpec(*game.tolist())
@@ -385,16 +405,8 @@ class ExperimentResult:
                 "num_experts, num_trials or num_items does not match prior "
                 "and pack_sizes")
         pack_sizes = tuple(pack_sizes.tolist())
-        algorithms = tuple(AlgorithmResult.from_dict(a) for a in d["algorithms"])
-        for a in algorithms:
-            # One record per pack, of its size, with one loss per expert.
-            records = a.records
-            if not (np.array_equal(records.pack_size, pack_sizes)
-                    and records.expert_pack_losses.size
-                    == len(pack_sizes) * prior.size):
-                raise ValueError(
-                    f"{a.name}: records do not match pack_sizes and prior")
-            _check_declarations(a, game, prior, pack_sizes)
+        algorithms = tuple(AlgorithmResult.from_dict(a, game, prior, pack_sizes)
+                           for a in d["algorithms"])
         return cls(
             game=game,
             prior=tuple(prior.tolist()),
@@ -422,21 +434,15 @@ def _audit(name: str, records: RunRecords, game: GameSpec, prior, declared,
     )
 
 
-def _check_declarations(a: AlgorithmResult, game: GameSpec, prior,
-                        pack_sizes: tuple) -> None:
-    """Raise unless `a`'s params and its reports' algorithm, metric and
-    params are those a run of `a.name` on these packs gives.  The verdicts
-    (`passed`, `min_slack`, `entries`) stay advisory: `audit` re-derives
-    them."""
-    if a.name not in _ALGORITHM_TABLE:
-        raise ValueError(f"unknown algorithm {a.name!r}")
-    if a.params != _declared(a.name, pack_sizes):
-        raise ValueError(f"{a.name}: params {a.params} do not match pack_sizes")
-    fresh = _audit(a.name, a.records, game, prior, a.params.get("pack_size"),
-                   every_prefix=False)
-    if ([(r.algorithm, r.metric, r.params) for r in a.reports]
-            != [(r.algorithm, r.metric, r.params) for r in fresh]):
-        raise ValueError(f"{a.name}: reports do not match its guarantees")
+def _same_audit(stored: dict, report: BoundReport) -> bool:
+    """Whether a stored report is `report` up to its verdict: the same keys,
+    and the same JSON for every value but `passed` (a JSON bool) and
+    `min_slack`."""
+    fresh = {**report.to_dict(), "passed": stored["passed"],
+             "min_slack": stored["min_slack"]}
+    return (type(stored["passed"]) is bool
+            and json.dumps(stored, sort_keys=True)
+            == json.dumps(fresh, sort_keys=True))
 
 
 def _expand_algorithms(names, stream: PackStream):
@@ -504,7 +510,8 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
     """Serialize a result: full-fidelity `json`, per-trial cumulative-loss
     `csv`, or a human-oriented `table` of totals and guarantee slacks."""
     if format == "json":
-        return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(result.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
     if format == "csv":
         buf = StringIO()
         writer = csv.writer(buf)
@@ -526,16 +533,17 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
             f"{result.num_experts} experts, sizes {sizes}"
         )
         header = (f"{'algorithm':<18} {'total loss':>14} {'avg-loss total':>14} "
-                  f"{'min slack':>12} {'bound':>7}")
+                  f"{'min slack':>12} {'bound':>7}  tightest at")
         lines.append(header)
         lines.append("-" * len(header))
         for a in result.algorithms:
-            slacks = [r.min_slack for r in a.reports if r.min_slack is not None]
-            min_slack = min(slacks) if slacks else float("nan")
+            tight = min((r for r in a.reports if r.min_slack is not None),
+                        key=lambda r: r.min_slack, default=None)
+            min_slack = float("nan") if tight is None else tight.min_slack
             status = "ok" if a.passed else "FAIL"
             lines.append(
                 f"{a.name:<18} {a.total_loss:>14.6f} {a.total_average_loss:>14.6f} "
-                f"{min_slack:>12.4e} {status:>7}"
+                f"{min_slack:>12.4e} {status:>7}  {_where(tight)}"
             )
         if result.shuffle is not None:
             s = result.shuffle
@@ -546,6 +554,14 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
             )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {format!r} (json, csv, table)")
+
+
+def _where(report: BoundReport | None) -> str:
+    """The expert (0-based) and prefix of a report's minimum slack."""
+    if report is None or report.binding is None:
+        return "-"
+    expert, prefix = report.binding
+    return f"expert {expert}, prefix {prefix}"
 
 
 def result_from_json(text: str) -> ExperimentResult:

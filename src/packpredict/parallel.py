@@ -75,8 +75,9 @@ class ShuffleSummary:
     @classmethod
     def from_dict(cls, d: dict) -> "ShuffleSummary":
         """Inverse of `to_dict`: JSON numbers only, integer counts, one loss
-        per shuffle.  `seed` stays a Python int of any size, as `--seed`
-        takes it."""
+        per shuffle, and `mean`, `min` and `max` exactly those of the losses
+        (`shuffle_experiment` takes them from the same array).  `seed` stays
+        a Python int of any size, as `--seed` takes it."""
         losses = _json_column("shuffle.losses", d["losses"])
         stats = _json_column("shuffle", [d["mean"], d["min"], d["max"]])
         num_shuffles, seed = d["num_shuffles"], d["seed"]
@@ -86,6 +87,8 @@ class ShuffleSummary:
             raise ValueError(
                 f"shuffle: num_shuffles is {num_shuffles} for {losses.size} losses"
             )
+        if stats.tolist() != [losses.mean(), losses.min(), losses.max()]:
+            raise ValueError("shuffle: mean, min or max does not match losses")
         return cls(tuple(losses.tolist()), *stats.tolist(), num_shuffles, seed)
 
 

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from packpredict import (
-    BoundReport,
     GameSpec,
     Pack,
     PackStream,
     audit_run,
+    emit_report,
+    result_from_json,
     run_aa,
     run_aap_current,
     run_aap_equal,
     run_aap_incremental,
     run_aap_max,
+    run_experiment,
     run_parallel,
     theoretical_bound,
     uniform_prior,
@@ -215,12 +217,16 @@ class TestAuditRun:
         assert late_term == pytest.approx((6 / 2) * math.log(2), abs=1e-12)
 
     def test_report_round_trip(self, rng):
+        # Reports are stored without their checks; reading a result file
+        # re-audits its records and gives back the same reports.
         stream = make_stream(rng, 3, 6)
         prior = random_prior(rng, 3)
-        records = run_aap_current(stream, GAME, prior=prior)
-        report = audit_run(records, bd.AAP_CURRENT_PLAIN, GAME, prior,
-                           every_prefix=True)
-        assert BoundReport.from_dict(report.to_dict()) == report
+        result = run_experiment(stream, GAME, ["aap-current"], prior=prior,
+                                every_prefix=True)
+        report = audit_run(result.algorithms[0].records, bd.AAP_CURRENT_PLAIN,
+                           GAME, prior, every_prefix=True)
+        assert result.algorithms[0].reports[1] == report
+        assert result_from_json(emit_report(result)) == result
 
     def test_theoretical_bound_matches_final_audit(self, rng):
         # Both read the one guarantee table; they must give the same bound

@@ -28,7 +28,7 @@ class TestSynth:
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["passed"] is True
 
     def test_emit_data_round_trips_through_run(self, tmp_path, capsys):
@@ -186,6 +186,24 @@ class TestAudit:
         assert main(["audit", path]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
+    def test_names_where_the_bound_is_tightest(self, tmp_path, capsys):
+        # The audit text names the expert and prefix of each minimum slack.
+        # A loss pushed up most at trial 5 breaks the bound there first; a
+        # final-only file is audited at prefix 10 unless asked for more.
+        path = self._write_result(tmp_path, capsys)
+        with open(path) as fh:
+            payload = json.load(fh)
+        for rec in payload["algorithms"][0]["records"][4:]:
+            rec["cumulative_loss"] += 1000.0 - 10 * rec["trial_index"]
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert main(["audit", path]) == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        assert "FAIL" in first and "prefix 10" in first
+        assert main(["audit", path, "--every-prefix"]) == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        assert "checks=30" in first and "prefix 5" in first
+
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "missing.json")]) == 1
         assert "error" in capsys.readouterr().err
@@ -216,6 +234,9 @@ class TestAudit:
         p = tmp_path / "garbage.json"
         p.write_text("{not json")
         assert main(["audit", str(p)]) == 1
+        p.write_text("[1]")
+        assert main(["audit", str(p)]) == 1
+        assert "schema_version" in capsys.readouterr().err
         # Valid JSON of the wrong shape is a read error too, not a traceback:
         # each case sets the value at a key path of a good result.
         with open(self._write_result(tmp_path, capsys, "--shuffles", "2")) as fh:
@@ -225,9 +246,9 @@ class TestAudit:
         cases = [
             (("algorithms", 0, "records"), None),
             (("algorithms", 0, "records", 0), 1),
-            (("algorithms", 0, "reports", 0, "entries", 0), 1),
-            (("algorithms", 0, "reports", 0, "entries", 0, "slack"), None),
-            (("algorithms", 0, "reports", 0, "entries", 0, "prefix"), 10**20),
+            (("algorithms", 0, "reports", 0, "every_prefix"), 1),
+            (("algorithms", 0, "reports", 0, "every_prefix"), "yes"),
+            (("algorithms", 0, "reports", 0, "entries"), []),
             (("game",), [1, 2]),
             (("algorithms",), {"a": 1}),
             (("algorithms", 0, "records", -1, "expert_cumulative_losses", 0),
@@ -240,7 +261,7 @@ class TestAudit:
             (("algorithms", 0, "records", 0, "learner_preds"), shorten),
             (("algorithms", 0, "records", 0, "expert_pack_losses"), shorten),
             (("algorithms", 0, "records", 0, "cumulative_loss"), True),
-            (("algorithms", 0, "reports", 0, "entries", 0, "prefix"), True),
+            (("algorithms", 0, "reports", 0, "passed"), "yes"),
             (("algorithms", 0, "params", "pack_size"), 7.5),
             (("game", "eta"), "2"),
             (("shuffle", "seed"), 3.7),
@@ -249,6 +270,8 @@ class TestAudit:
             (("shuffle", "num_shuffles"), 3),
             (("shuffle", "losses"), ["1.5", "2.5"]),
             (("shuffle", "mean"), "0.1"),
+            (("shuffle", "mean"), 99.0),
+            (("shuffle", "min"), -5.0),
             # Fields that contradict the rest of the file.
             (("num_experts",), 7),
             (("num_trials",), 11),
@@ -271,6 +294,17 @@ class TestAudit:
             p.write_text(json.dumps(payload))
             assert main(["audit", str(p)]) == 1, path
             assert "cannot read result file" in capsys.readouterr().err, path
+        # A report without its every_prefix, and a whole file of version 1.
+        payload = json.loads(good)
+        del payload["algorithms"][0]["reports"][0]["every_prefix"]
+        p.write_text(json.dumps(payload))
+        assert main(["audit", str(p)]) == 1
+        assert "cannot read result file" in capsys.readouterr().err
+        payload = json.loads(good)
+        payload["schema_version"] = 1
+        p.write_text(json.dumps(payload))
+        assert main(["audit", str(p)]) == 1
+        assert "schema_version 1" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -19,6 +19,7 @@ from packpredict import (
     run_experiment,
     write_pack_csv,
 )
+from packpredict.harness import ALGORITHM_CHOICES
 
 from conftest import make_stream
 
@@ -328,6 +329,24 @@ class TestReports:
     def test_json_round_trip_equal(self, rng):
         result = self._result(rng, shuffles=3, every_prefix=True)
         text = emit_report(result, "json")
+        assert result_from_json(text) == result
+
+    @pytest.mark.parametrize("every_prefix", [False, True])
+    def test_compact_json_round_trips_every_algorithm(self, rng, every_prefix):
+        # Unit packs let "all" pick every algorithm, aa and aap-equal too.
+        # Reports are stored as verdicts only and rebuilt on read, also for
+        # a game given in integers.
+        stream = make_stream(rng, 3, 7, size_min=1, size_max=1)
+        result = run_experiment(stream, GameSpec(0, 1, 2, 1),
+                                every_prefix=every_prefix)
+        assert [a.name for a in result.algorithms] == list(ALGORITHM_CHOICES)
+        text = emit_report(result, "json")
+        assert "\n" not in text
+        payload = json.loads(text)
+        for a in payload["algorithms"]:
+            for report in a["reports"]:
+                assert "entries" not in report
+                assert report["every_prefix"] is every_prefix
         assert result_from_json(text) == result
 
     def test_json_deterministic(self, rng):
