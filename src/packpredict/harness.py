@@ -5,6 +5,14 @@ column whose calendar month defines the pack, a target column, and one column
 per expert.  Months are played in chronological order; within a month, rows
 keep file order unless an explicit order column says otherwise.
 
+Cells mean what `csv.DictReader` and `float()` make of them.  The loader
+reads the numeric columns in one `np.loadtxt` pass and the timestamps in
+another, and checks each distinct timestamp once.  A file that read cannot
+vouch for (say, a cell `np.loadtxt` refuses, a non-finite value, a bad month,
+no rows, a record over several lines) is read again by the per-cell reader,
+which either returns the same values or raises naming the CSV line of the
+first bad cell.  Both readers feed the same grouping code.
+
 An experiment runs one stream through any subset of the algorithms, audits
 each run against its guarantee, and serializes everything (records, audit
 verdicts, shuffle spread) to JSON that round-trips losslessly: a reader
@@ -14,11 +22,12 @@ re-runs the audit from the stored records.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -129,37 +138,108 @@ def _parse_float(raw: str, line_num: int, column: str) -> float:
     return value
 
 
+def _lines(fh, lengths: list):
+    """Yield the lines of `fh`, appending each non-blank one's length to
+    `lengths`.  Raise ValueError at a line holding one of U+001C..U+001F:
+    `np.loadtxt` strips them from a number as whitespace, `float()` does
+    not."""
+    for line in fh:
+        if ("\x1c" in line or "\x1d" in line or "\x1e" in line
+                or "\x1f" in line):
+            raise ValueError("information separator in a line")
+        if line.rstrip("\r\n"):
+            lengths.append(len(line))
+        yield line
+
+
+def _after_header(fh):
+    """`fh`, rewound to just after its header row."""
+    fh.seek(0)
+    next(csv.reader(fh))
+    return fh
+
+
+def _read_columns(fh, header: list, columns: list):
+    """The bulk reader: whole columns through `np.loadtxt`.  Returns the
+    month rank of each row (0 = earliest) and the row's values of
+    `columns[1:]`.
+
+    It raises ValueError, or a warning turned into an error, on any file it
+    cannot vouch for: a cell `np.loadtxt` cannot read, a non-finite value, a
+    bad month, no data rows, or a record that spans lines or outgrows
+    `csv.field_size_limit()`.  It names no line; `_read_cells` does."""
+    # As in csv.DictReader, a repeated name stands for its last column.
+    index = {name: i for i, name in enumerate(header)}
+    fields = dict(delimiter=",", quotechar='"', comments=None)
+    lengths = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
+        values = np.loadtxt(_lines(_after_header(fh), lengths),
+                            usecols=[index[c] for c in columns[1:]], ndmin=2,
+                            **fields)
+        stamps = np.loadtxt(_after_header(fh), dtype=object,
+                            usecols=index[columns[0]], ndmin=1,
+                            **fields).tolist()
+    # One line per record keeps every field within one line, so no field is
+    # longer than the csv module would read.
+    if (len(lengths) != len(values)
+            or max(lengths, default=0) > csv.field_size_limit()):
+        raise ValueError("a record spans lines or is too long")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    # Each distinct stamp is checked once; a bad one raises here, and the
+    # per-cell reader then names its line.  ISO months sort chronologically.
+    keys = {s: _month_key(s, None, columns[0]) for s in set(stamps)}
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    month = {s: rank[k] for s, k in keys.items()}
+    return np.fromiter(map(month.__getitem__, stamps), np.intp,
+                       len(stamps)), values
+
+
+def _read_cells(fh, columns: list):
+    """The per-cell reader: returns what `_read_columns` does, parsing each
+    cell as `csv.DictReader` and `float()` do, or raises at the first bad
+    cell, naming its CSV line."""
+    reader = csv.DictReader(fh)
+    stamp, numeric = columns[0], columns[1:]
+    keys, rows = [], []
+    for row in reader:
+        ln = reader.line_num
+        keys.append(_month_key(row[stamp], ln, stamp))
+        rows.append([_parse_float(row[c], ln, c) for c in numeric])
+    values = np.array(rows, dtype=float).reshape(len(rows), len(numeric))
+    return np.unique(keys, return_inverse=True)[1], values
+
+
 def load_pack_csv(spec: DatasetSpec):
     """Read a pack CSV into (PackStream, GameSpec) per the dataset spec."""
-    months = {}
+    columns = [spec.timestamp_col, spec.target_col, *spec.expert_cols]
+    if spec.order_col is not None:
+        columns.append(spec.order_col)
     with open(spec.path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [spec.timestamp_col, spec.target_col, *spec.expert_cols]
-        if spec.order_col is not None:
-            needed.append(spec.order_col)
-        missing = [c for c in needed if c not in header]
+        if not fh.seekable():  # a pipe: each reader starts from the top
+            fh = io.StringIO(fh.read(), newline="")
+        header = next(csv.reader(fh), [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{spec.path}: missing columns {missing}")
-        for row in reader:
-            ln = reader.line_num
-            key = _month_key(row[spec.timestamp_col], ln, spec.timestamp_col)
-            target = _parse_float(row[spec.target_col], ln, spec.target_col)
-            preds = [_parse_float(row[c], ln, c) for c in spec.expert_cols]
-            order = (_parse_float(row[spec.order_col], ln, spec.order_col)
-                     if spec.order_col is not None else None)
-            months.setdefault(key, []).append((order, target, preds))
-    if not months:
+        try:
+            month, values = _read_columns(fh, header, columns)
+        except (ValueError, Warning):
+            fh.seek(0)
+            month, values = _read_cells(fh, columns)
+    if not len(values):
         raise ValueError(f"{spec.path}: no data rows")
 
-    packs_raw = []
-    for key in sorted(months):  # ISO months sort chronologically
-        rows = months[key]
-        if spec.order_col is not None:
-            rows = sorted(rows, key=lambda r: r[0])  # stable: file order on ties
-        targets = np.array([r[1] for r in rows])
-        preds = np.array([r[2] for r in rows]).T  # N x K
-        packs_raw.append((targets, preds))
+    # A stable sort keeps file order on ties.
+    if spec.order_col is not None:
+        rows = np.lexsort((values[:, -1], month))
+    else:
+        rows = np.argsort(month, kind="stable")
+    values = values[rows]
+    n = len(spec.expert_cols)
+    packs_raw = [(v[:, 0], v[:, 1:1 + n].T) for v in
+                 np.split(values, np.cumsum(np.bincount(month))[:-1])]
 
     if spec.calibration_packs is not None:
         if spec.calibration_packs >= len(packs_raw):
@@ -370,10 +450,10 @@ class ExperimentResult:
         return {
             "schema_version": SCHEMA_VERSION,
             "game": {
-                "lower": self.game.lower,
-                "upper": self.game.upper,
-                "eta": self.game.eta,
-                "c": self.game.c,
+                "lower": float(self.game.lower),
+                "upper": float(self.game.upper),
+                "eta": float(self.game.eta),
+                "c": float(self.game.c),
             },
             "prior": list(self.prior),
             "pack_sizes": list(self.pack_sizes),
@@ -513,7 +593,7 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
         return json.dumps(result.to_dict(), sort_keys=True,
                           separators=(",", ":"))
     if format == "csv":
-        buf = StringIO()
+        buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["trial", "pack_size"] + [a.name for a in result.algorithms])
         columns = [a.records.cumulative_loss.tolist() for a in result.algorithms]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from packpredict import result_from_json
+from packpredict import harness, result_from_json
 from packpredict.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_20.csv")
@@ -104,6 +104,30 @@ class TestRun:
         assert out.splitlines()[0] == \
             "trial,pack_size,aap-max,aap-incremental,aap-current,parallel"
         assert len(out.strip().splitlines()) == 1 + 5
+
+    def test_cell_reader_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        def run(out):
+            assert main(["run", "--data", FIXTURE, "--target", "price",
+                         "--experts", "m1..m3", "--order-col", "ord",
+                         "--calibration-packs", "2", "--shuffles", "2",
+                         "--format", "json", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        read, accepted = harness._read_columns, []
+
+        def spy(*args):
+            columns = read(*args)
+            accepted.append(True)
+            return columns
+
+        def refuse(*args):
+            raise ValueError("bulk reader off")
+
+        monkeypatch.setattr(harness, "_read_columns", spy)
+        bulk = run(tmp_path / "bulk.json")
+        assert accepted == [True]
+        monkeypatch.setattr(harness, "_read_columns", refuse)
+        assert run(tmp_path / "cells.json") == bulk
 
     def test_missing_required_flag(self, capsys):
         assert main(["run", "--data", FIXTURE]) == 1

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -177,13 +178,18 @@ class TestLoadPackCsv:
                 load_pack_csv(spec)
 
     def test_empty_file(self, tmp_path):
+        # np.loadtxt warns on no data; the loader must raise its own error
+        # and let no warning out.
         p = tmp_path / "empty.csv"
-        p.write_text("month,price,m1\n")
         spec = DatasetSpec(path=str(p), timestamp_col="month",
                            target_col="price", expert_cols=("m1",),
                            clip_lower=0.0, clip_upper=1.0)
-        with pytest.raises(ValueError, match="no data rows"):
-            load_pack_csv(spec)
+        for body in ("", "\n\n"):
+            p.write_text("month,price,m1\n" + body)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="no data rows"):
+                    load_pack_csv(spec)
 
     def test_loading_twice_identical(self):
         a, _ = load_pack_csv(fixture_spec())
@@ -348,6 +354,13 @@ class TestReports:
                 assert "entries" not in report
                 assert report["every_prefix"] is every_prefix
         assert result_from_json(text) == result
+
+    def test_read_and_rewrite_keeps_bytes_of_an_integer_game(self, rng):
+        stream = make_stream(rng, 3, 5)
+        text = emit_report(run_experiment(stream, GameSpec(0, 1, 2, 1)), "json")
+        assert json.loads(text)["game"] == {"c": 1.0, "eta": 2.0,
+                                            "lower": 0.0, "upper": 1.0}
+        assert emit_report(result_from_json(text), "json") == text
 
     def test_json_deterministic(self, rng):
         stream = make_stream(rng, 3, 8)
