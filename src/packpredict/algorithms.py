@@ -21,6 +21,10 @@ substitution; `parallel` runs its copies through the same replay.  The
 online learner of `aggregator` is the month-by-month form of the same
 schedule; an mpmath oracle in the tests checks both.
 
+A stream is stored as the columns the replay reads (`PackStream`): one
+N x items matrix of expert predictions, the outcomes and the pack sizes.
+A `Pack` is constructor input, and a view of the columns on demand.
+
 A run's records are the replay's arrays, kept as columns (`RunRecords`): one
 row per trial, T x N for the experts.  Only `to_dict`/`from_dict` turn them
 into the per-trial JSON objects and back.
@@ -76,70 +80,86 @@ class Pack:
         )
 
 
-@dataclass(eq=False)
 class PackStream:
-    """An ordered sequence of packs sharing one expert panel."""
+    """An ordered sequence of packs sharing one expert panel, stored as
+    columns: `expert_preds` (N x items, packs side by side), `outcomes` and
+    `sizes`; pack t holds the `sizes[t]` items from column `starts[t]`.
+    Indexing and iteration give `Pack` views of the columns."""
 
-    trials: tuple
+    def __new__(cls, packs=()):
+        packs = tuple(packs)
+        n = packs[0].num_experts if packs else 0
+        for i, t in enumerate(packs):
+            if t.num_experts != n:
+                raise ValueError(f"trial {i} has {t.num_experts} experts, expected {n}")
+        return cls._from_columns(
+            np.hstack([np.empty((n, 0)), *(t.expert_preds for t in packs)]),
+            np.hstack([np.empty(0), *(t.outcomes for t in packs)]),
+            [t.size for t in packs])
 
-    def __post_init__(self):
-        self.trials = tuple(self.trials)
-        if self.trials:
-            n = self.trials[0].num_experts
-            for i, t in enumerate(self.trials):
-                if t.num_experts != n:
-                    raise ValueError(
-                        f"trial {i} has {t.num_experts} experts, expected {n}"
-                    )
+    @classmethod
+    def _from_columns(cls, expert_preds, outcomes, sizes) -> "PackStream":
+        """Unchecked: for producers in this package holding valid columns."""
+        stream = super().__new__(cls)
+        # One memory order, whoever built the stream: sums over the experts
+        # round by it (numpy sums eight or more adjacent values pairwise).
+        stream.expert_preds = np.ascontiguousarray(expert_preds, dtype=float)
+        stream.outcomes = np.ascontiguousarray(outcomes, dtype=float)
+        stream.sizes = np.asarray(sizes, dtype=np.intp)
+        stream.starts = np.cumsum(stream.sizes) - stream.sizes
+        return stream
 
     def __len__(self):
-        return len(self.trials)
+        return len(self.sizes)
 
     def __iter__(self):
-        return iter(self.trials)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i):
-        return self.trials[i]
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        items = slice(self.starts[i], self.starts[i] + self.sizes[i])
+        return Pack(self.expert_preds[:, items], self.outcomes[items])
 
     def __eq__(self, other):
         if not isinstance(other, PackStream):
             return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self.trials, other.trials)
-        )
+        return (np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.outcomes, other.outcomes)
+                and np.array_equal(self.expert_preds, other.expert_preds))
 
     @property
     def num_experts(self) -> int:
-        if not self.trials:
+        if not len(self):
             raise ValueError("empty stream has no expert panel")
-        return self.trials[0].num_experts
+        return self.expert_preds.shape[0]
 
     @property
     def num_items(self) -> int:
-        return sum(t.size for t in self.trials)
+        return self.outcomes.size
 
     @property
     def max_pack_size(self) -> int:
-        return max(t.size for t in self.trials)
+        return int(self.sizes.max())
 
     @property
     def min_pack_size(self) -> int:
-        return min(t.size for t in self.trials)
+        return int(self.sizes.min())
 
     @property
     def pack_sizes(self) -> tuple:
-        return tuple(t.size for t in self.trials)
+        return tuple(self.sizes.tolist())
 
     def validate_for_game(self, game: GameSpec) -> None:
-        for i, t in enumerate(self.trials):
-            if not game.contains(t.expert_preds):
-                raise ValueError(
-                    f"trial {i}: expert prediction outside [{game.lower}, {game.upper}]"
-                )
-            if not game.contains(t.outcomes):
-                raise ValueError(
-                    f"trial {i}: outcome outside [{game.lower}, {game.upper}]"
-                )
+        """Raise naming the first trial with a value outside the game."""
+        a, b = game.lower, game.upper
+        bad_preds = ~((self.expert_preds >= a) & (self.expert_preds <= b)).all(axis=0)
+        bad = bad_preds | ~((self.outcomes >= a) & (self.outcomes <= b))
+        if bad.any():
+            i = np.searchsorted(self.starts, np.argmax(bad), side="right") - 1
+            items = slice(self.starts[i], self.starts[i] + self.sizes[i])
+            what = "expert prediction" if bad_preds[items].any() else "outcome"
+            raise ValueError(f"trial {i}: {what} outside [{a}, {b}]")
 
 
 def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
@@ -228,33 +248,36 @@ def _losses_before(losses: np.ndarray) -> np.ndarray:
 
 
 def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
-    """A whole run's records, from whole-stream arrays: the packs side by
-    side as N x items matrices, pack t from column starts[t].
+    """A whole run's records, from the stream's columns (see `PackStream`).
     `charges(expert_losses, pack_losses, sizes, starts)` gives each item's
     N charges c, the weights at that item being proportional to p * exp(-c).
     """
     if len(stream) == 0:
         return RunRecords.from_dict([])
-    preds = np.concatenate([t.expert_preds for t in stream], axis=1)
-    outcomes = np.concatenate([t.outcomes for t in stream])
-    if not (game.contains(preds) and game.contains(outcomes)):
-        stream.validate_for_game(game)  # raises, naming the first bad trial
+    stream.validate_for_game(game)
     num_experts = stream.num_experts
     p = _as_prior(uniform_prior(num_experts) if prior is None else prior)
     if p.size != num_experts:
         raise ValueError(f"prior has {p.size} entries for {num_experts} experts")
-    sizes = np.array(stream.pack_sizes)
-    starts = np.cumsum(sizes) - sizes
-    expert_losses = (preds - outcomes) ** 2
+    sizes, starts = stream.sizes, stream.starts
+    expert_losses = (stream.expert_preds - stream.outcomes) ** 2
     pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
     log_w = np.log(p)[:, None] - charges(expert_losses, pack_losses, sizes, starts)
-    del expert_losses  # as large as `preds`; free it before the substitution
-    learner = _substitute(log_w, preds, game)
-    learner_pack = np.add.reduceat((learner - outcomes) ** 2, starts)
-    return RunRecords(sizes, learner, learner_pack, np.cumsum(learner_pack),
+    del expert_losses  # as large as the predictions; free it before substituting
+    learner = _substitute(log_w, stream.expert_preds, game)
+    learner_pack = np.add.reduceat((learner - stream.outcomes) ** 2, starts)
+    return RunRecords(sizes.copy(), learner, learner_pack, np.cumsum(learner_pack),
                       np.cumsum(learner_pack / sizes), pack_losses.T,
                       np.cumsum(pack_losses, axis=1).T,
                       np.cumsum(pack_losses / sizes, axis=1).T)
+
+
+def _require_size(stream: PackStream, size: int, why: str) -> None:
+    """Raise naming the first pack whose size is not `size`."""
+    wrong = np.flatnonzero(stream.sizes != size)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"trial {i} has size {stream.sizes[i]}; {why}")
 
 
 def _run_with_policy(stream: PackStream, game: GameSpec, policy: DivisorPolicy,
@@ -277,12 +300,8 @@ def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
 
     Raises if any pack's size differs from `pack_size`.
     """
-    for i, t in enumerate(stream):
-        if t.size != pack_size:
-            raise ValueError(
-                f"trial {i} has size {t.size}; this protocol requires every "
-                f"pack to have size {pack_size}"
-            )
+    _require_size(stream, pack_size, "this protocol requires every pack "
+                  f"to have size {pack_size}")
     return _run_with_policy(stream, game, DivisorPolicy.fixed(pack_size), prior)
 
 
@@ -307,7 +326,5 @@ def run_aap_current(stream: PackStream, game: GameSpec, prior=None) -> RunRecord
 def run_aa(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Classic one-item-at-a-time aggregation: a stream whose packs all have
     size one, run with divisor 1."""
-    for i, t in enumerate(stream):
-        if t.size != 1:
-            raise ValueError(f"trial {i} has size {t.size}; expected single items")
+    _require_size(stream, 1, "expected single items")
     return _run_with_policy(stream, game, DivisorPolicy.fixed(1), prior)

@@ -146,10 +146,12 @@ def _emit(text: str, out: str | None) -> None:
 def _run_and_emit(stream, game: GameSpec, args) -> int:
     """Run the chosen algorithms on a stream and emit the report (the shared
     tail of `run` and `synth`)."""
+    # An empty stream has no panel to size the prior by; run_experiment
+    # rejects it.
     result = run_experiment(
         stream, game,
         algorithms=_parse_algorithms(args.algorithms),
-        prior=_parse_prior(args.prior, stream.num_experts),
+        prior=_parse_prior(args.prior, stream.num_experts) if len(stream) else None,
         shuffles=args.shuffles,
         shuffle_seed=args.seed,
         every_prefix=args.every_prefix,

@@ -117,7 +117,7 @@ _MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
 
 
 def _month_key(raw: str, line_num: int, column: str) -> str:
-    s = (raw or "").strip()
+    s = raw.strip()
     if _MONTH.match(s):
         return s[:7]
     raise ValueError(
@@ -205,6 +205,9 @@ def _read_cells(fh, columns: list):
     keys, rows = [], []
     for row in reader:
         ln = reader.line_num
+        if None in map(row.get, columns):  # a short row
+            missing = next(c for c in columns if row[c] is None)
+            raise ValueError(f"line {ln}: no cell for column {missing!r}")
         keys.append(_month_key(row[stamp], ln, stamp))
         rows.append([_parse_float(row[c], ln, c) for c in numeric])
     values = np.array(rows, dtype=float).reshape(len(rows), len(numeric))
@@ -236,22 +239,17 @@ def load_pack_csv(spec: DatasetSpec):
         rows = np.lexsort((values[:, -1], month))
     else:
         rows = np.argsort(month, kind="stable")
-    values = values[rows]
-    n = len(spec.expert_cols)
-    packs_raw = [(v[:, 0], v[:, 1:1 + n].T) for v in
-                 np.split(values, np.cumsum(np.bincount(month))[:-1])]
+    values = values[rows, :1 + len(spec.expert_cols)]
+    sizes = np.bincount(month)
 
     if spec.calibration_packs is not None:
-        if spec.calibration_packs >= len(packs_raw):
+        if spec.calibration_packs >= len(sizes):
             raise ValueError(
                 f"calibration_packs={spec.calibration_packs} leaves no packs "
-                f"to evaluate (file has {len(packs_raw)} months)"
+                f"to evaluate (file has {len(sizes)} months)"
             )
-        head = packs_raw[:spec.calibration_packs]
-        values = np.concatenate(
-            [np.concatenate([t, p.ravel()]) for t, p in head]
-        )
-        lower, upper = float(values.min()), float(values.max())
+        head = values[:sizes[:spec.calibration_packs].sum()]
+        lower, upper = float(head.min()), float(head.max())
         if lower >= upper:
             raise ValueError(
                 f"calibration packs are constant at {lower}; cannot form an interval"
@@ -261,11 +259,8 @@ def load_pack_csv(spec: DatasetSpec):
 
     eta = spec.eta if spec.eta is not None else max_mixable_eta(lower, upper)
     game = GameSpec(lower, upper, float(eta), float(spec.c))
-    packs = [
-        Pack(np.clip(preds, lower, upper), np.clip(targets, lower, upper))
-        for targets, preds in packs_raw
-    ]
-    return PackStream(tuple(packs)), game
+    values = np.clip(values, lower, upper)
+    return PackStream._from_columns(values[:, 1:].T, values[:, 0], sizes), game
 
 
 def write_pack_csv(stream: PackStream, path: str) -> None:
@@ -274,14 +269,11 @@ def write_pack_csv(stream: PackStream, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         n = stream.num_experts
+        trial = np.repeat(np.arange(len(stream)), stream.sizes).tolist()
+        values = np.column_stack([stream.outcomes, stream.expert_preds.T]).tolist()
         writer.writerow(["month", "target"] + [f"e{i + 1}" for i in range(n)])
-        for t, pack in enumerate(stream):
-            month = f"{2000 + t // 12:04d}-{t % 12 + 1:02d}"
-            for k in range(pack.size):
-                writer.writerow(
-                    [month, repr(float(pack.outcomes[k]))]
-                    + [repr(float(x)) for x in pack.expert_preds[:, k]]
-                )
+        writer.writerows([f"{2000 + t // 12:04d}-{t % 12 + 1:02d}", *map(repr, row)]
+                         for t, row in zip(trial, values))
 
 
 def rescale_stream(stream: PackStream, lower: float, upper: float) -> PackStream:
@@ -289,11 +281,8 @@ def rescale_stream(stream: PackStream, lower: float, upper: float) -> PackStream
     if lower >= upper:
         raise ValueError(f"degenerate interval [{lower}, {upper}]")
     span = upper - lower
-    packs = tuple(
-        Pack(lower + span * p.expert_preds, lower + span * p.outcomes)
-        for p in stream
-    )
-    return PackStream(packs)
+    return PackStream._from_columns(lower + span * stream.expert_preds,
+                                    lower + span * stream.outcomes, stream.sizes)
 
 
 @dataclass(frozen=True)

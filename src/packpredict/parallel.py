@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    Pack,
     PackStream,
     RunRecords,
     _json_column,
@@ -95,11 +94,11 @@ class ShuffleSummary:
 def shuffle_within_packs(stream: PackStream, rng) -> PackStream:
     """Permute items inside each pack (expert columns and outcomes jointly);
     pack order and membership are untouched."""
-    shuffled = []
-    for pack in stream:
-        perm = rng.permutation(pack.size)
-        shuffled.append(Pack(pack.expert_preds[:, perm], pack.outcomes[perm]))
-    return PackStream(tuple(shuffled))
+    order = np.empty(stream.num_items, dtype=np.intp)
+    for start, size in zip(stream.starts.tolist(), stream.sizes.tolist()):
+        order[start:start + size] = start + rng.permutation(size)
+    return PackStream._from_columns(stream.expert_preds[:, order],
+                                    stream.outcomes[order], stream.sizes)
 
 
 def shuffle_experiment(stream: PackStream, game: GameSpec, prior=None,

@@ -33,15 +33,16 @@ class TestSynth:
 
     def test_emit_data_round_trips_through_run(self, tmp_path, capsys):
         data = str(tmp_path / "stream.csv")
-        argv = ["synth", "--experts", "3", "--trials", "9", "--seed", "4",
-                "--emit-data", data, "--format", "json"]
-        assert main(argv) == 0
-        synth_payload = json.loads(capsys.readouterr().out)
-        assert main(["run", "--data", data, "--target", "target",
-                     "--experts", "e1..e3", "--lower", "0", "--upper", "1",
-                     "--format", "json"]) == 0
-        run_payload = json.loads(capsys.readouterr().out)
-        assert run_payload["algorithms"] == synth_payload["algorithms"]
+        for experts in ("3", "8"):
+            argv = ["synth", "--experts", experts, "--trials", "9", "--seed", "4",
+                    "--emit-data", data, "--format", "json"]
+            assert main(argv) == 0
+            synth_payload = json.loads(capsys.readouterr().out)
+            assert main(["run", "--data", data, "--target", "target",
+                         "--experts", f"e1..e{experts}", "--lower", "0",
+                         "--upper", "1", "--format", "json"]) == 0
+            run_payload = json.loads(capsys.readouterr().out)
+            assert run_payload["algorithms"] == synth_payload["algorithms"]
 
     def test_eta_warning(self, capsys):
         code = main(["synth", "--trials", "6", "--eta", "10",
@@ -74,6 +75,12 @@ class TestSynth:
             code = main(["synth", "--trials", "5", *flags])
             assert code == 1, flags
             assert "finite" in capsys.readouterr().err, flags
+
+    def test_empty_stream_rejected(self, capsys):
+        for flags in ([], ["--prior", "1,2,3"]):
+            assert main(["synth", "--trials", "0", *flags]) == 1, flags
+            assert ("cannot run an experiment on an empty stream"
+                    in capsys.readouterr().err), flags
 
     def test_rescaled_interval(self, capsys):
         code = main(["synth", "--experts", "2", "--trials", "6", "--seed", "2",

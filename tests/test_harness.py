@@ -154,12 +154,14 @@ class TestLoadPackCsv:
         spec = DatasetSpec(path=str(p), timestamp_col="month",
                            target_col="price", expert_cols=("m1",),
                            clip_lower=0.0, clip_upper=1.0)
-        for row, column in [("2006-01,oops,0.4", "price"),
-                            ("2006-01,nan,0.4", "price"),
-                            ("2006-01,0.5,inf", "m1"),
-                            ("2006-01,0.5,-inf", "m1")]:
+        for row, message in [
+                ("2006-01,oops,0.4", "bad numeric value 'oops' in column 'price'"),
+                ("2006-01,nan,0.4", "bad numeric value 'nan' in column 'price'"),
+                ("2006-01,0.5,inf", "bad numeric value 'inf' in column 'm1'"),
+                ("2006-01,0.5,-inf", "bad numeric value '-inf' in column 'm1'"),
+                ("2006-01,0.5", "no cell for column 'm1'")]:
             p.write_text(f"month,price,m1\n2006-01,0.5,0.4\n{row}\n")
-            with pytest.raises(ValueError, match=f"line 3.*{column}"):
+            with pytest.raises(ValueError, match=f"line 3: {message}"):
                 load_pack_csv(spec)
 
     def test_bad_month_reports_line(self, tmp_path):
@@ -168,13 +170,14 @@ class TestLoadPackCsv:
                            target_col="price", expert_cols=("m1",),
                            clip_lower=0.0, clip_upper=1.0)
         # The last file's short row has no month cell at all.
-        for text in ("month,price,m1\nJanuary,0.5,0.4\n",
-                     "month,price,m1\n2020-13-05,0.5,0.4\n",
-                     "month,price,m1\n2020-00,0.5,0.4\n",
-                     "month,price,m1\n2020-1,0.5,0.4\n",
-                     "price,m1,month\n0.5,0.4\n"):
+        for text, message in [
+                ("month,price,m1\nJanuary,0.5,0.4\n", "cannot parse month"),
+                ("month,price,m1\n2020-13-05,0.5,0.4\n", "cannot parse month"),
+                ("month,price,m1\n2020-00,0.5,0.4\n", "cannot parse month"),
+                ("month,price,m1\n2020-1,0.5,0.4\n", "cannot parse month"),
+                ("price,m1,month\n0.5,0.4\n", "no cell for column 'month'")]:
             p.write_text(text)
-            with pytest.raises(ValueError, match="line 2"):
+            with pytest.raises(ValueError, match=f"line 2: {message}"):
                 load_pack_csv(spec)
 
     def test_empty_file(self, tmp_path):

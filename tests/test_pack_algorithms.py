@@ -47,15 +47,19 @@ class TestPackTypes:
             Pack(np.zeros((3, 0)), np.zeros(0))
 
     def test_stream_properties(self):
-        s = PackStream([
+        packs = [
             Pack(np.zeros((2, 3)), np.zeros(3)),
             Pack(np.ones((2, 1)) * 0.5, np.ones(1) * 0.5),
-        ])
+        ]
+        s = PackStream(packs)
         assert len(s) == 2
         assert s.num_experts == 2
         assert s.num_items == 4
         assert s.pack_sizes == (3, 1)
         assert s.max_pack_size == 3 and s.min_pack_size == 1
+        assert all(s[i] == p for i, p in enumerate(packs))
+        assert list(s) == packs and s[-1] == packs[-1]
+        assert len(PackStream(())) == 0
 
     def test_stream_rejects_mixed_expert_counts(self):
         with pytest.raises(ValueError):
@@ -74,6 +78,19 @@ class TestPackTypes:
         s = PackStream([Pack(np.full((1, 1), 1.5), np.full(1, 0.5))])
         with pytest.raises(ValueError):
             run_aap_current(s, GAME)
+        # Three packs of two items: a bad expert prediction in trial 1 is
+        # named before a bad outcome in trial 2, and is named even when an
+        # earlier item of trial 1 has a bad outcome.
+        preds, outcomes = np.full((2, 6), 0.5), np.full(6, 0.5)
+        preds[1, 3], outcomes[4] = 1.5, -0.5
+        cases = [((preds, outcomes), "trial 1: expert prediction"),
+                 ((np.full((2, 6), 0.5), outcomes), "trial 2: outcome"),
+                 ((preds, np.where(np.arange(6) == 2, np.nan, 0.5)),
+                  "trial 1: expert prediction")]
+        for (p, o), message in cases:
+            s = PackStream([Pack(p[:, k:k + 2], o[k:k + 2]) for k in (0, 2, 4)])
+            with pytest.raises(ValueError, match=message):
+                run_aap_current(s, GAME)
 
     def test_record_round_trip(self, rng):
         stream = make_stream(rng, 3, 12)
@@ -96,6 +113,15 @@ class TestRunners:
         empty = PackStream(())
         assert len(run_aap_incremental(empty, GAME)) == 0
         assert len(run_aap_current(empty, GAME)) == 0
+
+    def test_runs_do_not_depend_on_memory_order(self, rng):
+        # Nine experts: numpy sums eight or more adjacent values pairwise,
+        # so a replay over expert-major columns would round differently.
+        stream = make_stream(rng, 9, 30)
+        expert_major = PackStream(
+            [Pack(np.asfortranarray(p.expert_preds), p.outcomes) for p in stream])
+        for runner in (run_aap_incremental, run_aap_current, run_parallel):
+            assert runner(expert_major, GAME) == runner(stream, GAME)
 
     def test_record_bookkeeping(self, rng):
         stream = make_stream(rng, 3, 15)

@@ -163,6 +163,22 @@ class TestShuffle:
                 np.sort(a.outcomes), np.sort(b.outcomes), atol=0
             )
 
+    def test_shuffle_matches_pack_by_pack_reference(self, rng):
+        def reference(stream, rng):
+            packs = []
+            for p in stream:
+                perm = rng.permutation(p.size)
+                packs.append(Pack(p.expert_preds[:, perm], p.outcomes[perm]))
+            return PackStream(packs)
+
+        for size_max, seed in [(1, 0), (1, 3), (4, 1), (6, 2), (6, 9)]:
+            stream = make_stream(rng, 3, 15, size_min=1, size_max=size_max)
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):  # the second shuffle continues the same draws
+                assert shuffle_within_packs(stream, ours) == reference(stream, ref)
+        empty = PackStream(())
+        assert shuffle_within_packs(empty, np.random.default_rng(0)) == empty
+
     def test_num_shuffles_validated(self, rng):
         stream = make_stream(rng, 2, 3)
         with pytest.raises(ValueError):
