@@ -8,7 +8,9 @@ schedule, and both this learner and the replay call it.
 
 All weight arithmetic stays in the log domain; a weight of exactly zero is
 represented as -inf and an all-(-inf) state is a fatal error rather than a
-silent renormalization.
+silent renormalization.  `predict_pack` and `predict_item` substitute
+straight from the log-weights (`normalized_weights` is for inspection), and
+check their input with the helper `substitute_pack` uses.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec, _as_weights, _logsumexp, substitute, substitute_pack
+from .games import (GameSpec, _as_pred_column, _as_pred_matrix, _as_weights,
+                    _logsumexp, _substitute)
 
 
 @dataclass(frozen=True)
@@ -128,14 +131,23 @@ def uniform_prior(num_experts: int) -> np.ndarray:
     return np.full(num_experts, 1.0 / num_experts)
 
 
-def normalized_weights(state: AggregatorState) -> np.ndarray:
-    """Current weights as a probability vector."""
-    lw = state.log_weights
-    if np.all(np.isinf(lw) & (lw < 0)):
+def _top_log_weight(state: AggregatorState) -> float:
+    """The largest log-weight; raises if every weight has underflowed."""
+    top = state.log_weights.max()
+    if top == -np.inf:
         raise FloatingPointError(
             "all expert weights have underflowed to zero; "
             "the learning rate or losses are too large for this prior"
         )
+    if not top < np.inf:
+        raise ValueError(f"log-weights must be free of NaN and +inf, got {top}")
+    return top
+
+
+def normalized_weights(state: AggregatorState) -> np.ndarray:
+    """Current weights as a probability vector."""
+    _top_log_weight(state)
+    lw = state.log_weights
     return np.exp(lw - _logsumexp(lw))
 
 
@@ -148,12 +160,16 @@ def predict_item(state: AggregatorState, expert_preds, game: GameSpec) -> float:
     substitution survives the geometric-mean argument that turns K per-item
     guarantees into one pack guarantee at rate eta/K.)
     """
-    return substitute(normalized_weights(state), expert_preds, game)
+    return float(predict_pack(state, _as_pred_column(expert_preds), game)[0])
 
 
 def predict_pack(state: AggregatorState, expert_pred_matrix, game: GameSpec) -> np.ndarray:
-    """Aggregated predictions for a whole pack, weights frozen across it."""
-    return substitute_pack(normalized_weights(state), expert_pred_matrix, game)
+    """Aggregated predictions for a whole pack, weights frozen across it.
+    They come straight from the log-weights, shifted so that the largest is
+    0: the substitution needs no normalized weights."""
+    preds = _as_pred_matrix(expert_pred_matrix, state.num_experts, game)
+    shifted = state.log_weights - _top_log_weight(state)
+    return _substitute(shifted[:, None], preds, game)
 
 
 def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
@@ -165,11 +181,11 @@ def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
         raise ValueError(
             f"expected losses for {state.num_experts} experts, got shape {losses.shape}"
         )
-    if not np.all(np.isfinite(losses) & (losses >= 0)):
-        raise ValueError("losses must be non-negative and finite")
     pack_size = losses.shape[1]
     if pack_size < 1:
         raise ValueError("empty pack")
+    if not ((losses >= 0) & (losses < np.inf)).all():
+        raise ValueError("losses must be non-negative and finite")
     sums = losses.sum(axis=1)
     charged = state.charged_losses + policy.charge(sums, pack_size)
     state.cumulative_losses = state.cumulative_losses + sums

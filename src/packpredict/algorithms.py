@@ -238,6 +238,13 @@ class RunRecords:
                    experts("expert_cumulative_average_losses"))
 
 
+# Most columns `_replay` substitutes at once.  The substitution's two
+# temporaries are 2 x N x columns each; at 8192 columns and 8 experts the
+# allocator returned them to the system after each block and the next block
+# faulted them in again, while at 2048 it reuses them.
+_REPLAY_BLOCK = 2048
+
+
 def _losses_before(losses: np.ndarray) -> np.ndarray:
     """Per column t of an N x T loss matrix, each expert's sum over the
     columns before t, less the smallest such sum: the shift leaves the
@@ -264,7 +271,14 @@ def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
     pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
     log_w = np.log(p)[:, None] - charges(expert_losses, pack_losses, sizes, starts)
     del expert_losses  # as large as the predictions; free it before substituting
-    learner = _substitute(log_w, stream.expert_preds, game)
+    # Near-equal column blocks bound the substitution's temporaries; none is
+    # a single column, which would sum its experts pairwise and round
+    # differently (numpy sums eight or more adjacent values pairwise).
+    blocks = -(-stream.num_items // _REPLAY_BLOCK)
+    learner = np.concatenate([
+        _substitute(w, x, game) for w, x in
+        zip(np.array_split(log_w, blocks, axis=1),
+            np.array_split(stream.expert_preds, blocks, axis=1))])
     learner_pack = np.add.reduceat((learner - stream.outcomes) ** 2, starts)
     return RunRecords(sizes.copy(), learner, learner_pack, np.cumsum(learner_pack),
                       np.cumsum(learner_pack / sizes), pack_losses.T,

@@ -143,12 +143,11 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _run_and_emit(stream, game: GameSpec, args) -> int:
-    """Run the chosen algorithms on a stream and emit the report (the shared
-    tail of `run` and `synth`)."""
+def _run(stream, game: GameSpec, args):
+    """Run the chosen algorithms on a stream (shared by `run` and `synth`)."""
     # An empty stream has no panel to size the prior by; run_experiment
     # rejects it.
-    result = run_experiment(
+    return run_experiment(
         stream, game,
         algorithms=_parse_algorithms(args.algorithms),
         prior=_parse_prior(args.prior, stream.num_experts) if len(stream) else None,
@@ -156,6 +155,10 @@ def _run_and_emit(stream, game: GameSpec, args) -> int:
         shuffle_seed=args.seed,
         every_prefix=args.every_prefix,
     )
+
+
+def _report(result, args) -> int:
+    """Emit the report; the exit code says whether every guarantee held."""
     _emit(emit_report(result, args.format), args.out)
     return EXIT_OK if result.passed else EXIT_BOUND_FAILED
 
@@ -176,7 +179,7 @@ def _cmd_run(args) -> int:
     )
     stream, game = load_pack_csv(spec)
     _warn_eta(game)
-    return _run_and_emit(stream, game, args)
+    return _report(_run(stream, game, args), args)
 
 
 def _cmd_synth(args) -> int:
@@ -197,9 +200,11 @@ def _cmd_synth(args) -> int:
         game = GameSpec(game.lower, game.upper,
                         args.eta if args.eta is not None else game.eta, args.c)
     _warn_eta(game)
+    result = _run(stream, game, args)
+    # Only a stream the run accepted is written out.
     if args.emit_data is not None:
         write_pack_csv(stream, args.emit_data)
-    return _run_and_emit(stream, game, args)
+    return _report(result, args)
 
 
 def _cmd_adversary(args) -> int:

@@ -25,14 +25,16 @@ WEIGHT_TOL = 1e-12
 def _logsumexp(a, axis=None):
     """ln(sum(exp(a))) along `axis`, shifted by the maximum; -inf entries and
     all-(-inf) slices behave as in scipy.special.logsumexp."""
-    a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
+    a = np.array(a, dtype=float, copy=None, ndmin=1)
+    top = a.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
     shifted = a - top
     np.exp(shifted, out=shifted)
+    out = shifted.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(shifted, axis=axis, keepdims=True)) + top
-    return np.squeeze(out, axis=axis)[()]
+        np.log(out, out=out)
+    out += top
+    return out.squeeze(axis=axis)[()]
 
 
 def max_mixable_eta(lower: float, upper: float) -> float:
@@ -87,7 +89,7 @@ class GameSpec:
 
     def contains(self, values) -> bool:
         v = np.asarray(values, dtype=float)
-        return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
+        return bool(((v >= self.lower) & (v <= self.upper)).all())
 
     def loss(self, gamma, omega):
         """Square loss (gamma - omega)^2; both arguments must lie in [lower, upper]."""
@@ -126,15 +128,15 @@ def _as_expert_preds(expert_preds, game: GameSpec, num_experts: int) -> np.ndarr
 
 
 def _mixed_loss(log_w, preds, omega, game: GameSpec):
-    """The mixed loss profile of the experts' predictions `preds` (one row
-    per expert) under the log-weights `log_w`, at the outcomes `omega`:
+    """The mixed loss profile of the experts' predictions `preds` (expert
+    axis -2) under the log-weights `log_w`, at the outcomes `omega`:
 
         g(omega) = -(C/eta) * ln sum_n p^n * exp(-eta * (gamma^n - omega)^2)
 
-    reduced over the rows; the arguments broadcast.  The exponent is written
-    so that numpy builds it in one temporary."""
+    reduced over the experts; the arguments broadcast.  The exponent is
+    written so that numpy builds it in one temporary."""
     return -(game.c / game.eta) * _logsumexp(
-        (preds - omega) ** 2 * (-game.eta) + log_w, axis=0
+        (preds - omega) ** 2 * (-game.eta) + log_w, axis=-2
     )
 
 
@@ -151,6 +153,30 @@ def generalized_prediction(weights, expert_preds, game: GameSpec, omega):
     return float(g[0]) if o.ndim == 0 else g
 
 
+def _as_pred_matrix(expert_pred_matrix, num_experts: int,
+                    game: GameSpec) -> np.ndarray:
+    """An N x K matrix of expert predictions in [A, B], K >= 1, as a C-order
+    float array: sums over the experts round by memory order (numpy sums
+    eight or more adjacent values pairwise), so one order for every caller."""
+    preds = np.ascontiguousarray(expert_pred_matrix, dtype=float)
+    if preds.ndim != 2 or preds.shape[0] != num_experts or preds.shape[1] < 1:
+        raise ValueError(
+            f"expert prediction matrix must be {num_experts} x K with K >= 1, "
+            f"got shape {preds.shape}"
+        )
+    if not game.contains(preds):
+        raise ValueError(f"expert prediction outside [{game.lower}, {game.upper}]")
+    return preds
+
+
+def _as_pred_column(expert_preds) -> np.ndarray:
+    """One round of expert predictions as an N x 1 matrix."""
+    p = np.asarray(expert_preds, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("expert predictions must be a 1-d vector")
+    return p[:, None]
+
+
 def substitute_pack(weights, expert_pred_matrix, game: GameSpec) -> np.ndarray:
     """Predictions solving the aggregation inequality for each column of an
     N x K matrix of expert predictions, all under the same weights.
@@ -163,14 +189,7 @@ def substitute_pack(weights, expert_pred_matrix, game: GameSpec) -> np.ndarray:
     clipped to [A, B].  A single expert is reproduced exactly.
     """
     w = _as_weights(weights)
-    preds = np.asarray(expert_pred_matrix, dtype=float)
-    if preds.ndim != 2 or preds.shape[0] != w.size or preds.shape[1] < 1:
-        raise ValueError(
-            f"expert prediction matrix must be {w.size} x K with K >= 1, "
-            f"got shape {preds.shape}"
-        )
-    if not game.contains(preds):
-        raise ValueError(f"expert prediction outside [{game.lower}, {game.upper}]")
+    preds = _as_pred_matrix(expert_pred_matrix, w.size, game)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)[:, None]
     return _substitute(log_w, preds, game)
@@ -179,25 +198,22 @@ def substitute_pack(weights, expert_pred_matrix, game: GameSpec) -> np.ndarray:
 def _substitute(log_w, preds, game: GameSpec) -> np.ndarray:
     """The closed form of `substitute_pack`, unchecked, with column k of
     `preds` mixed under the log-weights log_w[:, k].  Only differences within
-    a column matter, so they need not be normalized."""
+    a column matter, so they need not be normalized.  g(A) and g(B) come
+    from one `_mixed_loss` over a leading endpoint axis."""
     a, b = game.lower, game.upper
     if preds.shape[0] == 1:
         # Mixing a single expert can only reproduce it; skip the closed form
         # to avoid pointless cancellation noise.
-        return np.clip(preds[0], a, b)
-    g_a = _mixed_loss(log_w, preds, a, game)
-    g_b = _mixed_loss(log_w, preds, b, game)
+        return preds[0].clip(a, b)
+    g_a, g_b = _mixed_loss(log_w, preds, np.array([a, b])[:, None, None], game)
     gamma = 0.5 * (a + b) + (g_a - g_b) / (2.0 * (b - a))
-    return np.clip(gamma, a, b)
+    return gamma.clip(a, b)
 
 
 def substitute(weights, expert_preds, game: GameSpec) -> float:
     """Single prediction solving the aggregation inequality for one round of
     expert predictions."""
-    p = np.asarray(expert_preds, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("expert predictions must be a 1-d vector")
-    return float(substitute_pack(weights, p[:, None], game)[0])
+    return float(substitute_pack(weights, _as_pred_column(expert_preds), game)[0])
 
 
 def check_substitution_validity(gamma: float, weights, expert_preds, game: GameSpec,

@@ -169,6 +169,10 @@ class TestWeightsAndPredict:
         state.log_weights = np.array([-np.inf, -np.inf])
         with pytest.raises(FloatingPointError):
             normalized_weights(state)
+        with pytest.raises(FloatingPointError):
+            predict_pack(state, np.full((2, 3), 0.5), GAME)
+        with pytest.raises(FloatingPointError):
+            predict_item(state, np.full(2, 0.5), GAME)
 
     def test_weights_stay_normalized(self, rng):
         state = init_state(uniform_prior(3))
@@ -177,15 +181,51 @@ class TestWeightsAndPredict:
             observe_pack(state, losses, DivisorPolicy.current_pack(), GAME)
             assert normalized_weights(state).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_predict_delegates_to_substitution(self, rng):
-        state = init_state([0.25, 0.75])
-        observe_pack(state, rng.uniform(0, 1, size=(2, 3)),
-                     DivisorPolicy.fixed(3), GAME)
-        w = normalized_weights(state)
-        preds = rng.uniform(0, 1, size=2)
-        assert predict_item(state, preds, GAME) == substitute(w, preds, GAME)
-        matrix = rng.uniform(0, 1, size=(2, 4))
-        np.testing.assert_array_equal(
-            predict_pack(state, matrix, GAME),
-            substitute_pack(w, matrix, GAME),
-        )
+    def test_predict_matches_substitution(self, rng):
+        # Predicting straight from the log-weights skips their normalization,
+        # so it may differ from substituting the normalized weights in the
+        # last bits only.
+        game = GameSpec.for_interval(-3.0, 5.0)
+        tol = 1e-15 * game.width
+        for n in (1, 2, 9):
+            state = init_state(rng.dirichlet(np.ones(n)))
+            for _ in range(20):
+                matrix = rng.uniform(game.lower, game.upper, size=(n, 6))
+                w = normalized_weights(state)
+                np.testing.assert_allclose(predict_pack(state, matrix, game),
+                                           substitute_pack(w, matrix, game),
+                                           rtol=0, atol=tol)
+                assert predict_item(state, matrix[:, 0], game) == pytest.approx(
+                    substitute(w, matrix[:, 0], game), rel=0, abs=tol)
+                observe_pack(state, (matrix - matrix[0]) ** 2,
+                             DivisorPolicy.running_max(), game)
+
+    def test_predict_validates_input(self):
+        state = init_state(uniform_prior(2))
+        for matrix in (np.full((3, 2), 0.5), np.full((2, 0), 0.5),
+                       np.full(2, 0.5), np.full((2, 2, 1), 0.5)):
+            with pytest.raises(ValueError, match="2 x K"):
+                predict_pack(state, matrix, GAME)
+        with pytest.raises(ValueError, match="outside"):
+            predict_pack(state, np.array([[0.5, 1.5], [0.5, 0.5]]), GAME)
+        for preds in (np.full(3, 0.5), np.full((2, 1), 0.5)):
+            with pytest.raises(ValueError):
+                predict_item(state, preds, GAME)
+        with pytest.raises(ValueError, match="outside"):
+            predict_item(state, np.array([0.5, -0.1]), GAME)
+        for bad in (np.nan, np.inf):
+            state.log_weights = np.array([bad, 0.0])
+            with pytest.raises(ValueError):
+                predict_pack(state, np.full((2, 1), 0.5), GAME)
+
+    def test_predict_does_not_depend_on_memory_order(self, rng):
+        # With 8 or more experts numpy sums adjacent values pairwise, so the
+        # order the caller's matrix is stored in could change the rounding.
+        state = init_state(rng.dirichlet(np.ones(9)))
+        for _ in range(200):
+            matrix = rng.uniform(0, 1, size=(9, 12))
+            np.testing.assert_array_equal(
+                predict_pack(state, matrix, GAME),
+                predict_pack(state, np.asfortranarray(matrix), GAME))
+            observe_pack(state, rng.uniform(0, 1, size=(9, 3)),
+                         DivisorPolicy.current_pack(), GAME)

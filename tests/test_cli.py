@@ -76,11 +76,13 @@ class TestSynth:
             assert code == 1, flags
             assert "finite" in capsys.readouterr().err, flags
 
-    def test_empty_stream_rejected(self, capsys):
-        for flags in ([], ["--prior", "1,2,3"]):
+    def test_empty_stream_rejected(self, capsys, tmp_path):
+        data = tmp_path / "empty.csv"
+        for flags in ([], ["--prior", "1,2,3"], ["--emit-data", str(data)]):
             assert main(["synth", "--trials", "0", *flags]) == 1, flags
             assert ("cannot run an experiment on an empty stream"
                     in capsys.readouterr().err), flags
+        assert not data.exists()
 
     def test_rescaled_interval(self, capsys):
         code = main(["synth", "--experts", "2", "--trials", "6", "--seed", "2",

@@ -11,7 +11,7 @@ from packpredict import (
     substitute,
     substitute_pack,
 )
-from packpredict.games import _logsumexp
+from packpredict.games import _logsumexp, _mixed_loss, _substitute
 
 # Reference values for weights (0.75, 0.25), experts (0.2, 0.8) on [0, 1]
 # with eta = 2, computed independently with 60-digit arithmetic.
@@ -44,9 +44,13 @@ class TestLogSumExp:
             np.full((2, 3), ninf),
             np.array([-1e4, -1e4 - 1.0, -3e4]),
             np.array([1e308, 1e308]),
+            np.array(-2.5),
+            np.concatenate([rng.normal(size=(2, 5, 3)), np.full((2, 1, 3), ninf)],
+                           axis=1),
         ]
+        axes = {0: (None,), 1: (None, 0), 2: (None, 0, 1, -1), 3: (None, -2)}
         for a in cases:
-            for axis in ((None, 0, 1, -1) if a.ndim == 2 else (None, 0)):
+            for axis in axes[a.ndim]:
                 got = _logsumexp(a, axis=axis)
                 want = logsumexp(a, axis=axis)
                 assert np.shape(got) == np.shape(want)
@@ -180,6 +184,26 @@ class TestSubstitute:
         pack = substitute_pack(w, preds, g)
         singles = np.array([substitute(w, preds[:, k], g) for k in range(6)])
         np.testing.assert_array_equal(pack, singles)
+
+    def test_fused_endpoints_match_two_calls(self, rng):
+        # One `_mixed_loss` over both endpoints must round exactly like one
+        # call per endpoint, whatever the memory order of its inputs.
+        game = GameSpec.for_interval(-2.0, 3.0)
+        a, b = game.lower, game.upper
+        for n in (2, 3, 8, 9, 17):
+            for k in (1, 2, 7, 64):
+                for order in "CF":
+                    preds = np.asarray(rng.uniform(a, b, (n, k)), order=order)
+                    zero_weight = rng.normal(0, 3, (n, 1))
+                    zero_weight[0] = -np.inf
+                    for log_w in (rng.normal(0, 3, (n, 1)), zero_weight,
+                                  np.asarray(rng.normal(0, 3, (n, k)), order=order)):
+                        g_a = _mixed_loss(log_w, preds, a, game)
+                        g_b = _mixed_loss(log_w, preds, b, game)
+                        two_calls = np.clip(
+                            0.5 * (a + b) + (g_a - g_b) / (2.0 * (b - a)), a, b)
+                        np.testing.assert_array_equal(
+                            _substitute(log_w, preds, game), two_calls)
 
     def test_shape_errors(self):
         g = unit_game()

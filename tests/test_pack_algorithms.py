@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from packpredict import algorithms
 from packpredict import (
     DivisorPolicy,
     GameSpec,
@@ -122,6 +123,24 @@ class TestRunners:
             [Pack(np.asfortranarray(p.expert_preds), p.outcomes) for p in stream])
         for runner in (run_aap_incremental, run_aap_current, run_parallel):
             assert runner(expert_major, GAME) == runner(stream, GAME)
+
+    def test_blocks_match_one_substitution(self, rng, monkeypatch):
+        # Nine experts over 2 * _REPLAY_BLOCK + 1 items: three column blocks
+        # of unequal size, each summing its experts like the whole matrix.
+        items = 2 * algorithms._REPLAY_BLOCK + 1
+        sizes = rng.integers(1, 8, size=items)
+        sizes = sizes[:np.searchsorted(np.cumsum(sizes), items) + 1]
+        sizes[-1] -= sizes.sum() - items
+        ends = np.cumsum(sizes)[:-1]
+        preds = np.split(rng.uniform(0, 1, (9, items)), ends, axis=1)
+        stream = PackStream(map(Pack, preds, np.split(rng.uniform(0, 1, items), ends)))
+        runners = (lambda s, g: run_aap_max(s, 7, g), run_aap_incremental,
+                   run_aap_current, run_parallel)
+        blocked = [runner(stream, GAME) for runner in runners]
+        monkeypatch.setattr(algorithms, "_REPLAY_BLOCK", items)
+        for runner, records in zip(runners, blocked):
+            np.testing.assert_array_equal(records.learner_preds,
+                                          runner(stream, GAME).learner_preds)
 
     def test_record_bookkeeping(self, rng):
         stream = make_stream(rng, 3, 15)
