@@ -13,11 +13,11 @@ Four variants, differing only in the divisor schedule of the weight update
   run_aap_incremental  nothing known ahead                running_max
   run_aap_current      nothing known ahead                current_pack
 
-plus `run_aa` (single items, fixed(1)).  Every variant predicts each item
-with the full-rate substitution; only the weight update is slowed.  The
-predictions never feed back into the weights, so `_replay` computes a whole
-run from cumulative sums of the experts' losses and one vectorized
-substitution; `parallel` runs its copies through the same replay.  The
+plus `run_aa` (single items, fixed(1)); each runs its row of `bounds._TABLE`.
+Every variant predicts each item with the full-rate substitution; only the
+weight update is slowed.  The predictions never feed back into the weights,
+so `_replay` computes a whole run from cumulative sums of the experts'
+losses and one vectorized substitution, the parallel copies' too.  The
 online learner of `aggregator` is the month-by-month form of the same
 schedule; an mpmath oracle in the tests checks both.
 
@@ -38,7 +38,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .aggregator import DivisorPolicy, _as_prior, uniform_prior
+from .aggregator import _as_prior, uniform_prior
+from .bounds import _TABLE, _require_fit
 from .games import GameSpec, _substitute
 
 
@@ -254,11 +255,10 @@ def _losses_before(losses: np.ndarray) -> np.ndarray:
     return before - before.min(axis=0)
 
 
-def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
-    """A whole run's records, from the stream's columns (see `PackStream`).
-    `charges(expert_losses, pack_losses, sizes, starts)` gives each item's
-    N charges c, the weights at that item being proportional to p * exp(-c).
-    """
+def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
+    """A whole run's records, from the stream's columns (see `PackStream`),
+    on the schedule `policy`: a `DivisorPolicy`, or None for the parallel
+    copies.  The weights at an item are p * exp(-c), with c its charges."""
     if len(stream) == 0:
         return RunRecords.from_dict([])
     stream.validate_for_game(game)
@@ -269,7 +269,21 @@ def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
     sizes, starts = stream.sizes, stream.starts
     expert_losses = (stream.expert_preds - stream.outcomes) ** 2
     pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
-    log_w = np.log(p)[:, None] - charges(expert_losses, pack_losses, sizes, starts)
+    if policy is None:
+        # Copy k's weights for item k of pack t: p * exp(-eta * L), with L
+        # the experts' losses on item k of the packs before t.
+        charged = np.empty_like(expert_losses)
+        for k in range(sizes.max()):
+            items = starts[sizes > k] + k  # what copy k sees, in order
+            charged[:, items] = game.eta * _losses_before(expert_losses[:, items])
+    else:
+        # Weights before pack t: p * exp(-(eta / D_t) * charges before t).
+        running_max = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
+        charged = np.repeat((game.eta / policy.divisor(running_max))
+                            * _losses_before(policy.charge(pack_losses, sizes)),
+                            sizes, axis=1)
+    # In place: the charges are as large as the predictions and not used again.
+    log_w = np.subtract(np.log(p)[:, None], charged, out=charged)
     del expert_losses  # as large as the predictions; free it before substituting
     # Near-equal column blocks bound the substitution's temporaries; none is
     # a single column, which would sum its experts pairwise and round
@@ -286,26 +300,12 @@ def _replay(stream: PackStream, game: GameSpec, prior, charges) -> RunRecords:
                       np.cumsum(pack_losses / sizes, axis=1).T)
 
 
-def _require_size(stream: PackStream, size: int, why: str) -> None:
-    """Raise naming the first pack whose size is not `size`."""
-    wrong = np.flatnonzero(stream.sizes != size)
-    if wrong.size:
-        i = wrong[0]
-        raise ValueError(f"trial {i} has size {stream.sizes[i]}; {why}")
-
-
-def _run_with_policy(stream: PackStream, game: GameSpec, policy: DivisorPolicy,
-                     prior) -> RunRecords:
-    """Weights before trial t: p * exp(-(eta / D_t) * charges before t), on
-    the schedule of `DivisorPolicy`."""
-
-    def charges(expert_losses, pack_losses, sizes, starts):
-        running_max = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
-        charged = ((game.eta / policy.divisor(running_max))
-                   * _losses_before(policy.charge(pack_losses, sizes)))
-        return np.repeat(charged, sizes, axis=1)
-
-    return _replay(stream, game, prior, charges)
+def _run(name: str, stream: PackStream, declared, game: GameSpec,
+         prior) -> RunRecords:
+    """A run of algorithm `name`, declaring pack size `declared`, on its row
+    of `bounds._TABLE`; raises naming the first pack it may not take."""
+    _require_fit(name, stream.sizes, declared)
+    return _replay(stream, game, prior, _TABLE[name].schedule(declared))
 
 
 def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
@@ -314,31 +314,28 @@ def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
 
     Raises if any pack's size differs from `pack_size`.
     """
-    _require_size(stream, pack_size, "this protocol requires every pack "
-                  f"to have size {pack_size}")
-    return _run_with_policy(stream, game, DivisorPolicy.fixed(pack_size), prior)
+    return _run("aap-equal", stream, pack_size, game, prior)
 
 
 def run_aap_max(stream: PackStream, max_pack_size: int, game: GameSpec,
                 prior=None) -> RunRecords:
     """Pack prediction when only an upper bound on pack sizes is known ahead."""
-    return _run_with_policy(stream, game, DivisorPolicy.fixed(max_pack_size), prior)
+    return _run("aap-max", stream, max_pack_size, game, prior)
 
 
 def run_aap_incremental(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Pack prediction with no size information: divisor is the running max
     pack size, with weights recomputed from the prior whenever it grows."""
-    return _run_with_policy(stream, game, DivisorPolicy.running_max(), prior)
+    return _run("aap-incremental", stream, None, game, prior)
 
 
 def run_aap_current(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Pack prediction with no size information: divisor is the current pack
     size.  Controls average per-item loss rather than total loss."""
-    return _run_with_policy(stream, game, DivisorPolicy.current_pack(), prior)
+    return _run("aap-current", stream, None, game, prior)
 
 
 def run_aa(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Classic one-item-at-a-time aggregation: a stream whose packs all have
     size one, run with divisor 1."""
-    _require_size(stream, 1, "expected single items")
-    return _run_with_policy(stream, game, DivisorPolicy.fixed(1), prior)
+    return _run("aa", stream, None, game, prior)

@@ -1,6 +1,10 @@
-"""Closed-form loss guarantees and run auditing.
+"""The algorithm table, closed-form loss guarantees and run auditing.
 
-Every protocol in this package carries a guarantee of the shape
+`_TABLE` says once what each algorithm name is: its weight schedule, the
+pack size K it declares ahead, the packs it may take, and the guarantees
+its runs are audited against.  aa and the AAP variants differ only in their
+`aggregator.DivisorPolicy`; the parallel copies are the one other schedule.
+Every guarantee has the shape
 
     learner_total <= mult * C * expert_total + (C * D / eta) * ln(1 / p_n)
 
@@ -8,7 +12,7 @@ for each expert n with prior weight p_n.  What varies is the divisor D, the
 multiplier `mult`, and whether the "total" is a plain sum of losses or a sum
 of per-pack average losses:
 
-  algorithm              metric    D                        mult
+  guarantee              metric    D                        mult
   -------------------    -------   ----------------------   ----------------
   aa                     total     1                        1
   aap-equal              total     K (the common size)      1
@@ -31,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .games import _as_weights
+from .aggregator import DivisorPolicy, _as_prior
 
 # A guarantee holds if bound - loss >= -SLACK_TOL (room for float accumulation).
 SLACK_TOL = 1e-9
@@ -47,41 +51,91 @@ PARALLEL = "parallel"
 
 @dataclass(frozen=True)
 class _Guarantee:
-    """One row of the table above.
+    """One row of the guarantee table above.  `sizes` names the pack sizes
+    it depends on, as report params and `theoretical_bound` keywords;
+    `divisor` and `mult` map them to D and mult (arrays over prefixes in an
+    audit).  D is not read off the run's schedule, so that the audit does
+    not move with the schedule it checks."""
 
-    `sizes` names the pack sizes the row depends on, as they appear in a
-    report's params and as `theoretical_bound` keywords.  `divisor` and
-    `mult` map those sizes to D and mult; in an audit the running sizes are
-    arrays over prefixes.
-    """
-
+    name: str
     metric: str  # "total" or "average"
     sizes: tuple
     divisor: Callable
     mult: Callable = lambda s: 1
 
 
-_GUARANTEES = {
-    AA: _Guarantee("total", (), lambda s: 1),
-    AAP_EQUAL: _Guarantee("total", ("pack_size",), lambda s: s["pack_size"]),
-    AAP_MAX: _Guarantee("total", ("pack_size",), lambda s: s["pack_size"]),
-    AAP_INCREMENTAL: _Guarantee("total", ("max_pack",),
-                                lambda s: s["max_pack"]),
-    AAP_CURRENT_AVERAGE: _Guarantee("average", (), lambda s: 1),
-    AAP_CURRENT_PLAIN: _Guarantee("total", ("max_pack", "min_pack"),
-                                  lambda s: s["max_pack"],
-                                  lambda s: s["max_pack"] / s["min_pack"]),
-    PARALLEL: _Guarantee("total", ("max_delay",), lambda s: s["max_delay"]),
+@dataclass(frozen=True)
+class _Algorithm:
+    """One row of `_TABLE`.  `schedule` maps the declared size K (or None)
+    to the run's `DivisorPolicy`, or to None for the parallel copies;
+    `declare` maps pack sizes to K.  `fits(sizes, K)` says which packs the
+    algorithm may take (`requires` says it in words); the run, `audit_run`
+    and the `all` selection all check it."""
+
+    schedule: Callable
+    guarantees: tuple
+    declare: Callable | None = None
+    fits: Callable = lambda sizes, k: sizes > 0
+    requires: str = ""
+
+
+_TABLE = {
+    "aa": _Algorithm(
+        lambda k: DivisorPolicy.fixed(1),
+        (_Guarantee(AA, "total", (), lambda s: 1),),
+        fits=lambda sizes, k: sizes == 1, requires="single items"),
+    "aap-equal": _Algorithm(
+        DivisorPolicy.fixed,
+        (_Guarantee(AAP_EQUAL, "total", ("pack_size",),
+                    lambda s: s["pack_size"]),),
+        declare=lambda sizes: sizes[0],
+        fits=lambda sizes, k: sizes == k, requires="every pack of size {k}"),
+    "aap-max": _Algorithm(
+        DivisorPolicy.fixed,
+        (_Guarantee(AAP_MAX, "total", ("pack_size",),
+                    lambda s: s["pack_size"]),),
+        declare=max,
+        fits=lambda sizes, k: sizes <= k, requires="no pack larger than {k}"),
+    "aap-incremental": _Algorithm(
+        lambda k: DivisorPolicy.running_max(),
+        (_Guarantee(AAP_INCREMENTAL, "total", ("max_pack",),
+                    lambda s: s["max_pack"]),)),
+    "aap-current": _Algorithm(
+        lambda k: DivisorPolicy.current_pack(),
+        (_Guarantee(AAP_CURRENT_AVERAGE, "average", (), lambda s: 1),
+         _Guarantee(AAP_CURRENT_PLAIN, "total", ("max_pack", "min_pack"),
+                    lambda s: s["max_pack"],
+                    lambda s: s["max_pack"] / s["min_pack"]))),
+    "parallel": _Algorithm(
+        lambda k: None,
+        (_Guarantee(PARALLEL, "total", ("max_delay",),
+                    lambda s: s["max_delay"]),)),
 }
+
+# Guarantee name -> (the algorithm that owns it, the guarantee).
+_GUARANTEES = {g.name: (name, g)
+               for name, row in _TABLE.items() for g in row.guarantees}
 
 ALGORITHMS = tuple(_GUARANTEES)
 
 
-def _guarantee(algorithm: str) -> _Guarantee:
+def _guarantee(algorithm: str) -> tuple:
     try:
         return _GUARANTEES[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm {algorithm!r}") from None
+
+
+def _require_fit(name: str, sizes, declared) -> None:
+    """Raise naming the first of the packs `sizes` that `name` may not take."""
+    row = _TABLE[name]
+    if row.declare is not None and declared is None:
+        raise ValueError(f"{name} needs its declared pack size")
+    wrong = np.flatnonzero(~row.fits(np.asarray(sizes), declared))
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"trial {i} has size {sizes[i]}; {name} requires "
+                         + row.requires.format(k=declared))
 
 
 def _sizes(declared, running_max, running_min) -> dict:
@@ -110,12 +164,14 @@ def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
     """
     if not 0 < prior_weight <= 1:
         raise ValueError(f"prior weight must be in (0, 1], got {prior_weight}")
-    g = _guarantee(algorithm)
+    _, g = _guarantee(algorithm)
     sizes = {"pack_size": pack_size, "max_pack": max_pack,
              "min_pack": min_pack, "max_delay": max_delay}
     for name in g.sizes:
         if sizes[name] is None or sizes[name] < 1:
             raise ValueError(f"{algorithm} bound needs {name} >= 1")
+    if "min_pack" in g.sizes and min_pack > max_pack:
+        raise ValueError(f"{algorithm} bound needs min_pack <= max_pack")
     out = _bound(g, np.asarray(expert_loss, dtype=float), prior_weight, sizes,
                  c, eta)
     return float(out) if out.ndim == 0 else out
@@ -195,13 +251,15 @@ def audit_run(records, algorithm: str, game, prior, *,
               every_prefix: bool = False) -> BoundReport:
     """Check a run's records against the guarantee for `algorithm`.
 
-    `declared_pack_size` is required for aap-equal and aap-max (the size the
-    run was configured with).  With `every_prefix` the guarantee is checked
-    after every trial, not just the last; prefix-dependent divisors (running
-    max size, pool size, max/min ratio) use their value as of that prefix.
+    `declared_pack_size` is the size K the run declared, which aap-equal
+    and aap-max need; the packs must be ones the algorithm owning the
+    guarantee may take (see `_TABLE`).  With `every_prefix` the guarantee
+    is checked after every trial, not just the last; prefix-dependent
+    divisors (running max size, pool size, max/min ratio) use their value
+    as of that prefix.
     """
-    g = _guarantee(algorithm)
-    prior = _as_weights(prior)
+    owner, g = _guarantee(algorithm)
+    prior = _as_prior(prior)
     every_prefix = bool(every_prefix)
     params = {"c": float(game.c), "eta": float(game.eta)}
     if len(records) == 0:
@@ -214,25 +272,7 @@ def audit_run(records, algorithm: str, game, prior, *,
         raise ValueError(
             f"prior has {prior.size} entries for {num_experts} experts"
         )
-
-    if algorithm == AA and np.any(sizes != 1):
-        raise ValueError("aa guarantee applies to single-item trials only")
-    if algorithm == AAP_EQUAL:
-        if declared_pack_size is None:
-            raise ValueError("aap-equal audit needs declared_pack_size")
-        if np.any(sizes != declared_pack_size):
-            raise ValueError(
-                f"aap-equal audit declared size {declared_pack_size} but "
-                f"saw sizes {sorted(set(sizes.tolist()))}"
-            )
-    if algorithm == AAP_MAX:
-        if declared_pack_size is None:
-            raise ValueError("aap-max audit needs declared_pack_size")
-        if np.any(sizes > declared_pack_size):
-            raise ValueError(
-                f"aap-max audit declared max size {declared_pack_size} but "
-                f"saw a pack of size {int(sizes.max())}"
-            )
+    _require_fit(owner, sizes, declared_pack_size)
 
     running_max = np.maximum.accumulate(sizes)
     running_min = np.minimum.accumulate(sizes)

@@ -20,13 +20,14 @@ import json
 import re
 import sys
 
-from .bounds import SLACK_TOL, audit_run
+from .bounds import SLACK_TOL
 from .games import GameSpec, max_mixable_eta
 from .harness import (
     ALGORITHM_CHOICES,
     DatasetSpec,
     ExperimentResult,
     SyntheticConfig,
+    _audit,
     _where,
     emit_report,
     generate_synthetic_stream,
@@ -101,15 +102,6 @@ def _expand_columns(raw: str):
     return tuple(cols)
 
 
-def _parse_algorithms(raw: str):
-    names = [s.strip() for s in raw.split(",") if s.strip()]
-    if not names:
-        raise _CliError("empty --algorithms")
-    if names == ["all"]:
-        return "all"
-    return names
-
-
 def _parse_prior(raw: str, num_experts: int):
     if raw == "uniform":
         return None
@@ -149,7 +141,7 @@ def _run(stream, game: GameSpec, args):
     # rejects it.
     return run_experiment(
         stream, game,
-        algorithms=_parse_algorithms(args.algorithms),
+        algorithms=[s.strip() for s in args.algorithms.split(",") if s.strip()],
         prior=_parse_prior(args.prior, stream.num_experts) if len(stream) else None,
         shuffles=args.shuffles,
         shuffle_seed=args.seed,
@@ -278,13 +270,11 @@ def _cmd_audit(args) -> int:
     all_ok = True
     lines = []
     for alg, stored in zip(result.algorithms, payload["algorithms"]):
-        for report, said in zip(alg.reports, stored["reports"]):
-            if args.every_prefix and not report.every_prefix:
-                report = audit_run(
-                    alg.records, report.algorithm, result.game, result.prior,
-                    declared_pack_size=alg.params.get("pack_size"),
-                    every_prefix=True,
-                )
+        reports = alg.reports
+        if args.every_prefix and not reports[0].every_prefix:
+            reports = _audit(alg.name, alg.records, result.game, result.prior,
+                             alg.params, every_prefix=True)
+        for report, said in zip(reports, stored["reports"]):
             ok = report.passed
             all_ok = all_ok and ok
             ms = report.min_slack

@@ -13,10 +13,10 @@ no rows, a record over several lines) is read again by the per-cell reader,
 which either returns the same values or raises naming the CSV line of the
 first bad cell.  Both readers feed the same grouping code.
 
-An experiment runs one stream through any subset of the algorithms, audits
-each run against its guarantee, and serializes everything (records, audit
-verdicts, shuffle spread) to JSON that round-trips losslessly: a reader
-re-runs the audit from the stored records.
+An experiment runs one stream through any subset of the algorithms named in
+`bounds._TABLE`, audits each run against its guarantees, and serializes
+everything (records, audit verdicts, shuffle spread) to JSON that
+round-trips losslessly: a reader re-runs the audit from the stored records.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bd
-from .aggregator import uniform_prior
+from .aggregator import _as_prior, uniform_prior
 from .algorithms import (
     Pack,
     PackStream,
@@ -50,25 +50,8 @@ from .parallel import ShuffleSummary, run_parallel, shuffle_experiment
 
 SCHEMA_VERSION = 2
 
-# Algorithm names accepted by run_experiment / the command line, each with
-# (runner, guarantees its run is audited against, declared pack size rule).
-# A runner takes (stream, declared size or None, game, prior) and looks its
-# run_* function up when called, so wrappers installed on those names by a
-# profiler still see the calls.  A size rule maps the pack sizes to K.
-_ALGORITHM_TABLE = {
-    "aa": (lambda s, k, g, p: run_aa(s, g, p), (bd.AA,), None),
-    "aap-equal": (lambda s, k, g, p: run_aap_equal(s, k, g, p),
-                  (bd.AAP_EQUAL,), lambda sizes: sizes[0]),
-    "aap-max": (lambda s, k, g, p: run_aap_max(s, k, g, p),
-                (bd.AAP_MAX,), max),
-    "aap-incremental": (lambda s, k, g, p: run_aap_incremental(s, g, p),
-                        (bd.AAP_INCREMENTAL,), None),
-    "aap-current": (lambda s, k, g, p: run_aap_current(s, g, p),
-                    (bd.AAP_CURRENT_AVERAGE, bd.AAP_CURRENT_PLAIN), None),
-    "parallel": (lambda s, k, g, p: run_parallel(s, g, p),
-                 (bd.PARALLEL,), None),
-}
-ALGORITHM_CHOICES = tuple(_ALGORITHM_TABLE)
+# Algorithm names accepted by run_experiment / the command line.
+ALGORITHM_CHOICES = tuple(bd._TABLE)
 
 
 @dataclass(frozen=True)
@@ -386,7 +369,7 @@ class AlgorithmResult:
         gives, up to its verdict.  The verdicts (`passed`, `min_slack`) stay
         advisory: the returned reports are the re-audit's."""
         name = str(d["name"])
-        if name not in _ALGORITHM_TABLE:
+        if name not in bd._TABLE:
             raise ValueError(f"unknown algorithm {name!r}")
         params = dict(d["params"])
         if "pack_size" in params:
@@ -401,8 +384,7 @@ class AlgorithmResult:
             raise ValueError(f"{name}: records do not match pack_sizes and prior")
         stored = d["reports"]
         every_prefix = bool(stored) and stored[0]["every_prefix"] is True
-        reports = _audit(name, records, game, prior, params.get("pack_size"),
-                         every_prefix)
+        reports = _audit(name, records, game, prior, params, every_prefix)
         if len(stored) != len(reports) or not all(
                 _same_audit(s, r) for s, r in zip(stored, reports)):
             raise ValueError(f"{name}: reports do not match its guarantees")
@@ -464,7 +446,7 @@ class ExperimentResult:
         g = d["game"]
         game = _json_column("game", [g["lower"], g["upper"], g["eta"], g["c"]])
         game = GameSpec(*game.tolist())
-        prior = _json_column("prior", d["prior"])
+        prior = _as_prior(_json_column("prior", d["prior"]))
         pack_sizes = _json_column("pack_sizes", d["pack_sizes"], int)
         counts = _json_column("num_experts, num_trials, num_items",
                               [d["num_experts"], d["num_trials"], d["num_items"]],
@@ -489,17 +471,18 @@ class ExperimentResult:
 def _declared(name: str, pack_sizes: tuple) -> dict:
     """The params of algorithm `name` on these packs: the pack size it
     declares, if it declares one."""
-    declare = _ALGORITHM_TABLE[name][2]
+    declare = bd._TABLE[name].declare
     return {} if declare is None else {"pack_size": declare(pack_sizes)}
 
 
-def _audit(name: str, records: RunRecords, game: GameSpec, prior, declared,
-           every_prefix: bool) -> tuple:
-    """The reports of a run of algorithm `name`, one per guarantee."""
+def _audit(name: str, records: RunRecords, game: GameSpec, prior,
+           params: dict, every_prefix: bool) -> tuple:
+    """The reports of a run of `name` with these params, one per guarantee."""
     return tuple(
-        audit_run(records, g, game, prior, declared_pack_size=declared,
+        audit_run(records, g.name, game, prior,
+                  declared_pack_size=params.get("pack_size"),
                   every_prefix=every_prefix)
-        for g in _ALGORITHM_TABLE[name][1]
+        for g in bd._TABLE[name].guarantees
     )
 
 
@@ -514,16 +497,16 @@ def _same_audit(stored: dict, report: BoundReport) -> bool:
             == json.dumps(fresh, sort_keys=True))
 
 
-def _expand_algorithms(names, stream: PackStream):
+def _expand_algorithms(names, stream: PackStream) -> list:
+    """The names `names` selects: "all" is every algorithm that may take
+    all of the stream's packs; otherwise each name must be known, and
+    given once."""
     if names == "all" or names == ["all"] or names == ("all",):
-        sizes = set(stream.pack_sizes)
-        chosen = ["aap-max", "aap-incremental", "aap-current", "parallel"]
-        if len(sizes) == 1:
-            chosen.insert(0, "aap-equal")
-        if sizes == {1}:
-            chosen.insert(0, "aa")
-        return chosen
+        return [n for n in ALGORITHM_CHOICES if bd._TABLE[n].fits(
+            stream.sizes, _declared(n, stream.pack_sizes).get("pack_size")).all()]
     names = [names] if isinstance(names, str) else list(names)
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"select at least one algorithm, each once; got {names}")
     for n in names:
         if n not in ALGORITHM_CHOICES:
             raise ValueError(
@@ -536,10 +519,13 @@ def _run_one(name: str, stream: PackStream, game: GameSpec, prior,
              every_prefix: bool):
     """Run one named algorithm and audit it; returns an AlgorithmResult."""
     params = _declared(name, stream.pack_sizes)
-    k = params.get("pack_size")
-    records = _ALGORITHM_TABLE[name][0](stream, k, game, prior)
+    # The public run_<name>, looked up when called so that a wrapper put on
+    # that name (by a profiler) sees the call; params hold its size, if any.
+    run = globals()["run_" + name.replace("-", "_")]
+    records = run(stream, *params.values(), game, prior)
     return AlgorithmResult(name, params, records,
-                           _audit(name, records, game, prior, k, every_prefix))
+                           _audit(name, records, game, prior, params,
+                                  every_prefix))
 
 
 def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",

@@ -14,8 +14,9 @@ is split across, which is why item order inside packs (and pack order)
 changes the total loss: shuffling reassigns items to copies.
 
 `run_parallel` replays all copies at once through the replay of
-`algorithms`; stepping copy k item by item with the online learner
-(`predict_item`, then `observe_pack` with divisor 1) gives the same run.
+`algorithms`, on the copies' row of `bounds._TABLE`; stepping copy k item
+by item with the online learner (`predict_item`, then `observe_pack` with
+divisor 1) gives the same run.
 """
 
 from __future__ import annotations
@@ -24,29 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import (
-    PackStream,
-    RunRecords,
-    _json_column,
-    _losses_before,
-    _replay,
-)
+from .algorithms import PackStream, RunRecords, _json_column, _run
 from .games import GameSpec
 
 
 def run_parallel(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
     """Run the parallel copies over a pack stream, returning its records."""
-
-    def charges(expert_losses, pack_losses, sizes, starts):
-        # Copy k's weights for item k of pack t: p * exp(-eta * L), with L
-        # the experts' losses on item k of the packs before t.
-        charged = np.empty_like(expert_losses)
-        for k in range(sizes.max()):
-            items = starts[sizes > k] + k  # what copy k sees, in order
-            charged[:, items] = game.eta * _losses_before(expert_losses[:, items])
-        return charged
-
-    return _replay(stream, game, prior, charges)
+    return _run("parallel", stream, None, game, prior)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,10 @@ class TestClosedForms:
             theoretical_bound("nonsense", 0.0, c=1, eta=2, prior_weight=0.5)
         with pytest.raises(ValueError):
             theoretical_bound(bd.AA, 0.0, c=1, eta=2, prior_weight=0.0)
+        # Packs of at least 4 and at most 2 items: no stream has them.
+        with pytest.raises(ValueError, match="min_pack <= max_pack"):
+            theoretical_bound(bd.AAP_CURRENT_PLAIN, 10.0, c=1, eta=2,
+                              prior_weight=0.5, max_pack=2, min_pack=4)
 
 
 class TestGuaranteeInstantiations:
@@ -182,16 +186,23 @@ class TestAuditRun:
     def test_declared_size_validation(self, rng):
         stream = make_stream(rng, 2, 6, size_min=1, size_max=4)
         records = run_aap_incremental(stream, GAME)
-        with pytest.raises(ValueError):
-            audit_run(records, bd.AAP_EQUAL, GAME, uniform_prior(2),
-                      declared_pack_size=4)
-        with pytest.raises(ValueError):
-            audit_run(records, bd.AAP_MAX, GAME, uniform_prior(2),
-                      declared_pack_size=stream.max_pack_size - 1)
-        with pytest.raises(ValueError):
+        sizes, top = np.asarray(stream.pack_sizes), stream.max_pack_size
+        for algorithm, declared, bad in [(bd.AAP_EQUAL, 4, sizes != 4),
+                                         (bd.AAP_MAX, top - 1, sizes == top),
+                                         (bd.AA, None, sizes != 1)]:
+            i = np.argmax(bad)  # the first trial the precondition rejects
+            with pytest.raises(ValueError, match=f"^trial {i} has size "
+                               f"{sizes[i]}; {algorithm} requires"):
+                audit_run(records, algorithm, GAME, uniform_prior(2),
+                          declared_pack_size=declared)
+        with pytest.raises(ValueError, match="aap-max needs its declared"):
             audit_run(records, bd.AAP_MAX, GAME, uniform_prior(2))
-        with pytest.raises(ValueError):
-            audit_run(records, bd.AA, GAME, uniform_prior(2))
+
+    def test_zero_prior_weight_rejected(self, rng):
+        # As in a run: the bound's ln(1/p_n) must be finite for every n.
+        records = run_aap_incremental(make_stream(rng, 3, 5), GAME)
+        with pytest.raises(ValueError, match="positive weight"):
+            audit_run(records, bd.AAP_INCREMENTAL, GAME, [1.0, 0.0, 0.0])
 
     def test_prefix_divisors_track_running_extremes(self, rng):
         # The incremental guarantee at prefix t may only use the max pack

@@ -153,6 +153,12 @@ class TestRun:
                      "--experts", "m1,m2,m3", "--lower", "0", "--upper", "1",
                      "--algorithms", "boosting"])
         assert code == 1
+        for names in ("aap-max,aap-max", ","):
+            code = main(["run", "--data", FIXTURE, "--target", "price",
+                         "--experts", "m1,m2,m3", "--lower", "0", "--upper",
+                         "1", "--algorithms", names, "--format", "csv"])
+            assert code == 1
+            assert "at least one algorithm, each once" in capsys.readouterr().err
 
     def test_half_interval_rejected(self, capsys):
         code = main(["run", "--data", FIXTURE, "--target", "price",
@@ -297,6 +303,7 @@ class TestAudit:
             (("algorithms", 0, "reports", 0, "passed"), "yes"),
             (("algorithms", 0, "params", "pack_size"), 7.5),
             (("game", "eta"), "2"),
+            (("prior",), [1, 0, 0]),
             (("shuffle", "seed"), 3.7),
             (("shuffle", "seed"), "7"),
             (("shuffle", "num_shuffles"), True),

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -304,6 +305,69 @@ class TestRunExperiment:
         stream = make_stream(rng, 2, 4)
         with pytest.raises(ValueError):
             run_experiment(stream, GameSpec(0, 1, 2.0), algorithms=["sgd"])
+
+    def test_empty_or_repeated_selection(self, rng):
+        stream = make_stream(rng, 2, 4)
+        for names in ([], (), ["aap-max", "aap-current", "aap-max"]):
+            with pytest.raises(ValueError, match="at least one algorithm, each once"):
+                run_experiment(stream, GameSpec(0, 1, 2.0), algorithms=names)
+
+    @pytest.mark.parametrize("sizes", [(1,) * 5, (2, 1, 4, 3, 1)])
+    def test_params_of_all(self, rng, sizes):
+        # What each algorithm declares and each report states, as written.
+        packs = [Pack(rng.uniform(0, 1, (2, k)), rng.uniform(0, 1, k))
+                 for k in sizes]
+        result = run_experiment(PackStream(packs), GameSpec(0, 1, 2.0))
+        k, top, bottom = sizes[0], max(sizes), min(sizes)
+        game = {"c": 1.0, "eta": 2.0}
+        expected = [
+            ("aa", {}, [("aa", game)]),
+            ("aap-equal", {"pack_size": k},
+             [("aap-equal", {**game, "pack_size": k})]),
+            ("aap-max", {"pack_size": top},
+             [("aap-max", {**game, "pack_size": top})]),
+            ("aap-incremental", {},
+             [("aap-incremental", {**game, "max_pack": top})]),
+            ("aap-current", {},
+             [("aap-current-average", game),
+              ("aap-current-plain", {**game, "max_pack": top,
+                                     "min_pack": bottom})]),
+            ("parallel", {}, [("parallel", {**game, "max_delay": top})]),
+        ]
+        if top > 1:  # aa and aap-equal take single items only here
+            expected = expected[2:]
+        payload = json.loads(emit_report(result))
+        assert [(a["name"], a["params"],
+                 [(r["algorithm"], r["params"]) for r in a["reports"]])
+                for a in payload["algorithms"]] == expected
+        assert [(a.name, a.params) for a in result.algorithms] == [
+            (name, params) for name, params, _ in expected]
+
+    def test_each_run_function_called_by_name(self, rng, monkeypatch):
+        # A profiler may wrap each public run_* wherever packpredict binds
+        # it, as perfbench/tracing.py does; every run must go through the
+        # wrapper, once per algorithm.
+        modules = [m for n, m in list(sys.modules.items())
+                   if n == "packpredict" or n.startswith("packpredict.")]
+        calls = []
+        for home, name in [("algorithms", f"run_{n}") for n in
+                           ("aa", "aap_equal", "aap_max", "aap_incremental",
+                            "aap_current")] + [("parallel", "run_parallel")]:
+            original = getattr(sys.modules[f"packpredict.{home}"], name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+        stream = make_stream(rng, 3, 6, size_min=1, size_max=1)
+        run_experiment(stream, GameSpec(0, 1, 2.0))
+        assert calls == ["run_aa", "run_aap_equal", "run_aap_max",
+                         "run_aap_incremental", "run_aap_current",
+                         "run_parallel"]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):

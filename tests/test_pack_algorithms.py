@@ -178,17 +178,22 @@ class TestRunners:
     def test_aap_equal_requires_constant_size(self, rng):
         stream = make_stream(rng, 2, 8, size_min=1, size_max=4)
         assert len(set(stream.pack_sizes)) > 1
-        with pytest.raises(ValueError):
+        i = next(t for t, k in enumerate(stream.pack_sizes) if k != 3)
+        with pytest.raises(ValueError, match=f"^trial {i} has size "
+                           f"{stream.pack_sizes[i]}; aap-equal requires"):
             run_aap_equal(stream, 3, GAME)
 
     def test_aap_max_rejects_oversize(self, rng):
         stream = make_stream(rng, 2, 8, size_min=2, size_max=5)
-        with pytest.raises(ValueError):
-            run_aap_max(stream, stream.max_pack_size - 1, GAME)
+        top = stream.max_pack_size
+        with pytest.raises(ValueError, match=f"^trial {stream.pack_sizes.index(top)}"
+                           f" has size {top}; aap-max requires"):
+            run_aap_max(stream, top - 1, GAME)
 
     def test_run_aa_requires_single_items(self, rng):
         stream = make_stream(rng, 2, 5, size_min=2, size_max=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^trial 0 has size "
+                           f"{stream.pack_sizes[0]}; aa requires single items"):
             run_aa(stream, GAME)
 
     def test_prior_length_mismatch(self, rng):
