@@ -23,7 +23,10 @@ schedule; an mpmath oracle in the tests checks both.
 
 A stream is stored as the columns the replay reads (`PackStream`): one
 N x items matrix of expert predictions, the outcomes and the pack sizes.
-A `Pack` is constructor input, and a view of the columns on demand.
+The producers in this package (the CSV loader, the synthetic generator,
+rescaling, shuffling) write those columns directly.  A `Pack` is checked
+constructor input for `PackStream(packs)`, and a view of the columns on
+demand.
 
 A run's records are the replay's arrays, kept as columns (`RunRecords`): one
 row per trial, T x N for the experts.  Only `to_dict`/`from_dict` turn them
@@ -102,11 +105,14 @@ class PackStream:
     def _from_columns(cls, expert_preds, outcomes, sizes) -> "PackStream":
         """Unchecked: for producers in this package holding valid columns."""
         stream = super().__new__(cls)
+        stream.sizes = np.asarray(sizes, dtype=np.intp)
+        if not len(stream.sizes):
+            # No packs, no expert panel: every empty stream is 0 x 0.
+            expert_preds = np.empty((0, 0))
         # One memory order, whoever built the stream: sums over the experts
         # round by it (numpy sums eight or more adjacent values pairwise).
         stream.expert_preds = np.ascontiguousarray(expert_preds, dtype=float)
         stream.outcomes = np.ascontiguousarray(outcomes, dtype=float)
-        stream.sizes = np.asarray(sizes, dtype=np.intp)
         stream.starts = np.cumsum(stream.sizes) - stream.sizes
         return stream
 

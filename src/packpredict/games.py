@@ -218,15 +218,51 @@ def substitute(weights, expert_preds, game: GameSpec) -> float:
 
 def check_substitution_validity(gamma: float, weights, expert_preds, game: GameSpec,
                                 grid_size: int = 1001) -> float:
-    """Worst slack of the aggregation inequality over a uniform outcome grid.
+    """Worst slack of the aggregation inequality over the outcomes in [A, B].
 
-    Returns max over the grid of (gamma - omega)^2 - g(omega); a valid
-    substitution keeps this at or below numerical noise (<= 1e-12).
+    Returns the max of (gamma - omega)^2 - g(omega), a valid substitution
+    keeping it at or below numerical noise (<= 1e-12).  The maximum is taken
+    on a uniform grid of `grid_size` outcomes, then refined beside the
+    grid's eight highest peaks (a peak is above its left neighbour and not
+    below its right one; on a flat slack, rounding makes many): a 257-point
+    grid over the one or two cells beside the peak, then again beside that
+    grid's maximum, three times in all, which leaves the points at most
+    2.5e-7 * (B - A) apart, so the maximum is off by at most 1e-14 times
+    the slack's second derivative times (B - A)^2.  With c = 1 the slack is convex in omega, so it
+    peaks at an endpoint, which every grid holds.  With c > 1 it can peak
+    between grid points, and that peak counts in full unless the grid is
+    monotone across it.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     if not game.contains(gamma):
         raise ValueError(f"prediction outside [{game.lower}, {game.upper}]")
+    w = _as_weights(weights)
+    preds = _as_expert_preds(expert_preds, game, w.size)[:, None]
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)[:, None]
+
+    def slack(omega):
+        flat = omega.ravel()
+        return ((gamma - flat) ** 2
+                - _mixed_loss(log_w, preds, flat, game)).reshape(omega.shape)
+
     grid = np.linspace(game.lower, game.upper, grid_size)
-    g = generalized_prediction(weights, expert_preds, game, grid)
-    return float(np.max((gamma - grid) ** 2 - g))
+    worst = slack(grid)
+    peaks = np.flatnonzero(np.r_[True, worst[1:] > worst[:-1]]
+                           & np.r_[worst[:-1] >= worst[1:], True])
+    peaks = peaks[np.argsort(worst[peaks], kind="stable")[-8:]]
+    lo = grid[np.maximum(peaks - 1, 0)]
+    hi = grid[np.minimum(peaks + 1, grid_size - 1)]
+    worst = worst.max()
+    step = np.linspace(0.0, 1.0, 257)
+    for _ in range(3):
+        grids = lo[:, None] + (hi - lo)[:, None] * step  # one row per peak
+        grids[:, -1] = hi  # exactly, so no outcome leaves [A, B]
+        values = slack(grids)
+        worst = max(worst, values.max())
+        best = values.argmax(axis=1)
+        rows = np.arange(best.size)
+        lo = grids[rows, np.maximum(best - 1, 0)]
+        hi = grids[rows, np.minimum(best + 1, step.size - 1)]
+    return float(worst)

@@ -34,7 +34,6 @@ import numpy as np
 from . import bounds as bd
 from .aggregator import _as_prior, uniform_prior
 from .algorithms import (
-    Pack,
     PackStream,
     RunRecords,
     _json_column,
@@ -303,29 +302,34 @@ class SyntheticConfig:
 
 
 def generate_synthetic_stream(config: SyntheticConfig):
-    """Deterministic synthetic (PackStream, GameSpec) on [0, 1] from a seed."""
+    """Deterministic synthetic (PackStream, GameSpec) on [0, 1] from a seed.
+
+    The seed contract: for each pack in turn the generator draws its size
+    `integers(pack_size_min, pack_size_max + 1)`, then the experts' noise
+    `normal(size=(N, k))`, then the outcomes' noise `normal(size=k)`, in
+    that order.  Reordering these draws changes every seeded stream.  The
+    rest is elementwise over all items at once, and writes the columns."""
     rng = np.random.default_rng(config.seed)
     game = GameSpec.for_interval(0.0, 1.0)
-    packs = []
-    item = 0
+    n = config.num_experts
+    sizes, expert_noise, outcome_noise = [], [np.empty((n, 0))], [np.empty(0)]
     for _ in range(config.num_trials):
         k = int(rng.integers(config.pack_size_min, config.pack_size_max + 1))
-        idx = item + np.arange(k)
-        latent = 0.5 + 0.35 * np.sin(2 * np.pi * idx / 97.0)
-        if config.drift_period > 0:
-            sharp = (idx // config.drift_period) % config.num_experts
-        else:
-            sharp = np.zeros(k, dtype=int)
-        sigma = np.where(
-            np.arange(config.num_experts)[:, None] == sharp[None, :],
-            config.noise,
-            4.0 * config.noise,
-        )
-        preds = latent[None, :] + rng.normal(size=(config.num_experts, k)) * sigma
-        outcomes = latent + rng.normal(size=k) * config.noise
-        packs.append(Pack(np.clip(preds, 0.0, 1.0), np.clip(outcomes, 0.0, 1.0)))
-        item += k
-    return PackStream(tuple(packs)), game
+        sizes.append(k)
+        expert_noise.append(rng.normal(size=(n, k)))
+        outcome_noise.append(rng.normal(size=k))
+    idx = np.arange(sum(sizes))
+    latent = 0.5 + 0.35 * np.sin(2 * np.pi * idx / 97.0)
+    if config.drift_period > 0:
+        sharp = (idx // config.drift_period) % n
+    else:
+        sharp = np.zeros(idx.size, dtype=int)
+    sigma = np.where(np.arange(n)[:, None] == sharp[None, :],
+                     config.noise, 4.0 * config.noise)
+    preds = latent[None, :] + np.hstack(expert_noise) * sigma
+    outcomes = latent + np.concatenate(outcome_noise) * config.noise
+    return PackStream._from_columns(np.clip(preds, 0.0, 1.0),
+                                    np.clip(outcomes, 0.0, 1.0), sizes), game
 
 
 @dataclass(frozen=True)
@@ -456,6 +460,9 @@ class ExperimentResult:
                 "num_experts, num_trials or num_items does not match prior "
                 "and pack_sizes")
         pack_sizes = tuple(pack_sizes.tolist())
+        if not pack_sizes and d["algorithms"]:
+            # As run_experiment refuses to run on an empty stream.
+            raise ValueError("algorithm runs on no packs")
         algorithms = tuple(AlgorithmResult.from_dict(a, game, prior, pack_sizes)
                            for a in d["algorithms"])
         return cls(

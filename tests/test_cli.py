@@ -334,6 +334,18 @@ class TestAudit:
             p.write_text(json.dumps(payload))
             assert main(["audit", str(p)]) == 1, path
             assert "cannot read result file" in capsys.readouterr().err, path
+        # A result on no packs that still holds a run: aap-equal declares the
+        # size of its first pack, aap-max its largest.
+        for name in ("aap-equal", "aap-max"):
+            with open(self._write_result(tmp_path, capsys, "--min-pack", "2",
+                                         "--max-pack", "2", "--algorithms",
+                                         name)) as fh:
+                payload = json.load(fh)
+            payload.update(pack_sizes=[], num_trials=0, num_items=0)
+            payload["algorithms"][0]["records"] = []
+            p.write_text(json.dumps(payload))
+            assert main(["audit", str(p)]) == 1, name
+            assert ("cannot read result file" in capsys.readouterr().err), name
         # A report without its every_prefix, and a whole file of version 1.
         payload = json.loads(good)
         del payload["algorithms"][0]["reports"][0]["every_prefix"]

@@ -284,6 +284,33 @@ class TestSubstitute:
         assert game.lower <= gamma <= game.upper
         assert check_substitution_validity(gamma, w, preds, game) <= 1e-12
 
+    def test_validity_does_not_depend_on_the_grid(self, rng):
+        # With c > 1 the slack can peak between grid points.  Refined beside
+        # its grid maximum, a 5-point grid gives the slack a 100001-point
+        # grid does, and never less than any point of a plain dense grid;
+        # the plain 5-point grid falls short.
+        short = 0
+        for _ in range(60):
+            lower, width = rng.uniform(-5, 5), rng.uniform(0.5, 10)
+            game = GameSpec(lower, lower + width,
+                            max_mixable_eta(0, width) * rng.uniform(0.3, 3),
+                            rng.choice([1.0, 1.5, 2.0, 4.0]))
+            n = int(rng.integers(1, 6))
+            w = rng.dirichlet(np.ones(n))
+            preds = rng.uniform(lower, lower + width, size=n)
+            gamma = substitute(w, preds, game)
+            tol = 1e-12 * width ** 2
+            coarse = check_substitution_validity(gamma, w, preds, game, 5)
+            fine = check_substitution_validity(gamma, w, preds, game, 100001)
+            assert abs(coarse - fine) <= tol
+            for size in (5, 100001):
+                grid = np.linspace(game.lower, game.upper, size)
+                plain = np.max((gamma - grid) ** 2
+                               - generalized_prediction(w, preds, game, grid))
+                assert plain <= coarse + tol
+                short += size == 5 and plain < coarse - 1e-6 * width ** 2
+        assert short > 5
+
     def test_validity_checker_flags_bad_prediction(self):
         # An endpoint prediction against a far-away consensus must violate.
         g = unit_game()

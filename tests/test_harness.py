@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packpredict import (
     DatasetSpec,
@@ -21,6 +23,7 @@ from packpredict import (
     run_experiment,
     write_pack_csv,
 )
+from packpredict.cli import main
 from packpredict.harness import ALGORITHM_CHOICES
 
 from conftest import make_stream
@@ -218,6 +221,88 @@ class TestSynthetic:
         a, _ = generate_synthetic_stream(cfg)
         b, _ = generate_synthetic_stream(cfg)
         assert a == b
+
+    @staticmethod
+    def _reference(config):
+        """The generator pack by pack: one checked Pack per trial."""
+        rng = np.random.default_rng(config.seed)
+        packs = []
+        item = 0
+        for _ in range(config.num_trials):
+            k = int(rng.integers(config.pack_size_min, config.pack_size_max + 1))
+            idx = item + np.arange(k)
+            latent = 0.5 + 0.35 * np.sin(2 * np.pi * idx / 97.0)
+            if config.drift_period > 0:
+                sharp = (idx // config.drift_period) % config.num_experts
+            else:
+                sharp = np.zeros(k, dtype=int)
+            sigma = np.where(
+                np.arange(config.num_experts)[:, None] == sharp[None, :],
+                config.noise, 4.0 * config.noise)
+            preds = (latent[None, :]
+                     + rng.normal(size=(config.num_experts, k)) * sigma)
+            outcomes = latent + rng.normal(size=k) * config.noise
+            packs.append(Pack(np.clip(preds, 0.0, 1.0),
+                              np.clip(outcomes, 0.0, 1.0)))
+            item += k
+        return PackStream(packs)
+
+    def _assert_matches_reference(self, config):
+        # Bitwise: array_equal would take -0.0 for 0.0.
+        ours, game = generate_synthetic_stream(config)
+        ref = self._reference(config)
+        assert game == GameSpec.for_interval(0.0, 1.0)
+        for column in ("expert_preds", "outcomes", "sizes"):
+            a, b = getattr(ours, column), getattr(ref, column)
+            assert a.shape == b.shape and a.dtype == b.dtype, (config, column)
+            assert a.tobytes() == b.tobytes(), (config, column)
+        assert ours.expert_preds.flags.c_contiguous
+        assert ours == ref
+
+    def test_matches_pack_by_pack_reference(self):
+        for config in [
+            SyntheticConfig(8, 2000, seed=1),
+            SyntheticConfig(1, 200, seed=3),
+            SyntheticConfig(1, 150, drift_period=7, seed=5),
+            SyntheticConfig(4, 300, pack_size_min=1, pack_size_max=1, seed=2),
+            SyntheticConfig(5, 300, pack_size_min=2, pack_size_max=7,
+                            drift_period=17),
+            # Drift periods shorter and longer than a pack.
+            SyntheticConfig(3, 120, pack_size_min=4, pack_size_max=9,
+                            drift_period=2, seed=8),
+            SyntheticConfig(6, 120, pack_size_min=1, pack_size_max=3,
+                            drift_period=40, seed=4),
+            SyntheticConfig(9, 100, noise=0.0, seed=6),
+            SyntheticConfig(16, 200, pack_size_max=40, drift_period=5,
+                            noise=0.3),
+            SyntheticConfig(3, 0),
+        ]:
+            self._assert_matches_reference(config)
+
+    @given(
+        num_experts=st.integers(1, 10),
+        num_trials=st.integers(0, 40),
+        sizes=st.tuples(st.integers(1, 9), st.integers(0, 6)),
+        drift_period=st.integers(0, 12),
+        noise=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_sweep(self, num_experts, num_trials, sizes,
+                                     drift_period, noise, seed):
+        self._assert_matches_reference(SyntheticConfig(
+            num_experts, num_trials, sizes[0], sizes[0] + sizes[1],
+            drift_period, noise, seed))
+
+    def test_empty_stream(self, capsys):
+        # An empty stream has no expert panel, however many experts asked.
+        for n in (1, 3, 8):
+            stream, _ = generate_synthetic_stream(SyntheticConfig(n, 0))
+            assert stream == PackStream(())
+            assert stream.expert_preds.shape == (0, 0)
+        assert main(["synth", "--experts", "3", "--trials", "0"]) == 1
+        assert ("cannot run an experiment on an empty stream"
+                in capsys.readouterr().err)
 
     def test_seed_changes_stream(self):
         a, _ = generate_synthetic_stream(SyntheticConfig(3, 10, seed=1))
