@@ -28,9 +28,12 @@ rescaling, shuffling) write those columns directly.  A `Pack` is checked
 constructor input for `PackStream(packs)`, and a view of the columns on
 demand.
 
-A run's records are the replay's arrays, kept as columns (`RunRecords`): one
-row per trial, T x N for the experts.  Only `to_dict`/`from_dict` turn them
-into the per-trial JSON objects and back.
+A run's records are the four columns the replay produced (`RunRecords`):
+the pack sizes, every item's prediction, the learner's pack losses and the
+experts' (T x N).  The running totals are derived from the pack losses, one
+`np.cumsum` each, on every access.  Only `to_dict`/`from_dict` turn the
+records into the per-trial JSON objects and back; those objects also hold
+the running totals, and `from_dict` refuses any that is not the derived one.
 """
 
 from __future__ import annotations
@@ -187,22 +190,56 @@ def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
+def _check_stored(where: str, stored: dict, derived, names, source: str) -> None:
+    """Raise unless each `stored[name]` is a JSON number equal to
+    `derived.name`, which is computed from `source` (a JSON integer where
+    that is an int); the error names the first field that is not."""
+    for name in names:
+        value = getattr(derived, name)
+        if not np.array_equal(
+                _json_column(f"{where}{name}", [stored[name]], type(value)), [value]):
+            raise ValueError(f"{where}{name} does not match {source}")
+
+
+# The running totals of `RunRecords`, each with the pack losses it is
+# derived from; the JSON form stores both.
+_RUNNING_TOTALS = {
+    "cumulative_loss": "learner_pack_loss",
+    "cumulative_average_loss": "learner_pack_loss",
+    "expert_cumulative_losses": "expert_pack_losses",
+    "expert_cumulative_average_losses": "expert_pack_losses",
+}
+
+
 @dataclass(frozen=True, eq=False)
 class RunRecords:
     """A run's per-trial records as columns; row t is trial t.
 
     `learner_preds` holds every item's prediction in stream order (trial t's
-    are the next `pack_size[t]`); the `expert_*` columns are T x N.
+    are the next `pack_size[t]`); `expert_pack_losses` is T x N.  The
+    running totals are derived from the pack losses on each access.
     """
 
     pack_size: np.ndarray
     learner_preds: np.ndarray
     learner_pack_loss: np.ndarray
-    cumulative_loss: np.ndarray
-    cumulative_average_loss: np.ndarray
     expert_pack_losses: np.ndarray
-    expert_cumulative_losses: np.ndarray
-    expert_cumulative_average_losses: np.ndarray
+
+    @property
+    def cumulative_loss(self) -> np.ndarray:
+        return np.cumsum(self.learner_pack_loss)
+
+    @property
+    def cumulative_average_loss(self) -> np.ndarray:
+        return np.cumsum(self.learner_pack_loss / self.pack_size)
+
+    @property
+    def expert_cumulative_losses(self) -> np.ndarray:
+        return np.cumsum(self.expert_pack_losses, axis=0)
+
+    @property
+    def expert_cumulative_average_losses(self) -> np.ndarray:
+        return np.cumsum(self.expert_pack_losses / self.pack_size[:, None], axis=0)
 
     def __len__(self):
         return len(self.pack_size)
@@ -214,8 +251,10 @@ class RunRecords:
                    for f in fields(self))
 
     def to_dict(self) -> list:
-        """The JSON form: one object per trial, with its `trial_index`."""
-        columns = {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        """The JSON form: one object per trial, with its `trial_index` and
+        its running totals."""
+        columns = {name: getattr(self, name).tolist() for name in
+                   (*(f.name for f in fields(self)), *_RUNNING_TOTALS)}
         preds, ends = columns["learner_preds"], np.cumsum(self.pack_size).tolist()
         columns["learner_preds"] = [preds[e - k:e]
                                     for k, e in zip(columns["pack_size"], ends)]
@@ -225,7 +264,8 @@ class RunRecords:
     @classmethod
     def from_dict(cls, rows: list) -> "RunRecords":
         """Inverse of `to_dict`.  Trial t must have `trial_index` t and
-        `pack_size` predictions, and every expert list the same length."""
+        `pack_size` predictions, every expert list the same length, and
+        each stored running total must equal the derived one."""
         def column(name, dtype=float, lengths=None):
             return _json_column(name, map(itemgetter(name), rows), dtype, lengths)
 
@@ -237,12 +277,13 @@ class RunRecords:
         def experts(name):
             return column(name, float, width).reshape(len(rows), width)
 
-        return cls(sizes, column("learner_preds", float, sizes),
-                   column("learner_pack_loss"), column("cumulative_loss"),
-                   column("cumulative_average_loss"),
-                   experts("expert_pack_losses"),
-                   experts("expert_cumulative_losses"),
-                   experts("expert_cumulative_average_losses"))
+        records = cls(sizes, column("learner_preds", float, sizes),
+                      column("learner_pack_loss"), experts("expert_pack_losses"))
+        for name, source in _RUNNING_TOTALS.items():
+            stored = experts(name) if name.startswith("expert") else column(name)
+            if not np.array_equal(stored, getattr(records, name)):
+                raise ValueError(f"records: {name} does not match {source}")
+        return records
 
 
 # Most columns `_replay` substitutes at once.  The substitution's two
@@ -300,10 +341,7 @@ def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
         zip(np.array_split(log_w, blocks, axis=1),
             np.array_split(stream.expert_preds, blocks, axis=1))])
     learner_pack = np.add.reduceat((learner - stream.outcomes) ** 2, starts)
-    return RunRecords(sizes.copy(), learner, learner_pack, np.cumsum(learner_pack),
-                      np.cumsum(learner_pack / sizes), pack_losses.T,
-                      np.cumsum(pack_losses, axis=1).T,
-                      np.cumsum(pack_losses / sizes, axis=1).T)
+    return RunRecords(sizes.copy(), learner, learner_pack, pack_losses.T)
 
 
 def _run(name: str, stream: PackStream, declared, game: GameSpec,

@@ -22,7 +22,7 @@ of per-pack average losses:
   aap-current-plain      total     max size seen so far     max/min size seen
   parallel               total     pool size (= max size)   1
 
-`audit_run` reads a finished run's cumulative-loss columns (`RunRecords`)
+`audit_run` reads the running totals of a finished run (`RunRecords`)
 and checks the matching guarantee for every expert, either at the end or at
 every prefix, and reports the slack bound - learner_total.  Anything below
 -1e-9 is a violation.
@@ -267,7 +267,7 @@ def audit_run(records, algorithm: str, game, prior, *,
                            np.empty(0, dtype=_ENTRY_DTYPE), every_prefix)
 
     sizes = records.pack_size
-    num_trials, num_experts = records.expert_cumulative_losses.shape
+    num_trials, num_experts = records.expert_pack_losses.shape
     if prior.size != num_experts:
         raise ValueError(
             f"prior has {prior.size} entries for {num_experts} experts"

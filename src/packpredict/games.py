@@ -114,19 +114,6 @@ def _as_weights(weights) -> np.ndarray:
     return w
 
 
-def _as_expert_preds(expert_preds, game: GameSpec, num_experts: int) -> np.ndarray:
-    p = np.asarray(expert_preds, dtype=float)
-    if p.shape[0] != num_experts:
-        raise ValueError(
-            f"expected {num_experts} expert predictions, got shape {p.shape}"
-        )
-    if not game.contains(p):
-        raise ValueError(
-            f"expert prediction outside [{game.lower}, {game.upper}]"
-        )
-    return p
-
-
 def _mixed_loss(log_w, preds, omega, game: GameSpec):
     """The mixed loss profile of the experts' predictions `preds` (expert
     axis -2) under the log-weights `log_w`, at the outcomes `omega`:
@@ -143,13 +130,13 @@ def _mixed_loss(log_w, preds, omega, game: GameSpec):
 def generalized_prediction(weights, expert_preds, game: GameSpec, omega):
     """Evaluate the mixed loss profile g at `omega` (scalar or array)."""
     w = _as_weights(weights)
-    p = _as_expert_preds(expert_preds, game, w.size)
+    preds = _as_pred_matrix(_as_pred_column(expert_preds), w.size, game)
     o = np.asarray(omega, dtype=float)
     if not game.contains(o):
         raise ValueError(f"outcome outside [{game.lower}, {game.upper}]")
     with np.errstate(divide="ignore"):
         log_w = np.log(w)[:, None]
-    g = _mixed_loss(log_w, p[:, None], np.atleast_1d(o), game)
+    g = _mixed_loss(log_w, preds, np.atleast_1d(o), game)
     return float(g[0]) if o.ndim == 0 else g
 
 
@@ -238,7 +225,7 @@ def check_substitution_validity(gamma: float, weights, expert_preds, game: GameS
     if not game.contains(gamma):
         raise ValueError(f"prediction outside [{game.lower}, {game.upper}]")
     w = _as_weights(weights)
-    preds = _as_expert_preds(expert_preds, game, w.size)[:, None]
+    preds = _as_pred_matrix(_as_pred_column(expert_preds), w.size, game)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)[:, None]
 

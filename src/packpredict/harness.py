@@ -36,6 +36,7 @@ from .aggregator import _as_prior, uniform_prior
 from .algorithms import (
     PackStream,
     RunRecords,
+    _check_stored,
     _json_column,
     run_aa,
     run_aap_current,
@@ -369,9 +370,10 @@ class AlgorithmResult:
         """Inverse of `to_dict` for a run on packs of `pack_sizes`.  Raise
         unless the file agrees with itself: the params are those a run of
         `name` declares, there is one record per pack with one loss per
-        expert, and each stored report is the one re-auditing the records
-        gives, up to its verdict.  The verdicts (`passed`, `min_slack`) stay
-        advisory: the returned reports are the re-audit's."""
+        expert, the totals are the records' last running totals, and each
+        stored report is the one re-auditing the records gives, up to its
+        verdict.  The verdicts (`passed`, `min_slack`) stay advisory: the
+        returned reports are the re-audit's."""
         name = str(d["name"])
         if name not in bd._TABLE:
             raise ValueError(f"unknown algorithm {name!r}")
@@ -392,7 +394,10 @@ class AlgorithmResult:
         if len(stored) != len(reports) or not all(
                 _same_audit(s, r) for s, r in zip(stored, reports)):
             raise ValueError(f"{name}: reports do not match its guarantees")
-        return cls(name, params, records, reports)
+        result = cls(name, params, records, reports)
+        _check_stored(f"{name}: ", d, result, ["total_loss", "total_average_loss"],
+                      "the last running totals of its records")
+        return result
 
 
 @dataclass(frozen=True)
@@ -451,28 +456,27 @@ class ExperimentResult:
         game = _json_column("game", [g["lower"], g["upper"], g["eta"], g["c"]])
         game = GameSpec(*game.tolist())
         prior = _as_prior(_json_column("prior", d["prior"]))
-        pack_sizes = _json_column("pack_sizes", d["pack_sizes"], int)
-        counts = _json_column("num_experts, num_trials, num_items",
-                              [d["num_experts"], d["num_trials"], d["num_items"]],
-                              int)
-        if counts.tolist() != [prior.size, pack_sizes.size, pack_sizes.sum()]:
-            raise ValueError(
-                "num_experts, num_trials or num_items does not match prior "
-                "and pack_sizes")
-        pack_sizes = tuple(pack_sizes.tolist())
+        pack_sizes = tuple(_json_column("pack_sizes", d["pack_sizes"], int).tolist())
         if not pack_sizes and d["algorithms"]:
             # As run_experiment refuses to run on an empty stream.
             raise ValueError("algorithm runs on no packs")
         algorithms = tuple(AlgorithmResult.from_dict(a, game, prior, pack_sizes)
                            for a in d["algorithms"])
-        return cls(
+        shuffle = d["shuffle"]
+        if shuffle is not None and type(shuffle) is not dict:
+            raise ValueError("shuffle must be an object or null")
+        result = cls(
             game=game,
             prior=tuple(prior.tolist()),
             pack_sizes=pack_sizes,
             algorithms=algorithms,
-            shuffle=(ShuffleSummary.from_dict(d["shuffle"])
-                     if d.get("shuffle") else None),
+            shuffle=None if shuffle is None else ShuffleSummary.from_dict(shuffle),
         )
+        _check_stored("", d, result, ["num_experts", "num_trials", "num_items"],
+                      "prior and pack_sizes")
+        if type(d["passed"]) is not bool:  # advisory, like each report's
+            raise ValueError("passed must be a JSON bool")
+        return result
 
 
 def _declared(name: str, pack_sizes: tuple) -> dict:

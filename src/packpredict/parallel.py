@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import PackStream, RunRecords, _json_column, _run
+from .algorithms import PackStream, RunRecords, _check_stored, _json_column, _run
 from .games import GameSpec
 
 
@@ -37,14 +37,26 @@ def run_parallel(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
 @dataclass(frozen=True)
 class ShuffleSummary:
     """Total losses of the parallel copies over within-pack reshuffles of one
-    stream."""
+    stream; the statistics are derived from the losses on each access."""
 
     losses: tuple
-    mean: float
-    min: float
-    max: float
-    num_shuffles: int
     seed: int
+
+    @property
+    def num_shuffles(self) -> int:
+        return len(self.losses)
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.losses))
+
+    @property
+    def min(self) -> float:
+        return float(np.min(self.losses))
+
+    @property
+    def max(self) -> float:
+        return float(np.max(self.losses))
 
     def to_dict(self) -> dict:
         return {
@@ -58,22 +70,18 @@ class ShuffleSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShuffleSummary":
-        """Inverse of `to_dict`: JSON numbers only, integer counts, one loss
-        per shuffle, and `mean`, `min` and `max` exactly those of the losses
-        (`shuffle_experiment` takes them from the same array).  `seed` stays
-        a Python int of any size, as `--seed` takes it."""
+        """Inverse of `to_dict`: JSON numbers only, at least one loss, and
+        each stored statistic the derived one.  `seed` stays a Python int of
+        any size, as `--seed` takes it."""
         losses = _json_column("shuffle.losses", d["losses"])
-        stats = _json_column("shuffle", [d["mean"], d["min"], d["max"]])
-        num_shuffles, seed = d["num_shuffles"], d["seed"]
-        if type(num_shuffles) is not int or type(seed) is not int:
-            raise ValueError("shuffle: num_shuffles and seed must be JSON integers")
-        if num_shuffles < 1 or num_shuffles != losses.size:
-            raise ValueError(
-                f"shuffle: num_shuffles is {num_shuffles} for {losses.size} losses"
-            )
-        if stats.tolist() != [losses.mean(), losses.min(), losses.max()]:
-            raise ValueError("shuffle: mean, min or max does not match losses")
-        return cls(tuple(losses.tolist()), *stats.tolist(), num_shuffles, seed)
+        if type(d["seed"]) is not int:
+            raise ValueError("shuffle: seed must be a JSON integer")
+        if not losses.size:
+            raise ValueError("shuffle: no losses")
+        summary = cls(tuple(losses.tolist()), d["seed"])
+        _check_stored("shuffle.", d, summary, ["num_shuffles", "mean", "min", "max"],
+                      "shuffle.losses")
+        return summary
 
 
 def shuffle_within_packs(stream: PackStream, rng) -> PackStream:
@@ -101,12 +109,4 @@ def shuffle_experiment(stream: PackStream, game: GameSpec, prior=None,
     for _ in range(num_shuffles):
         records = run_parallel(shuffle_within_packs(stream, rng), game, prior)
         losses.append(float(records.cumulative_loss[-1:].sum()))  # 0 if empty
-    arr = np.array(losses)
-    return ShuffleSummary(
-        losses=tuple(losses),
-        mean=float(arr.mean()),
-        min=float(arr.min()),
-        max=float(arr.max()),
-        num_shuffles=num_shuffles,
-        seed=seed,
-    )
+    return ShuffleSummary(tuple(losses), seed)

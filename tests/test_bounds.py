@@ -170,9 +170,9 @@ class TestAuditRun:
     def test_tampered_run_fails(self, rng):
         stream = make_stream(rng, 3, 8)
         records = run_aap_incremental(stream, GAME)
-        bad = records.cumulative_loss.copy()
+        bad = records.learner_pack_loss.copy()
         bad[-1] += 100.0
-        tampered = dataclasses.replace(records, cumulative_loss=bad)
+        tampered = dataclasses.replace(records, learner_pack_loss=bad)
         report = audit_run(tampered, bd.AAP_INCREMENTAL, GAME, uniform_prior(3))
         assert not report.passed
         assert len(report.violations) > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from packpredict import harness, result_from_json
+from packpredict import RunRecords, harness, result_from_json
 from packpredict.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_20.csv")
@@ -214,28 +215,47 @@ class TestAudit:
         out = capsys.readouterr().out
         assert "checks=30" in out  # 10 prefixes x 3 experts
 
-    def test_tampered_result_fails(self, tmp_path, capsys):
-        path = self._write_result(tmp_path, capsys)
+    @staticmethod
+    def _forge(path, pack_loss):
+        """Give the first run of a result file the learner pack losses
+        `pack_loss(old)` and rewrite its running totals and totals to match:
+        a forgery the file itself cannot give away."""
         with open(path) as fh:
             payload = json.load(fh)
-        rec = payload["algorithms"][0]["records"][-1]
-        rec["cumulative_loss"] += 1000.0
+        run = payload["algorithms"][0]
+        records = RunRecords.from_dict(run["records"])
+        records = dataclasses.replace(
+            records, learner_pack_loss=pack_loss(records.learner_pack_loss))
+        run["records"] = records.to_dict()
+        run["total_loss"] = float(records.cumulative_loss[-1])
+        run["total_average_loss"] = float(records.cumulative_average_loss[-1])
         with open(path, "w") as fh:
             json.dump(payload, fh)
+
+    def test_tampered_result_fails(self, tmp_path, capsys):
+        path = self._write_result(tmp_path, capsys)
+
+        def raise_last(loss):
+            loss[-1] += 1000.0
+            return loss
+
+        self._forge(path, raise_last)
         assert main(["audit", path]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
     def test_names_where_the_bound_is_tightest(self, tmp_path, capsys):
         # The audit text names the expert and prefix of each minimum slack.
-        # A loss pushed up most at trial 5 breaks the bound there first; a
+        # A learner that loses 1000 at trial 5 and nothing after breaks the
+        # bound there first, as the experts' losses then only add slack; a
         # final-only file is audited at prefix 10 unless asked for more.
         path = self._write_result(tmp_path, capsys)
-        with open(path) as fh:
-            payload = json.load(fh)
-        for rec in payload["algorithms"][0]["records"][4:]:
-            rec["cumulative_loss"] += 1000.0 - 10 * rec["trial_index"]
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+
+        def jump_at_trial_5(loss):
+            loss[4] += 1000.0
+            loss[5:] = 0.0
+            return loss
+
+        self._forge(path, jump_at_trial_5)
         assert main(["audit", path]) == 2
         first = capsys.readouterr().out.splitlines()[0]
         assert "FAIL" in first and "prefix 10" in first
@@ -257,13 +277,11 @@ class TestAudit:
         assert main(["audit", path]) == 0
 
     def test_verdicts_stay_advisory(self, tmp_path, capsys):
-        # Stored verdicts and totals are re-derived, so editing them is no
-        # read error.
+        # Stored verdicts are re-derived, so editing them is no read error.
         path = self._write_result(tmp_path, capsys)
         with open(path) as fh:
             payload = json.load(fh)
         payload["passed"] = False
-        payload["algorithms"][0]["total_loss"] = 5.0
         payload["algorithms"][0]["reports"][0]["min_slack"] = -3.0
         with open(path, "w") as fh:
             json.dump(payload, fh)
@@ -280,8 +298,28 @@ class TestAudit:
         # each case sets the value at a key path of a good result.
         with open(self._write_result(tmp_path, capsys, "--shuffles", "2")) as fh:
             good = fh.read()
-        # A callable value maps the old value to the new one.
+        # A callable value maps the old value to the new one; `drop` deletes
+        # the key.
         shorten = lambda v: v[:-1]  # noqa: E731
+        drop = object()
+
+        def audit_edited(path, value):
+            """Audit the good result edited at key path `path`: a read error,
+            whose message is returned."""
+            payload = json.loads(good)
+            node = payload
+            for key in path[:-1]:
+                node = node[key]
+            if value is drop:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+            p.write_text(json.dumps(payload))
+            assert main(["audit", str(p)]) == 1, path
+            err = capsys.readouterr().err
+            assert "cannot read result file" in err, path
+            return err
+
         cases = [
             (("algorithms", 0, "records"), None),
             (("algorithms", 0, "records", 0), 1),
@@ -326,14 +364,41 @@ class TestAudit:
             (("algorithms", 2, "reports"), shorten),
         ]
         for path, value in cases:
-            payload = json.loads(good)
-            node = payload
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
-            p.write_text(json.dumps(payload))
-            assert main(["audit", str(p)]) == 1, path
-            assert "cannot read result file" in capsys.readouterr().err, path
+            audit_edited(path, value)
+        # Each stored copy of a derived value must be the derived one, and so
+        # must what it is derived from: editing either alone, or dropping a
+        # total, is a read error naming the field.  So is a shuffle study
+        # that is no object or null, and a top-level verdict that is missing
+        # or no JSON bool (it stays advisory, as each report's).
+        halve = lambda v: v / 2  # noqa: E731
+        add_5 = lambda v: v + 5  # noqa: E731
+        named = [
+            (("algorithms", 0, "records", -1, "cumulative_loss"), halve),
+            (("algorithms", 0, "records", 3, "cumulative_average_loss"), halve),
+            (("algorithms", 1, "records", -1, "expert_cumulative_losses", 0),
+             add_5),
+            (("algorithms", 2, "records", 0,
+              "expert_cumulative_average_losses", 2), halve),
+            (("algorithms", 0, "records", -1, "learner_pack_loss"), add_5),
+            (("algorithms", 3, "records", 4, "expert_pack_losses", 1), add_5),
+            (("algorithms", 0, "total_loss"), halve),
+            (("algorithms", 2, "total_average_loss"), add_5),
+            (("algorithms", 0, "total_loss"), "5.0"),
+            (("algorithms", 0, "total_average_loss"), True),
+            (("algorithms", 0, "total_loss"), drop),
+            (("algorithms", 1, "total_average_loss"), drop),
+            (("shuffle", "max"), add_5),
+            (("shuffle",), False),
+            (("shuffle",), []),
+            (("shuffle",), 0),
+            (("shuffle",), drop),
+            (("passed",), "yes"),
+            (("passed",), 1),
+            (("passed",), drop),
+        ]
+        for path, value in named:
+            field = next(k for k in reversed(path) if isinstance(k, str))
+            assert field in audit_edited(path, value), path
         # A result on no packs that still holds a run: aap-equal declares the
         # size of its first pack, aap-max its largest.
         for name in ("aap-equal", "aap-max"):

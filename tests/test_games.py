@@ -211,6 +211,18 @@ class TestSubstitute:
             substitute_pack(REF_W, np.zeros((3, 2)), g)
         with pytest.raises(ValueError):
             substitute(REF_W, [0.2, 1.4], g)
+        # Every function taking one round of expert predictions checks them
+        # the same way: a scalar or a matrix is no round.
+        for bad in (0.4, np.full((1, 2), 0.4)):
+            for check in (lambda p: substitute([1.0], p, g),
+                          lambda p: generalized_prediction([1.0], p, g, 0.3),
+                          lambda p: check_substitution_validity(0.4, [1.0], p, g)):
+                with pytest.raises(ValueError, match="1-d vector"):
+                    check(bad)
+        with pytest.raises(ValueError, match="2 x K"):
+            generalized_prediction(REF_W, [0.4], g, 0.3)
+        with pytest.raises(ValueError, match="2 x K"):
+            check_substitution_validity(0.4, REF_W, [0.4, 0.5, 0.6], g)
 
     @given(seed=st.integers(0, 2**32 - 1), eta_frac=st.floats(0.05, 0.95))
     @settings(max_examples=100, deadline=None)
