@@ -17,6 +17,12 @@ An experiment runs one stream through any subset of the algorithms named in
 `bounds._TABLE`, audits each run against its guarantees, and serializes
 everything (records, audit verdicts, shuffle spread) to JSON that
 round-trips losslessly: a reader re-runs the audit from the stored records.
+The JSON report is `json.dumps` of one object, except each run's records:
+`RunRecords.to_json` writes those from the columns, and the expert columns
+a stream's runs share are written once per report.  The text is the same as
+`json.dumps` of the whole object with the records as per-trial dicts.  A
+reader refuses a file that contradicts itself or holds an impossible
+record: a negative loss, or a prediction outside the game's interval.
 """
 
 from __future__ import annotations
@@ -354,26 +360,18 @@ class AlgorithmResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.reports)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "total_loss": self.total_loss,
-            "total_average_loss": self.total_average_loss,
-            "records": self.records.to_dict(),
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
     @classmethod
     def from_dict(cls, d: dict, game: GameSpec, prior: np.ndarray,
                   pack_sizes: tuple) -> "AlgorithmResult":
-        """Inverse of `to_dict` for a run on packs of `pack_sizes`.  Raise
-        unless the file agrees with itself: the params are those a run of
-        `name` declares, there is one record per pack with one loss per
-        expert, the totals are the records' last running totals, and each
-        stored report is the one re-auditing the records gives, up to its
-        verdict.  The verdicts (`passed`, `min_slack`) stay advisory: the
-        returned reports are the re-audit's."""
+        """A run's object in the JSON report, read back, for a run on packs
+        of `pack_sizes`.  Raise unless the file agrees with itself: the
+        params are those a run of `name` declares, there is one record per
+        pack with one loss per expert, no loss is negative, every prediction
+        lies in the game's interval, the totals are the records' last
+        running totals, and each stored report is the one re-auditing the
+        records gives, up to its verdict.  The verdicts (`passed`,
+        `min_slack`) stay advisory: the returned reports are the
+        re-audit's."""
         name = str(d["name"])
         if name not in bd._TABLE:
             raise ValueError(f"unknown algorithm {name!r}")
@@ -388,6 +386,14 @@ class AlgorithmResult:
                 and records.expert_pack_losses.size
                 == len(pack_sizes) * prior.size):
             raise ValueError(f"{name}: records do not match pack_sizes and prior")
+        # Square losses are never negative, and every prediction is clipped
+        # to the game's interval.
+        for field in ("learner_pack_loss", "expert_pack_losses"):
+            if not (getattr(records, field) >= 0).all():
+                raise ValueError(f"{name}: {field} must not be negative")
+        if not game.contains(records.learner_preds):
+            raise ValueError(f"{name}: learner_preds must lie in "
+                             f"[{game.lower}, {game.upper}]")
         stored = d["reports"]
         every_prefix = bool(stored) and stored[0]["every_prefix"] is True
         reports = _audit(name, records, game, prior, params, every_prefix)
@@ -426,27 +432,10 @@ class ExperimentResult:
     def passed(self) -> bool:
         return all(a.passed for a in self.algorithms)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "game": {
-                "lower": float(self.game.lower),
-                "upper": float(self.game.upper),
-                "eta": float(self.game.eta),
-                "c": float(self.game.c),
-            },
-            "prior": list(self.prior),
-            "pack_sizes": list(self.pack_sizes),
-            "num_experts": self.num_experts,
-            "num_trials": self.num_trials,
-            "num_items": self.num_items,
-            "passed": self.passed,
-            "algorithms": [a.to_dict() for a in self.algorithms],
-            "shuffle": self.shuffle.to_dict() if self.shuffle else None,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentResult":
+        """The JSON report's object (`emit_report`), read back; each run is
+        read by `AlgorithmResult.from_dict`."""
         version = d.get("schema_version") if isinstance(d, dict) else None
         if version != SCHEMA_VERSION:
             raise ValueError(
@@ -572,12 +561,58 @@ def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
     )
 
 
+# Stands in for each algorithm's records in `_report_object`; the JSON
+# report holds the records' own text (`RunRecords.to_json`) in its place.
+_RECORDS = "\0records"
+
+
+def _report_object(result: ExperimentResult) -> dict:
+    """The JSON report's object, with `_RECORDS` for each run's records."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "game": {
+            "lower": float(result.game.lower),
+            "upper": float(result.game.upper),
+            "eta": float(result.game.eta),
+            "c": float(result.game.c),
+        },
+        "prior": list(result.prior),
+        "pack_sizes": list(result.pack_sizes),
+        "num_experts": result.num_experts,
+        "num_trials": result.num_trials,
+        "num_items": result.num_items,
+        "passed": result.passed,
+        "algorithms": [{
+            "name": a.name,
+            "params": dict(a.params),
+            "total_loss": a.total_loss,
+            "total_average_loss": a.total_average_loss,
+            "records": _RECORDS,
+            "reports": [r.to_dict() for r in a.reports],
+        } for a in result.algorithms],
+        "shuffle": result.shuffle.to_dict() if result.shuffle else None,
+    }
+
+
 def emit_report(result: ExperimentResult, format: str = "json") -> str:
     """Serialize a result: full-fidelity `json`, per-trial cumulative-loss
-    `csv`, or a human-oriented `table` of totals and guarantee slacks."""
+    `csv`, or a human-oriented `table` of totals and guarantee slacks.
+
+    The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
+    ":"))` of the report's object, with each run's records written from
+    its columns as `RunRecords.to_json` writes them; the runs share one
+    memo, so the expert columns of a stream are written once, and the
+    whole text is joined once."""
     if format == "json":
-        return json.dumps(result.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        texts = json.dumps(_report_object(result), sort_keys=True,
+                           separators=(",", ":")).split(json.dumps(_RECORDS))
+        if len(texts) != len(result.algorithms) + 1:
+            raise ValueError(f"a value of the report holds {_RECORDS!r}")
+        memo, parts = {}, texts[:1]
+        for a, text in zip(result.algorithms, texts[1:]):
+            parts += a.records._json_parts(memo)
+            parts.append(text)
+        return "".join(parts)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

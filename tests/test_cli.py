@@ -216,17 +216,17 @@ class TestAudit:
         assert "checks=30" in out  # 10 prefixes x 3 experts
 
     @staticmethod
-    def _forge(path, pack_loss):
-        """Give the first run of a result file the learner pack losses
-        `pack_loss(old)` and rewrite its running totals and totals to match:
-        a forgery the file itself cannot give away."""
+    def _forge(path, **edits):
+        """Give the first run of a result file the records `edit(old)` for
+        each `field=edit`, written by the records' writer, and rewrite its
+        totals to match: a forgery the file itself cannot give away."""
         with open(path) as fh:
             payload = json.load(fh)
         run = payload["algorithms"][0]
         records = RunRecords.from_dict(run["records"])
-        records = dataclasses.replace(
-            records, learner_pack_loss=pack_loss(records.learner_pack_loss))
-        run["records"] = records.to_dict()
+        records = dataclasses.replace(records, **{
+            field: edit(getattr(records, field)) for field, edit in edits.items()})
+        run["records"] = json.loads(records.to_json())
         run["total_loss"] = float(records.cumulative_loss[-1])
         run["total_average_loss"] = float(records.cumulative_average_loss[-1])
         with open(path, "w") as fh:
@@ -239,7 +239,7 @@ class TestAudit:
             loss[-1] += 1000.0
             return loss
 
-        self._forge(path, raise_last)
+        self._forge(path, learner_pack_loss=raise_last)
         assert main(["audit", path]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
@@ -255,13 +255,28 @@ class TestAudit:
             loss[5:] = 0.0
             return loss
 
-        self._forge(path, jump_at_trial_5)
+        self._forge(path, learner_pack_loss=jump_at_trial_5)
         assert main(["audit", path]) == 2
         first = capsys.readouterr().out.splitlines()[0]
         assert "FAIL" in first and "prefix 10" in first
         assert main(["audit", path, "--every-prefix"]) == 2
         first = capsys.readouterr().out.splitlines()[0]
         assert "checks=30" in first and "prefix 5" in first
+
+    @pytest.mark.parametrize("field, edit", [
+        ("learner_pack_loss", lambda loss: loss - 5.0),
+        ("expert_pack_losses", lambda losses: losses - 5.0),
+        ("learner_preds", lambda preds: preds + 7.0),
+    ])
+    def test_impossible_records_refused(self, tmp_path, capsys, field, edit):
+        # Square losses are never negative and predictions lie in the game's
+        # interval [0, 1], so a file that says otherwise is a read error,
+        # however consistently it was forged.
+        path = self._write_result(tmp_path, capsys)
+        self._forge(path, **{field: edit})
+        assert main(["audit", path]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read result file" in err and field in err
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "missing.json")]) == 1

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packpredict import (
+    AlgorithmResult,
     DatasetSpec,
     ExperimentResult,
     GameSpec,
     Pack,
     PackStream,
+    RunRecords,
     SyntheticConfig,
     emit_report,
     generate_synthetic_stream,
@@ -479,6 +482,69 @@ class TestRunExperiment:
         assert alg.total_average_loss == alg.records.cumulative_average_loss[-1]
 
 
+def per_trial_json(result):
+    """The JSON report written the plain way: the whole object, records as
+    one dict per trial, through one `json.dumps`.  The report's writer must
+    give the same text."""
+    def records(r):
+        starts = np.cumsum(r.pack_size) - r.pack_size
+        return [{
+            "trial_index": t,
+            "pack_size": int(r.pack_size[t]),
+            "learner_preds":
+                r.learner_preds[starts[t]:starts[t] + r.pack_size[t]].tolist(),
+            "learner_pack_loss": float(r.learner_pack_loss[t]),
+            "cumulative_loss": float(r.cumulative_loss[t]),
+            "cumulative_average_loss": float(r.cumulative_average_loss[t]),
+            "expert_pack_losses": r.expert_pack_losses[t].tolist(),
+            "expert_cumulative_losses": r.expert_cumulative_losses[t].tolist(),
+            "expert_cumulative_average_losses":
+                r.expert_cumulative_average_losses[t].tolist(),
+        } for t in range(len(r))]
+
+    g = result.game
+    return json.dumps({
+        "schema_version": 2,
+        "game": {"lower": float(g.lower), "upper": float(g.upper),
+                 "eta": float(g.eta), "c": float(g.c)},
+        "prior": list(result.prior),
+        "pack_sizes": list(result.pack_sizes),
+        "num_experts": result.num_experts,
+        "num_trials": result.num_trials,
+        "num_items": result.num_items,
+        "passed": result.passed,
+        "algorithms": [{
+            "name": a.name,
+            "params": dict(a.params),
+            "total_loss": a.total_loss,
+            "total_average_loss": a.total_average_loss,
+            "records": records(a.records),
+            "reports": [r.to_dict() for r in a.reports],
+        } for a in result.algorithms],
+        "shuffle": result.shuffle.to_dict() if result.shuffle else None,
+    }, sort_keys=True, separators=(",", ":"))
+
+
+def hand_built(*records, pack_sizes=(1, 2)):
+    """A result holding the given records, as runs of aap-incremental,
+    aap-current, ... with no reports; for the writer only."""
+    runs = tuple(AlgorithmResult(name, {}, r, ()) for name, r in
+                 zip(("aap-incremental", "aap-current", "parallel"), records))
+    return ExperimentResult(game=GameSpec(0, 1, 2.0), prior=(0.5, 0.5),
+                            pack_sizes=pack_sizes, algorithms=runs)
+
+
+def two_pack_records(**columns):
+    """Records of packs of sizes 1 and 2 on two experts, with `columns`
+    replacing the defaults."""
+    return RunRecords(**{
+        "pack_size": np.array([1, 2]),
+        "learner_preds": np.array([0.25, 0.5, 0.75]),
+        "learner_pack_loss": np.array([0.0625, 0.125]),
+        "expert_pack_losses": np.array([[0.01, 0.09], [0.1, 1 / 3]]),
+        **columns})
+
+
 class TestReports:
     def _result(self, rng, **kwargs):
         stream = make_stream(rng, 3, 8, size_min=1, size_max=4)
@@ -547,6 +613,72 @@ class TestReports:
         assert emit_report(empty, "csv").strip() == "trial,pack_size"
         assert "0 packs" in emit_report(empty, "table")
         assert result_from_json(emit_report(empty, "json")) == empty
+
+    @given(
+        num_experts=st.sampled_from([1, 8, 9]),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        every_prefix=st.booleans(),
+        shuffles=st.integers(0, 2),
+        integer_game=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_writer_matches_per_trial_json(self, num_experts, sizes,
+                                           every_prefix, shuffles,
+                                           integer_game, seed):
+        rng = np.random.default_rng(seed)
+        stream = PackStream([Pack(rng.uniform(0, 1, (num_experts, k)),
+                                  rng.uniform(0, 1, k)) for k in sizes])
+        game = GameSpec(0, 1, 2, 1) if integer_game else GameSpec(0, 1, 2.0)
+        result = run_experiment(stream, game, shuffles=shuffles,
+                                every_prefix=every_prefix)
+        assert emit_report(result, "json") == per_trial_json(result)
+
+    def test_writer_shares_only_equal_expert_columns(self):
+        # One ulp apart: the second run's expert columns must be its own.
+        base = two_pack_records()
+        losses = base.expert_pack_losses.copy()
+        losses[1, 1] = np.nextafter(losses[1, 1], 1.0)
+        near = two_pack_records(expert_pack_losses=losses)
+        other_sizes = two_pack_records(pack_size=np.array([2, 1]))
+        for runs in [(base, near), (near, base), (base, base, near),
+                     (base, other_sizes)]:
+            result = hand_built(*runs)
+            text = emit_report(result, "json")
+            assert text == per_trial_json(result)
+            stored = [a["records"] for a in json.loads(text)["algorithms"]]
+            assert [RunRecords.from_dict(s) for s in stored] == list(runs)
+
+    def test_writer_writes_non_finite_numbers_as_json_does(self):
+        records = two_pack_records(
+            learner_preds=np.array([np.nan, 0.5, np.inf]),
+            learner_pack_loss=np.array([-np.inf, 1e300]),
+            expert_pack_losses=np.array([[5e-324, np.nan], [-0.0, 1e22]]))
+        result = hand_built(records, two_pack_records())
+        text = emit_report(result, "json")
+        assert "NaN" in text and "Infinity" in text
+        assert text == per_trial_json(result)
+
+    def test_writer_on_empty_results(self):
+        for result in [
+            ExperimentResult(game=GameSpec(0, 1, 2.0), prior=(1.0,),
+                             pack_sizes=(), algorithms=()),
+            hand_built(RunRecords.from_dict([]), pack_sizes=()),
+        ]:
+            assert emit_report(result, "json") == per_trial_json(result)
+
+    def test_writer_memory_at_the_reference_size(self):
+        # Every column is written once and the expert columns once per
+        # report: the emit's peak stays within three times the text.
+        stream, game = generate_synthetic_stream(SyntheticConfig(8, 2000))
+        result = run_experiment(stream, game, every_prefix=True)
+        tracemalloc.start()
+        try:
+            text = emit_report(result, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
 
     def test_schema_version_enforced(self, rng):
         payload = json.loads(emit_report(self._result(rng), "json"))

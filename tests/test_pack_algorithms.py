@@ -104,7 +104,7 @@ class TestPackTypes:
             run_aap_current(PackStream(()), GAME),
         )
         for records in runs:
-            rows = json.loads(json.dumps(records.to_dict()))
+            rows = json.loads(records.to_json())
             assert [r["trial_index"] for r in rows] == list(range(len(records)))
             assert RunRecords.from_dict(rows) == records
 
