@@ -31,20 +31,13 @@ demand.
 A run's records are the four columns the replay produced (`RunRecords`):
 the pack sizes, every item's prediction, the learner's pack losses and the
 experts' (T x N).  The running totals are derived from the pack losses, one
-`np.cumsum` each, on every access.  Only `to_json`/`from_dict` turn the
-records into the per-trial JSON objects and back; those objects also hold
-the running totals, and `from_dict` refuses any that is not the derived one.
-`to_json` writes each column with one `json.dumps` call, so every number is
-the text `json` writes for it, and lays the per-trial texts out in one
-trial template.
+`np.cumsum` each, on every access.  This module holds no JSON: the report's
+form of the records, written and read, is stated in `harness`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -176,59 +169,6 @@ class PackStream:
             raise ValueError(f"trial {i}: {what} outside [{a}, {b}]")
 
 
-def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
-    """JSON values as an array of `dtype`, checked as a whole: each must be
-    a number, and an integer for an int `dtype`; a bool or a string is an
-    error, never converted.  With `lengths`, each value is a list of that
-    many numbers (one length for all, or one each), concatenated."""
-    values = list(values)
-    if lengths is not None:
-        if (set(map(type, values)) - {list}
-                or np.any(np.fromiter(map(len, values), int, len(values))
-                          != lengths)):
-            raise ValueError(f"{name}: a list has the wrong length")
-        values = list(chain.from_iterable(values))
-    if set(map(type, values)) - ({int} if dtype is int else {int, float}):
-        kind = "integers" if dtype is int else "numbers"
-        raise ValueError(f"{name}: values must be JSON {kind}")
-    return np.array(values, dtype=dtype)
-
-
-def _check_stored(where: str, stored: dict, derived, names, source: str) -> None:
-    """Raise unless each `stored[name]` is a JSON number equal to
-    `derived.name`, which is computed from `source` (a JSON integer where
-    that is an int); the error names the first field that is not."""
-    for name in names:
-        value = getattr(derived, name)
-        if not np.array_equal(
-                _json_column(f"{where}{name}", [stored[name]], type(value)), [value]):
-            raise ValueError(f"{where}{name} does not match {source}")
-
-
-def _json_trials(**columns) -> dict:
-    """For each column of per-trial values (numbers, or lists of numbers),
-    the placeholder of a trial's value in a trial template ("%s", or "[%s]"
-    for a list) and each trial's text, cut from one `json.dumps` of the
-    whole column."""
-    formats = {}
-    for name, values in columns.items():
-        text = json.dumps(values, separators=(",", ":"))
-        formats[name] = (("[%s]", text[2:-2].split("],["))
-                         if isinstance(values[0], list)
-                         else ("%s", text[1:-1].split(",")))
-    return formats
-
-
-# The running totals of `RunRecords`, each with the pack losses it is
-# derived from; the JSON form stores both.
-_RUNNING_TOTALS = {
-    "cumulative_loss": "learner_pack_loss",
-    "cumulative_average_loss": "learner_pack_loss",
-    "expert_cumulative_losses": "expert_pack_losses",
-    "expert_cumulative_average_losses": "expert_pack_losses",
-}
-
-
 @dataclass(frozen=True, eq=False)
 class RunRecords:
     """A run's per-trial records as columns; row t is trial t.
@@ -268,79 +208,6 @@ class RunRecords:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
-    def to_json(self) -> str:
-        """The JSON form, as `json.dumps(rows, sort_keys=True,
-        separators=(",", ":"))` would write it: one object per trial, with
-        its `trial_index` and its running totals."""
-        return "".join(self._json_parts({}))
-
-    def _json_parts(self, memo: dict) -> list:
-        """The text of `to_json` as a list of parts to join.  Each column
-        is written by one `json.dumps` call and cut into per-trial texts,
-        laid out by one trial template made from the sorted column names.
-        `memo` holds the columns a run shares with every run whose pack
-        sizes and expert pack losses are bitwise equal to its own (on one
-        stream, every run): those are written once."""
-        if not len(self):
-            return ["[]"]
-
-        def values(*names):
-            return {name: getattr(self, name).tolist() for name in names}
-
-        key = (self.expert_pack_losses.shape, self.pack_size.tobytes(),
-               self.expert_pack_losses.tobytes())
-        if key not in memo:
-            memo[key] = _json_trials(
-                trial_index=list(range(len(self))),
-                **values("pack_size", "expert_pack_losses",
-                         "expert_cumulative_losses",
-                         "expert_cumulative_average_losses"))
-        preds, ends = self.learner_preds.tolist(), np.cumsum(self.pack_size).tolist()
-        columns = {**memo[key], **_json_trials(
-            learner_preds=[preds[e - k:e]
-                           for k, e in zip(self.pack_size.tolist(), ends)],
-            **values("learner_pack_loss", "cumulative_loss",
-                     "cumulative_average_loss"))}
-        names = sorted(columns)
-        trial = "{%s}" % ",".join(f'"{name}":{columns[name][0]}' for name in names)
-        # Trial after trial: the template's first literal, then each column's
-        # text followed by the next literal.  The caller joins the parts once,
-        # with the rest of the report: a text per run or per trial, or a `%`
-        # format (its result grows as it is written), raised the peak
-        # resident set by 2 to 4 MB at the reference size.
-        literals = trial.split("%s")
-        streams = [repeat(literals[0])]
-        for name, literal in zip(names, [*literals[1:-1], literals[-1] + ","]):
-            streams += columns[name][1], repeat(literal)
-        parts = list(chain.from_iterable(zip(*streams)))
-        parts[0], parts[-1] = "[" + literals[0], literals[-1] + "]"
-        return parts
-
-    @classmethod
-    def from_dict(cls, rows: list) -> "RunRecords":
-        """Inverse of `json.loads(to_json())`.  Trial t must have
-        `trial_index` t and `pack_size` predictions, every expert list the
-        same length, and each stored running total must equal the derived
-        one."""
-        def column(name, dtype=float, lengths=None):
-            return _json_column(name, map(itemgetter(name), rows), dtype, lengths)
-
-        if not np.array_equal(column("trial_index", int), np.arange(len(rows))):
-            raise ValueError("records: trial_index must count 0, 1, 2, ...")
-        sizes = column("pack_size", int)
-        width = len(rows[0]["expert_pack_losses"]) if rows else 0
-
-        def experts(name):
-            return column(name, float, width).reshape(len(rows), width)
-
-        records = cls(sizes, column("learner_preds", float, sizes),
-                      column("learner_pack_loss"), experts("expert_pack_losses"))
-        for name, source in _RUNNING_TOTALS.items():
-            stored = experts(name) if name.startswith("expert") else column(name)
-            if not np.array_equal(stored, getattr(records, name)):
-                raise ValueError(f"records: {name} does not match {source}")
-        return records
-
 
 # Most columns `_replay` substitutes at once.  The substitution's two
 # temporaries are 2 x N x columns each; at 8192 columns and 8 experts the
@@ -363,7 +230,8 @@ def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
     on the schedule `policy`: a `DivisorPolicy`, or None for the parallel
     copies.  The weights at an item are p * exp(-c), with c its charges."""
     if len(stream) == 0:
-        return RunRecords.from_dict([])
+        return RunRecords(np.empty(0, int), np.empty(0), np.empty(0),
+                          np.empty((0, 0)))
     stream.validate_for_game(game)
     num_experts = stream.num_experts
     p = _as_prior(uniform_prior(num_experts) if prior is None else prior)

@@ -25,7 +25,8 @@ of per-pack average losses:
 `audit_run` reads the running totals of a finished run (`RunRecords`)
 and checks the matching guarantee for every expert, either at the end or at
 every prefix, and reports the slack bound - learner_total.  Anything below
--1e-9 is a violation.
+-1e-9 is a violation.  A `BoundReport`'s JSON form (its verdict and how the
+audit ran) is stated in `harness`, with the rest of the report.
 """
 
 from __future__ import annotations
@@ -232,18 +233,6 @@ class BoundReport:
                 == (other.algorithm, other.metric, other.params,
                     other.every_prefix)
                 and np.array_equal(self.entries, other.entries))
-
-    def to_dict(self) -> dict:
-        """The JSON form: the verdict and how the audit ran.  The checks
-        themselves are not stored; a reader re-runs the audit."""
-        return {
-            "algorithm": self.algorithm,
-            "metric": self.metric,
-            "params": dict(self.params),
-            "every_prefix": self.every_prefix,
-            "passed": self.passed,
-            "min_slack": self.min_slack,
-        }
 
 
 def audit_run(records, algorithm: str, game, prior, *,

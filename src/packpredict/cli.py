@@ -25,9 +25,9 @@ from .games import GameSpec, max_mixable_eta
 from .harness import (
     ALGORITHM_CHOICES,
     DatasetSpec,
-    ExperimentResult,
     SyntheticConfig,
     _audit,
+    _read_report,
     _where,
     emit_report,
     generate_synthetic_stream,
@@ -257,10 +257,8 @@ def _cmd_adversary(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         with open(args.result) as fh:
-            payload = json.load(fh)
-        result = ExperimentResult.from_dict(payload)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            OverflowError) as e:
+            result, verdicts = _read_report(fh.read())
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
         print(f"error: cannot read result file {args.result!r}: {e}",
               file=sys.stderr)
         return EXIT_ERROR
@@ -269,12 +267,12 @@ def _cmd_audit(args) -> int:
     # again.  The stored verdicts are advisory.
     all_ok = True
     lines = []
-    for alg, stored in zip(result.algorithms, payload["algorithms"]):
+    for alg, stored in zip(result.algorithms, verdicts):
         reports = alg.reports
         if args.every_prefix and not reports[0].every_prefix:
             reports = _audit(alg.name, alg.records, result.game, result.prior,
                              alg.params, every_prefix=True)
-        for report, said in zip(reports, stored["reports"]):
+        for report, said in zip(reports, stored):
             ok = report.passed
             all_ok = all_ok and ok
             ms = report.min_slack
@@ -284,10 +282,10 @@ def _cmd_audit(args) -> int:
                 f"min slack={'n/a' if ms is None else format(ms, '.4e'):>12} "
                 f"{'ok' if ok else 'FAIL'}  at {_where(report)}"
             )
-            if said["passed"] != ok:
+            if said != ok:
                 lines.append(
                     f"  note: stored report said "
-                    f"{'ok' if said['passed'] else 'FAIL'}, recomputation says "
+                    f"{'ok' if said else 'FAIL'}, recomputation says "
                     f"{'ok' if ok else 'FAIL'}"
                 )
     lines.append("all guarantees hold" if all_ok else "guarantee VIOLATED")

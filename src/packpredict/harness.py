@@ -17,12 +17,17 @@ An experiment runs one stream through any subset of the algorithms named in
 `bounds._TABLE`, audits each run against its guarantees, and serializes
 everything (records, audit verdicts, shuffle spread) to JSON that
 round-trips losslessly: a reader re-runs the audit from the stored records.
-The JSON report is `json.dumps` of one object, except each run's records:
-`RunRecords.to_json` writes those from the columns, and the expert columns
-a stream's runs share are written once per report.  The text is the same as
-`json.dumps` of the whole object with the records as per-trial dicts.  A
-reader refuses a file that contradicts itself or holds an impossible
-record: a negative loss, or a prediction outside the game's interval.
+
+This module alone states the JSON report; `algorithms`, `parallel` and
+`bounds` hold no JSON code.  The writer is `_report_object`, dumped with
+one `json.dumps`, and `_records_parts` for each run's records: it writes
+them from the columns, and the expert columns a stream's runs share once
+per report.  The text is the same as `json.dumps` of the whole object with
+the records as per-trial dicts.  The reader (`_read_report`) parses only
+what the runs produced, rebuilds the result through the re-audit, and
+refuses a file that is not, key for key, the writer's object for that
+result (apart from the advisory verdicts), or that holds an impossible
+record.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,8 +49,6 @@ from .aggregator import _as_prior, uniform_prior
 from .algorithms import (
     PackStream,
     RunRecords,
-    _check_stored,
-    _json_column,
     run_aa,
     run_aap_current,
     run_aap_equal,
@@ -360,51 +365,6 @@ class AlgorithmResult:
     def passed(self) -> bool:
         return all(r.passed for r in self.reports)
 
-    @classmethod
-    def from_dict(cls, d: dict, game: GameSpec, prior: np.ndarray,
-                  pack_sizes: tuple) -> "AlgorithmResult":
-        """A run's object in the JSON report, read back, for a run on packs
-        of `pack_sizes`.  Raise unless the file agrees with itself: the
-        params are those a run of `name` declares, there is one record per
-        pack with one loss per expert, no loss is negative, every prediction
-        lies in the game's interval, the totals are the records' last
-        running totals, and each stored report is the one re-auditing the
-        records gives, up to its verdict.  The verdicts (`passed`,
-        `min_slack`) stay advisory: the returned reports are the
-        re-audit's."""
-        name = str(d["name"])
-        if name not in bd._TABLE:
-            raise ValueError(f"unknown algorithm {name!r}")
-        params = dict(d["params"])
-        if "pack_size" in params:
-            params["pack_size"] = int(
-                _json_column("pack_size", [params["pack_size"]], int)[0])
-        if params != _declared(name, pack_sizes):
-            raise ValueError(f"{name}: params {params} do not match pack_sizes")
-        records = RunRecords.from_dict(d["records"])
-        if not (np.array_equal(records.pack_size, pack_sizes)
-                and records.expert_pack_losses.size
-                == len(pack_sizes) * prior.size):
-            raise ValueError(f"{name}: records do not match pack_sizes and prior")
-        # Square losses are never negative, and every prediction is clipped
-        # to the game's interval.
-        for field in ("learner_pack_loss", "expert_pack_losses"):
-            if not (getattr(records, field) >= 0).all():
-                raise ValueError(f"{name}: {field} must not be negative")
-        if not game.contains(records.learner_preds):
-            raise ValueError(f"{name}: learner_preds must lie in "
-                             f"[{game.lower}, {game.upper}]")
-        stored = d["reports"]
-        every_prefix = bool(stored) and stored[0]["every_prefix"] is True
-        reports = _audit(name, records, game, prior, params, every_prefix)
-        if len(stored) != len(reports) or not all(
-                _same_audit(s, r) for s, r in zip(stored, reports)):
-            raise ValueError(f"{name}: reports do not match its guarantees")
-        result = cls(name, params, records, reports)
-        _check_stored(f"{name}: ", d, result, ["total_loss", "total_average_loss"],
-                      "the last running totals of its records")
-        return result
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -432,41 +392,6 @@ class ExperimentResult:
     def passed(self) -> bool:
         return all(a.passed for a in self.algorithms)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentResult":
-        """The JSON report's object (`emit_report`), read back; each run is
-        read by `AlgorithmResult.from_dict`."""
-        version = d.get("schema_version") if isinstance(d, dict) else None
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported schema_version {version!r}; re-run to write "
-                f"version {SCHEMA_VERSION}")
-        g = d["game"]
-        game = _json_column("game", [g["lower"], g["upper"], g["eta"], g["c"]])
-        game = GameSpec(*game.tolist())
-        prior = _as_prior(_json_column("prior", d["prior"]))
-        pack_sizes = tuple(_json_column("pack_sizes", d["pack_sizes"], int).tolist())
-        if not pack_sizes and d["algorithms"]:
-            # As run_experiment refuses to run on an empty stream.
-            raise ValueError("algorithm runs on no packs")
-        algorithms = tuple(AlgorithmResult.from_dict(a, game, prior, pack_sizes)
-                           for a in d["algorithms"])
-        shuffle = d["shuffle"]
-        if shuffle is not None and type(shuffle) is not dict:
-            raise ValueError("shuffle must be an object or null")
-        result = cls(
-            game=game,
-            prior=tuple(prior.tolist()),
-            pack_sizes=pack_sizes,
-            algorithms=algorithms,
-            shuffle=None if shuffle is None else ShuffleSummary.from_dict(shuffle),
-        )
-        _check_stored("", d, result, ["num_experts", "num_trials", "num_items"],
-                      "prior and pack_sizes")
-        if type(d["passed"]) is not bool:  # advisory, like each report's
-            raise ValueError("passed must be a JSON bool")
-        return result
-
 
 def _declared(name: str, pack_sizes: tuple) -> dict:
     """The params of algorithm `name` on these packs: the pack size it
@@ -484,17 +409,6 @@ def _audit(name: str, records: RunRecords, game: GameSpec, prior,
                   every_prefix=every_prefix)
         for g in bd._TABLE[name].guarantees
     )
-
-
-def _same_audit(stored: dict, report: BoundReport) -> bool:
-    """Whether a stored report is `report` up to its verdict: the same keys,
-    and the same JSON for every value but `passed` (a JSON bool) and
-    `min_slack`."""
-    fresh = {**report.to_dict(), "passed": stored["passed"],
-             "min_slack": stored["min_slack"]}
-    return (type(stored["passed"]) is bool
-            and json.dumps(stored, sort_keys=True)
-            == json.dumps(fresh, sort_keys=True))
 
 
 def _expand_algorithms(names, stream: PackStream) -> list:
@@ -562,20 +476,22 @@ def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
 
 
 # Stands in for each algorithm's records in `_report_object`; the JSON
-# report holds the records' own text (`RunRecords.to_json`) in its place.
+# report holds the records' own text (`_records_parts`) in its place.
 _RECORDS = "\0records"
 
 
+# The game's fields, as the report stores them.
+_GAME_FIELDS = ("lower", "upper", "eta", "c")
+
+
 def _report_object(result: ExperimentResult) -> dict:
-    """The JSON report's object, with `_RECORDS` for each run's records."""
+    """The JSON report's object, with `_RECORDS` for each run's records.  A
+    guarantee report is stored as its verdict and how the audit ran; the
+    checks themselves are not stored, and a reader re-runs the audit."""
+    shuffle = result.shuffle
     return {
         "schema_version": SCHEMA_VERSION,
-        "game": {
-            "lower": float(result.game.lower),
-            "upper": float(result.game.upper),
-            "eta": float(result.game.eta),
-            "c": float(result.game.c),
-        },
+        "game": {k: float(getattr(result.game, k)) for k in _GAME_FIELDS},
         "prior": list(result.prior),
         "pack_sizes": list(result.pack_sizes),
         "num_experts": result.num_experts,
@@ -584,14 +500,89 @@ def _report_object(result: ExperimentResult) -> dict:
         "passed": result.passed,
         "algorithms": [{
             "name": a.name,
-            "params": dict(a.params),
+            "params": a.params,
             "total_loss": a.total_loss,
             "total_average_loss": a.total_average_loss,
             "records": _RECORDS,
-            "reports": [r.to_dict() for r in a.reports],
+            "reports": [{k: getattr(r, k) for k in (
+                "algorithm", "metric", "params", "every_prefix", "passed",
+                "min_slack")} for r in a.reports],
         } for a in result.algorithms],
-        "shuffle": result.shuffle.to_dict() if result.shuffle else None,
+        "shuffle": None if shuffle is None else {
+            k: getattr(shuffle, k) for k in (
+                "losses", "mean", "min", "max", "num_shuffles", "seed")},
     }
+
+
+# The columns of a run's JSON records, one value per trial: `trial_index`
+# (the row number) and attributes of `RunRecords`.  The runs on one stream
+# share `_SHARED_COLUMNS`, written once per report; `_RUN_COLUMNS` and
+# `learner_preds` (each trial's predictions, as a list) are each run's own.
+# The reader parses the fields of `RunRecords` and checks every other column
+# against these.
+_SHARED_COLUMNS = ("trial_index", "pack_size", "expert_pack_losses",
+                   "expert_cumulative_losses", "expert_cumulative_average_losses")
+_RUN_COLUMNS = ("learner_pack_loss", "cumulative_loss", "cumulative_average_loss")
+
+
+def _column(records: RunRecords, name: str) -> np.ndarray:
+    if name == "trial_index":
+        return np.arange(len(records))
+    return getattr(records, name)
+
+
+def _json_trials(**columns) -> dict:
+    """For each column of per-trial values (numbers, or lists of numbers),
+    the placeholder of a trial's value in a trial template ("%s", or "[%s]"
+    for a list) and each trial's text, cut from one `json.dumps` of the
+    whole column."""
+    formats = {}
+    for name, values in columns.items():
+        text = json.dumps(values, separators=(",", ":"))
+        formats[name] = (("[%s]", text[2:-2].split("],["))
+                         if isinstance(values[0], list)
+                         else ("%s", text[1:-1].split(",")))
+    return formats
+
+
+def _records_parts(records: RunRecords, memo: dict) -> list:
+    """A run's records as `json.dumps(rows, sort_keys=True, separators=(",",
+    ":"))` would write them, one object per trial, as a list of parts to
+    join.  Each column is written by one `json.dumps` call and cut into
+    per-trial texts, laid out by one trial template made from the sorted
+    column names.  `memo` holds the columns a run shares with every run
+    whose pack sizes and expert pack losses are bitwise equal to its own (on
+    one stream, every run): those are written once."""
+    if not len(records):
+        return ["[]"]
+
+    def values(names):
+        return {name: _column(records, name).tolist() for name in names}
+
+    key = (records.expert_pack_losses.shape, records.pack_size.tobytes(),
+           records.expert_pack_losses.tobytes())
+    if key not in memo:
+        memo[key] = _json_trials(**values(_SHARED_COLUMNS))
+    preds = records.learner_preds.tolist()
+    ends = np.cumsum(records.pack_size).tolist()
+    columns = {**memo[key], **_json_trials(
+        learner_preds=[preds[e - k:e]
+                       for k, e in zip(records.pack_size.tolist(), ends)],
+        **values(_RUN_COLUMNS))}
+    names = sorted(columns)
+    trial = "{%s}" % ",".join(f'"{name}":{columns[name][0]}' for name in names)
+    # Trial after trial: the template's first literal, then each column's
+    # text followed by the next literal.  The caller joins the parts once,
+    # with the rest of the report: a text per run or per trial, or a `%`
+    # format (its result grows as it is written), raised the peak
+    # resident set by 2 to 4 MB at the reference size.
+    literals = trial.split("%s")
+    streams = [repeat(literals[0])]
+    for name, literal in zip(names, [*literals[1:-1], literals[-1] + ","]):
+        streams += columns[name][1], repeat(literal)
+    parts = list(chain.from_iterable(zip(*streams)))
+    parts[0], parts[-1] = "[" + literals[0], literals[-1] + "]"
+    return parts
 
 
 def emit_report(result: ExperimentResult, format: str = "json") -> str:
@@ -600,9 +591,9 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
 
     The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` of the report's object, with each run's records written from
-    its columns as `RunRecords.to_json` writes them; the runs share one
-    memo, so the expert columns of a stream are written once, and the
-    whole text is joined once."""
+    its columns by `_records_parts`; the runs share one memo, so the expert
+    columns of a stream are written once, and the whole text is joined
+    once."""
     if format == "json":
         texts = json.dumps(_report_object(result), sort_keys=True,
                            separators=(",", ":")).split(json.dumps(_RECORDS))
@@ -610,7 +601,7 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
             raise ValueError(f"a value of the report holds {_RECORDS!r}")
         memo, parts = {}, texts[:1]
         for a, text in zip(result.algorithms, texts[1:]):
-            parts += a.records._json_parts(memo)
+            parts += _records_parts(a.records, memo)
             parts.append(text)
         return "".join(parts)
     if format == "csv":
@@ -665,6 +656,191 @@ def _where(report: BoundReport | None) -> str:
     return f"expert {expert}, prefix {prefix}"
 
 
+def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
+    """JSON values as an array of `dtype`, checked as a whole: each must be
+    a number, and an integer for an int `dtype`; a bool or a string is an
+    error, never converted.  With `lengths`, each value is a list of that
+    many numbers (one length for all, or one each), concatenated."""
+    values = list(values)
+    if lengths is not None:
+        if (set(map(type, values)) - {list}
+                or np.any(np.fromiter(map(len, values), int, len(values))
+                          != lengths)):
+            raise ValueError(f"{name}: a list has the wrong length")
+        values = list(chain.from_iterable(values))
+    if set(map(type, values)) - ({int} if dtype is int else {int, float}):
+        kind = "integers" if dtype is int else "numbers"
+        raise ValueError(f"{name}: values must be JSON {kind}")
+    return np.array(values, dtype=dtype)
+
+
+def _dotted(path) -> str:
+    return ".".join(map(str, path))
+
+
+def _at(d, *path, kind=None):
+    """The value at key path `path` of a report's object `d`, of JSON type
+    `kind` if given; raises naming the path."""
+    value = d
+    try:
+        for key in path:
+            value = value[key]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError(f"no {_dotted(path)}") from None
+    if kind is not None and type(value) is not kind:
+        raise ValueError(f"{_dotted(path)} must be a JSON {kind.__name__}")
+    return value
+
+
+def _read_records(rows: list, where: str = "records") -> RunRecords:
+    """A run's records read back from their JSON objects (`_records_parts`):
+    the fields of `RunRecords` are parsed, with `pack_size` predictions in
+    each trial and every expert list the same length, and every other
+    column must be the one the writer writes for them."""
+    def column(name, dtype=float, lengths=None):
+        return _json_column(f"{where}: {name}", map(itemgetter(name), rows),
+                            dtype, lengths)
+
+    sizes = column("pack_size", int)
+    width = len(rows[0]["expert_pack_losses"]) if rows else 0
+    records = RunRecords(
+        sizes, column("learner_preds", float, sizes), column("learner_pack_loss"),
+        column("expert_pack_losses", float, width).reshape(len(rows), width))
+    produced = [f.name for f in fields(RunRecords)]
+    for name in _SHARED_COLUMNS + _RUN_COLUMNS:
+        if name not in produced:
+            derived = _column(records, name)
+            stored = column(name, int if derived.dtype.kind == "i" else float,
+                            derived.shape[1] if derived.ndim == 2 else None)
+            if not np.array_equal(stored.reshape(derived.shape), derived):
+                raise ValueError(f"{where}: {name} does not match "
+                                 f"{', '.join(produced)}")
+    return records
+
+
+def _check_written(stored, written, path=()) -> None:
+    """Raise unless a report's stored object is `written`, the writer's
+    object for the result read from it, key for key; the error names the
+    first key path where it is not.  A JSON integer may stand for a float,
+    but a bool is no number.  The verdicts are advisory: each `passed` must
+    be a JSON bool, and a `min_slack` may be anything.  The records
+    (`_RECORDS`) were checked as they were read."""
+    if isinstance(written, dict):
+        if type(stored) is not dict:
+            raise ValueError(f"{_dotted(path)} must be a JSON object")
+        for key in sorted(stored.keys() - written.keys()):
+            raise ValueError(f"unknown key {_dotted((*path, key))}")
+        for key, value in written.items():
+            if key not in stored:
+                raise ValueError(f"no {_dotted((*path, key))}")
+            _check_written(stored[key], value, (*path, key))
+    elif isinstance(written, (list, tuple)):
+        if type(stored) is not list or len(stored) != len(written):
+            raise ValueError(f"{_dotted(path)} must be a JSON list of "
+                             f"{len(written)}")
+        kinds = set(map(type, written))
+        if (kinds <= {int, float} and stored == list(written)
+                and set(map(type, stored)) == kinds):
+            return  # numbers of the writer's types, in one comparison
+        for i, (s, w) in enumerate(zip(stored, written)):
+            _check_written(s, w, (*path, i))
+    elif path[-1] == "passed":
+        if type(stored) is not bool:
+            raise ValueError(f"{_dotted(path)} must be a JSON bool")
+    elif path[-1] != "min_slack" and written is not _RECORDS and not (
+            type(stored) in ((int, float) if type(written) is float
+                             else (type(written),))
+            and stored == written):
+        raise ValueError(f"{_dotted(path)} is {stored!r}; the rest of the "
+                         f"report gives {written!r}")
+
+
+def _read_report(text: str) -> tuple:
+    """A JSON report read back: the result, and each run's stored `passed`
+    verdicts, one per report.  Only what the runs produced is parsed: the
+    game, prior and pack sizes, each run's name, records and `every_prefix`,
+    and the shuffle study's losses and seed.  The result is rebuilt from
+    them through the re-audit, so its reports are the re-audit's.  The file
+    must then be the writer's object for that result (`_check_written`),
+    and no record may be impossible: a pack's loss is a sum of squares of
+    differences within the game's interval, every prediction lies in that
+    interval (to which it is clipped), and every run has the same expert
+    losses."""
+    d = json.loads(text)
+    version = d.get("schema_version") if isinstance(d, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema_version {version!r}; re-run to write "
+            f"version {SCHEMA_VERSION}")
+    game = [float(_json_column(f"game.{key}", [_at(d, "game", key)])[0])
+            for key in _GAME_FIELDS]
+    prior = _json_column("prior", _at(d, "prior", kind=list))
+    try:
+        game, prior = GameSpec(*game), _as_prior(prior)
+    except ValueError as e:
+        raise ValueError(f"game or prior: {e}") from None
+    pack_sizes = tuple(_json_column(
+        "pack_sizes", _at(d, "pack_sizes", kind=list), int).tolist())
+    runs = _at(d, "algorithms", kind=list)
+    if not pack_sizes and runs:
+        # As run_experiment refuses to run on an empty stream.
+        raise ValueError("algorithms: a run on no packs")
+    algorithms = []
+    for i in range(len(runs)):
+        where = f"algorithms.{i}"
+        name = _at(d, "algorithms", i, "name")
+        if type(name) is not str or name not in bd._TABLE:
+            raise ValueError(f"{where}.name: unknown algorithm {name!r}")
+        records = _read_records(_at(d, "algorithms", i, "records", kind=list),
+                                f"{where}.records")
+        if not (np.array_equal(records.pack_size, pack_sizes)
+                and records.expert_pack_losses.size
+                == len(pack_sizes) * prior.size):
+            raise ValueError(f"{where}: records do not match pack_sizes and prior")
+        # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]
+        # as rounded (rounding is monotone).  The sum's k - 1 additions
+        # round up by at most (k - 1) eps/2 relative, and this limit's own
+        # products by a few eps/2: 2k eps of room covers both.
+        k = records.pack_size[:, None]
+        limit = (k * (game.upper - game.lower) ** 2
+                 * (1 + 2 * k * np.finfo(float).eps))
+        for field, losses in (
+                ("learner_pack_loss", records.learner_pack_loss[:, None]),
+                ("expert_pack_losses", records.expert_pack_losses)):
+            if not ((losses >= 0) & (losses <= limit)).all():
+                raise ValueError(f"{where}: {field} must lie in "
+                                 f"[0, k (B - A)^2] for a pack of k items")
+        # Every run sees the same experts, so the same expert losses.
+        if algorithms and (records.expert_pack_losses.tobytes()
+                           != algorithms[0].records.expert_pack_losses.tobytes()):
+            raise ValueError(f"{where}: expert_pack_losses differ from "
+                             f"those of algorithms.0")
+        if not game.contains(records.learner_preds):
+            raise ValueError(f"{where}: learner_preds must lie in "
+                             f"[{game.lower}, {game.upper}]")
+        every_prefix = _at(d, "algorithms", i, "reports", 0,
+                           "every_prefix") is True
+        params = _declared(name, pack_sizes)
+        algorithms.append(AlgorithmResult(
+            name, params, records,
+            _audit(name, records, game, prior, params, every_prefix)))
+    shuffle = _at(d, "shuffle")
+    if type(shuffle) is dict:  # otherwise it must be null, as written
+        losses = _json_column("shuffle.losses",
+                              _at(d, "shuffle", "losses", kind=list))
+        if not losses.size:
+            raise ValueError("shuffle.losses: no losses")
+        seed = _at(d, "shuffle", "seed", kind=int)  # any size, as --seed takes
+        shuffle = ShuffleSummary(tuple(losses.tolist()), seed)
+    else:
+        shuffle = None
+    result = ExperimentResult(game, tuple(prior.tolist()), pack_sizes,
+                              tuple(algorithms), shuffle)
+    _check_written(d, _report_object(result))
+    return result, tuple(tuple(r["passed"] for r in run["reports"])
+                         for run in runs)
+
+
 def result_from_json(text: str) -> ExperimentResult:
-    """Inverse of emit_report(..., 'json')."""
-    return ExperimentResult.from_dict(json.loads(text))
+    """Inverse of emit_report(..., 'json'); see `_read_report`."""
+    return _read_report(text)[0]

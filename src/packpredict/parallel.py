@@ -16,7 +16,8 @@ changes the total loss: shuffling reassigns items to copies.
 `run_parallel` replays all copies at once through the replay of
 `algorithms`, on the copies' row of `bounds._TABLE`; stepping copy k item
 by item with the online learner (`predict_item`, then `observe_pack` with
-divisor 1) gives the same run.
+divisor 1) gives the same run.  A `ShuffleSummary`'s JSON form is stated
+in `harness`, with the rest of the report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import PackStream, RunRecords, _check_stored, _json_column, _run
+from .algorithms import PackStream, RunRecords, _run
 from .games import GameSpec
 
 
@@ -57,31 +58,6 @@ class ShuffleSummary:
     @property
     def max(self) -> float:
         return float(np.max(self.losses))
-
-    def to_dict(self) -> dict:
-        return {
-            "losses": list(self.losses),
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "num_shuffles": self.num_shuffles,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShuffleSummary":
-        """Inverse of `to_dict`: JSON numbers only, at least one loss, and
-        each stored statistic the derived one.  `seed` stays a Python int of
-        any size, as `--seed` takes it."""
-        losses = _json_column("shuffle.losses", d["losses"])
-        if type(d["seed"]) is not int:
-            raise ValueError("shuffle: seed must be a JSON integer")
-        if not losses.size:
-            raise ValueError("shuffle: no losses")
-        summary = cls(tuple(losses.tolist()), d["seed"])
-        _check_stored("shuffle.", d, summary, ["num_shuffles", "mean", "min", "max"],
-                      "shuffle.losses")
-        return summary
 
 
 def shuffle_within_packs(stream: PackStream, rng) -> PackStream:

@@ -1,12 +1,26 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from packpredict import RunRecords, harness, result_from_json
+from packpredict import (
+    GameSpec,
+    Pack,
+    PackStream,
+    SyntheticConfig,
+    emit_report,
+    generate_synthetic_stream,
+    harness,
+    result_from_json,
+    run_experiment,
+)
 from packpredict.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_20.csv")
@@ -195,6 +209,12 @@ class TestAdversary:
         assert main(["adversary", "--packs", "0,3"]) == 1
 
 
+def last_pack_to_one(losses):
+    """Losses with the last pack's set to 1, within k (B - A)^2 on [0, 1]."""
+    losses[-1] = 1.0
+    return losses
+
+
 class TestAudit:
     def _write_result(self, tmp_path, capsys, *extra):
         out = str(tmp_path / "result.json")
@@ -223,39 +243,45 @@ class TestAudit:
         with open(path) as fh:
             payload = json.load(fh)
         run = payload["algorithms"][0]
-        records = RunRecords.from_dict(run["records"])
+        records = harness._read_records(run["records"])
         records = dataclasses.replace(records, **{
             field: edit(getattr(records, field)) for field, edit in edits.items()})
-        run["records"] = json.loads(records.to_json())
+        run["records"] = json.loads("".join(harness._records_parts(records, {})))
         run["total_loss"] = float(records.cumulative_loss[-1])
         run["total_average_loss"] = float(records.cumulative_average_loss[-1])
         with open(path, "w") as fh:
             json.dump(payload, fh)
 
+    @staticmethod
+    def _full_losses(path):
+        """Each pack's largest possible loss on [0, 1]: its size."""
+        with open(path) as fh:
+            return np.array(json.load(fh)["pack_sizes"], dtype=float)
+
     def test_tampered_result_fails(self, tmp_path, capsys):
+        # A learner that loses every item in full: possible records, but no
+        # guarantee allows them.
         path = self._write_result(tmp_path, capsys)
-
-        def raise_last(loss):
-            loss[-1] += 1000.0
-            return loss
-
-        self._forge(path, learner_pack_loss=raise_last)
+        full = self._full_losses(path)
+        self._forge(path, learner_pack_loss=lambda loss: full)
         assert main(["audit", path]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
     def test_names_where_the_bound_is_tightest(self, tmp_path, capsys):
         # The audit text names the expert and prefix of each minimum slack.
-        # A learner that loses 1000 at trial 5 and nothing after breaks the
-        # bound there first, as the experts' losses then only add slack; a
-        # final-only file is audited at prefix 10 unless asked for more.
+        # A learner that loses every item in full up to trial 5 (at least 4
+        # per pack) and nothing after is tightest there, as the experts'
+        # losses then only add slack; a final-only file is audited at prefix
+        # 10 unless asked for more.
         path = self._write_result(tmp_path, capsys)
+        full = self._full_losses(path)
 
-        def jump_at_trial_5(loss):
-            loss[4] += 1000.0
+        def full_to_trial_5(loss):
+            loss[:5] = full[:5]
             loss[5:] = 0.0
             return loss
 
-        self._forge(path, learner_pack_loss=jump_at_trial_5)
+        self._forge(path, learner_pack_loss=full_to_trial_5)
         assert main(["audit", path]) == 2
         first = capsys.readouterr().out.splitlines()[0]
         assert "FAIL" in first and "prefix 10" in first
@@ -267,16 +293,40 @@ class TestAudit:
         ("learner_pack_loss", lambda loss: loss - 5.0),
         ("expert_pack_losses", lambda losses: losses - 5.0),
         ("learner_preds", lambda preds: preds + 7.0),
+        pytest.param("learner_pack_loss", lambda loss: loss * 1e6 + 10,
+                     id="learner_pack_loss-above_k"),
+        pytest.param("expert_pack_losses", lambda losses: losses * 1e6 + 10,
+                     id="expert_pack_losses-above_k"),
+        pytest.param("expert_pack_losses", last_pack_to_one,
+                     id="expert_pack_losses-one_run_alone"),
     ])
     def test_impossible_records_refused(self, tmp_path, capsys, field, edit):
-        # Square losses are never negative and predictions lie in the game's
-        # interval [0, 1], so a file that says otherwise is a read error,
-        # however consistently it was forged.
+        # Predictions lie in the game's interval [0, 1], a pack of k items
+        # loses a sum of k squares, each in [0, 1], and every run sees the
+        # same experts (so the first run's raised expert losses, within the
+        # loss bound, are given away by the others).  A file that says
+        # otherwise is a read error, however consistently it was forged.
         path = self._write_result(tmp_path, capsys)
         self._forge(path, **{field: edit})
         assert main(["audit", path]) == 1
         err = capsys.readouterr().err
         assert "cannot read result file" in err and field in err
+
+    def test_losses_at_the_bound_read(self, tmp_path, capsys):
+        # Experts at A and outcomes at B: every item loses exactly (B - A)^2,
+        # and on this interval packs of 12 to 16 items sum to more than
+        # k (B - A)^2 as computed, in the last bit.  Such a report reads.
+        lower, upper = -3.3, 7.9
+        sizes = [1, 2, 12, 13, 15, 16, 40]
+        stream = PackStream([Pack(np.full((3, k), lower), np.full(k, upper))
+                             for k in sizes])
+        result = run_experiment(stream, GameSpec.for_interval(lower, upper))
+        losses = result.algorithms[0].records.expert_pack_losses
+        assert (losses[:, 0] > np.array(sizes) * (upper - lower) ** 2).any()
+        path = tmp_path / "bound.json"
+        path.write_text(emit_report(result, "json"))
+        assert main(["audit", str(path)]) == 0
+        assert result_from_json(path.read_text()) == result
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "missing.json")]) == 1
@@ -410,6 +460,9 @@ class TestAudit:
             (("passed",), "yes"),
             (("passed",), 1),
             (("passed",), drop),
+            # Unknown keys, outside the records.
+            (("extra",), 1),
+            (("algorithms", 0, "extra"), 1),
         ]
         for path, value in named:
             field = next(k for k in reversed(path) if isinstance(k, str))
@@ -437,6 +490,66 @@ class TestAudit:
         p.write_text(json.dumps(payload))
         assert main(["audit", str(p)]) == 1
         assert "schema_version 1" in capsys.readouterr().err
+
+
+@functools.lru_cache(maxsize=None)
+def shuffled_report() -> str:
+    """A report with a shuffle study: 3 experts, 10 packs, seed 6."""
+    stream, game = generate_synthetic_stream(SyntheticConfig(3, 10, seed=6))
+    return emit_report(run_experiment(stream, game, shuffles=2), "json")
+
+
+def key_paths(node, path=()):
+    """Every key path of a JSON value, list indices included."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield (*path, key)
+            yield from key_paths(value, (*path, key))
+
+
+# The key paths a reader must check: all but the records, the advisory
+# verdicts and the shuffle seed (any integer).
+CHECKED_PATHS = [
+    path for path in key_paths(json.loads(shuffled_report()))
+    if "records" not in path and path[-1] not in ("passed", "min_slack")
+    and path != ("shuffle", "seed")]
+
+
+class TestReaderContract:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_edit_is_refused_naming_the_key(self, tmp_path, capsys, data):
+        # Shift a number by one, swap a value's type, or drop a key: the read
+        # fails naming the key, or the object holding it where the edit
+        # shows in a value derived from it (a shuffle loss in the mean).
+        payload = json.loads(shuffled_report())
+        path = data.draw(st.sampled_from(CHECKED_PATHS))
+        *parents, key = path
+        node = functools.reduce(lambda n, k: n[k], parents, payload)
+        value = node[key]
+        edits = ["swap"]
+        if type(value) in (int, float) and path != ("game", "upper"):
+            # Not `game.upper`: a wider interval, like the seed, contradicts
+            # nothing else in the file.
+            edits.append("shift")
+        if isinstance(node, dict):  # a list entry (a run, a loss) is no key
+            edits.append("drop")
+        edit = data.draw(st.sampled_from(edits))
+        if edit == "shift":
+            node[key] = value + 1
+        elif edit == "swap":
+            node[key] = str(value) if type(value) in (int, float) else 1
+        else:
+            del node[key]
+        p = tmp_path / "edited.json"
+        p.write_text(json.dumps(payload))
+        assert main(["audit", str(p)]) == 1, (path, edit)
+        err = capsys.readouterr().err
+        names = [k for k in path if isinstance(k, str)][-2:]
+        assert "cannot read result file" in err, (path, edit)
+        assert any(name in err for name in names), (path, edit, err)
 
 
 class TestEntryPoint:

@@ -26,6 +26,7 @@ from packpredict import (
     run_experiment,
     write_pack_csv,
 )
+from packpredict import harness
 from packpredict.cli import main
 from packpredict.harness import ALGORITHM_CHOICES
 
@@ -502,7 +503,7 @@ def per_trial_json(result):
                 r.expert_cumulative_average_losses[t].tolist(),
         } for t in range(len(r))]
 
-    g = result.game
+    g, s = result.game, result.shuffle
     return json.dumps({
         "schema_version": 2,
         "game": {"lower": float(g.lower), "upper": float(g.upper),
@@ -519,9 +520,15 @@ def per_trial_json(result):
             "total_loss": a.total_loss,
             "total_average_loss": a.total_average_loss,
             "records": records(a.records),
-            "reports": [r.to_dict() for r in a.reports],
+            "reports": [{
+                "algorithm": r.algorithm, "metric": r.metric,
+                "params": dict(r.params), "every_prefix": r.every_prefix,
+                "passed": r.passed, "min_slack": r.min_slack,
+            } for r in a.reports],
         } for a in result.algorithms],
-        "shuffle": result.shuffle.to_dict() if result.shuffle else None,
+        "shuffle": None if s is None else {
+            "losses": list(s.losses), "mean": s.mean, "min": s.min,
+            "max": s.max, "num_shuffles": s.num_shuffles, "seed": s.seed},
     }, sort_keys=True, separators=(",", ":"))
 
 
@@ -647,7 +654,7 @@ class TestReports:
             text = emit_report(result, "json")
             assert text == per_trial_json(result)
             stored = [a["records"] for a in json.loads(text)["algorithms"]]
-            assert [RunRecords.from_dict(s) for s in stored] == list(runs)
+            assert [harness._read_records(s) for s in stored] == list(runs)
 
     def test_writer_writes_non_finite_numbers_as_json_does(self):
         records = two_pack_records(
@@ -663,7 +670,7 @@ class TestReports:
         for result in [
             ExperimentResult(game=GameSpec(0, 1, 2.0), prior=(1.0,),
                              pack_sizes=(), algorithms=()),
-            hand_built(RunRecords.from_dict([]), pack_sizes=()),
+            hand_built(harness._read_records([]), pack_sizes=()),
         ]:
             assert emit_report(result, "json") == per_trial_json(result)
 
@@ -684,4 +691,4 @@ class TestReports:
         payload = json.loads(emit_report(self._result(rng), "json"))
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
-            ExperimentResult.from_dict(payload)
+            result_from_json(json.dumps(payload))

@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from packpredict import algorithms
+from packpredict import algorithms, harness
 from packpredict import (
     DivisorPolicy,
     GameSpec,
     Pack,
     PackStream,
-    RunRecords,
     init_state,
     observe_pack,
     predict_pack,
@@ -104,9 +103,9 @@ class TestPackTypes:
             run_aap_current(PackStream(()), GAME),
         )
         for records in runs:
-            rows = json.loads(records.to_json())
+            rows = json.loads("".join(harness._records_parts(records, {})))
             assert [r["trial_index"] for r in rows] == list(range(len(records)))
-            assert RunRecords.from_dict(rows) == records
+            assert harness._read_records(rows) == records
 
 
 class TestRunners:

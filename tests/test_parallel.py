@@ -10,8 +10,11 @@ from packpredict import (
     init_state,
     observe_pack,
     predict_item,
+    emit_report,
     rescale_stream,
+    result_from_json,
     run_aa,
+    run_experiment,
     run_parallel,
     shuffle_experiment,
     shuffle_within_packs,
@@ -187,6 +190,5 @@ class TestShuffle:
     def test_summary_round_trip(self, rng):
         stream = make_stream(rng, 2, 5, size_min=2, size_max=3)
         s = shuffle_experiment(stream, GAME, num_shuffles=4, seed=9)
-        from packpredict import ShuffleSummary
-
-        assert ShuffleSummary.from_dict(s.to_dict()) == s
+        result = run_experiment(stream, GAME, shuffles=4, shuffle_seed=9)
+        assert result_from_json(emit_report(result)).shuffle == s
