@@ -13,7 +13,6 @@ Example:
 """
 
 import argparse
-import math
 
 from packpredict import (
     AdversaryNature,
@@ -32,15 +31,15 @@ def parse_args():
     return ap.parse_args()
 
 
-def show(name, trials, num_experts):
+def show(name, run):
     print(f"\n{name}:")
     print(f"{'pack':>5}{'size':>6}{'regret increment':>20}{'K ln N floor':>16}")
-    for t in trials:
-        print(f"{t.trial_index:>5}{t.pack_size:>6}"
-              f"{t.regret_increment:>20.6f}{t.lower_bound_increment:>16.6f}")
-    total = trials[-1].cumulative_regret
-    print(f"{'':>11}{'total':>20} {total:>19.6f}")
-    return total
+    for t, (k, regret, bound) in enumerate(zip(
+            run.pack_size.tolist(), run.regret_increment.tolist(),
+            run.lower_bound_increment.tolist())):
+        print(f"{t:>5}{k:>6}{regret:>20.6f}{bound:>16.6f}")
+    print(f"{'':>11}{'total':>20} {run.total_regret:>19.6f}")
+    return run.total_regret
 
 
 def main():
@@ -53,16 +52,15 @@ def main():
 
     uniform_total = show(
         "uniform learner vs adversary",
-        run_mixloss_game(UniformLearner(n), AdversaryNature(), sizes), n)
+        run_mixloss_game(UniformLearner(n), AdversaryNature(), sizes))
     ew_total = show(
         "exponential-weights learner vs adversary",
-        run_mixloss_game(ExponentialWeightsLearner(n), AdversaryNature(), sizes),
-        n)
+        run_mixloss_game(ExponentialWeightsLearner(n), AdversaryNature(), sizes))
 
     print(f"\nfloor {floor:.6f}; uniform achieves it exactly "
           f"(gap {uniform_total - floor:.2e}); exponential weights pays "
           f"{'at least the floor' if ew_total >= floor - 1e-9 else 'LESS (bug!)'}"
-          f" (total {ew_total if math.isfinite(ew_total) else float('inf'):.6f})")
+          f" (total {ew_total:.6f})")
     return 0
 
 

@@ -7,6 +7,8 @@ construction (algorithms, parallel), guarantee formulas and run audits
 (harness).
 """
 
+import types as _types
+
 from .aggregator import (
     AggregatorState,
     DivisorPolicy,
@@ -47,6 +49,7 @@ from .harness import (
     DatasetSpec,
     ExperimentResult,
     SyntheticConfig,
+    emit_adversary_report,
     emit_report,
     generate_synthetic_stream,
     load_pack_csv,
@@ -58,7 +61,7 @@ from .harness import (
 from .mixloss import (
     AdversaryNature,
     ExponentialWeightsLearner,
-    MixLossTrial,
+    MixLossRun,
     UniformLearner,
     ZeroNature,
     find_low_product_expert,
@@ -75,56 +78,6 @@ from .parallel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatorState",
-    "DivisorPolicy",
-    "init_state",
-    "normalized_weights",
-    "observe_pack",
-    "predict_item",
-    "predict_pack",
-    "uniform_prior",
-    "Pack",
-    "PackStream",
-    "RunRecords",
-    "run_aa",
-    "run_aap_current",
-    "run_aap_equal",
-    "run_aap_incremental",
-    "run_aap_max",
-    "ALGORITHMS",
-    "SLACK_TOL",
-    "BoundReport",
-    "audit_run",
-    "theoretical_bound",
-    "GameSpec",
-    "check_substitution_validity",
-    "generalized_prediction",
-    "max_mixable_eta",
-    "substitute",
-    "substitute_pack",
-    "AlgorithmResult",
-    "DatasetSpec",
-    "ExperimentResult",
-    "SyntheticConfig",
-    "emit_report",
-    "generate_synthetic_stream",
-    "load_pack_csv",
-    "rescale_stream",
-    "result_from_json",
-    "run_experiment",
-    "write_pack_csv",
-    "AdversaryNature",
-    "ExponentialWeightsLearner",
-    "MixLossTrial",
-    "UniformLearner",
-    "ZeroNature",
-    "find_low_product_expert",
-    "mix_loss",
-    "regret_lower_bound",
-    "run_mixloss_game",
-    "ShuffleSummary",
-    "run_parallel",
-    "shuffle_experiment",
-    "shuffle_within_packs",
-]
+# Every name imported above is public; the submodules are not listed.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

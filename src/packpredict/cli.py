@@ -16,11 +16,9 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
-from .bounds import SLACK_TOL
 from .games import GameSpec, max_mixable_eta
 from .harness import (
     ALGORITHM_CHOICES,
@@ -29,6 +27,7 @@ from .harness import (
     _audit,
     _read_report,
     _where,
+    emit_adversary_report,
     emit_report,
     generate_synthetic_stream,
     load_pack_csv,
@@ -209,48 +208,11 @@ def _cmd_adversary(args) -> int:
     learner = (UniformLearner(args.experts) if args.learner == "uniform"
                else ExponentialWeightsLearner(args.experts))
     nature = ZeroNature() if args.nature == "zero" else AdversaryNature()
-    trials = run_mixloss_game(learner, nature, pack_sizes)
-
-    adversarial = args.nature == "adversary"
-    forced = all(
-        t.regret_increment >= t.lower_bound_increment - SLACK_TOL for t in trials
-    ) if adversarial else True
-    total_regret = trials[-1].cumulative_regret if trials else 0.0
-    total_bound = sum(t.lower_bound_increment for t in trials)
-
-    if args.format == "json":
-        payload = {
-            "schema_version": 1,
-            "num_experts": args.experts,
-            "learner": args.learner,
-            "nature": args.nature,
-            "trials": [t.to_dict() for t in trials],
-            "total_regret": total_regret,
-            "total_lower_bound": total_bound,
-            "forced": forced,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [
-            f"mix-loss game: {args.experts} experts, learner={args.learner}, "
-            f"nature={args.nature}",
-            f"{'trial':>5} {'K':>3} {'mix loss':>12} {'regret +=':>12} "
-            f"{'K*ln(N)':>12} {'cum regret':>12}",
-        ]
-        for t in trials:
-            lines.append(
-                f"{t.trial_index:>5} {t.pack_size:>3} {t.mix_loss:>12.6f} "
-                f"{t.regret_increment:>12.6f} {t.lower_bound_increment:>12.6f} "
-                f"{t.cumulative_regret:>12.6f}"
-            )
-        lines.append(
-            f"total regret {total_regret:.6f} vs forced lower bound "
-            f"{total_bound:.6f} (ln(N) per item)"
-        )
-        if adversarial:
-            lines.append("per-pack lower bound " +
-                         ("held in every pack" if forced else "VIOLATED"))
-        _emit("\n".join(lines) + "\n", args.out)
+    run = run_mixloss_game(learner, nature, pack_sizes)
+    # Only the adversary sets out to force the bound.
+    forced = args.nature != "adversary" or run.forced
+    _emit(emit_adversary_report(run, args.format, args.experts, args.learner,
+                                args.nature, forced), args.out)
     return EXIT_OK if forced else EXIT_BOUND_FAILED
 
 

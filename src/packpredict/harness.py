@@ -18,16 +18,17 @@ An experiment runs one stream through any subset of the algorithms named in
 everything (records, audit verdicts, shuffle spread) to JSON that
 round-trips losslessly: a reader re-runs the audit from the stored records.
 
-This module alone states the JSON report; `algorithms`, `parallel` and
-`bounds` hold no JSON code.  The writer is `_report_object`, dumped with
-one `json.dumps`, and `_records_parts` for each run's records: it writes
-them from the columns, and the expert columns a stream's runs share once
-per report.  The text is the same as `json.dumps` of the whole object with
-the records as per-trial dicts.  The reader (`_read_report`) parses only
-what the runs produced, rebuilds the result through the re-audit, and
-refuses a file that is not, key for key, the writer's object for that
-result (apart from the advisory verdicts), or that holds an impossible
-record.
+This module alone states the JSON report; `algorithms`, `parallel`,
+`bounds`, `mixloss` and `cli` hold no JSON code.  The writer is
+`_report_object`, dumped with one `json.dumps`, and `_records_parts` for
+each run's records: it writes them from the columns, and the expert columns
+a stream's runs share once per report.  The text is the same as
+`json.dumps` of the whole object with the records as per-trial dicts.  The
+reader (`_read_report`) parses only what the runs produced, rebuilds the
+result through the re-audit, and refuses a file that is not, key for key,
+the writer's object for that result (apart from the advisory verdicts), or
+that holds an impossible record.  `emit_adversary_report` writes the
+`adversary` command's report of a mix-loss game from its ledger.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .algorithms import (
 )
 from .bounds import BoundReport, audit_run
 from .games import GameSpec, max_mixable_eta
+from .mixloss import MixLossRun
 from .parallel import ShuffleSummary, run_parallel, shuffle_experiment
 
 SCHEMA_VERSION = 2
@@ -259,7 +261,11 @@ def load_pack_csv(spec: DatasetSpec):
 
 def write_pack_csv(stream: PackStream, path: str) -> None:
     """Write a stream in the flat CSV format `load_pack_csv` reads: trial t
-    becomes month 2000-01 + t, experts become columns e1..eN."""
+    becomes month 2000-01 + t, experts become columns e1..eN.  The months
+    end at 9999-12, so a stream may have at most 96000 packs."""
+    if len(stream) > 96000:
+        raise ValueError(f"{path}: {len(stream)} packs; a pack CSV names at "
+                         f"most 96000 months (2000-01 to 9999-12)")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         n = stream.num_experts
@@ -648,6 +654,47 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r} (json, csv, table)")
 
 
+def emit_adversary_report(run: MixLossRun, format: str, num_experts: int,
+                          learner: str, nature: str, forced: bool) -> str:
+    """The `adversary` command's report of a game: a `table`, or `json` with
+    its own `schema_version` 1, indented, one object per pack (an infinite
+    loss is a bare `Infinity` token).  Each gives the totals and whether
+    every pack's regret reached its bound; the table says so only against
+    the adversary."""
+    names = ("pack_size", "mix_loss", "expert_pack_losses", "regret_increment",
+             "lower_bound_increment", "cumulative_mix_loss", "cumulative_regret")
+    rows = list(zip(*(getattr(run, name).tolist() for name in names)))
+    if format == "json":
+        return json.dumps({
+            "schema_version": 1,
+            "num_experts": num_experts,
+            "learner": learner,
+            "nature": nature,
+            "trials": [dict(zip(names, row), trial_index=t)
+                       for t, row in enumerate(rows)],
+            "total_regret": run.total_regret,
+            "total_lower_bound": run.total_lower_bound,
+            "forced": forced,
+        }, indent=2, sort_keys=True) + "\n"
+    if format != "table":
+        raise ValueError(f"unknown format {format!r} (json, table)")
+    lines = [
+        f"mix-loss game: {num_experts} experts, learner={learner}, "
+        f"nature={nature}",
+        f"{'trial':>5} {'K':>3} {'mix loss':>12} {'regret +=':>12} "
+        f"{'K*ln(N)':>12} {'cum regret':>12}",
+    ]
+    for t, (k, ell, _, regret, bound, _, cum) in enumerate(rows):
+        lines.append(f"{t:>5} {k:>3} {ell:>12.6f} {regret:>12.6f} "
+                     f"{bound:>12.6f} {cum:>12.6f}")
+    lines.append(f"total regret {run.total_regret:.6f} vs forced lower bound "
+                 f"{run.total_lower_bound:.6f} (ln(N) per item)")
+    if nature == "adversary":
+        lines.append("per-pack lower bound " +
+                     ("held in every pack" if forced else "VIOLATED"))
+    return "\n".join(lines) + "\n"
+
+
 def _where(report: BoundReport | None) -> str:
     """The expert (0-based) and prefix of a report's minimum slack."""
     if report is None or report.binding is None:
@@ -715,6 +762,11 @@ def _read_records(rows: list, where: str = "records") -> RunRecords:
             if not np.array_equal(stored.reshape(derived.shape), derived):
                 raise ValueError(f"{where}: {name} does not match "
                                  f"{', '.join(produced)}")
+    # Each row holds every column, so a longer one holds an unknown key.
+    names = {*_SHARED_COLUMNS, *_RUN_COLUMNS, "learner_preds"}
+    if set(map(len, rows)) - {len(names)}:
+        t = next(t for t, row in enumerate(rows) if len(row) != len(names))
+        raise ValueError(f"unknown key {where}.{t}.{min(rows[t].keys() - names)}")
     return records
 
 

@@ -13,6 +13,9 @@ assigned masses at most N^(-K) (an averaging argument over the K rows), and a
 nature that zeroes that expert's losses while blowing up everyone else's
 makes the learner pay at least K*ln(N) in that pack alone -- per pack, not
 per game.
+
+`run_mixloss_game` returns the game's ledger, a `MixLossRun`.  The
+`adversary` command's report, table or JSON, is written from it by `harness`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import SLACK_TOL
 from .games import _logsumexp
 
 # Distribution rows must sum to 1 within this tolerance.
@@ -91,30 +95,64 @@ def find_low_product_expert(distributions) -> int:
     return n0
 
 
-@dataclass(frozen=True)
-class MixLossTrial:
-    """One pack of the mix-loss game, with running regret accounting."""
+@dataclass(frozen=True, eq=False)
+class MixLossRun:
+    """A mix-loss game as played, as columns; row t is pack t: its size, the
+    learner's mix loss and each expert's loss over the pack (T x N).  The
+    rest is derived on each access.  An empty game has T = N = 0.
 
-    trial_index: int
-    pack_size: int
-    mix_loss: float
-    expert_pack_losses: tuple
-    regret_increment: float          # mix_loss - best expert's pack loss
-    lower_bound_increment: float     # K_t * ln(N), what the adversary forces
-    cumulative_mix_loss: float
-    cumulative_regret: float
+    A pack's regret is its mix loss less its best expert's loss, and the
+    cumulative regret sums these: regret against each pack's own best
+    expert, not against the best expert of the game.  Against
+    `ExponentialWeightsLearner` and the adversary (N >= 2) it is inf from
+    the second pack on, where the learner weights only the expert the
+    adversary spared in the first, and the adversary spares another.
+    """
 
-    def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "pack_size": self.pack_size,
-            "mix_loss": self.mix_loss,
-            "expert_pack_losses": list(self.expert_pack_losses),
-            "regret_increment": self.regret_increment,
-            "lower_bound_increment": self.lower_bound_increment,
-            "cumulative_mix_loss": self.cumulative_mix_loss,
-            "cumulative_regret": self.cumulative_regret,
-        }
+    pack_size: np.ndarray
+    mix_loss: np.ndarray
+    expert_pack_losses: np.ndarray
+
+    def __len__(self):
+        return len(self.pack_size)
+
+    @property
+    def regret_increment(self) -> np.ndarray:
+        # `initial` lets an empty game, with no experts, take the minimum.
+        best = self.expert_pack_losses.min(axis=1, initial=np.inf)
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
+            return self.mix_loss - best
+
+    @property
+    def lower_bound_increment(self) -> np.ndarray:
+        """K_t*ln(N), the regret the adversary forces in pack t."""
+        n = self.expert_pack_losses.shape[1]
+        return self.pack_size * (math.log(n) if n else 0.0)
+
+    # The running sums start from 0.0 and np.cumsum does not: + 0.0 turns a
+    # leading -0.0 (a mix loss against zero losses) into 0.0.
+    @property
+    def cumulative_mix_loss(self) -> np.ndarray:
+        return np.cumsum(self.mix_loss) + 0.0
+
+    @property
+    def cumulative_regret(self) -> np.ndarray:
+        return np.cumsum(self.regret_increment) + 0.0
+
+    @property
+    def total_regret(self) -> float:
+        return float(self.cumulative_regret[-1:].sum())  # 0 if empty
+
+    @property
+    def total_lower_bound(self) -> float:
+        """The per-pack bounds added one by one, in pack order."""
+        return sum(self.lower_bound_increment.tolist(), 0.0)
+
+    @property
+    def forced(self) -> bool:
+        """Whether each pack's regret reached its K_t*ln(N), to `SLACK_TOL`."""
+        return bool(np.all(self.regret_increment
+                           >= self.lower_bound_increment - SLACK_TOL))
 
 
 class UniformLearner:
@@ -180,17 +218,15 @@ class ZeroNature:
         return np.zeros((p.shape[1], p.shape[0]))
 
 
-def run_mixloss_game(learner, nature, pack_sizes) -> list:
-    """Play the mix-loss game for len(pack_sizes) packs and return per-trial
-    records.  `learner` supplies distributions(pack_size) and observe(losses);
+def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
+    """Play the mix-loss game for len(pack_sizes) packs and return its
+    ledger.  `learner` supplies distributions(pack_size) and observe(losses);
     `nature` maps the announced distributions to an N x K loss matrix.
     """
     sizes = [int(k) for k in pack_sizes]
     if any(k < 1 for k in sizes):
         raise ValueError("pack sizes must be >= 1")
-    trials = []
-    cum_mix = 0.0
-    cum_regret = 0.0
+    mix, expert = [], []
     for t, k in enumerate(sizes):
         dists = _as_distributions(learner.distributions(k))
         if dists.shape[0] != k:
@@ -198,30 +234,21 @@ def run_mixloss_game(learner, nature, pack_sizes) -> list:
                 f"learner returned {dists.shape[0]} rows for a pack of {k}"
             )
         num_experts = dists.shape[1]
+        if expert and num_experts != expert[0].size:
+            raise ValueError(f"learner returned {num_experts} experts in pack "
+                             f"{t}, {expert[0].size} before")
         losses = np.asarray(nature(dists), dtype=float)
         if losses.shape != (num_experts, k):
             raise ValueError(
                 f"nature returned losses of shape {losses.shape}, "
                 f"expected {(num_experts, k)}"
             )
-        ell = mix_loss(dists, losses)
-        expert_pack = losses.sum(axis=1)
-        best = float(expert_pack.min())
-        increment = ell - best
-        cum_mix += ell
-        cum_regret += increment
-        trials.append(MixLossTrial(
-            trial_index=t,
-            pack_size=k,
-            mix_loss=ell,
-            expert_pack_losses=tuple(float(x) for x in expert_pack),
-            regret_increment=float(increment),
-            lower_bound_increment=k * math.log(num_experts),
-            cumulative_mix_loss=float(cum_mix),
-            cumulative_regret=float(cum_regret),
-        ))
+        mix.append(mix_loss(dists, losses))
+        expert.append(losses.sum(axis=1))
         learner.observe(losses)
-    return trials
+    width = expert[0].size if expert else 0
+    return MixLossRun(np.array(sizes, dtype=int), np.array(mix, dtype=float),
+                      np.array(expert, dtype=float).reshape(len(sizes), width))
 
 
 def regret_lower_bound(pack_sizes, num_experts: int) -> float:

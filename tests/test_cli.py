@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,28 @@ class TestAdversary:
     def test_bad_packs(self, capsys):
         assert main(["adversary", "--packs", "two"]) == 1
         assert main(["adversary", "--packs", "0,3"]) == 1
+
+    # The sha256 prefixes of the table and the JSON report, and the exit
+    # code.  The second holds `Infinity` tokens; the third, the sixth and
+    # the last hold mix losses of -0.0, whose running totals print as 0.
+    @pytest.mark.parametrize("args, table, report", [
+        ("--experts 2 --packs 3,3,3", "0246b4866ecaa7a2", "2cb8cea71b250f0e"),
+        ("--experts 4 --packs 2,3 --learner exp-weights",
+         "819d3b8045915907", "a4e023e1bbc60bb2"),
+        ("--experts 3 --packs 2,2 --learner exp-weights --nature zero",
+         "8f669cde81d4181e", "5196121173b5c043"),
+        ("--experts 3 --packs 1,2,3,4,5", "3d2a932c47fbf251", "dc97ce2f6d317d5a"),
+        ("--experts 5 --packs 4,1,3 --learner exp-weights",
+         "d8c8572fafd345f2", "14ca0bb4857e8c25"),
+        ("--experts 1 --packs 2,1", "f1fb013f542d911b", "8a3242b20525ebcc"),
+        ("--experts 6 --packs 7,1,1,9,2,3,3,8 --nature zero",
+         "e9b1b895d0cc44e8", "3e2c1a67f8f0b64e"),
+    ])
+    def test_output_bytes(self, capsys, args, table, report):
+        for fmt, digest in (("table", table), ("json", report)):
+            assert main(["adversary", *args.split(), "--format", fmt]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest()[:16] == digest, fmt
 
 
 def last_pack_to_one(losses):
@@ -460,9 +483,11 @@ class TestAudit:
             (("passed",), "yes"),
             (("passed",), 1),
             (("passed",), drop),
-            # Unknown keys, outside the records.
+            # Unknown keys, outside the records and inside a trial's record.
             (("extra",), 1),
             (("algorithms", 0, "extra"), 1),
+            (("algorithms", 0, "records", 0, "bogus"), 1),
+            (("algorithms", 2, "records", 5, "bogus"), None),
         ]
         for path, value in named:
             field = next(k for k in reversed(path) if isinstance(k, str))
@@ -569,6 +594,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert proc.stderr
+
+    def test_star_import_gives_the_public_names(self):
+        # `__all__` is every name the package imports, and no submodule.
+        import packpredict
+
+        namespace = {}
+        exec("from packpredict import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(packpredict.__all__)
+        assert {"MixLossRun", "emit_adversary_report", "run_experiment",
+                "SLACK_TOL"} <= namespace.keys()
+        assert not {"harness", "mixloss", "types"} & namespace.keys()
 
     def test_import_leaves_scipy_out(self):
         # scipy is a test-only dependency: importing the library and its

@@ -218,6 +218,26 @@ class TestLoadPackCsv:
         loaded, _ = load_pack_csv(spec)
         assert loaded == stream
 
+    def test_write_refuses_more_packs_than_months(self, tmp_path):
+        # Pack t is month 2000-01 + t: 96000 packs end at 9999-12 and read
+        # back; one more would need a five-digit year, so nothing is written.
+        def stream(num_packs):
+            return PackStream._from_columns(
+                np.linspace(0, 1, num_packs)[None, :], np.zeros(num_packs),
+                np.ones(num_packs, int))
+
+        path = tmp_path / "long.csv"
+        write_pack_csv(stream(96000), str(path))
+        assert path.read_text().splitlines()[-1].startswith("9999-12,")
+        spec = DatasetSpec(path=str(path), timestamp_col="month",
+                           target_col="target", expert_cols=("e1",),
+                           clip_lower=0.0, clip_upper=1.0)
+        assert load_pack_csv(spec)[0] == stream(96000)
+        path.unlink()
+        with pytest.raises(ValueError, match="96001 packs.*at most 96000"):
+            write_pack_csv(stream(96001), str(path))
+        assert not path.exists()
+
 
 class TestSynthetic:
     def test_deterministic(self):

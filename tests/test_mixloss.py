@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from packpredict import (
     regret_lower_bound,
     run_mixloss_game,
 )
+from packpredict.harness import emit_adversary_report
 
 LN2 = 0.69314718055994530942
 
@@ -110,20 +112,19 @@ class TestGame:
     def test_uniform_learner_exact_equality(self):
         # Uniform learner vs the adversary: mix loss is exactly K*ln(N) per
         # pack, so total regret over sizes {3,3,3} with N=2 is 9*ln 2.
-        trials = run_mixloss_game(UniformLearner(2), AdversaryNature(),
-                                  [3, 3, 3])
-        assert trials[-1].cumulative_regret == pytest.approx(
+        run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [3, 3, 3])
+        assert run.cumulative_regret[-1] == pytest.approx(
             6.2383246250395077848, abs=1e-9
         )
-        for t in trials:
-            assert t.regret_increment == pytest.approx(
-                t.lower_bound_increment, abs=1e-12
-            )
-            assert min(t.expert_pack_losses) == 0.0
+        for regret, bound, losses in zip(run.regret_increment,
+                                         run.lower_bound_increment,
+                                         run.expert_pack_losses):
+            assert regret == pytest.approx(bound, abs=1e-12)
+            assert min(losses) == 0.0
 
     def test_uniform_learner_four_experts(self):
-        trials = run_mixloss_game(UniformLearner(4), AdversaryNature(), [2, 3])
-        assert trials[-1].cumulative_regret == pytest.approx(
+        run = run_mixloss_game(UniformLearner(4), AdversaryNature(), [2, 3])
+        assert run.cumulative_regret[-1] == pytest.approx(
             6.9314718055994530942, abs=1e-9
         )
 
@@ -132,30 +133,83 @@ class TestGame:
         # K_t*ln(N); exponential weights included (infinite increments count).
         for n, sizes in ((2, [3] * 10), (3, [1, 2, 3, 4]), (5, [2, 5, 1])):
             learner = ExponentialWeightsLearner(n)
-            trials = run_mixloss_game(learner, AdversaryNature(), sizes)
-            for t in trials:
-                assert t.regret_increment >= t.lower_bound_increment - 1e-9
+            run = run_mixloss_game(learner, AdversaryNature(), sizes)
+            for regret, bound in zip(run.regret_increment,
+                                     run.lower_bound_increment):
+                assert regret >= bound - 1e-9
+            assert run.forced
 
     def test_exp_weights_first_pack_forced(self):
-        trials = run_mixloss_game(ExponentialWeightsLearner(2),
-                                  AdversaryNature(), [3])
-        assert trials[0].regret_increment >= 3 * LN2 - 1e-9
+        run = run_mixloss_game(ExponentialWeightsLearner(2),
+                               AdversaryNature(), [3])
+        assert run.regret_increment[0] >= 3 * LN2 - 1e-9
 
     def test_exp_weights_learns_under_zero_nature(self):
         learner = ExponentialWeightsLearner(3)
-        trials = run_mixloss_game(learner, ZeroNature(), [2, 2])
-        assert trials[-1].cumulative_mix_loss == 0.0
-        assert trials[-1].cumulative_regret == 0.0
+        run = run_mixloss_game(learner, ZeroNature(), [2, 2])
+        assert run.cumulative_mix_loss[-1] == 0.0
+        assert run.cumulative_regret[-1] == 0.0
+        # Each pack's mix loss is -0.0; the running sums start from 0.0.
+        assert repr(run.mix_loss.tolist()) == "[-0.0, -0.0]"
+        assert repr(run.cumulative_regret.tolist()) == "[0.0, 0.0]"
+        assert repr(run.total_regret) == "0.0"
+        assert not run.forced  # regret 0 is below K*ln(N)
 
     def test_trial_bookkeeping(self):
-        trials = run_mixloss_game(UniformLearner(2), AdversaryNature(),
-                                  [1, 2, 3])
-        assert [t.trial_index for t in trials] == [0, 1, 2]
-        assert [t.pack_size for t in trials] == [1, 2, 3]
-        total = sum(t.mix_loss for t in trials)
-        assert trials[-1].cumulative_mix_loss == pytest.approx(total, abs=1e-12)
-        d = trials[0].to_dict()
+        run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [1, 2, 3])
+        assert list(range(len(run))) == [0, 1, 2]
+        assert run.pack_size.tolist() == [1, 2, 3]
+        total = sum(run.mix_loss)
+        assert run.cumulative_mix_loss[-1] == pytest.approx(total, abs=1e-12)
+        report = json.loads(emit_adversary_report(
+            run, "json", 2, "uniform", "adversary", run.forced))
+        assert [t["trial_index"] for t in report["trials"]] == [0, 1, 2]
+        d = report["trials"][0]
         assert d["pack_size"] == 1 and d["mix_loss"] == pytest.approx(LN2)
+        with pytest.raises(ValueError, match="unknown format"):
+            emit_adversary_report(run, "csv", 2, "uniform", "adversary", True)
+
+    def test_derived_columns_are_running_sums(self):
+        # Pack-by-pack sums in Python floats, from 0.0: each derived column
+        # must be bitwise equal to them, the sign of zero included.
+        for learner, nature, sizes in (
+                (ExponentialWeightsLearner(4), AdversaryNature(), [2, 3, 1]),
+                (ExponentialWeightsLearner(3), ZeroNature(), [2, 2, 5]),
+                (UniformLearner(5), AdversaryNature(), [4, 1, 3, 7, 2]),
+                (UniformLearner(1), AdversaryNature(), [2, 1])):
+            run = run_mixloss_game(learner, nature, sizes)
+            n = run.expert_pack_losses.shape[1]
+            cum_mix, cum_regret, increments, bounds = 0.0, 0.0, [], []
+            mix_sums, regret_sums = [], []
+            for k, ell, losses in zip(sizes, run.mix_loss.tolist(),
+                                      run.expert_pack_losses.tolist()):
+                increments.append(ell - min(losses))
+                bounds.append(k * math.log(n))
+                cum_mix += ell
+                cum_regret += increments[-1]
+                mix_sums.append(cum_mix)
+                regret_sums.append(cum_regret)
+            for got, want in (
+                    (run.regret_increment, increments),
+                    (run.lower_bound_increment, bounds),
+                    (run.cumulative_mix_loss, mix_sums),
+                    (run.cumulative_regret, regret_sums)):
+                assert repr(got.tolist()) == repr(want)
+            assert repr(run.total_regret) == repr(regret_sums[-1])
+            assert repr(run.total_lower_bound) == repr(sum(bounds))
+
+    def test_empty_game(self):
+        # No packs: an empty ledger with no experts, as the replay gives for
+        # an empty stream, and the bound holds vacuously.
+        run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [])
+        assert len(run) == 0
+        assert run.expert_pack_losses.shape == (0, 0)
+        for column in (run.mix_loss, run.regret_increment,
+                       run.lower_bound_increment, run.cumulative_mix_loss,
+                       run.cumulative_regret):
+            assert column.shape == (0,)
+        assert run.total_regret == 0.0 and run.total_lower_bound == 0.0
+        assert run.forced
 
     def test_learner_shape_policed(self):
         class BadLearner:
@@ -167,6 +221,16 @@ class TestGame:
 
         with pytest.raises(ValueError):
             run_mixloss_game(BadLearner(), ZeroNature(), [2])
+
+        class GrowingLearner(UniformLearner):
+            """One more expert in every pack: a game has one panel."""
+
+            def distributions(self, pack_size):
+                self.num_experts += 1
+                return super().distributions(pack_size)
+
+        with pytest.raises(ValueError, match="4 experts in pack 1, 3 before"):
+            run_mixloss_game(GrowingLearner(2), ZeroNature(), [1, 2])
 
     def test_nature_shape_policed(self):
         class BadNature:
@@ -188,8 +252,7 @@ class TestLowerBoundFormula:
         )
 
     def test_matches_uniform_equality_case(self):
-        trials = run_mixloss_game(UniformLearner(3), AdversaryNature(),
-                                  [2, 4, 1])
-        assert trials[-1].cumulative_regret == pytest.approx(
+        run = run_mixloss_game(UniformLearner(3), AdversaryNature(), [2, 4, 1])
+        assert run.cumulative_regret[-1] == pytest.approx(
             regret_lower_bound([2, 4, 1], 3), abs=1e-9
         )
