@@ -85,30 +85,30 @@ class Pack:
 
 
 class PackStream:
-    """An ordered sequence of packs sharing one expert panel, stored as
-    columns: `expert_preds` (N x items, packs side by side), `outcomes` and
-    `sizes`; pack t holds the `sizes[t]` items from column `starts[t]`.
-    Indexing and iteration give `Pack` views of the columns."""
+    """An ordered sequence of at least one pack, all sharing one expert
+    panel, stored as columns: `expert_preds` (N x items, packs side by
+    side), `outcomes` and `sizes`; pack t holds the `sizes[t]` items from
+    column `starts[t]`.  Indexing and iteration give `Pack` views of the
+    columns."""
 
-    def __new__(cls, packs=()):
+    def __new__(cls, packs):
         packs = tuple(packs)
-        n = packs[0].num_experts if packs else 0
+        if not packs:
+            raise ValueError("a stream needs at least one pack")
+        n = packs[0].num_experts
         for i, t in enumerate(packs):
             if t.num_experts != n:
                 raise ValueError(f"trial {i} has {t.num_experts} experts, expected {n}")
-        return cls._from_columns(
-            np.hstack([np.empty((n, 0)), *(t.expert_preds for t in packs)]),
-            np.hstack([np.empty(0), *(t.outcomes for t in packs)]),
-            [t.size for t in packs])
+        return cls._from_columns(np.hstack([t.expert_preds for t in packs]),
+                                 np.hstack([t.outcomes for t in packs]),
+                                 [t.size for t in packs])
 
     @classmethod
     def _from_columns(cls, expert_preds, outcomes, sizes) -> "PackStream":
-        """Unchecked: for producers in this package holding valid columns."""
+        """Unchecked: for producers in this package holding valid columns
+        of at least one pack."""
         stream = super().__new__(cls)
         stream.sizes = np.asarray(sizes, dtype=np.intp)
-        if not len(stream.sizes):
-            # No packs, no expert panel: every empty stream is 0 x 0.
-            expert_preds = np.empty((0, 0))
         # One memory order, whoever built the stream: sums over the experts
         # round by it (numpy sums eight or more adjacent values pairwise).
         stream.expert_preds = np.ascontiguousarray(expert_preds, dtype=float)
@@ -137,8 +137,6 @@ class PackStream:
 
     @property
     def num_experts(self) -> int:
-        if not len(self):
-            raise ValueError("empty stream has no expert panel")
         return self.expert_preds.shape[0]
 
     @property
@@ -171,7 +169,8 @@ class PackStream:
 
 @dataclass(frozen=True, eq=False)
 class RunRecords:
-    """A run's per-trial records as columns; row t is trial t.
+    """A run's per-trial records as columns; row t is trial t, and a run
+    has at least one trial.
 
     `learner_preds` holds every item's prediction in stream order (trial t's
     are the next `pack_size[t]`); `expert_pack_losses` is T x N.  The
@@ -229,9 +228,6 @@ def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
     """A whole run's records, from the stream's columns (see `PackStream`),
     on the schedule `policy`: a `DivisorPolicy`, or None for the parallel
     copies.  The weights at an item are p * exp(-c), with c its charges."""
-    if len(stream) == 0:
-        return RunRecords(np.empty(0, int), np.empty(0), np.empty(0),
-                          np.empty((0, 0)))
     stream.validate_for_game(game)
     num_experts = stream.num_experts
     p = _as_prior(uniform_prior(num_experts) if prior is None else prior)

@@ -192,10 +192,10 @@ _ENTRY_DTYPE = np.dtype([
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """All guarantee checks for one algorithm on one run.  `entries` is a
-    structured array with one row per (prefix, expert) check, prefix-major,
-    and the fields expert_index, learner_loss, expert_loss, bound, slack and
-    prefix (the number of trials included); `every_prefix` says whether
-    every prefix was checked or only the whole run."""
+    structured array with one row per (prefix, expert) check, at least one,
+    prefix-major, and the fields expert_index, learner_loss, expert_loss,
+    bound, slack and prefix (the number of trials included); `every_prefix`
+    says whether every prefix was checked or only the whole run."""
 
     algorithm: str
     metric: str  # "total" or "average"
@@ -204,23 +204,18 @@ class BoundReport:
     every_prefix: bool = False
 
     @property
-    def min_slack(self) -> float | None:
-        if len(self.entries) == 0:
-            return None
+    def min_slack(self) -> float:
         return float(self.entries["slack"].min())
 
     @property
-    def binding(self) -> tuple | None:
+    def binding(self) -> tuple:
         """(expert_index, prefix) of the check with the minimum slack."""
-        if len(self.entries) == 0:
-            return None
         row = self.entries[np.argmin(self.entries["slack"])]
         return int(row["expert_index"]), int(row["prefix"])
 
     @property
     def passed(self) -> bool:
-        ms = self.min_slack
-        return ms is None or ms >= -SLACK_TOL
+        return self.min_slack >= -SLACK_TOL
 
     @property
     def violations(self) -> np.ndarray:
@@ -245,16 +240,14 @@ def audit_run(records, algorithm: str, game, prior, *,
     guarantee may take (see `_TABLE`).  With `every_prefix` the guarantee
     is checked after every trial, not just the last; prefix-dependent
     divisors (running max size, pool size, max/min ratio) use their value
-    as of that prefix.
+    as of that prefix.  Records of no trials are refused.
     """
+    if len(records) == 0:
+        raise ValueError("cannot audit a run on no packs")
     owner, g = _guarantee(algorithm)
     prior = _as_prior(prior)
     every_prefix = bool(every_prefix)
     params = {"c": float(game.c), "eta": float(game.eta)}
-    if len(records) == 0:
-        return BoundReport(algorithm, g.metric, params,
-                           np.empty(0, dtype=_ENTRY_DTYPE), every_prefix)
-
     sizes = records.pack_size
     num_trials, num_experts = records.expert_pack_losses.shape
     if prior.size != num_experts:

@@ -136,12 +136,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _run(stream, game: GameSpec, args):
     """Run the chosen algorithms on a stream (shared by `run` and `synth`)."""
-    # An empty stream has no panel to size the prior by; run_experiment
-    # rejects it.
     return run_experiment(
         stream, game,
         algorithms=[s.strip() for s in args.algorithms.split(",") if s.strip()],
-        prior=_parse_prior(args.prior, stream.num_experts) if len(stream) else None,
+        prior=_parse_prior(args.prior, stream.num_experts),
         shuffles=args.shuffles,
         shuffle_seed=args.seed,
         every_prefix=args.every_prefix,
@@ -237,11 +235,10 @@ def _cmd_audit(args) -> int:
         for report, said in zip(reports, stored):
             ok = report.passed
             all_ok = all_ok and ok
-            ms = report.min_slack
             lines.append(
                 f"{alg.name:<18} {report.algorithm:<22} {report.metric:<8} "
                 f"checks={len(report.entries):<6} "
-                f"min slack={'n/a' if ms is None else format(ms, '.4e'):>12} "
+                f"min slack={report.min_slack:>12.4e} "
                 f"{'ok' if ok else 'FAIL'}  at {_where(report)}"
             )
             if said != ok:

@@ -306,8 +306,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.num_experts < 1:
             raise ValueError("need at least one expert")
-        if self.num_trials < 0:
-            raise ValueError("num_trials must be >= 0")
+        if self.num_trials < 1:
+            raise ValueError("num_trials must be >= 1")
         if not 1 <= self.pack_size_min <= self.pack_size_max:
             raise ValueError(
                 f"need 1 <= pack_size_min <= pack_size_max, got "
@@ -330,7 +330,7 @@ def generate_synthetic_stream(config: SyntheticConfig):
     rng = np.random.default_rng(config.seed)
     game = GameSpec.for_interval(0.0, 1.0)
     n = config.num_experts
-    sizes, expert_noise, outcome_noise = [], [np.empty((n, 0))], [np.empty(0)]
+    sizes, expert_noise, outcome_noise = [], [], []
     for _ in range(config.num_trials):
         k = int(rng.integers(config.pack_size_min, config.pack_size_max + 1))
         sizes.append(k)
@@ -361,11 +361,11 @@ class AlgorithmResult:
 
     @property
     def total_loss(self) -> float:
-        return float(self.records.cumulative_loss[-1:].sum())  # 0 if empty
+        return float(self.records.cumulative_loss[-1])
 
     @property
     def total_average_loss(self) -> float:
-        return float(self.records.cumulative_average_loss[-1:].sum())
+        return float(self.records.cumulative_average_loss[-1])
 
     @property
     def passed(self) -> bool:
@@ -457,8 +457,6 @@ def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
     algorithm whose preconditions the stream meets).  `shuffles` > 0 adds a
     within-pack shuffle study of the parallel-copies construction.
     """
-    if len(stream) == 0:
-        raise ValueError("cannot run an experiment on an empty stream")
     if shuffles < 0:
         raise ValueError(f"shuffles must be >= 0, got {shuffles}")
     if prior is None:
@@ -559,9 +557,6 @@ def _records_parts(records: RunRecords, memo: dict) -> list:
     column names.  `memo` holds the columns a run shares with every run
     whose pack sizes and expert pack losses are bitwise equal to its own (on
     one stream, every run): those are written once."""
-    if not len(records):
-        return ["[]"]
-
     def values(names):
         return {name: _column(records, name).tolist() for name in names}
 
@@ -624,24 +619,21 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
             f"game: [{result.game.lower:g}, {result.game.upper:g}]  "
             f"eta={result.game.eta:g}  c={result.game.c:g}"
         )
-        sizes = (f"{min(result.pack_sizes)}..{max(result.pack_sizes)}"
-                 if result.pack_sizes else "-")
         lines.append(
             f"stream: {result.num_trials} packs, {result.num_items} items, "
-            f"{result.num_experts} experts, sizes {sizes}"
+            f"{result.num_experts} experts, sizes "
+            f"{min(result.pack_sizes)}..{max(result.pack_sizes)}"
         )
         header = (f"{'algorithm':<18} {'total loss':>14} {'avg-loss total':>14} "
                   f"{'min slack':>12} {'bound':>7}  tightest at")
         lines.append(header)
         lines.append("-" * len(header))
         for a in result.algorithms:
-            tight = min((r for r in a.reports if r.min_slack is not None),
-                        key=lambda r: r.min_slack, default=None)
-            min_slack = float("nan") if tight is None else tight.min_slack
+            tight = min(a.reports, key=lambda r: r.min_slack)
             status = "ok" if a.passed else "FAIL"
             lines.append(
                 f"{a.name:<18} {a.total_loss:>14.6f} {a.total_average_loss:>14.6f} "
-                f"{min_slack:>12.4e} {status:>7}  {_where(tight)}"
+                f"{tight.min_slack:>12.4e} {status:>7}  {_where(tight)}"
             )
         if result.shuffle is not None:
             s = result.shuffle
@@ -695,10 +687,8 @@ def emit_adversary_report(run: MixLossRun, format: str, num_experts: int,
     return "\n".join(lines) + "\n"
 
 
-def _where(report: BoundReport | None) -> str:
+def _where(report: BoundReport) -> str:
     """The expert (0-based) and prefix of a report's minimum slack."""
-    if report is None or report.binding is None:
-        return "-"
     expert, prefix = report.binding
     return f"expert {expert}, prefix {prefix}"
 
@@ -739,20 +729,20 @@ def _at(d, *path, kind=None):
     return value
 
 
-def _read_records(rows: list, where: str = "records") -> RunRecords:
+def _read_records(rows: list, num_experts: int,
+                  where: str = "records") -> RunRecords:
     """A run's records read back from their JSON objects (`_records_parts`):
-    the fields of `RunRecords` are parsed, with `pack_size` predictions in
-    each trial and every expert list the same length, and every other
-    column must be the one the writer writes for them."""
+    the fields of `RunRecords` are parsed, with `pack_size` predictions and
+    `num_experts` expert losses in each trial, and every other column must
+    be the one the writer writes for them."""
     def column(name, dtype=float, lengths=None):
         return _json_column(f"{where}: {name}", map(itemgetter(name), rows),
                             dtype, lengths)
 
     sizes = column("pack_size", int)
-    width = len(rows[0]["expert_pack_losses"]) if rows else 0
     records = RunRecords(
         sizes, column("learner_preds", float, sizes), column("learner_pack_loss"),
-        column("expert_pack_losses", float, width).reshape(len(rows), width))
+        column("expert_pack_losses", float, num_experts).reshape(-1, num_experts))
     produced = [f.name for f in fields(RunRecords)]
     for name in _SHARED_COLUMNS + _RUN_COLUMNS:
         if name not in produced:
@@ -833,10 +823,9 @@ def _read_report(text: str) -> tuple:
         raise ValueError(f"game or prior: {e}") from None
     pack_sizes = tuple(_json_column(
         "pack_sizes", _at(d, "pack_sizes", kind=list), int).tolist())
+    if not pack_sizes:
+        raise ValueError("pack_sizes: a report holds at least one pack")
     runs = _at(d, "algorithms", kind=list)
-    if not pack_sizes and runs:
-        # As run_experiment refuses to run on an empty stream.
-        raise ValueError("algorithms: a run on no packs")
     algorithms = []
     for i in range(len(runs)):
         where = f"algorithms.{i}"
@@ -844,11 +833,9 @@ def _read_report(text: str) -> tuple:
         if type(name) is not str or name not in bd._TABLE:
             raise ValueError(f"{where}.name: unknown algorithm {name!r}")
         records = _read_records(_at(d, "algorithms", i, "records", kind=list),
-                                f"{where}.records")
-        if not (np.array_equal(records.pack_size, pack_sizes)
-                and records.expert_pack_losses.size
-                == len(pack_sizes) * prior.size):
-            raise ValueError(f"{where}: records do not match pack_sizes and prior")
+                                prior.size, f"{where}.records")
+        if not np.array_equal(records.pack_size, pack_sizes):
+            raise ValueError(f"{where}: records do not match pack_sizes")
         # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]
         # as rounded (rounding is monotone).  The sum's k - 1 additions
         # round up by at most (k - 1) eps/2 relative, and this limit's own

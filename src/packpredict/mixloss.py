@@ -98,8 +98,8 @@ def find_low_product_expert(distributions) -> int:
 @dataclass(frozen=True, eq=False)
 class MixLossRun:
     """A mix-loss game as played, as columns; row t is pack t: its size, the
-    learner's mix loss and each expert's loss over the pack (T x N).  The
-    rest is derived on each access.  An empty game has T = N = 0.
+    learner's mix loss and each expert's loss over the pack (T x N), with
+    T, N >= 1.  The rest is derived on each access.
 
     A pack's regret is its mix loss less its best expert's loss, and the
     cumulative regret sums these: regret against each pack's own best
@@ -118,16 +118,14 @@ class MixLossRun:
 
     @property
     def regret_increment(self) -> np.ndarray:
-        # `initial` lets an empty game, with no experts, take the minimum.
-        best = self.expert_pack_losses.min(axis=1, initial=np.inf)
+        best = self.expert_pack_losses.min(axis=1)
         with np.errstate(invalid="ignore"):  # inf - inf is nan, as for floats
             return self.mix_loss - best
 
     @property
     def lower_bound_increment(self) -> np.ndarray:
         """K_t*ln(N), the regret the adversary forces in pack t."""
-        n = self.expert_pack_losses.shape[1]
-        return self.pack_size * (math.log(n) if n else 0.0)
+        return self.pack_size * math.log(self.expert_pack_losses.shape[1])
 
     # The running sums start from 0.0 and np.cumsum does not: + 0.0 turns a
     # leading -0.0 (a mix loss against zero losses) into 0.0.
@@ -141,12 +139,13 @@ class MixLossRun:
 
     @property
     def total_regret(self) -> float:
-        return float(self.cumulative_regret[-1:].sum())  # 0 if empty
+        return float(self.cumulative_regret[-1])
 
     @property
     def total_lower_bound(self) -> float:
-        """The per-pack bounds added one by one, in pack order."""
-        return sum(self.lower_bound_increment.tolist(), 0.0)
+        """The game's K*ln(N) floor, as `regret_lower_bound` states it."""
+        return regret_lower_bound(self.pack_size.tolist(),
+                                  self.expert_pack_losses.shape[1])
 
     @property
     def forced(self) -> bool:
@@ -219,11 +218,13 @@ class ZeroNature:
 
 
 def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
-    """Play the mix-loss game for len(pack_sizes) packs and return its
+    """Play the mix-loss game for len(pack_sizes) >= 1 packs and return its
     ledger.  `learner` supplies distributions(pack_size) and observe(losses);
     `nature` maps the announced distributions to an N x K loss matrix.
     """
     sizes = [int(k) for k in pack_sizes]
+    if not sizes:
+        raise ValueError("a game needs at least one pack")
     if any(k < 1 for k in sizes):
         raise ValueError("pack sizes must be >= 1")
     mix, expert = [], []
@@ -246,13 +247,14 @@ def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
         mix.append(mix_loss(dists, losses))
         expert.append(losses.sum(axis=1))
         learner.observe(losses)
-    width = expert[0].size if expert else 0
     return MixLossRun(np.array(sizes, dtype=int), np.array(mix, dtype=float),
-                      np.array(expert, dtype=float).reshape(len(sizes), width))
+                      np.array(expert, dtype=float))
 
 
 def regret_lower_bound(pack_sizes, num_experts: int) -> float:
-    """ln(N) per item: what the adversary extracts from any learner."""
+    """ln(N) per item: what the adversary extracts from any learner, as
+    the packs' K*ln(N) summed in pack order from 0.0."""
     if num_experts < 1:
         raise ValueError("need at least one expert")
-    return math.log(num_experts) * sum(int(k) for k in pack_sizes)
+    log_n = math.log(num_experts)
+    return sum((int(k) * log_n for k in pack_sizes), 0.0)

@@ -84,5 +84,5 @@ def shuffle_experiment(stream: PackStream, game: GameSpec, prior=None,
     losses = []
     for _ in range(num_shuffles):
         records = run_parallel(shuffle_within_packs(stream, rng), game, prior)
-        losses.append(float(records.cumulative_loss[-1:].sum()))  # 0 if empty
+        losses.append(float(records.cumulative_loss[-1]))
     return ShuffleSummary(tuple(losses), seed)

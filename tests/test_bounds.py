@@ -8,6 +8,7 @@ from packpredict import (
     GameSpec,
     Pack,
     PackStream,
+    RunRecords,
     audit_run,
     emit_report,
     result_from_json,
@@ -178,10 +179,16 @@ class TestAuditRun:
         assert len(report.violations) > 0
 
     def test_empty_records(self):
-        report = audit_run(run_aa(PackStream(()), GAME), bd.AA, GAME,
-                           uniform_prior(2))
-        assert report.passed and len(report.entries) == 0
-        assert report.min_slack is None
+        # Records are public input; a run has at least one pack.
+        records = RunRecords(np.empty(0, int), np.empty(0), np.empty(0),
+                             np.empty((0, 2)))
+        with pytest.raises(ValueError, match="no packs"):
+            audit_run(records, bd.AA, GAME, uniform_prior(2))
+
+    def test_prior_length_validation(self, rng):
+        records = run_aap_incremental(make_stream(rng, 3, 5), GAME)
+        with pytest.raises(ValueError, match="prior has 2 entries for 3 experts"):
+            audit_run(records, bd.AAP_INCREMENTAL, GAME, uniform_prior(2))
 
     def test_declared_size_validation(self, rng):
         stream = make_stream(rng, 2, 6, size_min=1, size_max=4)

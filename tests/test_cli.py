@@ -93,11 +93,11 @@ class TestSynth:
             assert "finite" in capsys.readouterr().err, flags
 
     def test_empty_stream_rejected(self, capsys, tmp_path):
+        # Refused by the config, before a stream is generated or written.
         data = tmp_path / "empty.csv"
         for flags in ([], ["--prior", "1,2,3"], ["--emit-data", str(data)]):
             assert main(["synth", "--trials", "0", *flags]) == 1, flags
-            assert ("cannot run an experiment on an empty stream"
-                    in capsys.readouterr().err), flags
+            assert "num_trials must be >= 1" in capsys.readouterr().err, flags
         assert not data.exists()
 
     def test_rescaled_interval(self, capsys):
@@ -182,6 +182,37 @@ class TestRun:
         assert code == 1
 
 
+# Bad command lines, each refused with exit 1 and this message on stderr.
+# `RUN` begins a `run` command on the fixture; `{constant}` names a CSV
+# whose cells are all 0.5.
+RUN = "run --data {fixture} --target price"
+INTERVAL = "--lower 0 --upper 1"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, message", [
+        (f"{RUN} --experts e5..e2 {INTERVAL}", "bad column range 'e5..e2'"),
+        (f"{RUN} --experts , {INTERVAL}", "no expert columns given"),
+        (f"{RUN} --experts m1,m2,m3 --prior 1,x {INTERVAL}",
+         "bad --prior '1,x'"),
+        (f"{RUN} --experts m1,m2,m3 --calibration-packs 0",
+         "calibration_packs must be >= 1"),
+        ("run --data {constant} --target target --experts e1 "
+         "--calibration-packs 1",
+         "calibration packs are constant at 0.5; cannot form an interval"),
+        ("synth --drift-period -1", "drift_period must be >= 0"),
+        ("synth --lower 1 --upper 1", "degenerate interval [1.0, 1.0]"),
+    ])
+    def test_refused_with_message(self, tmp_path, capsys, argv, message):
+        constant = tmp_path / "constant.csv"
+        constant.write_text("month,target,e1\n2020-01,0.5,0.5\n"
+                            "2020-02,0.5,0.5\n")
+        argv = argv.format(fixture=FIXTURE, constant=constant).split()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
 class TestAdversary:
     def test_uniform_equality_case(self, capsys):
         code = main(["adversary", "--experts", "2", "--packs", "3,3,3"])
@@ -232,6 +263,28 @@ class TestAdversary:
             assert hashlib.sha256(out).hexdigest()[:16] == digest, fmt
 
 
+class TestReferenceReports:
+    # The sha256 prefixes of six `synth` JSON reports, and the exit code:
+    # varied pack sizes, constant sizes of 3 and of 1 (where aa and
+    # aap-equal run), a rescaled interval, shuffle studies and drift.
+    @pytest.mark.parametrize("args, digest", [
+        ("--experts 8 --trials 2000 --every-prefix", "ed4df16ac9e05c19"),
+        ("--experts 5 --trials 300 --min-pack 3 --max-pack 3 --every-prefix "
+         "--shuffles 3", "cbfb2200db30a327"),
+        ("--experts 4 --trials 200 --min-pack 1 --max-pack 1 --every-prefix",
+         "ebcb35a095bdd458"),
+        ("--experts 16 --trials 3000 --max-pack 12 --lower 5 --upper 9 "
+         "--seed 4", "1af48e69e2692227"),
+        ("--experts 9 --trials 500 --shuffles 3 --seed 2", "595f30937e69eb12"),
+        ("--experts 6 --trials 400 --drift-period 13 --max-pack 9",
+         "138f73698d2194b5"),
+    ])
+    def test_output_bytes(self, capsys, args, digest):
+        assert main(["synth", *args.split(), "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest()[:16] == digest
+
+
 def last_pack_to_one(losses):
     """Losses with the last pack's set to 1, within k (B - A)^2 on [0, 1]."""
     losses[-1] = 1.0
@@ -266,7 +319,7 @@ class TestAudit:
         with open(path) as fh:
             payload = json.load(fh)
         run = payload["algorithms"][0]
-        records = harness._read_records(run["records"])
+        records = harness._read_records(run["records"], len(payload["prior"]))
         records = dataclasses.replace(records, **{
             field: edit(getattr(records, field)) for field, edit in edits.items()})
         run["records"] = json.loads("".join(harness._records_parts(records, {})))
@@ -420,6 +473,7 @@ class TestAudit:
              "x"),
             # Coerced or self-inconsistent values.
             (("algorithms", 0, "records"), shorten),
+            (("algorithms", 0, "records"), []),
             (("pack_sizes",), shorten),
             (("algorithms", 0, "records", 0, "pack_size"), 3.7),
             (("algorithms", 0, "records", 0, "trial_index"), 99),
@@ -503,7 +557,8 @@ class TestAudit:
             payload["algorithms"][0]["records"] = []
             p.write_text(json.dumps(payload))
             assert main(["audit", str(p)]) == 1, name
-            assert ("cannot read result file" in capsys.readouterr().err), name
+            err = capsys.readouterr().err
+            assert "cannot read result file" in err and "pack_sizes" in err, name
         # A report without its every_prefix, and a whole file of version 1.
         payload = json.loads(good)
         del payload["algorithms"][0]["reports"][0]["every_prefix"]

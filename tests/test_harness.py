@@ -299,13 +299,13 @@ class TestSynthetic:
             SyntheticConfig(9, 100, noise=0.0, seed=6),
             SyntheticConfig(16, 200, pack_size_max=40, drift_period=5,
                             noise=0.3),
-            SyntheticConfig(3, 0),
+            SyntheticConfig(3, 1),
         ]:
             self._assert_matches_reference(config)
 
     @given(
         num_experts=st.integers(1, 10),
-        num_trials=st.integers(0, 40),
+        num_trials=st.integers(1, 40),
         sizes=st.tuples(st.integers(1, 9), st.integers(0, 6)),
         drift_period=st.integers(0, 12),
         noise=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
@@ -319,14 +319,12 @@ class TestSynthetic:
             drift_period, noise, seed))
 
     def test_empty_stream(self, capsys):
-        # An empty stream has no expert panel, however many experts asked.
-        for n in (1, 3, 8):
-            stream, _ = generate_synthetic_stream(SyntheticConfig(n, 0))
-            assert stream == PackStream(())
-            assert stream.expert_preds.shape == (0, 0)
+        # No stream of no packs is generated: the config refuses it.
+        for n, trials in ((1, 0), (3, 0), (8, -1)):
+            with pytest.raises(ValueError, match="num_trials must be >= 1"):
+                SyntheticConfig(n, trials)
         assert main(["synth", "--experts", "3", "--trials", "0"]) == 1
-        assert ("cannot run an experiment on an empty stream"
-                in capsys.readouterr().err)
+        assert "num_trials must be >= 1" in capsys.readouterr().err
 
     def test_seed_changes_stream(self):
         a, _ = generate_synthetic_stream(SyntheticConfig(3, 10, seed=1))
@@ -634,12 +632,15 @@ class TestReports:
         with pytest.raises(ValueError):
             emit_report(self._result(rng), "yaml")
 
-    def test_empty_result_emits_all_formats(self):
-        empty = ExperimentResult(game=GameSpec(0, 1, 2.0), prior=(1.0,),
-                                 pack_sizes=(), algorithms=())
-        assert emit_report(empty, "csv").strip() == "trial,pack_size"
-        assert "0 packs" in emit_report(empty, "table")
-        assert result_from_json(emit_report(empty, "json")) == empty
+    def test_empty_result_emits_all_formats(self, rng):
+        # A report holds at least one pack: the reader refuses one of no
+        # packs, with or without runs, naming pack_sizes.
+        payload = json.loads(emit_report(self._result(rng), "json"))
+        payload.update(pack_sizes=[], num_trials=0, num_items=0)
+        for runs in (payload["algorithms"], []):
+            payload["algorithms"] = runs
+            with pytest.raises(ValueError, match="pack_sizes"):
+                result_from_json(json.dumps(payload))
 
     @given(
         num_experts=st.sampled_from([1, 8, 9]),
@@ -674,7 +675,7 @@ class TestReports:
             text = emit_report(result, "json")
             assert text == per_trial_json(result)
             stored = [a["records"] for a in json.loads(text)["algorithms"]]
-            assert [harness._read_records(s) for s in stored] == list(runs)
+            assert [harness._read_records(s, 2) for s in stored] == list(runs)
 
     def test_writer_writes_non_finite_numbers_as_json_does(self):
         records = two_pack_records(
@@ -687,12 +688,18 @@ class TestReports:
         assert text == per_trial_json(result)
 
     def test_writer_on_empty_results(self):
+        # The smallest results: one pack of one item, on one expert, with no
+        # run or with one.
+        game = GameSpec(0, 1, 2.0)
+        stream = PackStream([Pack(np.full((1, 1), 0.25), np.full(1, 0.5))])
         for result in [
-            ExperimentResult(game=GameSpec(0, 1, 2.0), prior=(1.0,),
-                             pack_sizes=(), algorithms=()),
-            hand_built(harness._read_records([]), pack_sizes=()),
+            ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
+                             algorithms=()),
+            run_experiment(stream, game, algorithms="aa"),
         ]:
-            assert emit_report(result, "json") == per_trial_json(result)
+            text = emit_report(result, "json")
+            assert text == per_trial_json(result)
+            assert result_from_json(text) == result
 
     def test_writer_memory_at_the_reference_size(self):
         # Every column is written once and the expert columns once per

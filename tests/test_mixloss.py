@@ -199,17 +199,9 @@ class TestGame:
             assert repr(run.total_lower_bound) == repr(sum(bounds))
 
     def test_empty_game(self):
-        # No packs: an empty ledger with no experts, as the replay gives for
-        # an empty stream, and the bound holds vacuously.
-        run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [])
-        assert len(run) == 0
-        assert run.expert_pack_losses.shape == (0, 0)
-        for column in (run.mix_loss, run.regret_increment,
-                       run.lower_bound_increment, run.cumulative_mix_loss,
-                       run.cumulative_regret):
-            assert column.shape == (0,)
-        assert run.total_regret == 0.0 and run.total_lower_bound == 0.0
-        assert run.forced
+        # A game has at least one pack, as a stream does.
+        with pytest.raises(ValueError, match="at least one pack"):
+            run_mixloss_game(UniformLearner(2), AdversaryNature(), [])
 
     def test_learner_shape_policed(self):
         class BadLearner:
@@ -250,6 +242,18 @@ class TestLowerBoundFormula:
         assert regret_lower_bound([1, 2, 3, 4, 5], 12) == pytest.approx(
             37.273599746820004653, abs=1e-12
         )
+
+    def test_ledger_states_the_same_floor(self):
+        # One K*ln(N) floor, bit for bit, on 28 small games: the ledger's
+        # total is regret_lower_bound's, which adds the packs in order.
+        for n in range(2, 9):
+            for sizes in ([3] * 10, [1, 2, 3, 4, 5], [4, 1, 3],
+                          [7, 1, 1, 9, 2, 3, 3, 8]):
+                run = run_mixloss_game(UniformLearner(n), AdversaryNature(),
+                                       sizes)
+                assert (repr(run.total_lower_bound)
+                        == repr(regret_lower_bound(sizes, n))
+                        == repr(sum(k * math.log(n) for k in sizes))), (n, sizes)
 
     def test_matches_uniform_equality_case(self):
         run = run_mixloss_game(UniformLearner(3), AdversaryNature(), [2, 4, 1])

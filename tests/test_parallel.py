@@ -179,8 +179,6 @@ class TestShuffle:
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):  # the second shuffle continues the same draws
                 assert shuffle_within_packs(stream, ours) == reference(stream, ref)
-        empty = PackStream(())
-        assert shuffle_within_packs(empty, np.random.default_rng(0)) == empty
 
     def test_num_shuffles_validated(self, rng):
         stream = make_stream(rng, 2, 3)
