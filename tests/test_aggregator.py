@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,13 @@ class TestObserve:
                          DivisorPolicy.fixed(1), GAME)
         with pytest.raises(ValueError):
             observe_pack(state, np.zeros((3, 1)), DivisorPolicy.fixed(1), GAME)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                observe_pack(state, np.array([[bad], [0.2]]),
+                             DivisorPolicy.fixed(1), GAME)
+        observe_pack(state, np.array([[-0.0], [0.2]]), DivisorPolicy.fixed(1),
+                     GAME)
+        assert state.cumulative_losses.tolist() == [0.0, 0.2]
 
 
 class TestWeightsAndPredict:
@@ -206,13 +215,15 @@ class TestWeightsAndPredict:
                        np.full(2, 0.5), np.full((2, 2, 1), 0.5)):
             with pytest.raises(ValueError, match="2 x K"):
                 predict_pack(state, matrix, GAME)
-        with pytest.raises(ValueError, match="outside"):
-            predict_pack(state, np.array([[0.5, 1.5], [0.5, 0.5]]), GAME)
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                predict_pack(state, np.array([[0.5, bad], [0.5, 0.5]]), GAME)
         for preds in (np.full(3, 0.5), np.full((2, 1), 0.5)):
             with pytest.raises(ValueError):
                 predict_item(state, preds, GAME)
-        with pytest.raises(ValueError, match="outside"):
-            predict_item(state, np.array([0.5, -0.1]), GAME)
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                predict_item(state, np.array([0.5, bad]), GAME)
         for bad in (np.nan, np.inf):
             state.log_weights = np.array([bad, 0.0])
             with pytest.raises(ValueError):
@@ -229,3 +240,48 @@ class TestWeightsAndPredict:
                 predict_pack(state, np.asfortranarray(matrix), GAME))
             observe_pack(state, rng.uniform(0, 1, size=(9, 3)),
                          DivisorPolicy.current_pack(), GAME)
+
+
+class TestOnlineBytes:
+    # The sha256 prefixes of the online learner's predictions and of its
+    # experts' loss totals on a seeded stream of 10 experts and 40 packs of
+    # 1..60 items on [-3, 5]: first the pack learner with the running-max
+    # divisor, then parallel copies stepped item by item with divisor 1.
+    # Clipped draws put many predictions and outcomes on an endpoint.
+    def test_output_bytes(self):
+        rng = np.random.default_rng(18)
+        game = GameSpec.for_interval(-3.0, 5.0)
+        packs = []
+        for size in rng.integers(1, 61, size=40):
+            latent = rng.uniform(game.lower, game.upper, size=size)
+            preds = np.clip(latent + rng.normal(scale=1.5, size=(10, size)),
+                            game.lower, game.upper)
+            outcomes = np.clip(latent + rng.normal(scale=1.0, size=size),
+                               game.lower, game.upper)
+            packs.append((preds, outcomes))
+
+        state = init_state(uniform_prior(10))
+        policy = DivisorPolicy.running_max()
+        preds = []
+        for matrix, outcomes in packs:
+            preds.append(predict_pack(state, matrix, game))
+            observe_pack(state, (matrix - outcomes) ** 2, policy, game)
+        pack_preds = np.concatenate(preds).tobytes()
+        pack_totals = state.cumulative_losses.tobytes()
+
+        copies, preds = [], []
+        for matrix, outcomes in packs:
+            while len(copies) < outcomes.size:
+                copies.append(init_state(uniform_prior(10)))
+            preds += [predict_item(copies[k], matrix[:, k], game)
+                      for k in range(outcomes.size)]
+            for k in range(outcomes.size):
+                observe_pack(copies[k], (matrix[:, k:k + 1] - outcomes[k]) ** 2,
+                             DivisorPolicy.fixed(1), game)
+        item_preds = np.array(preds).tobytes()
+        item_totals = b"".join(c.cumulative_losses.tobytes() for c in copies)
+
+        digests = [hashlib.sha256(b).hexdigest()[:16] for b in
+                   (pack_preds, pack_totals, item_preds, item_totals)]
+        assert digests == ["caa172aa4cead1eb", "264abffecb56f60e",
+                           "30a588448296836d", "342a845484ced2c4"]

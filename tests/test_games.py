@@ -31,10 +31,11 @@ def unit_game(eta=2.0):
 class TestLogSumExp:
     def test_matches_scipy(self, rng):
         # The library's own max-shift helper against scipy's, including
-        # -inf entries, all-(-inf) slices and large magnitudes.
+        # -inf entries, all-(-inf) slices, large magnitudes, and +inf and
+        # NaN entries, whose slice maximum is not finite.
         from scipy.special import logsumexp
 
-        ninf = -np.inf
+        ninf, inf, nan = -np.inf, np.inf, np.nan
         cases = [
             rng.normal(scale=50.0, size=7),
             rng.normal(size=(4, 6)),
@@ -47,6 +48,8 @@ class TestLogSumExp:
             np.array(-2.5),
             np.concatenate([rng.normal(size=(2, 5, 3)), np.full((2, 1, 3), ninf)],
                            axis=1),
+            np.array([0.3, inf, -1.0]),
+            np.array([[inf, ninf], [nan, 0.2], [ninf, ninf]]),
         ]
         axes = {0: (None,), 1: (None, 0), 2: (None, 0, 1, -1), 3: (None, -2)}
         for a in cases:
