@@ -15,6 +15,7 @@ check their input with the helper `substitute_pack` uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,15 +134,15 @@ def uniform_prior(num_experts: int) -> np.ndarray:
 
 def _top_log_weight(state: AggregatorState) -> float:
     """The largest log-weight; raises if every weight has underflowed."""
-    top = state.log_weights.max()
-    if top == -np.inf:
+    top = np.maximum.reduce(state.log_weights)
+    if -math.inf < top < math.inf:
+        return top
+    if top == -math.inf:
         raise FloatingPointError(
             "all expert weights have underflowed to zero; "
             "the learning rate or losses are too large for this prior"
         )
-    if not top < np.inf:
-        raise ValueError(f"log-weights must be free of NaN and +inf, got {top}")
-    return top
+    raise ValueError(f"log-weights must be free of NaN and +inf, got {top}")
 
 
 def normalized_weights(state: AggregatorState) -> np.ndarray:
@@ -176,17 +177,19 @@ def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
                  game: GameSpec) -> None:
     """Fold an N x K_t matrix of per-item expert losses into the weights; a
     rejected pack leaves the state as it was."""
-    losses = np.atleast_2d(np.asarray(expert_losses, dtype=float))
-    if losses.shape[0] != state.num_experts:
+    losses = np.array(expert_losses, dtype=float, copy=None, ndmin=2)
+    if losses.ndim != 2 or losses.shape[0] != state.num_experts:
         raise ValueError(
             f"expected losses for {state.num_experts} experts, got shape {losses.shape}"
         )
     pack_size = losses.shape[1]
     if pack_size < 1:
         raise ValueError("empty pack")
-    if not ((losses >= 0) & (losses < np.inf)).all():
+    # A NaN minimum or maximum fails its comparison.
+    if not (np.minimum.reduce(losses, axis=None) >= 0
+            and np.maximum.reduce(losses, axis=None) < math.inf):
         raise ValueError("losses must be non-negative and finite")
-    sums = losses.sum(axis=1)
+    sums = np.add.reduce(losses, axis=1)
     charged = state.charged_losses + policy.charge(sums, pack_size)
     state.cumulative_losses = state.cumulative_losses + sums
     state.charged_losses = charged

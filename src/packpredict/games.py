@@ -14,7 +14,9 @@ evaluates the worst slack on an outcome grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,16 +25,24 @@ WEIGHT_TOL = 1e-12
 
 
 def _logsumexp(a, axis=None):
-    """ln(sum(exp(a))) along `axis`, shifted by the maximum; -inf entries and
-    all-(-inf) slices behave as in scipy.special.logsumexp."""
+    """ln(sum(exp(a))) along `axis`, shifted by the maximum; -inf, +inf and
+    NaN entries and all-(-inf) slices behave as in scipy.special.logsumexp."""
     a = np.array(a, dtype=float, copy=None, ndmin=1)
-    top = a.max(axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    shifted = a - top
+    top = np.maximum.reduce(a, axis=axis, keepdims=True)
+    finite = math.isfinite(np.add.reduce(top, axis=None))
+    if not finite:
+        # Shift a slice whose maximum is not finite by 0 instead.  (Finite
+        # maxima whose sum overflows come here too, and keep their shift.)
+        top[~np.isfinite(top)] = 0.0
+    shifted = np.subtract(a, top)
     np.exp(shifted, out=shifted)
-    out = shifted.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
+    out = np.add.reduce(shifted, axis=axis, keepdims=True)
+    if finite:
+        # The slice maximum contributes exp(0) = 1, so no sum is 0.
         np.log(out, out=out)
+    else:
+        with np.errstate(divide="ignore"):  # an all-(-inf) slice sums to 0
+            np.log(out, out=out)
     out += top
     return out.squeeze(axis=axis)[()]
 
@@ -87,9 +97,21 @@ class GameSpec:
     def width(self) -> float:
         return self.upper - self.lower
 
+    @cached_property
+    def _endpoints(self) -> np.ndarray:
+        """A and B on a leading axis, to broadcast against N x K predictions;
+        read-only, like the game."""
+        ends = np.array([self.lower, self.upper])[:, None, None]
+        ends.flags.writeable = False
+        return ends
+
     def contains(self, values) -> bool:
+        """Whether every value lies in [lower, upper].  A NaN minimum or
+        maximum fails its comparison, so a NaN never does."""
         v = np.asarray(values, dtype=float)
-        return bool(((v >= self.lower) & (v <= self.upper)).all())
+        return v.size == 0 or bool(
+            np.minimum.reduce(v, axis=None) >= self.lower
+            and np.maximum.reduce(v, axis=None) <= self.upper)
 
     def loss(self, gamma, omega):
         """Square loss (gamma - omega)^2; both arguments must lie in [lower, upper]."""
@@ -120,11 +142,13 @@ def _mixed_loss(log_w, preds, omega, game: GameSpec):
 
         g(omega) = -(C/eta) * ln sum_n p^n * exp(-eta * (gamma^n - omega)^2)
 
-    reduced over the experts; the arguments broadcast.  The exponent is
-    written so that numpy builds it in one temporary."""
-    return -(game.c / game.eta) * _logsumexp(
-        (preds - omega) ** 2 * (-game.eta) + log_w, axis=-2
-    )
+    reduced over the experts; the arguments broadcast, and `log_w` fits the
+    shape of `preds - omega`.  The exponent is built in place in one array."""
+    x = np.subtract(preds, omega)
+    np.square(x, out=x)
+    np.multiply(x, -game.eta, out=x)
+    np.add(x, log_w, out=x)
+    return -(game.c / game.eta) * _logsumexp(x, axis=-2)
 
 
 def generalized_prediction(weights, expert_preds, game: GameSpec, omega):
@@ -192,9 +216,11 @@ def _substitute(log_w, preds, game: GameSpec) -> np.ndarray:
         # Mixing a single expert can only reproduce it; skip the closed form
         # to avoid pointless cancellation noise.
         return preds[0].clip(a, b)
-    g_a, g_b = _mixed_loss(log_w, preds, np.array([a, b])[:, None, None], game)
-    gamma = 0.5 * (a + b) + (g_a - g_b) / (2.0 * (b - a))
-    return gamma.clip(a, b)
+    g = _mixed_loss(log_w, preds, game._endpoints, game)
+    gamma = np.subtract(g[0], g[1])
+    np.divide(gamma, 2.0 * (b - a), out=gamma)
+    np.add(gamma, 0.5 * (a + b), out=gamma)
+    return gamma.clip(a, b, out=gamma)
 
 
 def substitute(weights, expert_preds, game: GameSpec) -> float:

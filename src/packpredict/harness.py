@@ -826,6 +826,8 @@ def _read_report(text: str) -> tuple:
     if not pack_sizes:
         raise ValueError("pack_sizes: a report holds at least one pack")
     runs = _at(d, "algorithms", kind=list)
+    if not runs:
+        raise ValueError("algorithms: a report holds at least one run")
     algorithms = []
     for i in range(len(runs)):
         where = f"algorithms.{i}"

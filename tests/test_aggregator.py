@@ -161,8 +161,9 @@ class TestObserve:
         with pytest.raises(ValueError):
             observe_pack(state, np.array([[-0.1], [0.2]]),
                          DivisorPolicy.fixed(1), GAME)
-        with pytest.raises(ValueError):
-            observe_pack(state, np.zeros((3, 1)), DivisorPolicy.fixed(1), GAME)
+        for shape in ((3, 1), (2, 1, 1)):
+            with pytest.raises(ValueError, match="experts"):
+                observe_pack(state, np.zeros(shape), DivisorPolicy.fixed(1), GAME)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 observe_pack(state, np.array([[bad], [0.2]]),

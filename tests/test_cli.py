@@ -537,6 +537,7 @@ class TestAudit:
             (("passed",), "yes"),
             (("passed",), 1),
             (("passed",), drop),
+            (("algorithms",), []),
             # Unknown keys, outside the records and inside a trial's record.
             (("extra",), 1),
             (("algorithms", 0, "extra"), 1),

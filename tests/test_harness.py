@@ -689,17 +689,20 @@ class TestReports:
 
     def test_writer_on_empty_results(self):
         # The smallest results: one pack of one item, on one expert, with no
-        # run or with one.
+        # run or with one.  A report of no run is written, but the reader
+        # refuses it, naming algorithms: it would carry a verdict on nothing.
         game = GameSpec(0, 1, 2.0)
         stream = PackStream([Pack(np.full((1, 1), 0.25), np.full(1, 0.5))])
-        for result in [
-            ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
-                             algorithms=()),
-            run_experiment(stream, game, algorithms="aa"),
-        ]:
+        no_run = ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
+                                  algorithms=())
+        for result in [no_run, run_experiment(stream, game, algorithms="aa")]:
             text = emit_report(result, "json")
             assert text == per_trial_json(result)
-            assert result_from_json(text) == result
+            if result is no_run:
+                with pytest.raises(ValueError, match="algorithms"):
+                    result_from_json(text)
+            else:
+                assert result_from_json(text) == result
 
     def test_writer_memory_at_the_reference_size(self):
         # Every column is written once and the expert columns once per
