@@ -76,11 +76,11 @@ class DivisorPolicy:
         fixed policy's pack larger than the declared size."""
         if self.kind == "current_pack":
             return pack_losses / sizes
-        if self.kind == "fixed" and np.max(sizes) > self.pack_size:
-            raise ValueError(
-                f"pack of size {np.max(sizes)} exceeds declared size "
-                f"{self.pack_size}"
-            )
+        if self.kind == "fixed":
+            largest = np.maximum.reduce(sizes, axis=None)
+            if largest > self.pack_size:
+                raise ValueError(f"pack of size {largest} exceeds declared size "
+                                 f"{self.pack_size}")
         return pack_losses
 
     def divisor(self, running_max):
@@ -134,7 +134,7 @@ def uniform_prior(num_experts: int) -> np.ndarray:
 
 def _top_log_weight(state: AggregatorState) -> float:
     """The largest log-weight; raises if every weight has underflowed."""
-    top = np.maximum.reduce(state.log_weights)
+    top = np.maximum.reduce(state.log_weights, axis=None)
     if -math.inf < top < math.inf:
         return top
     if top == -math.inf:

@@ -29,17 +29,15 @@ def _logsumexp(a, axis=None):
     NaN entries and all-(-inf) slices behave as in scipy.special.logsumexp."""
     a = np.array(a, dtype=float, copy=None, ndmin=1)
     top = np.maximum.reduce(a, axis=axis, keepdims=True)
+    # Finite maxima whose sum overflows take the second branch harmlessly.
     finite = math.isfinite(np.add.reduce(top, axis=None))
     if not finite:
-        # Shift a slice whose maximum is not finite by 0 instead.  (Finite
-        # maxima whose sum overflows come here too, and keep their shift.)
         top[~np.isfinite(top)] = 0.0
     shifted = np.subtract(a, top)
     np.exp(shifted, out=shifted)
     out = np.add.reduce(shifted, axis=axis, keepdims=True)
     if finite:
-        # The slice maximum contributes exp(0) = 1, so no sum is 0.
-        np.log(out, out=out)
+        np.log(out, out=out)  # each maximum adds exp(0) = 1, so no sum is 0
     else:
         with np.errstate(divide="ignore"):  # an all-(-inf) slice sums to 0
             np.log(out, out=out)
@@ -99,8 +97,7 @@ class GameSpec:
 
     @cached_property
     def _endpoints(self) -> np.ndarray:
-        """A and B on a leading axis, to broadcast against N x K predictions;
-        read-only, like the game."""
+        """A and B on a leading axis, against N x K predictions; read-only."""
         ends = np.array([self.lower, self.upper])[:, None, None]
         ends.flags.writeable = False
         return ends
