@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (GameSpec, _as_pred_column, _as_pred_matrix, _as_weights,
-                    _logsumexp, _substitute)
+from .games import (GameSpec, _as_pred_column, _as_pred_matrix,
+                    _as_probabilities, _logsumexp, _substitute)
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class AggregatorState:
 
 
 def _as_prior(prior) -> np.ndarray:
-    p = _as_weights(prior)
+    p = _as_probabilities(prior)
     if np.any(p == 0):
         # A zero prior weight can never recover under any policy; forbid it
         # so every bound ln(1/p^n) is finite.

@@ -181,13 +181,10 @@ def _cmd_synth(args) -> int:
         noise=args.noise,
         seed=args.seed,
     )
-    stream, game = generate_synthetic_stream(config)
+    stream, _ = generate_synthetic_stream(config)
     if (args.lower, args.upper) != (0.0, 1.0):
         stream = rescale_stream(stream, args.lower, args.upper)
-        game = GameSpec.for_interval(args.lower, args.upper)
-    if args.eta is not None or args.c != 1.0:
-        game = GameSpec(game.lower, game.upper,
-                        args.eta if args.eta is not None else game.eta, args.c)
+    game = GameSpec.for_interval(args.lower, args.upper, args.eta, args.c)
     _warn_eta(game)
     result = _run(stream, game, args)
     # Only a stream the run accepted is written out.

@@ -10,6 +10,11 @@ for every outcome omega.  For the square loss on an interval [A, B] this holds
 with C = 1 whenever eta <= 2/(B-A)^2, and the closed-form substitution below
 produces such a gamma.  Validity is never trusted: `check_substitution_validity`
 evaluates the worst slack on an outcome grid.
+
+This module alone states what the games accept.  A probability vector
+(weights, a prior, a mix-loss item's row) sums to 1 within `WEIGHT_TOL`
+(`_as_probabilities`); an interval has finite ends, lower < upper and a
+finite width (`_checked_width`).
 """
 
 from __future__ import annotations
@@ -45,12 +50,22 @@ def _logsumexp(a, axis=None):
     return out.squeeze(axis=axis)[()]
 
 
+def _checked_width(lower: float, upper: float) -> float:
+    """upper - lower for an interval with finite ends, lower < upper and a
+    finite width; any other interval is refused, named."""
+    ends = math.isfinite(lower) and math.isfinite(upper) and lower < upper
+    # As Python floats, a width that overflows is inf, with no numpy warning.
+    width = float(upper) - float(lower) if ends else math.nan
+    if not math.isfinite(width):
+        raise ValueError(f"degenerate interval [{lower}, {upper}]: need "
+                         f"finite ends, lower < upper and a finite width")
+    return width
+
+
 def max_mixable_eta(lower: float, upper: float) -> float:
     """Largest learning rate at which the square-loss game on [lower, upper]
     admits the aggregation constant C = 1."""
-    if not np.isfinite(lower) or not np.isfinite(upper) or lower >= upper:
-        raise ValueError(f"need finite lower < upper, got [{lower}, {upper}]")
-    return 2.0 / (upper - lower) ** 2
+    return 2.0 / _checked_width(lower, upper) ** 2
 
 
 @dataclass(frozen=True)
@@ -68,12 +83,7 @@ class GameSpec:
     c: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.lower) or not np.isfinite(self.upper):
-            raise ValueError("interval bounds must be finite")
-        if self.lower >= self.upper:
-            raise ValueError(
-                f"degenerate interval [{self.lower}, {self.upper}]: need lower < upper"
-            )
+        _checked_width(self.lower, self.upper)
         if not self.eta > 0:
             raise ValueError(f"learning rate must be positive, got {self.eta}")
         if not self.c >= 1:
@@ -110,27 +120,48 @@ class GameSpec:
             np.minimum.reduce(v, axis=None) >= self.lower
             and np.maximum.reduce(v, axis=None) <= self.upper)
 
+    def _require_inside(self, values, what: str) -> None:
+        if not self.contains(values):
+            raise ValueError(f"{what} outside [{self.lower}, {self.upper}]")
+
     def loss(self, gamma, omega):
         """Square loss (gamma - omega)^2; both arguments must lie in [lower, upper]."""
         g = np.asarray(gamma, dtype=float)
         o = np.asarray(omega, dtype=float)
-        if not self.contains(g):
-            raise ValueError(f"prediction outside [{self.lower}, {self.upper}]")
-        if not self.contains(o):
-            raise ValueError(f"outcome outside [{self.lower}, {self.upper}]")
+        self._require_inside(g, "prediction")
+        self._require_inside(o, "outcome")
         out = (g - o) ** 2
         return float(out) if out.ndim == 0 else out
 
 
-def _as_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d probability vector")
-    if np.any(np.isnan(w)) or np.any(w < 0):
-        raise ValueError("weights must be non-negative and free of NaN")
-    if abs(w.sum() - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within {WEIGHT_TOL}")
-    return w
+def _as_probabilities(values, ndim: int = 1) -> np.ndarray:
+    """`values` as a float array of `ndim` axes, none empty, whose vectors
+    along the last axis are probability vectors: a vector of weights
+    (`ndim` 1) or K x N rows, one per item (`ndim` 2).  A refusal names
+    the first row that does not sum to 1."""
+    p = np.asarray(values, dtype=float)
+    if p.ndim != ndim or 0 in p.shape:
+        raise ValueError(f"probability vectors must form a {ndim}-d array "
+                         f"with no empty axis, got shape {p.shape}")
+    if np.any(np.isnan(p)) or np.any(p < 0):
+        raise ValueError("probabilities must be non-negative and free of NaN")
+    sums = p.sum(axis=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > WEIGHT_TOL)
+    if bad.size:
+        row = f"row {bad[0]} " if ndim > 1 else ""
+        raise ValueError(f"probability vector {row}sums to "
+                         f"{float(sums[bad[0]])!r}, expected 1 within "
+                         f"{WEIGHT_TOL}")
+    return p
+
+
+def _checked_inputs(weights, expert_pred_matrix, game: GameSpec) -> tuple:
+    """A substitution's checked inputs: the log-weights as an N x 1 column
+    (-inf for a zero weight), and the N x K predictions."""
+    w = _as_probabilities(weights)
+    preds = _as_pred_matrix(expert_pred_matrix, w.size, game)
+    with np.errstate(divide="ignore"):
+        return np.log(w)[:, None], preds
 
 
 def _mixed_loss(log_w, preds, omega, game: GameSpec):
@@ -150,13 +181,9 @@ def _mixed_loss(log_w, preds, omega, game: GameSpec):
 
 def generalized_prediction(weights, expert_preds, game: GameSpec, omega):
     """Evaluate the mixed loss profile g at `omega` (scalar or array)."""
-    w = _as_weights(weights)
-    preds = _as_pred_matrix(_as_pred_column(expert_preds), w.size, game)
+    log_w, preds = _checked_inputs(weights, _as_pred_column(expert_preds), game)
     o = np.asarray(omega, dtype=float)
-    if not game.contains(o):
-        raise ValueError(f"outcome outside [{game.lower}, {game.upper}]")
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)[:, None]
+    game._require_inside(o, "outcome")
     g = _mixed_loss(log_w, preds, np.atleast_1d(o), game)
     return float(g[0]) if o.ndim == 0 else g
 
@@ -172,8 +199,7 @@ def _as_pred_matrix(expert_pred_matrix, num_experts: int,
             f"expert prediction matrix must be {num_experts} x K with K >= 1, "
             f"got shape {preds.shape}"
         )
-    if not game.contains(preds):
-        raise ValueError(f"expert prediction outside [{game.lower}, {game.upper}]")
+    game._require_inside(preds, "expert prediction")
     return preds
 
 
@@ -196,11 +222,7 @@ def substitute_pack(weights, expert_pred_matrix, game: GameSpec) -> np.ndarray:
 
     clipped to [A, B].  A single expert is reproduced exactly.
     """
-    w = _as_weights(weights)
-    preds = _as_pred_matrix(expert_pred_matrix, w.size, game)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)[:, None]
-    return _substitute(log_w, preds, game)
+    return _substitute(*_checked_inputs(weights, expert_pred_matrix, game), game)
 
 
 def _substitute(log_w, preds, game: GameSpec) -> np.ndarray:
@@ -245,12 +267,8 @@ def check_substitution_validity(gamma: float, weights, expert_preds, game: GameS
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    if not game.contains(gamma):
-        raise ValueError(f"prediction outside [{game.lower}, {game.upper}]")
-    w = _as_weights(weights)
-    preds = _as_pred_matrix(_as_pred_column(expert_preds), w.size, game)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)[:, None]
+    game._require_inside(gamma, "prediction")
+    log_w, preds = _checked_inputs(weights, _as_pred_column(expert_preds), game)
 
     def slack(omega):
         flat = omega.ravel()

@@ -57,7 +57,7 @@ from .algorithms import (
     run_aap_max,
 )
 from .bounds import BoundReport, audit_run
-from .games import GameSpec, max_mixable_eta
+from .games import GameSpec, _checked_width
 from .mixloss import MixLossRun
 from .parallel import ShuffleSummary, run_parallel, shuffle_experiment
 
@@ -101,10 +101,8 @@ class DatasetSpec:
             raise ValueError(
                 "give either clip bounds or calibration_packs, not both/neither"
             )
-        if has_clip and self.clip_lower >= self.clip_upper:
-            raise ValueError(
-                f"empty clip interval [{self.clip_lower}, {self.clip_upper}]"
-            )
+        if has_clip:
+            _checked_width(self.clip_lower, self.clip_upper)
         if self.calibration_packs is not None and self.calibration_packs < 1:
             raise ValueError("calibration_packs must be >= 1")
 
@@ -246,15 +244,14 @@ def load_pack_csv(spec: DatasetSpec):
             )
         head = values[:sizes[:spec.calibration_packs].sum()]
         lower, upper = float(head.min()), float(head.max())
-        if lower >= upper:
+        if lower == upper:
             raise ValueError(
                 f"calibration packs are constant at {lower}; cannot form an interval"
             )
     else:
         lower, upper = float(spec.clip_lower), float(spec.clip_upper)
 
-    eta = spec.eta if spec.eta is not None else max_mixable_eta(lower, upper)
-    game = GameSpec(lower, upper, float(eta), float(spec.c))
+    game = GameSpec.for_interval(lower, upper, spec.eta, spec.c)
     values = np.clip(values, lower, upper)
     return PackStream._from_columns(values[:, 1:].T, values[:, 0], sizes), game
 
@@ -278,9 +275,7 @@ def write_pack_csv(stream: PackStream, path: str) -> None:
 
 def rescale_stream(stream: PackStream, lower: float, upper: float) -> PackStream:
     """Affinely map a stream living on [0, 1] onto [lower, upper]."""
-    if lower >= upper:
-        raise ValueError(f"degenerate interval [{lower}, {upper}]")
-    span = upper - lower
+    span = _checked_width(lower, upper)
     return PackStream._from_columns(lower + span * stream.expert_preds,
                                     lower + span * stream.outcomes, stream.sizes)
 
@@ -491,7 +486,10 @@ _GAME_FIELDS = ("lower", "upper", "eta", "c")
 def _report_object(result: ExperimentResult) -> dict:
     """The JSON report's object, with `_RECORDS` for each run's records.  A
     guarantee report is stored as its verdict and how the audit ran; the
-    checks themselves are not stored, and a reader re-runs the audit."""
+    checks themselves are not stored, and a reader re-runs the audit.  A
+    result of no run is refused: it would carry a verdict on nothing."""
+    if not result.algorithms:
+        raise ValueError("algorithms: a report holds at least one run")
     shuffle = result.shuffle
     return {
         "schema_version": SCHEMA_VERSION,
@@ -826,8 +824,6 @@ def _read_report(text: str) -> tuple:
     if not pack_sizes:
         raise ValueError("pack_sizes: a report holds at least one pack")
     runs = _at(d, "algorithms", kind=list)
-    if not runs:
-        raise ValueError("algorithms: a report holds at least one run")
     algorithms = []
     for i in range(len(runs)):
         where = f"algorithms.{i}"

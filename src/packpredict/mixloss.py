@@ -14,6 +14,9 @@ nature that zeroes that expert's losses while blowing up everyone else's
 makes the learner pay at least K*ln(N) in that pack alone -- per pack, not
 per game.
 
+Each row of a distribution is a probability vector as `games` states it,
+summing to 1 within `games.WEIGHT_TOL` (1e-12).
+
 `run_mixloss_game` returns the game's ledger, a `MixLossRun`.  The
 `adversary` command's report, table or JSON, is written from it by `harness`.
 """
@@ -26,29 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SLACK_TOL
-from .games import _logsumexp
+from .games import _as_probabilities, _logsumexp
 
-# Distribution rows must sum to 1 within this tolerance.
-_ROW_TOL = 1e-9
-# The low-product expert's log-product may exceed -K*ln(N) by at most this.
+# Rounding allowance: the low-product expert's log-product may exceed its
+# averaging bound by at most this.
 _PRODUCT_TOL = 1e-12
-
-
-def _as_distributions(distributions) -> np.ndarray:
-    p = np.asarray(distributions, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-        raise ValueError(
-            f"distributions must be K x N with K, N >= 1, got shape {p.shape}"
-        )
-    if np.any(np.isnan(p)) or np.any(p < 0):
-        raise ValueError("distribution entries must be non-negative and non-NaN")
-    sums = p.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > _ROW_TOL)[0]
-    if bad.size:
-        raise ValueError(
-            f"distribution row {bad[0]} sums to {sums[bad[0]]!r}, expected 1"
-        )
-    return p
 
 
 def mix_loss(distributions, losses) -> float:
@@ -59,7 +44,7 @@ def mix_loss(distributions, losses) -> float:
     infinite losses drop out exactly; the result is +inf when some item has
     no expert with both positive mass and finite loss.
     """
-    p = _as_distributions(distributions)
+    p = _as_probabilities(distributions, 2)
     ell = np.asarray(losses, dtype=float)
     if ell.shape != (p.shape[1], p.shape[0]):
         raise ValueError(
@@ -76,21 +61,23 @@ def mix_loss(distributions, losses) -> float:
 
 def find_low_product_expert(distributions) -> int:
     """Index of an expert whose product of assigned masses over the pack's
-    items is at most N^(-K).  Such an expert always exists; this returns the
-    one with the smallest product (first index on ties) and raises if the
-    averaging guarantee somehow fails, since that would mean the inputs were
-    not distributions.
+    items is at most N^(-K).  Such an expert always exists: the experts'
+    products average, geometrically, at most prod_k (s_k / N) for rows
+    summing to s_k, which is N^(-K) for rows summing to exactly 1.  This
+    returns the one with the smallest product (first index on ties) and
+    raises if it exceeds that bound by more than rounding.
     """
-    p = _as_distributions(distributions)
+    p = _as_probabilities(distributions, 2)
     num_items, num_experts = p.shape
     with np.errstate(divide="ignore"):
         log_products = np.log(p).sum(axis=0)
     n0 = int(np.argmin(log_products))
-    ceiling = -num_items * math.log(num_experts)
+    ceiling = float(np.log(p.sum(axis=1)).sum()
+                    - num_items * math.log(num_experts))
     if not log_products[n0] <= ceiling + _PRODUCT_TOL:
         raise RuntimeError(
-            f"no expert with mass product <= N^-K: min log-product "
-            f"{log_products[n0]!r} exceeds {ceiling!r}"
+            f"no expert with mass product <= prod_k (s_k / N): min "
+            f"log-product {log_products[n0]!r} exceeds {ceiling!r}"
         )
     return n0
 
@@ -201,7 +188,7 @@ class AdversaryNature:
     everyone else, forcing a mix loss of at least K*ln(N) in every pack."""
 
     def __call__(self, distributions) -> np.ndarray:
-        p = _as_distributions(distributions)
+        p = _as_probabilities(distributions, 2)
         num_items, num_experts = p.shape
         n0 = find_low_product_expert(p)
         losses = np.full((num_experts, num_items), np.inf)
@@ -213,7 +200,7 @@ class ZeroNature:
     """All losses zero; the learner's mix loss is then its own entropy cost."""
 
     def __call__(self, distributions) -> np.ndarray:
-        p = _as_distributions(distributions)
+        p = _as_probabilities(distributions, 2)
         return np.zeros((p.shape[1], p.shape[0]))
 
 
@@ -229,7 +216,7 @@ def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
         raise ValueError("pack sizes must be >= 1")
     mix, expert = [], []
     for t, k in enumerate(sizes):
-        dists = _as_distributions(learner.distributions(k))
+        dists = _as_probabilities(learner.distributions(k), 2)
         if dists.shape[0] != k:
             raise ValueError(
                 f"learner returned {dists.shape[0]} rows for a pack of {k}"

@@ -202,6 +202,9 @@ class TestRefusals:
          "calibration packs are constant at 0.5; cannot form an interval"),
         ("synth --drift-period -1", "drift_period must be >= 0"),
         ("synth --lower 1 --upper 1", "degenerate interval [1.0, 1.0]"),
+        ("synth --lower=-1e308 --upper 1e308",
+         "degenerate interval [-1e+308, 1e+308]"),
+        ("synth --lower 0 --upper inf", "degenerate interval [0.0, inf]"),
     ])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         constant = tmp_path / "constant.csv"

@@ -1,17 +1,29 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packpredict import (
+    AdversaryNature,
+    DatasetSpec,
     GameSpec,
+    Pack,
+    PackStream,
     check_substitution_validity,
+    find_low_product_expert,
     generalized_prediction,
+    init_state,
     max_mixable_eta,
+    mix_loss,
+    rescale_stream,
+    run_mixloss_game,
     substitute,
     substitute_pack,
 )
-from packpredict.games import _logsumexp, _mixed_loss, _substitute
+from packpredict.games import WEIGHT_TOL, _logsumexp, _mixed_loss, _substitute
 
 # Reference values for weights (0.75, 0.25), experts (0.2, 0.8) on [0, 1]
 # with eta = 2, computed independently with 60-digit arithmetic.
@@ -331,3 +343,72 @@ class TestSubstitute:
         g = unit_game()
         slack = check_substitution_validity(1.0, [0.5, 0.5], [0.1, 0.2], g)
         assert slack > 0.1
+
+
+class _Repeating:
+    """A mix-loss learner that plays one vector on every item."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def distributions(self, pack_size):
+        return np.tile(self.p, (pack_size, 1))
+
+    def observe(self, losses):
+        pass
+
+
+# Every entry that takes probability vectors, as a call on one vector over
+# three experts; a mix-loss distribution plays it on each of four items.
+PROBABILITY_ENTRIES = {
+    "substitute_pack": lambda p: substitute_pack(
+        p, np.full((3, 2), 0.5), unit_game()),
+    "generalized_prediction": lambda p: generalized_prediction(
+        p, [0.2, 0.5, 0.8], unit_game(), 0.3),
+    "check_substitution_validity": lambda p: check_substitution_validity(
+        0.5, p, [0.2, 0.5, 0.8], unit_game(), grid_size=11),
+    "init_state": init_state,
+    "mix_loss": lambda p: mix_loss(np.tile(p, (4, 1)), np.ones((3, 4))),
+    "find_low_product_expert": lambda p: find_low_product_expert(
+        np.tile(p, (4, 1))),
+    "run_mixloss_game": lambda p: run_mixloss_game(
+        _Repeating(p), AdversaryNature(), [4, 2]),
+}
+
+# Every entry that takes an interval [lower, upper].
+UNIT_STREAM = PackStream([Pack([[0.0, 1.0]], [0.5, 0.25])])
+INTERVAL_ENTRIES = {
+    "GameSpec": lambda lower, upper: GameSpec(lower, upper, 1e-3),
+    "max_mixable_eta": max_mixable_eta,
+    "rescale_stream": lambda lower, upper: rescale_stream(
+        UNIT_STREAM, lower, upper),
+    "DatasetSpec": lambda lower, upper: DatasetSpec(
+        "data.csv", "month", "target", ("e1",), clip_lower=lower,
+        clip_upper=upper),
+}
+
+
+class TestInputContracts:
+    """`games` states what the games accept, once, for every entry."""
+
+    @pytest.mark.parametrize("entry", list(PROBABILITY_ENTRIES.values()),
+                             ids=list(PROBABILITY_ENTRIES))
+    def test_probability_vectors_sum_to_one_within_weight_tol(self, entry):
+        # Equal entries whose sum is 1 + 0.9 and 1 + 2 WEIGHT_TOL.
+        entry(np.full(3, (1 + 0.9 * WEIGHT_TOL) / 3))
+        with pytest.raises(ValueError,
+                           match=f"expected 1 within {WEIGHT_TOL}"):
+            entry(np.full(3, (1 + 2 * WEIGHT_TOL) / 3))
+
+    @pytest.mark.parametrize("entry", list(INTERVAL_ENTRIES.values()),
+                             ids=list(INTERVAL_ENTRIES))
+    def test_intervals(self, entry):
+        for lower, upper in [(0.0, 1.0), (5, 9), (-1e150, 1e150)]:
+            entry(lower, upper)
+        # Equal or swapped ends, an infinite or NaN end, an infinite width.
+        for lower, upper in [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf),
+                             (-math.inf, 0.0), (math.nan, 1.0),
+                             (0.0, math.nan), (-1e308, 1e308)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"degenerate interval [{lower}, {upper}]")):
+                entry(lower, upper)

@@ -689,20 +689,23 @@ class TestReports:
 
     def test_writer_on_empty_results(self):
         # The smallest results: one pack of one item, on one expert, with no
-        # run or with one.  A report of no run is written, but the reader
-        # refuses it, naming algorithms: it would carry a verdict on nothing.
+        # run or with one.  The writer refuses a result of no run, and the
+        # reader a file of no run, naming algorithms: its report would carry
+        # a verdict on nothing.
         game = GameSpec(0, 1, 2.0)
         stream = PackStream([Pack(np.full((1, 1), 0.25), np.full(1, 0.5))])
         no_run = ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
                                   algorithms=())
-        for result in [no_run, run_experiment(stream, game, algorithms="aa")]:
-            text = emit_report(result, "json")
-            assert text == per_trial_json(result)
-            if result is no_run:
-                with pytest.raises(ValueError, match="algorithms"):
-                    result_from_json(text)
-            else:
-                assert result_from_json(text) == result
+        with pytest.raises(ValueError, match="algorithms"):
+            emit_report(no_run, "json")
+        result = run_experiment(stream, game, algorithms="aa")
+        text = emit_report(result, "json")
+        assert text == per_trial_json(result)
+        assert result_from_json(text) == result
+        payload = json.loads(text)
+        payload["algorithms"] = []
+        with pytest.raises(ValueError, match="algorithms"):
+            result_from_json(json.dumps(payload))
 
     def test_writer_memory_at_the_reference_size(self):
         # Every column is written once and the expert columns once per

@@ -54,6 +54,14 @@ class TestMixLoss:
             mix_loss(np.full((1, 2), 0.5), -np.ones((2, 1)))
 
 
+class TestDistributions:
+    def test_refusal_names_the_row(self):
+        dists = np.full((3, 2), 0.5)
+        dists[2, 1] = 0.6
+        with pytest.raises(ValueError, match="row 2 sums to 1.1"):
+            mix_loss(dists, np.zeros((2, 3)))
+
+
 class TestLowProductExpert:
     def test_uniform_picks_first(self):
         assert find_low_product_expert(np.full((3, 4), 0.25)) == 0
@@ -73,6 +81,12 @@ class TestLowProductExpert:
         tie = np.array([[0.4, 0.4, 0.2], [0.2, 0.2, 0.6]])
         # experts 0 and 1 tie at 0.08; lowest index wins
         assert find_low_product_expert(tie) == 0
+
+    def test_rows_off_by_rounding(self):
+        # Rows summing to 1 + 9e-13, within the tolerance: every expert's
+        # log-product is 4 ln((1 + 9e-13)/3), above -4 ln 3 but within the
+        # bound sum_k ln(s_k) - K ln N of the rows' own sums.
+        assert find_low_product_expert(np.full((4, 3), (1 + 9e-13) / 3)) == 0
 
     def test_guarantee_on_random_tuples(self, rng):
         for _ in range(500):
