@@ -14,7 +14,7 @@ evaluates the worst slack on an outcome grid.
 This module alone states what the games accept.  A probability vector
 (weights, a prior, a mix-loss item's row) sums to 1 within `WEIGHT_TOL`
 (`_as_probabilities`); an interval has finite ends, lower < upper and a
-finite width (`_checked_width`).
+finite squared width (`_checked_width`).
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ def _logsumexp(a, axis=None):
 
 def _checked_width(lower: float, upper: float) -> float:
     """upper - lower for an interval with finite ends, lower < upper and a
-    finite width; any other interval is refused, named."""
+    finite squared width; any other interval is refused, named."""
     ends = math.isfinite(lower) and math.isfinite(upper) and lower < upper
-    # As Python floats, a width that overflows is inf, with no numpy warning.
+    # As Python floats, a width or square that overflows is inf, with no
+    # numpy warning.
     width = float(upper) - float(lower) if ends else math.nan
-    if not math.isfinite(width):
+    if not math.isfinite(width * width):
         raise ValueError(f"degenerate interval [{lower}, {upper}]: need "
-                         f"finite ends, lower < upper and a finite width")
+                         f"finite ends, lower < upper and a finite squared "
+                         f"width")
     return width
 
 

@@ -6,12 +6,13 @@ per expert.  Months are played in chronological order; within a month, rows
 keep file order unless an explicit order column says otherwise.
 
 Cells mean what `csv.DictReader` and `float()` make of them.  The loader
-reads the numeric columns in one `np.loadtxt` pass and the timestamps in
-another, and checks each distinct timestamp once.  A file that read cannot
-vouch for (say, a cell `np.loadtxt` refuses, a non-finite value, a bad month,
-no rows, a record over several lines) is read again by the per-cell reader,
-which either returns the same values or raises naming the CSV line of the
-first bad cell.  Both readers feed the same grouping code.
+reads the rows in one `np.loadtxt` pass, fed blocks of lines, with each
+timestamp turned into a month code (year * 12 + month) that is checked once
+per distinct stamp.  A file that pass cannot vouch for (say, a cell
+`np.loadtxt` refuses, a non-finite value, a bad month, no rows, a record
+over several lines) is read again by the per-cell reader, which either
+returns the same values or raises naming the CSV line of the first bad
+cell.  Both readers feed the same grouping code.
 
 An experiment runs one stream through any subset of the algorithms named in
 `bounds._TABLE`, audits each run against its guarantees, and serializes
@@ -132,31 +133,44 @@ def _parse_float(raw: str, line_num: int, column: str) -> float:
     return value
 
 
-def _lines(fh, lengths: list):
-    """Yield the lines of `fh`, appending each non-blank one's length to
-    `lengths`.  Raise ValueError at a line holding one of U+001C..U+001F:
-    `np.loadtxt` strips them from a number as whitespace, `float()` does
-    not."""
-    for line in fh:
-        if ("\x1c" in line or "\x1d" in line or "\x1e" in line
-                or "\x1f" in line):
+class _MonthCodes(dict):
+    """Timestamp -> year * 12 + month, as a float.  Each distinct stamp is
+    checked once, by `_month_key`; a bad one raises ValueError."""
+
+    def __missing__(self, stamp: str) -> float:
+        key = _month_key(stamp, None, "timestamp")
+        code = self[stamp] = float(int(key[:4]) * 12 + int(key[5:7]))
+        return code
+
+
+# `_blocks` reads lines until a block holds at least this many characters.
+_BLOCK_CHARS = 1 << 16
+
+
+def _blocks(fh, counts: list):
+    """The lines left in `fh`, in blocks of about `_BLOCK_CHARS`.  Adds each
+    block's number of non-blank lines to `counts[0]`; raises ValueError at a
+    block holding one of U+001C..U+001F, or a line longer than
+    `csv.field_size_limit()`."""
+    limit = csv.field_size_limit()
+    while block := fh.readlines(_BLOCK_CHARS):
+        # `np.loadtxt` strips these from a number as whitespace, `float()`
+        # does not.
+        text = "".join(block)
+        if ("\x1c" in text or "\x1d" in text or "\x1e" in text
+                or "\x1f" in text):
             raise ValueError("information separator in a line")
-        if line.rstrip("\r\n"):
-            lengths.append(len(line))
-        yield line
-
-
-def _after_header(fh):
-    """`fh`, rewound to just after its header row."""
-    fh.seek(0)
-    next(csv.reader(fh))
-    return fh
+        if max(map(len, block)) > limit:
+            raise ValueError("a line too long for the csv module")
+        counts[0] += (len(block) - block.count("\n") - block.count("\r\n")
+                      - block.count("\r"))
+        yield block
 
 
 def _read_columns(fh, header: list, columns: list):
-    """The bulk reader: whole columns through `np.loadtxt`.  Returns the
-    month rank of each row (0 = earliest) and the row's values of
-    `columns[1:]`.
+    """The bulk reader: the rows after the header in one `np.loadtxt` pass,
+    the timestamps through `_MonthCodes`.  Returns the month rank of each
+    row (0 = earliest) and the row's values of `columns[1:]`.
 
     It raises ValueError, or a warning turned into an error, on any file it
     cannot vouch for: a cell `np.loadtxt` cannot read, a non-finite value, a
@@ -164,30 +178,22 @@ def _read_columns(fh, header: list, columns: list):
     `csv.field_size_limit()`.  It names no line; `_read_cells` does."""
     # As in csv.DictReader, a repeated name stands for its last column.
     index = {name: i for i, name in enumerate(header)}
-    fields = dict(delimiter=",", quotechar='"', comments=None)
-    lengths = []
+    counts = [0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. "input contained no data"
-        values = np.loadtxt(_lines(_after_header(fh), lengths),
-                            usecols=[index[c] for c in columns[1:]], ndmin=2,
-                            **fields)
-        stamps = np.loadtxt(_after_header(fh), dtype=object,
-                            usecols=index[columns[0]], ndmin=1,
-                            **fields).tolist()
+        values = np.loadtxt(
+            chain.from_iterable(_blocks(fh, counts)), delimiter=",",
+            quotechar='"', comments=None, ndmin=2,
+            usecols=[index[c] for c in columns],
+            converters={index[columns[0]]: _MonthCodes().__getitem__})
     # One line per record keeps every field within one line, so no field is
-    # longer than the csv module would read.
-    if (len(lengths) != len(values)
-            or max(lengths, default=0) > csv.field_size_limit()):
-        raise ValueError("a record spans lines or is too long")
+    # longer than `_blocks` lets a line be.
+    if counts[0] != len(values):
+        raise ValueError("a record spans lines")
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
-    # Each distinct stamp is checked once; a bad one raises here, and the
-    # per-cell reader then names its line.  ISO months sort chronologically.
-    keys = {s: _month_key(s, None, columns[0]) for s in set(stamps)}
-    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    month = {s: rank[k] for s, k in keys.items()}
-    return np.fromiter(map(month.__getitem__, stamps), np.intp,
-                       len(stamps)), values
+    # Month codes sort chronologically.
+    return np.unique(values[:, 0], return_inverse=True)[1], values[:, 1:]
 
 
 def _read_cells(fh, columns: list):
@@ -252,7 +258,7 @@ def load_pack_csv(spec: DatasetSpec):
         lower, upper = float(spec.clip_lower), float(spec.clip_upper)
 
     game = GameSpec.for_interval(lower, upper, spec.eta, spec.c)
-    values = np.clip(values, lower, upper)
+    np.clip(values, lower, upper, out=values)
     return PackStream._from_columns(values[:, 1:].T, values[:, 0], sizes), game
 
 

@@ -184,7 +184,8 @@ class TestRun:
 
 # Bad command lines, each refused with exit 1 and this message on stderr.
 # `RUN` begins a `run` command on the fixture; `{constant}` names a CSV
-# whose cells are all 0.5.
+# whose cells are all 0.5, and `{huge}` one whose first month holds 0 and
+# 1e200.
 RUN = "run --data {fixture} --target price"
 INTERVAL = "--lower 0 --upper 1"
 
@@ -205,12 +206,20 @@ class TestRefusals:
         ("synth --lower=-1e308 --upper 1e308",
          "degenerate interval [-1e+308, 1e+308]"),
         ("synth --lower 0 --upper inf", "degenerate interval [0.0, inf]"),
+        ("synth --lower 0 --upper 1e200 --trials 3",
+         "degenerate interval [0.0, 1e+200]"),
+        ("run --data {huge} --target target --experts e1 "
+         "--calibration-packs 1", "degenerate interval [0.0, 1e+200]"),
     ])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         constant = tmp_path / "constant.csv"
         constant.write_text("month,target,e1\n2020-01,0.5,0.5\n"
                             "2020-02,0.5,0.5\n")
-        argv = argv.format(fixture=FIXTURE, constant=constant).split()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("month,target,e1\n2020-01,0,1e200\n"
+                        "2020-02,0.5,0.5\n")
+        argv = argv.format(fixture=FIXTURE, constant=constant,
+                           huge=huge).split()
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""

@@ -194,6 +194,109 @@ class TestLineNumbers:
             load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
 
 
+class TestBlocks:
+    """Files of several `_blocks` blocks, with the fault only after the
+    first block."""
+
+    COLUMNS = ["month", "price", "m1"]
+    SPEC = dict(timestamp_col="month", target_col="price", expert_cols=("m1",),
+                clip_lower=0.0, clip_upper=1.0)
+    # 17 characters a line, so block 1 ends at the same line in every file.
+    ROW = "2006-{:02d},0.5,0.25"
+    HEADER = "month,price,m1"
+
+    def _rows(self):
+        return [self.ROW.format(i % 12 + 1) for i in range(10_000)]
+
+    def _first_block(self, path):
+        """The lines of block 1."""
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            return next(harness._blocks(fh, [0]))
+
+    def _refused_as_the_cell_reader_refuses(self, path, line):
+        with pytest.raises((ValueError, Warning)):
+            _read(path, self.COLUMNS, bulk=True)
+        with pytest.raises(Exception) as cells:
+            _read(path, self.COLUMNS, bulk=False)
+        with pytest.raises(type(cells.value)) as raised:
+            load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
+        assert str(raised.value) == str(cells.value)
+        if line is not None:
+            assert str(raised.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("row, line", [
+        ("2006-03,0.5\x1c,0.25", 8002),  # U+001C in a numeric cell
+        ("2006-13,0.5,0.25", 8002),  # a bad month
+        ("2006-03,0.5,0.25" + " " * csv.field_size_limit(), None),
+    ], ids=["separator", "bad-month", "long-line"])
+    def test_fault_after_the_first_block(self, tmp_path, row, line):
+        rows = self._rows()
+        rows[8000] = row
+        path = tmp_path / "data.csv"
+        _write(path, self.HEADER, rows)
+        assert len(self._first_block(path)) < 8000
+        self._refused_as_the_cell_reader_refuses(path, line)
+
+    def test_quoted_newline_across_a_block_boundary(self, tmp_path):
+        rows = self._rows()
+        last = harness._BLOCK_CHARS // len(self.ROW.format(1) + "\n")
+        # The record opens on the last line of block 1 and closes in block 2.
+        rows[last] = '2006-03,"0.50000\n",0.25'
+        rows[9000] = "2006-03,0.5,nan"
+        path = tmp_path / "data.csv"
+        _write(path, self.HEADER, rows)
+        assert self._first_block(path)[-1] == '2006-03,"0.50000\n'
+        self._refused_as_the_cell_reader_refuses(path, 9003)
+        rows[9000] = self.ROW.format(3)
+        _write(path, self.HEADER, rows)
+        with pytest.raises(ValueError, match="spans lines"):
+            _read(path, self.COLUMNS, bulk=True)
+        stream, _ = load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
+        assert stream.outcomes.sum() == 0.5 * len(rows)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_clean_file_of_several_blocks(self, tmp_path, newline):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(6000, 3)) * 10.0 ** rng.integers(
+            -5, 6, size=(6000, 3))
+        months = rng.integers(0, 400, size=6000)
+        rows = [f"{1990 + m // 12}-{m % 12 + 1:02d}-15,"
+                + ",".join(map(repr, v.tolist()))
+                for m, v in zip(months, values)]
+        path = tmp_path / "data.csv"
+        _write(path, "month,price,m1,ord", rows, newline=newline)
+        assert len(self._first_block(path)) < len(rows)
+        columns = ["month", "price", "m1", "ord"]
+        bulk = _read(path, columns, bulk=True)
+        cells = _read(path, columns, bulk=False)
+        np.testing.assert_array_equal(bulk[0], cells[0])
+        assert bulk[0].tolist() == np.unique(months, return_inverse=True)[
+            1].tolist()
+        assert bulk[1].shape == cells[1].shape == (6000, 3)
+        assert bulk[1].tobytes() == cells[1].tobytes() == values.tobytes()
+
+    def test_one_loadtxt_call_for_a_file_it_accepts(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "data.csv"
+        _write(path, self.HEADER, self._rows())
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+
+        def no_fallback(*args):
+            raise AssertionError("the per-cell reader ran")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(harness, "_read_cells", no_fallback)
+        stream, _ = load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
+        assert calls == [[0, 1, 2]]
+        assert len(stream) == 12 and stream.outcomes.size == 10_000
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_reads_a_pipe(tmp_path):
     fifo = tmp_path / "data.csv"

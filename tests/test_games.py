@@ -405,10 +405,11 @@ class TestInputContracts:
     def test_intervals(self, entry):
         for lower, upper in [(0.0, 1.0), (5, 9), (-1e150, 1e150)]:
             entry(lower, upper)
-        # Equal or swapped ends, an infinite or NaN end, an infinite width.
+        # Equal or swapped ends, an infinite or NaN end, an infinite width,
+        # a finite width whose square is infinite.
         for lower, upper in [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf),
                              (-math.inf, 0.0), (math.nan, 1.0),
-                             (0.0, math.nan), (-1e308, 1e308)]:
+                             (0.0, math.nan), (-1e308, 1e308), (0.0, 1e200)]:
             with pytest.raises(ValueError, match=re.escape(
                     f"degenerate interval [{lower}, {upper}]")):
                 entry(lower, upper)
