@@ -54,7 +54,7 @@ def main():
     print(f"stream: {len(stream)} packs, {stream.num_items} items, "
           f"{stream.num_experts} experts")
 
-    # Pack algorithms: max deviation of the total across reshuffles.
+    # The pack algorithms: max deviation of the total across reshuffles.
     runners = {
         "aap-max": lambda s: run_aap_max(s, stream.max_pack_size, game),
         "aap-incremental": lambda s: run_aap_incremental(s, game),

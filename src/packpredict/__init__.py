@@ -20,7 +20,6 @@ from .aggregator import (
     uniform_prior,
 )
 from .algorithms import (
-    Pack,
     PackStream,
     RunRecords,
     run_aa,

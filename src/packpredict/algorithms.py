@@ -1,4 +1,4 @@
-"""Pack prediction protocols, replayed over a whole stream at once.
+"""The pack prediction protocols, replayed over a whole stream at once.
 
 A pack is a batch of items revealed together: the learner sees all expert
 predictions for the batch, commits predictions for every item, and only then
@@ -23,10 +23,9 @@ schedule; an mpmath oracle in the tests checks both.
 
 A stream is stored as the columns the replay reads (`PackStream`): one
 N x items matrix of expert predictions, the outcomes and the pack sizes.
-The producers in this package (the CSV loader, the synthetic generator,
-rescaling, shuffling) write those columns directly.  A `Pack` is checked
-constructor input for `PackStream(packs)`, and a view of the columns on
-demand.
+`PackStream(expert_preds, outcomes, sizes)` checks the columns; the
+producers in this package (the CSV loader, the synthetic generator,
+rescaling, shuffling) write them through the unchecked `_from_columns`.
 
 A run's records are the four columns the replay produced (`RunRecords`):
 the pack sizes, every item's prediction, the learner's pack losses and the
@@ -46,62 +45,33 @@ from .bounds import _TABLE, _require_fit
 from .games import GameSpec, _substitute
 
 
-@dataclass(eq=False)
-class Pack:
-    """One trial: an N x K matrix of expert predictions plus K outcomes."""
-
-    expert_preds: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self):
-        self.expert_preds = np.asarray(self.expert_preds, dtype=float)
-        self.outcomes = np.asarray(self.outcomes, dtype=float)
-        if self.expert_preds.ndim != 2:
-            raise ValueError(
-                f"expert predictions must be N x K, got shape {self.expert_preds.shape}"
-            )
-        if self.outcomes.ndim != 1 or self.outcomes.size != self.expert_preds.shape[1]:
-            raise ValueError(
-                f"outcomes shape {self.outcomes.shape} does not match "
-                f"{self.expert_preds.shape[1]} items"
-            )
-        if self.size < 1:
-            raise ValueError("empty pack")
-
-    @property
-    def num_experts(self) -> int:
-        return self.expert_preds.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.expert_preds.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Pack):
-            return NotImplemented
-        return np.array_equal(self.expert_preds, other.expert_preds) and np.array_equal(
-            self.outcomes, other.outcomes
-        )
-
-
 class PackStream:
     """An ordered sequence of at least one pack, all sharing one expert
     panel, stored as columns: `expert_preds` (N x items, packs side by
     side), `outcomes` and `sizes`; pack t holds the `sizes[t]` items from
-    column `starts[t]`.  Indexing and iteration give `Pack` views of the
-    columns."""
+    column `starts[t]`.  `stream[t]` is pack t as a one-pack stream of its
+    columns, and iteration gives the packs in order."""
 
-    def __new__(cls, packs):
-        packs = tuple(packs)
-        if not packs:
+    def __new__(cls, expert_preds, outcomes, sizes):
+        sizes = np.array(sizes)  # a copy: the stream derives `starts` from it
+        if sizes.size == 0:
             raise ValueError("a stream needs at least one pack")
-        n = packs[0].num_experts
-        for i, t in enumerate(packs):
-            if t.num_experts != n:
-                raise ValueError(f"trial {i} has {t.num_experts} experts, expected {n}")
-        return cls._from_columns(np.hstack([t.expert_preds for t in packs]),
-                                 np.hstack([t.outcomes for t in packs]),
-                                 [t.size for t in packs])
+        if sizes.ndim != 1 or not np.issubdtype(sizes.dtype, np.integer):
+            raise ValueError(f"pack sizes must be a 1-d integer array, got "
+                             f"{sizes.dtype} of shape {sizes.shape}")
+        if (sizes < 1).any():
+            t = int(np.argmax(sizes < 1))
+            raise ValueError(f"pack {t} has size {sizes[t]}, not at least 1")
+        expert_preds = np.asarray(expert_preds, dtype=float)
+        outcomes = np.asarray(outcomes, dtype=float)
+        if expert_preds.ndim != 2 or outcomes.shape != expert_preds.shape[1:]:
+            raise ValueError(
+                f"expert predictions of shape {expert_preds.shape} and outcomes "
+                f"of shape {outcomes.shape} are not N x items and items")
+        if sizes.sum() != outcomes.size:
+            raise ValueError(f"pack sizes sum to {sizes.sum()}, not to the "
+                             f"{outcomes.size} items")
+        return cls._from_columns(expert_preds, outcomes, sizes)
 
     @classmethod
     def _from_columns(cls, expert_preds, outcomes, sizes) -> "PackStream":
@@ -123,10 +93,10 @@ class PackStream:
         return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
         items = slice(self.starts[i], self.starts[i] + self.sizes[i])
-        return Pack(self.expert_preds[:, items], self.outcomes[items])
+        return PackStream._from_columns(self.expert_preds[:, items],
+                                        self.outcomes[items],
+                                        self.sizes[i:i + 1 or None])
 
     def __eq__(self, other):
         if not isinstance(other, PackStream):
@@ -274,7 +244,7 @@ def _run(name: str, stream: PackStream, declared, game: GameSpec,
 
 def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
                   prior=None) -> RunRecords:
-    """Pack prediction when every pack has the same known size.
+    """Predict packs when every pack has the same known size.
 
     Raises if any pack's size differs from `pack_size`.
     """
@@ -283,18 +253,18 @@ def run_aap_equal(stream: PackStream, pack_size: int, game: GameSpec,
 
 def run_aap_max(stream: PackStream, max_pack_size: int, game: GameSpec,
                 prior=None) -> RunRecords:
-    """Pack prediction when only an upper bound on pack sizes is known ahead."""
+    """Predict packs when only an upper bound on pack sizes is known ahead."""
     return _run("aap-max", stream, max_pack_size, game, prior)
 
 
 def run_aap_incremental(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
-    """Pack prediction with no size information: divisor is the running max
+    """Predict packs with no size information: divisor is the running max
     pack size, with weights recomputed from the prior whenever it grows."""
     return _run("aap-incremental", stream, None, game, prior)
 
 
 def run_aap_current(stream: PackStream, game: GameSpec, prior=None) -> RunRecords:
-    """Pack prediction with no size information: divisor is the current pack
+    """Predict packs with no size information: divisor is the current pack
     size.  Controls average per-item loss rather than total loss."""
     return _run("aap-current", stream, None, game, prior)
 

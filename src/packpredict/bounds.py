@@ -25,8 +25,9 @@ of per-pack average losses:
 `audit_run` reads the running totals of a finished run (`RunRecords`)
 and checks the matching guarantee for every expert, either at the end or at
 every prefix, and reports the slack bound - learner_total.  Anything below
--1e-9 is a violation.  A `BoundReport`'s JSON form (its verdict and how the
-audit ran) is stated in `harness`, with the rest of the report.
+-1e-9 * (B - A)^2 is a violation: slacks scale with (B - A)^2.  A
+`BoundReport`'s JSON form (its verdict and how the audit ran) is stated in
+`harness`, with the rest of the report.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import numpy as np
 
 from .aggregator import DivisorPolicy, _as_prior
 
-# A guarantee holds if bound - loss >= -SLACK_TOL (room for float accumulation).
+# A guarantee holds if bound - loss >= -SLACK_TOL * (B - A)^2, room for float
+# accumulation in the game's units: every loss and slack scales with (B - A)^2.
 SLACK_TOL = 1e-9
 
 AA = "aa"
@@ -194,13 +196,16 @@ class BoundReport:
     """All guarantee checks for one algorithm on one run.  `entries` is a
     structured array with one row per (prefix, expert) check, at least one,
     prefix-major, and the fields expert_index, learner_loss, expert_loss,
-    bound, slack and prefix (the number of trials included); `every_prefix`
-    says whether every prefix was checked or only the whole run."""
+    bound, slack and prefix (the number of trials included); a check passes
+    if its slack is at least -`tolerance`, `SLACK_TOL` in the game's units;
+    `every_prefix` says whether every prefix was checked or only the whole
+    run."""
 
     algorithm: str
     metric: str  # "total" or "average"
     params: dict
     entries: np.ndarray
+    tolerance: float
     every_prefix: bool = False
 
     @property
@@ -215,18 +220,19 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.min_slack >= -SLACK_TOL
+        return self.min_slack >= -self.tolerance
 
     @property
     def violations(self) -> np.ndarray:
-        return self.entries[self.entries["slack"] < -SLACK_TOL]
+        return self.entries[self.entries["slack"] < -self.tolerance]
 
     def __eq__(self, other):
         if not isinstance(other, BoundReport):
             return NotImplemented
-        return ((self.algorithm, self.metric, self.params, self.every_prefix)
+        return ((self.algorithm, self.metric, self.params, self.tolerance,
+                 self.every_prefix)
                 == (other.algorithm, other.metric, other.params,
-                    other.every_prefix)
+                    other.tolerance, other.every_prefix)
                 and np.array_equal(self.entries, other.entries))
 
 
@@ -284,4 +290,5 @@ def audit_run(records, algorithm: str, game, prior, *,
     entries["bound"] = bounds.ravel()
     entries["slack"] = (bounds - learner).ravel()
     entries["prefix"] = np.repeat(prefixes, num_experts)
-    return BoundReport(algorithm, g.metric, params, entries, every_prefix)
+    return BoundReport(algorithm, g.metric, params, entries,
+                       SLACK_TOL * (game.upper - game.lower) ** 2, every_prefix)

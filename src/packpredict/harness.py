@@ -220,8 +220,11 @@ def load_pack_csv(spec: DatasetSpec):
     if spec.order_col is not None:
         columns.append(spec.order_col)
     with open(spec.path, newline="") as fh:
-        if not fh.seekable():  # a pipe: each reader starts from the top
-            fh = io.StringIO(fh.read(), newline="")
+        if not fh.seekable():
+            # A pipe: each reader starts from the top, so hold its bytes and
+            # decode them as read (a `str` may take 4 bytes a character).
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()),
+                                  encoding=fh.encoding, newline="")
         header = next(csv.reader(fh), [])
         missing = [c for c in columns if c not in header]
         if missing:

@@ -1,23 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from packpredict import Pack, PackStream
+from packpredict import PackStream
 
 
 def make_stream(rng, num_experts, num_trials, size_min=1, size_max=7):
     """Random stream on [0, 1]: experts are noisy observers of a latent path."""
-    packs = []
+    sizes, preds, outcomes = [], [], []
     for _ in range(num_trials):
         k = int(rng.integers(size_min, size_max + 1))
         latent = rng.uniform(0.1, 0.9, size=k)
-        preds = np.clip(
-            latent[None, :] + rng.normal(scale=0.15, size=(num_experts, k)),
-            0.0, 1.0,
-        )
-        outcomes = np.clip(latent + rng.normal(scale=0.1, size=k), 0.0, 1.0)
-        packs.append(Pack(preds, outcomes))
-    return PackStream(tuple(packs))
+        preds.append(latent[None, :]
+                     + rng.normal(scale=0.15, size=(num_experts, k)))
+        outcomes.append(latent + rng.normal(scale=0.1, size=k))
+        sizes.append(k)
+    return PackStream(np.clip(np.hstack(preds), 0.0, 1.0),
+                      np.clip(np.concatenate(outcomes), 0.0, 1.0), sizes)
+
+
+def ends_stream(sizes, ends, leaders):
+    """A stream on [0, 1] built to stress a bound: expert n predicts
+    `ends[n]`, 0 or 1, on every item, and pack t's outcomes follow expert
+    `leaders[t]`.  Sizes [1, K], ends [0, 1] and leaders [0, 1] give the
+    stream on which aap-incremental's divisor lags its pack (ROADMAP item 1)."""
+    ends = np.asarray(ends, dtype=float)
+    return PackStream(np.repeat(ends[:, None], np.sum(sizes), axis=1),
+                      np.repeat(ends[leaders], sizes), sizes)
+
+
+@st.composite
+def stress_streams(draw, max_experts=6, max_packs=8, max_size=9):
+    """`ends_stream`s: pack sizes that grow after a small first pack, experts
+    at both ends of the interval, each pack's outcomes following one expert."""
+    n = draw(st.integers(2, max_experts))
+    first = draw(st.integers(1, 3))
+    sizes = [first] + draw(st.lists(st.integers(first + 1, max_size),
+                                    max_size=max_packs - 1))
+    ends = [0, 1] + draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2,
+                                  max_size=n - 2))
+    leaders = draw(st.lists(st.integers(0, n - 1), min_size=len(sizes),
+                            max_size=len(sizes)))
+    return ends_stream(sizes, ends, leaders)
 
 
 def random_prior(rng, num_experts):

@@ -115,7 +115,7 @@ def test_acceptance_3_coincidence_checks():
             diff = np.max(np.abs(runs[0].learner_preds - records.learner_preds))
             if diff > 1e-12:
                 failures.append((i, alt, diff))
-    # Pack size one: everything, parallel copies included, is classic AA.
+    # Packs of size one: everything, parallel copies included, is classic AA.
     for i in range(10):
         n = int(rng.integers(2, 6))
         stream = make_stream(rng, n, 20, size_min=1, size_max=1)

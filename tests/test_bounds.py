@@ -6,11 +6,11 @@ import pytest
 
 from packpredict import (
     GameSpec,
-    Pack,
     PackStream,
     RunRecords,
     audit_run,
     emit_report,
+    rescale_stream,
     result_from_json,
     run_aa,
     run_aap_current,
@@ -24,7 +24,7 @@ from packpredict import (
 )
 from packpredict import bounds as bd
 
-from conftest import make_stream, random_prior
+from conftest import ends_stream, make_stream, random_prior
 
 GAME = GameSpec(0.0, 1.0, 2.0)
 
@@ -89,22 +89,16 @@ class TestGuaranteeInstantiations:
         # One expert always equal to the outcome: total learner loss is at
         # most (K/2)*ln(2) when packs share size K.
         k = 4
-        packs = []
-        for _ in range(12):
-            outcomes = rng.uniform(0, 1, size=k)
-            other = rng.uniform(0, 1, size=k)
-            packs.append(Pack(np.stack([outcomes, other]), outcomes))
-        stream = PackStream(tuple(packs))
+        outcomes = rng.uniform(0, 1, size=12 * k)
+        others = rng.uniform(0, 1, size=12 * k)
+        stream = PackStream(np.stack([outcomes, others]), outcomes, [k] * 12)
         records = run_aap_equal(stream, k, GAME)
         assert records.cumulative_loss[-1] <= (k / 2) * math.log(2) + 1e-9
 
     def test_mixed_sizes_known_max(self, rng):
         # Sizes {3,1,2} with K=3, two experts: regret term (3/2)*ln 2.
-        packs = []
-        for k in (3, 1, 2):
-            packs.append(Pack(rng.uniform(0, 1, size=(2, k)),
-                              rng.uniform(0, 1, size=k)))
-        stream = PackStream(tuple(packs))
+        stream = PackStream(rng.uniform(0, 1, size=(2, 6)),
+                            rng.uniform(0, 1, size=6), [3, 1, 2])
         records = run_aap_max(stream, 3, GAME)
         for n in range(2):
             bound = records.expert_cumulative_losses[-1, n] + 1.5 * math.log(2)
@@ -214,11 +208,8 @@ class TestAuditRun:
     def test_prefix_divisors_track_running_extremes(self, rng):
         # The incremental guarantee at prefix t may only use the max pack
         # size seen up to t, so audit a stream whose sizes grow late.
-        packs = []
-        for k in (1, 1, 2, 6):
-            packs.append(Pack(rng.uniform(0, 1, size=(2, k)),
-                              rng.uniform(0, 1, size=k)))
-        stream = PackStream(tuple(packs))
+        stream = PackStream(rng.uniform(0, 1, size=(2, 10)),
+                            rng.uniform(0, 1, size=10), [1, 1, 2, 6])
         records = run_aap_incremental(stream, GAME)
         report = audit_run(records, bd.AAP_INCREMENTAL, GAME, uniform_prior(2),
                            every_prefix=True)
@@ -281,3 +272,37 @@ class TestAuditRun:
         report = audit_run(records, bd.AA, GAME, uniform_prior(3),
                            every_prefix=True)
         assert report.passed
+
+
+class TestUnits:
+    """A verdict does not depend on the data's units: every loss and slack
+    scales with (B - A)^2, and so does the audit's tolerance."""
+
+    @pytest.mark.parametrize("scale", [2.0 ** -17, 2.0 ** 20])
+    def test_rescaling_keeps_every_verdict(self, rng, scale):
+        # Powers of two scale exactly: the predictions by s and the slacks
+        # by s^2, bit for bit.  On [0, 1] the stress family (sizes 1 and K)
+        # fails aap-incremental's audit for K >= 3 (ROADMAP item 1); on
+        # [0, 2^-17] its slacks are within 1e-9 of zero, and still fail.
+        cases = [(ends_stream([1, k], [0, 1], [0, 1]), None)
+                 for k in (2, 3, 5, 20)]
+        cases += [(stream, random_prior(rng, stream.num_experts))
+                  for stream in (make_stream(rng, 3, 12),
+                                 make_stream(rng, 4, 10, 1, 1),
+                                 make_stream(rng, 2, 8, 3, 3))]
+        for unit, prior in cases:
+            runs = [run_experiment(stream, GameSpec.for_interval(0, upper),
+                                   prior=prior, every_prefix=True).algorithms
+                    for stream, upper in ((unit, 1),
+                                          (rescale_stream(unit, 0, scale),
+                                           scale))]
+            for ours, scaled in zip(*runs):
+                np.testing.assert_array_equal(
+                    scaled.records.learner_preds,
+                    scale * ours.records.learner_preds)
+                for a, b in zip(ours.reports, scaled.reports):
+                    np.testing.assert_array_equal(
+                        b.entries["slack"], scale ** 2 * a.entries["slack"])
+                    assert b.min_slack == scale ** 2 * a.min_slack
+                    assert b.passed == a.passed
+                    assert len(b.violations) == len(a.violations)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from packpredict import (
     GameSpec,
-    Pack,
     PackStream,
     SyntheticConfig,
     emit_report,
@@ -406,8 +405,8 @@ class TestAudit:
         # k (B - A)^2 as computed, in the last bit.  Such a report reads.
         lower, upper = -3.3, 7.9
         sizes = [1, 2, 12, 13, 15, 16, 40]
-        stream = PackStream([Pack(np.full((3, k), lower), np.full(k, upper))
-                             for k in sizes])
+        stream = PackStream(np.full((3, sum(sizes)), lower),
+                            np.full(sum(sizes), upper), sizes)
         result = run_experiment(stream, GameSpec.for_interval(lower, upper))
         losses = result.algorithms[0].records.expert_pack_losses
         assert (losses[:, 0] > np.array(sizes) * (upper - lower) ** 2).any()

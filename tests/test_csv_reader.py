@@ -5,6 +5,7 @@ every error `load_pack_csv` raises is the per-cell reader's, with its line."""
 import csv
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,3 +312,44 @@ def test_reads_a_pipe(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert [p.outcomes.tolist() for p in stream] == [[0.75], [0.5]]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_costs_its_bytes_once(tmp_path):
+    # A pipe is read whole, as bytes, then decoded as the readers go: under
+    # tracemalloc its peak stays below twice the same file's, where text
+    # held as `str` (up to 4 bytes a character) would not.  20000 rows of
+    # dollar-scale prices in cents, 1.2 MB.
+    rng = np.random.default_rng(5)
+    months = np.sort(rng.integers(0, 120, 20_000)).tolist()
+    prices = rng.lognormal(12, 0.3, (20_000, 5)).tolist()
+    data = "".join(
+        [f"month,price,{','.join(f'e{n}' for n in range(1, 5))}\n"]
+        + [f"{2000 + m // 12}-{m % 12 + 1:02d},"
+           + ",".join(f"{p:.2f}" for p in row) + "\n"
+           for m, row in zip(months, prices)]).encode()
+    path, fifo = tmp_path / "data.csv", tmp_path / "pipe.csv"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+
+    def peak(source):
+        spec = DatasetSpec(path=str(source), timestamp_col="month",
+                           target_col="price",
+                           expert_cols=("e1", "e2", "e3", "e4"),
+                           clip_lower=0.0, clip_upper=1e7)
+        tracemalloc.start()
+        try:
+            stream, _ = load_pack_csv(spec)
+            return stream, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    from_file, file_peak = peak(path)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                              daemon=True)
+    writer.start()
+    from_pipe, pipe_peak = peak(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert from_pipe == from_file
+    assert pipe_peak < 2 * file_peak, (pipe_peak, file_peak)

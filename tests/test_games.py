@@ -10,7 +10,6 @@ from packpredict import (
     AdversaryNature,
     DatasetSpec,
     GameSpec,
-    Pack,
     PackStream,
     check_substitution_validity,
     find_low_product_expert,
@@ -376,7 +375,7 @@ PROBABILITY_ENTRIES = {
 }
 
 # Every entry that takes an interval [lower, upper].
-UNIT_STREAM = PackStream([Pack([[0.0, 1.0]], [0.5, 0.25])])
+UNIT_STREAM = PackStream([[0.0, 1.0]], [0.5, 0.25], [2])
 INTERVAL_ENTRIES = {
     "GameSpec": lambda lower, upper: GameSpec(lower, upper, 1e-3),
     "max_mixable_eta": max_mixable_eta,

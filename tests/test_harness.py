@@ -14,7 +14,6 @@ from packpredict import (
     DatasetSpec,
     ExperimentResult,
     GameSpec,
-    Pack,
     PackStream,
     RunRecords,
     SyntheticConfig,
@@ -80,11 +79,10 @@ def fixture_spec(**overrides):
 
 
 def expected_fixture_stream():
-    packs = []
-    for o, a, b, c in zip(EXPECTED_OUTCOMES, EXPECTED_M1, EXPECTED_M2,
-                          EXPECTED_M3):
-        packs.append(Pack(np.array([a, b, c]), np.array(o)))
-    return PackStream(tuple(packs))
+    experts = (EXPECTED_M1, EXPECTED_M2, EXPECTED_M3)
+    return PackStream([np.concatenate(m) for m in experts],
+                      np.concatenate(EXPECTED_OUTCOMES),
+                      [len(o) for o in EXPECTED_OUTCOMES])
 
 
 class TestDatasetSpec:
@@ -115,7 +113,7 @@ class TestLoadPackCsv:
     def test_month_grouping_ignores_day(self):
         stream, _ = load_pack_csv(fixture_spec())
         # March rows carry full dates (2006-03-10 etc.) but land in one pack.
-        assert stream[2].size == 3
+        assert stream[2].num_items == 3
 
     def test_file_order_without_order_col(self):
         stream, _ = load_pack_csv(fixture_spec(order_col=None))
@@ -219,12 +217,11 @@ class TestLoadPackCsv:
         assert loaded == stream
 
     def test_write_refuses_more_packs_than_months(self, tmp_path):
-        # Pack t is month 2000-01 + t: 96000 packs end at 9999-12 and read
+        # Month 2000-01 + t holds pack t: 96000 packs end at 9999-12 and read
         # back; one more would need a five-digit year, so nothing is written.
         def stream(num_packs):
-            return PackStream._from_columns(
-                np.linspace(0, 1, num_packs)[None, :], np.zeros(num_packs),
-                np.ones(num_packs, int))
+            return PackStream(np.linspace(0, 1, num_packs)[None, :],
+                              np.zeros(num_packs), np.ones(num_packs, int))
 
         path = tmp_path / "long.csv"
         write_pack_csv(stream(96000), str(path))
@@ -248,9 +245,9 @@ class TestSynthetic:
 
     @staticmethod
     def _reference(config):
-        """The generator pack by pack: one checked Pack per trial."""
+        """The generator pack by pack, each pack's columns drawn in turn."""
         rng = np.random.default_rng(config.seed)
-        packs = []
+        sizes, preds, outcomes = [], [], []
         item = 0
         for _ in range(config.num_trials):
             k = int(rng.integers(config.pack_size_min, config.pack_size_max + 1))
@@ -263,13 +260,13 @@ class TestSynthetic:
             sigma = np.where(
                 np.arange(config.num_experts)[:, None] == sharp[None, :],
                 config.noise, 4.0 * config.noise)
-            preds = (latent[None, :]
-                     + rng.normal(size=(config.num_experts, k)) * sigma)
-            outcomes = latent + rng.normal(size=k) * config.noise
-            packs.append(Pack(np.clip(preds, 0.0, 1.0),
-                              np.clip(outcomes, 0.0, 1.0)))
+            preds.append(latent[None, :]
+                         + rng.normal(size=(config.num_experts, k)) * sigma)
+            outcomes.append(latent + rng.normal(size=k) * config.noise)
+            sizes.append(k)
             item += k
-        return PackStream(packs)
+        return PackStream(np.clip(np.hstack(preds), 0.0, 1.0),
+                          np.clip(np.concatenate(outcomes), 0.0, 1.0), sizes)
 
     def _assert_matches_reference(self, config):
         # Bitwise: array_equal would take -0.0 for 0.0.
@@ -349,7 +346,7 @@ class TestSynthetic:
         stream, _ = generate_synthetic_stream(cfg)
         per_item = []
         for pack in stream:
-            for k in range(pack.size):
+            for k in range(pack.num_items):
                 per_item.append(
                     (pack.expert_preds[:, k] - pack.outcomes[k]) ** 2
                 )
@@ -422,9 +419,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("sizes", [(1,) * 5, (2, 1, 4, 3, 1)])
     def test_params_of_all(self, rng, sizes):
         # What each algorithm declares and each report states, as written.
-        packs = [Pack(rng.uniform(0, 1, (2, k)), rng.uniform(0, 1, k))
-                 for k in sizes]
-        result = run_experiment(PackStream(packs), GameSpec(0, 1, 2.0))
+        items = sum(sizes)
+        stream = PackStream(rng.uniform(0, 1, (2, items)),
+                            rng.uniform(0, 1, items), sizes)
+        result = run_experiment(stream, GameSpec(0, 1, 2.0))
         k, top, bottom = sizes[0], max(sizes), min(sizes)
         game = {"c": 1.0, "eta": 2.0}
         expected = [
@@ -478,7 +476,8 @@ class TestRunExperiment:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment(PackStream(()), GameSpec(0, 1, 2.0))
+            run_experiment(PackStream(np.zeros((1, 0)), (), ()),
+                           GameSpec(0, 1, 2.0))
 
     def test_shuffle_summary_attached(self, rng):
         stream = make_stream(rng, 3, 6, size_min=2, size_max=4)
@@ -655,8 +654,9 @@ class TestReports:
                                            every_prefix, shuffles,
                                            integer_game, seed):
         rng = np.random.default_rng(seed)
-        stream = PackStream([Pack(rng.uniform(0, 1, (num_experts, k)),
-                                  rng.uniform(0, 1, k)) for k in sizes])
+        items = sum(sizes)
+        stream = PackStream(rng.uniform(0, 1, (num_experts, items)),
+                            rng.uniform(0, 1, items), sizes)
         game = GameSpec(0, 1, 2, 1) if integer_game else GameSpec(0, 1, 2.0)
         result = run_experiment(stream, game, shuffles=shuffles,
                                 every_prefix=every_prefix)
@@ -693,7 +693,7 @@ class TestReports:
         # reader a file of no run, naming algorithms: its report would carry
         # a verdict on nothing.
         game = GameSpec(0, 1, 2.0)
-        stream = PackStream([Pack(np.full((1, 1), 0.25), np.full(1, 0.5))])
+        stream = PackStream(np.full((1, 1), 0.25), np.full(1, 0.5), [1])
         no_run = ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
                                   algorithms=())
         with pytest.raises(ValueError, match="algorithms"):

@@ -184,7 +184,7 @@ class TestGame:
             emit_adversary_report(run, "csv", 2, "uniform", "adversary", True)
 
     def test_derived_columns_are_running_sums(self):
-        # Pack-by-pack sums in Python floats, from 0.0: each derived column
+        # Sums pack by pack in Python floats, from 0.0: each derived column
         # must be bitwise equal to them, the sign of zero included.
         for learner, nature, sizes in (
                 (ExponentialWeightsLearner(4), AdversaryNature(), [2, 3, 1]),

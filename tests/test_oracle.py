@@ -25,7 +25,6 @@ import pytest
 from packpredict import (
     DivisorPolicy,
     GameSpec,
-    Pack,
     PackStream,
     init_state,
     observe_pack,
@@ -67,14 +66,15 @@ def small_stream(seed, lower, upper, num_experts, sizes=None):
     if sizes is None:
         sizes = rng.integers(1, 5, size=6)
     width = upper - lower
-    packs = []
+    preds, outcomes = [], []
     for k in sizes:
         latent = rng.uniform(0.2, 0.8, size=k)
-        preds = np.clip(latent + rng.normal(0, 0.2, (num_experts, k)), 0, 1)
-        outcomes = np.clip(latent + rng.normal(0, 0.1, k), 0, 1)
-        packs.append(Pack(lower + width * preds, lower + width * outcomes))
+        preds.append(np.clip(latent + rng.normal(0, 0.2, (num_experts, k)), 0, 1))
+        outcomes.append(np.clip(latent + rng.normal(0, 0.1, k), 0, 1))
+    stream = PackStream(lower + width * np.hstack(preds),
+                        lower + width * np.concatenate(outcomes), sizes)
     prior = rng.uniform(0.2, 1.0, num_experts)
-    return PackStream(packs), GameSpec.for_interval(lower, upper), prior / prior.sum()
+    return stream, GameSpec.for_interval(lower, upper), prior / prior.sum()
 
 
 def mp_weights(prior, charged, rate):
@@ -108,7 +108,7 @@ def mp_run(algorithm, stream, game, prior):
     running_max = 1              # largest pack before this one
     preds, expert_totals = [], []
     for pack in stream:
-        k = pack.size
+        k = pack.num_items
         xs = [[mp.mpf(x) for x in column] for column in pack.expert_preds.T]
         omegas = [mp.mpf(o) for o in pack.outcomes]
         if algorithm == "aap-incremental":

@@ -4,7 +4,6 @@ import pytest
 from packpredict import (
     DivisorPolicy,
     GameSpec,
-    Pack,
     PackStream,
     audit_run,
     init_state,
@@ -48,16 +47,15 @@ class TestEquivalences:
         records = run_parallel(stream, GAME)
         flat = []  # (copy, expert_preds, outcome, prediction)
         for preds, pack in zip(trial_preds(records), stream):
-            for k in range(pack.size):
+            for k in range(pack.num_items):
                 flat.append(
                     (k, pack.expert_preds[:, k], pack.outcomes[k], preds[k])
                 )
         num_copies = max(c for c, *_ in flat) + 1
         for j in range(num_copies):
             own = [(p, o, pred) for c, p, o, pred in flat if c == j]
-            sub = PackStream(tuple(
-                Pack(p[:, None], np.array([o])) for p, o, _ in own
-            ))
+            sub = PackStream(np.array([p for p, _, _ in own]).T,
+                             [o for _, o, _ in own], np.ones(len(own), int))
             replay = run_aa(sub, GAME)
             for (_, _, pred), rr in zip(own, replay.learner_preds):
                 assert rr == pred
@@ -82,13 +80,13 @@ class TestReplayMatchesOnline:
                 prior = random_prior(rng, n)
                 copies, preds, totals = [], [], []
                 for pack in stream:
-                    while len(copies) < pack.size:
+                    while len(copies) < pack.num_items:
                         copies.append(init_state(prior))
                     preds.append([
                         predict_item(copies[k], pack.expert_preds[:, k], game)
-                        for k in range(pack.size)
+                        for k in range(pack.num_items)
                     ])
-                    for k in range(pack.size):
+                    for k in range(pack.num_items):
                         losses = (pack.expert_preds[:, k:k + 1]
                                   - pack.outcomes[k]) ** 2
                         observe_pack(copies[k], losses, DivisorPolicy.fixed(1),
@@ -168,11 +166,11 @@ class TestShuffle:
 
     def test_shuffle_matches_pack_by_pack_reference(self, rng):
         def reference(stream, rng):
-            packs = []
-            for p in stream:
-                perm = rng.permutation(p.size)
-                packs.append(Pack(p.expert_preds[:, perm], p.outcomes[perm]))
-            return PackStream(packs)
+            order = np.concatenate([start + rng.permutation(size)
+                                    for start, size in zip(stream.starts,
+                                                           stream.sizes)])
+            return PackStream(stream.expert_preds[:, order],
+                              stream.outcomes[order], stream.sizes)
 
         for size_max, seed in [(1, 0), (1, 3), (4, 1), (6, 2), (6, 9)]:
             stream = make_stream(rng, 3, 15, size_min=1, size_max=size_max)
