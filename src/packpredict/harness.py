@@ -6,13 +6,15 @@ per expert.  Months are played in chronological order; within a month, rows
 keep file order unless an explicit order column says otherwise.
 
 Cells mean what `csv.DictReader` and `float()` make of them.  The loader
-reads the rows in one `np.loadtxt` pass, fed blocks of lines, with each
-timestamp turned into a month code (year * 12 + month) that is checked once
-per distinct stamp.  A file that pass cannot vouch for (say, a cell
-`np.loadtxt` refuses, a non-finite value, a bad month, no rows, a record
-over several lines) is read again by the per-cell reader, which either
-returns the same values or raises naming the CSV line of the first bad
-cell.  Both readers feed the same grouping code.
+reads the rows in one `np.loadtxt` pass, fed blocks of lines, into
+fixed-width records: the timestamp's first bytes, then the numbers.  All
+the stamps are then turned into month codes (year * 12 + month) at once,
+with no Python call per row.  A file that pass cannot vouch for (say, a
+cell `np.loadtxt` refuses, a non-finite value, a stamp it cannot read as a
+month, no rows, a record over several lines) is read again by the
+per-cell reader, which either returns the same values or raises naming the
+CSV line of the first bad cell.  Both readers feed the same grouping code,
+which gathers the stream's columns straight out of the rows read.
 
 An experiment runs one stream through any subset of the algorithms named in
 `bounds._TABLE`, audits each run against its guarantees, and serializes
@@ -133,18 +135,28 @@ def _parse_float(raw: str, line_num: int, column: str) -> float:
     return value
 
 
-class _MonthCodes(dict):
-    """Timestamp -> year * 12 + month, as a float.  Each distinct stamp is
-    checked once, by `_month_key`; a bad one raises ValueError."""
-
-    def __missing__(self, stamp: str) -> float:
-        key = _month_key(stamp, None, "timestamp")
-        code = self[stamp] = float(int(key[:4]) * 12 + int(key[5:7]))
-        return code
+def _month_codes(stamps: np.ndarray) -> np.ndarray:
+    """The month code (year * 12 + month) of each bytes stamp, read as
+    `_month_key` reads it: past leading ASCII whitespace, `YYYY-MM` with a
+    month of 01-12.  Raises ValueError if any stamp is not of that form."""
+    head = np.char.lstrip(stamps).astype("S7").view(np.uint8).reshape(-1, 7)
+    # A byte below b"0" wraps round to above 9, so `> 9` finds every
+    # non-digit.
+    digits = head - np.uint8(ord("0"))
+    year = digits[:, :4].astype(np.intp) @ [1000, 100, 10, 1]
+    month = digits[:, 5:].astype(np.intp) @ [10, 1]
+    if ((digits[:, [0, 1, 2, 3, 5, 6]] > 9).any()
+            or (head[:, 4] != ord("-")).any()
+            or ((month < 1) | (month > 12)).any()):
+        raise ValueError("a timestamp not of the form YYYY-MM...")
+    return year * 12 + month
 
 
 # `_blocks` reads lines until a block holds at least this many characters.
 _BLOCK_CHARS = 1 << 16
+# The bulk reader keeps a timestamp's first this many characters, one byte
+# each: `np.loadtxt` refuses a character past U+00FF there.
+_STAMP_BYTES = 16
 
 
 def _blocks(fh, counts: list):
@@ -168,32 +180,38 @@ def _blocks(fh, counts: list):
 
 
 def _read_columns(fh, header: list, columns: list):
-    """The bulk reader: the rows after the header in one `np.loadtxt` pass,
-    the timestamps through `_MonthCodes`.  Returns the month rank of each
-    row (0 = earliest) and the row's values of `columns[1:]`.
+    """The bulk reader: the rows after the header in one `np.loadtxt` pass
+    into records of the raw timestamp (bytes, at most `_STAMP_BYTES`) and
+    the row's values of `columns[1:]`, the stamps then decoded at once by
+    `_month_codes`.  Returns the month rank of each row (0 = earliest) and
+    the values, a strided float view of the records.
 
     It raises ValueError, or a warning turned into an error, on any file it
     cannot vouch for: a cell `np.loadtxt` cannot read, a non-finite value, a
-    bad month, no data rows, or a record that spans lines or outgrows
-    `csv.field_size_limit()`.  It names no line; `_read_cells` does."""
+    stamp that is not `YYYY-MM...` within its first bytes, no data rows, or
+    a record that spans lines or outgrows `csv.field_size_limit()`.  It
+    names no line; `_read_cells` does."""
     # As in csv.DictReader, a repeated name stands for its last column.
     index = {name: i for i, name in enumerate(header)}
+    record = np.dtype([("stamp", f"S{_STAMP_BYTES}"),
+                       ("values", float, (len(columns) - 1,))])
     counts = [0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. "input contained no data"
-        values = np.loadtxt(
-            chain.from_iterable(_blocks(fh, counts)), delimiter=",",
-            quotechar='"', comments=None, ndmin=2,
-            usecols=[index[c] for c in columns],
-            converters={index[columns[0]]: _MonthCodes().__getitem__})
+        table = np.loadtxt(
+            chain.from_iterable(_blocks(fh, counts)), dtype=record,
+            delimiter=",", quotechar='"', comments=None, ndmin=1,
+            usecols=[index[c] for c in columns])
     # One line per record keeps every field within one line, so no field is
     # longer than `_blocks` lets a line be.
-    if counts[0] != len(values):
+    if counts[0] != len(table):
         raise ValueError("a record spans lines")
+    values = table["values"]
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
     # Month codes sort chronologically.
-    return np.unique(values[:, 0], return_inverse=True)[1], values[:, 1:]
+    month = np.unique(_month_codes(table["stamp"]), return_inverse=True)[1]
+    return month, values
 
 
 def _read_cells(fh, columns: list):
@@ -242,7 +260,14 @@ def load_pack_csv(spec: DatasetSpec):
         rows = np.lexsort((values[:, -1], month))
     else:
         rows = np.argsort(month, kind="stable")
-    values = values[rows, :1 + len(spec.expert_cols)]
+    # One gather a column, straight into the stream's layout: a gather of
+    # all the expert columns at once would copy them first, or give them
+    # transposed.
+    outcomes = values[rows, 0]
+    experts = values[:, 1:1 + len(spec.expert_cols)].T
+    expert_preds = np.empty((len(experts), len(rows)))
+    for preds, column in zip(expert_preds, experts):
+        preds[:] = column[rows]
     sizes = np.bincount(month)
 
     if spec.calibration_packs is not None:
@@ -251,8 +276,9 @@ def load_pack_csv(spec: DatasetSpec):
                 f"calibration_packs={spec.calibration_packs} leaves no packs "
                 f"to evaluate (file has {len(sizes)} months)"
             )
-        head = values[:sizes[:spec.calibration_packs].sum()]
-        lower, upper = float(head.min()), float(head.max())
+        head = sizes[:spec.calibration_packs].sum()
+        lower = float(min(outcomes[:head].min(), expert_preds[:, :head].min()))
+        upper = float(max(outcomes[:head].max(), expert_preds[:, :head].max()))
         if lower == upper:
             raise ValueError(
                 f"calibration packs are constant at {lower}; cannot form an interval"
@@ -261,8 +287,9 @@ def load_pack_csv(spec: DatasetSpec):
         lower, upper = float(spec.clip_lower), float(spec.clip_upper)
 
     game = GameSpec.for_interval(lower, upper, spec.eta, spec.c)
-    np.clip(values, lower, upper, out=values)
-    return PackStream._from_columns(values[:, 1:].T, values[:, 0], sizes), game
+    np.clip(outcomes, lower, upper, out=outcomes)
+    np.clip(expert_preds, lower, upper, out=expert_preds)
+    return PackStream._from_columns(expert_preds, outcomes, sizes), game
 
 
 def write_pack_csv(stream: PackStream, path: str) -> None:

@@ -295,6 +295,33 @@ class TestReferenceReports:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest()[:16] == digest
 
+    def test_run_output_bytes(self, tmp_path, capsys):
+        # `run` on a seeded CSV of dollar-scale sales: day-level stamps over
+        # 30 months, rows shuffled, an `Id` column giving the order within a
+        # month, and the interval calibrated on the first 3 months.
+        rng = np.random.default_rng(2006)
+        n = 600
+        months = np.sort(rng.integers(0, 30, size=n))
+        days = rng.integers(1, 29, size=n)
+        prices = np.exp(rng.normal(12.0, 0.4, size=n))
+        experts = prices[:, None] * np.exp(rng.normal(0.0, [0.05, 0.1, 0.2],
+                                                      size=(n, 3)))
+        rows = [f"{i},{2001 + m // 12}-{m % 12 + 1:02d}-{d:02d},{p:.2f},"
+                + ",".join(f"{e:.2f}" for e in row)
+                for i, (m, d, p, row) in enumerate(
+                    zip(months.tolist(), days.tolist(), prices.tolist(),
+                        experts.tolist()))]
+        path = tmp_path / "sales.csv"
+        path.write_text("\n".join(["Id,date,price,e1,e2,e3",
+                                   *(rows[i] for i in rng.permutation(n))])
+                        + "\n")
+        assert main(["run", "--data", str(path), "--timestamp-col", "date",
+                     "--target", "price", "--experts", "e1..e3",
+                     "--order-col", "Id", "--calibration-packs", "3",
+                     "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest()[:16] == "9e16c08901dc2e79"
+
 
 def last_pack_to_one(losses):
     """Losses with the last pack's set to 1, within k (B - A)^2 on [0, 1]."""

@@ -6,6 +6,7 @@ import csv
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,14 +36,22 @@ BAD = st.sampled_from([
     "0x1p3", "0x10", "1d5", "0.5\x1c", "\x1f0.5", "0.5x", '"0.5"x', '0."5"',
     '0.5"', "0.5\x00", '"1,5"', "1.5j", "١٢x", '"',
 ])
-GOOD_MONTHS = st.sampled_from([
+# The bulk reader keeps a stamp's first 16 characters as bytes and strips
+# only ASCII whitespace: a longer stamp, a prefix padded past 16, Unicode
+# padding and a non-ASCII tail each test where that differs from
+# `str.strip()`.
+GOOD_STAMPS = [
     "2006-01", "2006-02-15", " 2006-03 ", '"2006-01"', "2006-12T00:00",
     "\t2006-04", "1999-11", "2006-05\x00", "\x1c2006-06",
-])
-BAD_MONTHS = st.sampled_from([
+    "2006-01-05T00:00:00+00:00", " " * 12 + "2006-07", "\u20032006-08",
+    "\xa02006-09", "2006-10-é",
+]
+BAD_STAMPS = [
     '"2006-02\n"', "2006-00", "2006-13", "2006-1", "January", "",
-    "# 2006-01", "٢٠٠٦-01",
-])
+    "# 2006-01", "٢٠٠٦-01", "2006/01", "2006-1-05",
+]
+GOOD_MONTHS = st.sampled_from(GOOD_STAMPS)
+BAD_MONTHS = st.sampled_from(BAD_STAMPS)
 STRAY_LINES = st.sampled_from([" ", "\t", "# note", '""', ",,,,"])
 
 
@@ -128,6 +137,24 @@ def test_bulk_reader_matches_cell_reader(tmp_path, text, order):
         with pytest.raises(type(cells)) as raised:
             load_pack_csv(spec)
         assert str(raised.value) == str(cells)
+
+
+@pytest.mark.parametrize("stamp", GOOD_STAMPS + BAD_STAMPS)
+def test_each_stamp_alone(tmp_path, stamp):
+    # The stamp is the file's one oddity, so only the month decoders decide
+    # whether the bulk reader takes it.
+    path = tmp_path / "data.csv"
+    path.write_text(f"month,price,m1\n2006-05,0.5,0.25\n{stamp},0.75,0.5\n",
+                    newline="")
+    columns = ["month", "price", "m1"]
+    cells = _outcome(lambda: _read(path, columns, bulk=False), Exception)
+    bulk = _outcome(lambda: _read(path, columns, bulk=True), ValueError,
+                    Warning)
+    if isinstance(bulk, Exception):
+        return
+    assert not isinstance(cells, Exception), cells
+    assert bulk[0].tolist() == cells[0].tolist()
+    assert bulk[1].tobytes() == cells[1].tobytes()
 
 
 def _write(path, header, rows, newline="\n"):
@@ -296,6 +323,24 @@ class TestBlocks:
         stream, _ = load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
         assert calls == [[0, 1, 2]]
         assert len(stream) == 12 and stream.outcomes.size == 10_000
+
+    def test_parse_buffer_dies_with_the_loader(self, tmp_path, monkeypatch):
+        # The stream is gathered out of the records `np.loadtxt` returns,
+        # which are freed once the loader returns.
+        path = tmp_path / "data.csv"
+        _write(path, self.HEADER, self._rows())
+        buffers = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            table = loadtxt(*args, **kwargs)
+            buffers.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        stream, _ = load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
+        assert len(buffers) == 1 and buffers[0]() is None
+        assert stream.expert_preds.flags.c_contiguous
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
