@@ -127,14 +127,14 @@ class PackStream:
 
     def validate_for_game(self, game: GameSpec) -> None:
         """Raise naming the first trial with a value outside the game."""
-        a, b = game.lower, game.upper
-        bad_preds = ~((self.expert_preds >= a) & (self.expert_preds <= b)).all(axis=0)
-        bad = bad_preds | ~((self.outcomes >= a) & (self.outcomes <= b))
+        bad = ~(game._inside(self.expert_preds).all(axis=0)
+                & game._inside(self.outcomes))
         if bad.any():
             i = np.searchsorted(self.starts, np.argmax(bad), side="right") - 1
             items = slice(self.starts[i], self.starts[i] + self.sizes[i])
-            what = "expert prediction" if bad_preds[items].any() else "outcome"
-            raise ValueError(f"trial {i}: {what} outside [{a}, {b}]")
+            game._require_inside(self.expert_preds[:, items],
+                                 f"trial {i}: expert prediction")
+            game._require_inside(self.outcomes[items], f"trial {i}: outcome")
 
 
 @dataclass(frozen=True, eq=False)

@@ -291,4 +291,4 @@ def audit_run(records, algorithm: str, game, prior, *,
     entries["slack"] = (bounds - learner).ravel()
     entries["prefix"] = np.repeat(prefixes, num_experts)
     return BoundReport(algorithm, g.metric, params, entries,
-                       SLACK_TOL * (game.upper - game.lower) ** 2, every_prefix)
+                       SLACK_TOL * game.width ** 2, every_prefix)

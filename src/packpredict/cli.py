@@ -206,8 +206,8 @@ def _cmd_adversary(args) -> int:
     run = run_mixloss_game(learner, nature, pack_sizes)
     # Only the adversary sets out to force the bound.
     forced = args.nature != "adversary" or run.forced
-    _emit(emit_adversary_report(run, args.format, args.experts, args.learner,
-                                args.nature, forced), args.out)
+    _emit(emit_adversary_report(run, args.format, args.learner, args.nature,
+                                forced), args.out)
     return EXIT_OK if forced else EXIT_BOUND_FAILED
 
 

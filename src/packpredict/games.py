@@ -122,6 +122,10 @@ class GameSpec:
             np.minimum.reduce(v, axis=None) >= self.lower
             and np.maximum.reduce(v, axis=None) <= self.upper)
 
+    def _inside(self, values) -> np.ndarray:
+        """`contains` value by value: a mask, False at a NaN."""
+        return (values >= self.lower) & (values <= self.upper)
+
     def _require_inside(self, values, what: str) -> None:
         if not self.contains(values):
             raise ValueError(f"{what} outside [{self.lower}, {self.upper}]")

@@ -42,6 +42,7 @@ import json
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from operator import itemgetter
@@ -135,6 +136,21 @@ def _parse_float(raw: str, line_num: int, column: str) -> float:
     return value
 
 
+class _CsvLineError(ValueError, csv.Error):
+    """A `csv.Error` (say, a field over `csv.field_size_limit()`) named by
+    its CSV line: a ValueError, as the reader's other refusals are."""
+
+
+@contextmanager
+def _csv_line_errors(cells):
+    """Raise a `csv.Error` from the `csv.reader` `cells` as a
+    `_CsvLineError` naming the line `cells` read last."""
+    try:
+        yield
+    except csv.Error as e:
+        raise _CsvLineError(f"line {cells.line_num}: {e}") from None
+
+
 def _month_codes(stamps: np.ndarray) -> np.ndarray:
     """The month code (year * 12 + month) of each bytes stamp, read as
     `_month_key` reads it: past leading ASCII whitespace, `YYYY-MM` with a
@@ -217,17 +233,19 @@ def _read_columns(fh, header: list, columns: list):
 def _read_cells(fh, columns: list):
     """The per-cell reader: returns what `_read_columns` does, parsing each
     cell as `csv.DictReader` and `float()` do, or raises at the first bad
-    cell, naming its CSV line."""
+    cell or record, naming its CSV line."""
     reader = csv.DictReader(fh)
     stamp, numeric = columns[0], columns[1:]
     keys, rows = [], []
-    for row in reader:
-        ln = reader.line_num
-        if None in map(row.get, columns):  # a short row
-            missing = next(c for c in columns if row[c] is None)
-            raise ValueError(f"line {ln}: no cell for column {missing!r}")
-        keys.append(_month_key(row[stamp], ln, stamp))
-        rows.append([_parse_float(row[c], ln, c) for c in numeric])
+    # A DictReader sets its own line_num only once a row parses.
+    with _csv_line_errors(reader.reader):
+        for row in reader:
+            ln = reader.line_num
+            if None in map(row.get, columns):  # a short row
+                missing = next(c for c in columns if row[c] is None)
+                raise ValueError(f"line {ln}: no cell for column {missing!r}")
+            keys.append(_month_key(row[stamp], ln, stamp))
+            rows.append([_parse_float(row[c], ln, c) for c in numeric])
     values = np.array(rows, dtype=float).reshape(len(rows), len(numeric))
     return np.unique(keys, return_inverse=True)[1], values
 
@@ -243,7 +261,9 @@ def load_pack_csv(spec: DatasetSpec):
             # decode them as read (a `str` may take 4 bytes a character).
             fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()),
                                   encoding=fh.encoding, newline="")
-        header = next(csv.reader(fh), [])
+        cells = csv.reader(fh)
+        with _csv_line_errors(cells):
+            header = next(cells, [])
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{spec.path}: missing columns {missing}")
@@ -680,13 +700,14 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r} (json, csv, table)")
 
 
-def emit_adversary_report(run: MixLossRun, format: str, num_experts: int,
-                          learner: str, nature: str, forced: bool) -> str:
+def emit_adversary_report(run: MixLossRun, format: str, learner: str,
+                          nature: str, forced: bool) -> str:
     """The `adversary` command's report of a game: a `table`, or `json` with
     its own `schema_version` 1, indented, one object per pack (an infinite
     loss is a bare `Infinity` token).  Each gives the totals and whether
     every pack's regret reached its bound; the table says so only against
-    the adversary."""
+    the adversary.  The number of experts is the ledger's."""
+    num_experts = run.expert_pack_losses.shape[1]
     names = ("pack_size", "mix_loss", "expert_pack_losses", "regret_increment",
              "lower_bound_increment", "cumulative_mix_loss", "cumulative_regret")
     rows = list(zip(*(getattr(run, name).tolist() for name in names)))
@@ -875,8 +896,7 @@ def _read_report(text: str) -> tuple:
         # round up by at most (k - 1) eps/2 relative, and this limit's own
         # products by a few eps/2: 2k eps of room covers both.
         k = records.pack_size[:, None]
-        limit = (k * (game.upper - game.lower) ** 2
-                 * (1 + 2 * k * np.finfo(float).eps))
+        limit = k * game.width ** 2 * (1 + 2 * k * np.finfo(float).eps)
         for field, losses in (
                 ("learner_pack_loss", records.learner_pack_loss[:, None]),
                 ("expert_pack_losses", records.expert_pack_losses)):

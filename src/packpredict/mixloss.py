@@ -15,10 +15,11 @@ makes the learner pay at least K*ln(N) in that pack alone -- per pack, not
 per game.
 
 Each row of a distribution is a probability vector as `games` states it,
-summing to 1 within `games.WEIGHT_TOL` (1e-12).
-
-`run_mixloss_game` returns the game's ledger, a `MixLossRun`.  The
-`adversary` command's report, table or JSON, is written from it by `harness`.
+summing to 1 within `games.WEIGHT_TOL` (1e-12); a pack's losses are N x K
+in [0, +inf] (`_as_losses`).  `run_mixloss_game` checks each pack once, as
+it enters: its nature and the kernel `_mix_loss` take the checked arrays.
+It returns the game's ledger, a `MixLossRun`, from which `harness` writes
+the `adversary` command's report, table or JSON.
 """
 
 from __future__ import annotations
@@ -36,6 +37,16 @@ from .games import _as_probabilities, _logsumexp
 _PRODUCT_TOL = 1e-12
 
 
+def _as_losses(losses, shape: tuple) -> np.ndarray:
+    """`losses` as an N x K float array of `shape`, entries in [0, +inf]."""
+    ell = np.asarray(losses, dtype=float)
+    if ell.shape != shape:
+        raise ValueError(f"losses must be N x K = {shape}, got {ell.shape}")
+    if np.any(np.isnan(ell)) or np.any(ell < 0):
+        raise ValueError("losses must be non-negative and non-NaN")
+    return ell
+
+
 def mix_loss(distributions, losses) -> float:
     """Total mix loss of one pack.
 
@@ -45,17 +56,13 @@ def mix_loss(distributions, losses) -> float:
     no expert with both positive mass and finite loss.
     """
     p = _as_probabilities(distributions, 2)
-    ell = np.asarray(losses, dtype=float)
-    if ell.shape != (p.shape[1], p.shape[0]):
-        raise ValueError(
-            f"losses must be N x K = {(p.shape[1], p.shape[0])}, got {ell.shape}"
-        )
-    if np.any(np.isnan(ell)) or np.any(ell < 0):
-        raise ValueError("losses must be non-negative and non-NaN")
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)  # (K, N)
-    # exponent for item k, expert n: ln p_{k,n} - loss_{n,k}
-    per_item = _logsumexp(log_p - ell.T, axis=1)
+    return _mix_loss(p, _as_losses(losses, p.shape[::-1]))
+
+
+def _mix_loss(p: np.ndarray, ell: np.ndarray) -> float:
+    """`mix_loss` of checked K x N distributions and N x K losses."""
+    with np.errstate(divide="ignore"):  # exponent ln p_{k,n} - loss_{n,k}
+        per_item = _logsumexp(np.log(p) - ell.T, axis=1)
     return float(-per_item.sum())
 
 
@@ -67,18 +74,20 @@ def find_low_product_expert(distributions) -> int:
     returns the one with the smallest product (first index on ties) and
     raises if it exceeds that bound by more than rounding.
     """
-    p = _as_probabilities(distributions, 2)
-    num_items, num_experts = p.shape
+    return _low_product_expert(_as_probabilities(distributions, 2))
+
+
+def _low_product_expert(p: np.ndarray) -> int:
+    """`find_low_product_expert` of checked K x N distributions."""
     with np.errstate(divide="ignore"):
         log_products = np.log(p).sum(axis=0)
     n0 = int(np.argmin(log_products))
     ceiling = float(np.log(p.sum(axis=1)).sum()
-                    - num_items * math.log(num_experts))
+                    - p.shape[0] * math.log(p.shape[1]))
     if not log_products[n0] <= ceiling + _PRODUCT_TOL:
-        raise RuntimeError(
-            f"no expert with mass product <= prod_k (s_k / N): min "
-            f"log-product {log_products[n0]!r} exceeds {ceiling!r}"
-        )
+        raise RuntimeError(f"no expert with mass product <= prod_k (s_k / N): "
+                           f"min log-product {log_products[n0]!r} exceeds "
+                           f"{ceiling!r}")
     return n0
 
 
@@ -179,35 +188,32 @@ class ExponentialWeightsLearner:
         return np.tile(p, (pack_size, 1))
 
     def observe(self, losses) -> None:
-        ell = np.asarray(losses, dtype=float)
-        self.log_weights = self.log_weights - ell.sum(axis=1)
+        self.log_weights = self.log_weights - np.sum(losses, axis=1)
 
 
 class AdversaryNature:
-    """Zeroes the losses of a lowest-mass-product expert and gives +inf to
-    everyone else, forcing a mix loss of at least K*ln(N) in every pack."""
+    """Given the game's checked K x N distributions, zeroes the losses of a
+    lowest-mass-product expert and gives +inf to everyone else, forcing a
+    mix loss of at least K*ln(N) in every pack."""
 
-    def __call__(self, distributions) -> np.ndarray:
-        p = _as_probabilities(distributions, 2)
-        num_items, num_experts = p.shape
-        n0 = find_low_product_expert(p)
-        losses = np.full((num_experts, num_items), np.inf)
-        losses[n0, :] = 0.0
+    def __call__(self, distributions: np.ndarray) -> np.ndarray:
+        losses = np.full(distributions.shape[::-1], np.inf)
+        losses[_low_product_expert(distributions), :] = 0.0
         return losses
 
 
 class ZeroNature:
-    """All losses zero; the learner's mix loss is then its own entropy cost."""
+    """All losses zero; the learner's mix loss is then its own entropy cost.
+    It reads only the shape of the game's checked K x N distributions."""
 
-    def __call__(self, distributions) -> np.ndarray:
-        p = _as_probabilities(distributions, 2)
-        return np.zeros((p.shape[1], p.shape[0]))
+    def __call__(self, distributions: np.ndarray) -> np.ndarray:
+        return np.zeros(distributions.shape[::-1])
 
 
 def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
     """Play the mix-loss game for len(pack_sizes) >= 1 packs and return its
     ledger.  `learner` supplies distributions(pack_size) and observe(losses);
-    `nature` maps the announced distributions to an N x K loss matrix.
+    `nature` maps the checked distributions to an N x K loss matrix.
     """
     sizes = [int(k) for k in pack_sizes]
     if not sizes:
@@ -218,20 +224,14 @@ def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
     for t, k in enumerate(sizes):
         dists = _as_probabilities(learner.distributions(k), 2)
         if dists.shape[0] != k:
-            raise ValueError(
-                f"learner returned {dists.shape[0]} rows for a pack of {k}"
-            )
+            raise ValueError(f"learner returned {dists.shape[0]} rows for a "
+                             f"pack of {k}")
         num_experts = dists.shape[1]
         if expert and num_experts != expert[0].size:
             raise ValueError(f"learner returned {num_experts} experts in pack "
                              f"{t}, {expert[0].size} before")
-        losses = np.asarray(nature(dists), dtype=float)
-        if losses.shape != (num_experts, k):
-            raise ValueError(
-                f"nature returned losses of shape {losses.shape}, "
-                f"expected {(num_experts, k)}"
-            )
-        mix.append(mix_loss(dists, losses))
+        losses = _as_losses(nature(dists), (num_experts, k))
+        mix.append(_mix_loss(dists, losses))
         expert.append(losses.sum(axis=1))
         learner.observe(losses)
     return MixLossRun(np.array(sizes, dtype=int), np.array(mix, dtype=float),

@@ -306,3 +306,36 @@ class TestUnits:
                     assert b.min_slack == scale ** 2 * a.min_slack
                     assert b.passed == a.passed
                     assert len(b.violations) == len(a.violations)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (5.0, 9.0), (-3.0, 1.0), (1e6, 1e6 + 1024), (-1e-3, 1e-3)])
+    def test_shifting_keeps_every_verdict(self, rng, lower, upper):
+        # An affine map x -> A + s x with s = B - A moves the origin: the
+        # predictions map affinely and the slacks scale by s^2, up to
+        # rounding, and no verdict moves (the smallest unit-interval |slack|
+        # of these cases is 0.061).  The cases are
+        # test_rescaling_keeps_every_verdict's.
+        s = upper - lower
+        cases = [(ends_stream([1, k], [0, 1], [0, 1]), None)
+                 for k in (2, 3, 5, 20)]
+        cases += [(stream, random_prior(rng, stream.num_experts))
+                  for stream in (make_stream(rng, 3, 12),
+                                 make_stream(rng, 4, 10, 1, 1),
+                                 make_stream(rng, 2, 8, 3, 3))]
+        for unit, prior in cases:
+            runs = [run_experiment(stream, GameSpec.for_interval(a, b),
+                                   prior=prior, every_prefix=True).algorithms
+                    for stream, a, b in (
+                        (unit, 0, 1),
+                        (rescale_stream(unit, lower, upper), lower, upper))]
+            for ours, shifted in zip(*runs):
+                np.testing.assert_allclose(
+                    shifted.records.learner_preds,
+                    lower + s * ours.records.learner_preds,
+                    rtol=0, atol=1e-12 * s)
+                for a, b in zip(ours.reports, shifted.reports):
+                    np.testing.assert_allclose(
+                        b.entries["slack"], s ** 2 * a.entries["slack"],
+                        rtol=0, atol=bd.SLACK_TOL * s ** 2)
+                    assert b.passed == a.passed
+                    assert len(b.violations) == len(a.violations)

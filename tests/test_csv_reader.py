@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from packpredict import DatasetSpec, load_pack_csv
 from packpredict import harness
+from packpredict.cli import main
 
 NUMERIC = ("price", "m1", "m2", "ord")
 
@@ -220,6 +221,23 @@ class TestLineNumbers:
                ['2006-01,"0.5\n\n",0.25', "2006-01,0.5,nan"])
         with pytest.raises(ValueError, match="line 5: .*'m1'"):
             load_pack_csv(DatasetSpec(path=str(path), **self.SPEC))
+
+    @pytest.mark.parametrize("where, line", [("row", 7), ("header", 1)])
+    def test_field_over_the_csv_limit(self, tmp_path, capsys, where, line):
+        # A 140000-character `note` in the sixth row, or in the header: an
+        # input error naming its line, as `run` reports any other.
+        wide = "n" * 140_000
+        rows = [f"2020-{m:02d},0.5,0.25,0.75,x" for m in range(1, 7)]
+        if where == "row":
+            rows[-1] = rows[-1][:-1] + wide
+        path = tmp_path / "data.csv"
+        _write(path, "month,target,e1,e2," + (wide if where == "header"
+                                              else "note"), rows)
+        assert main(["run", "--data", str(path), "--target", "target",
+                     "--experts", "e1,e2", "--lower", "0", "--upper", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: field larger than field limit" in err
+        assert "Traceback" not in err
 
 
 class TestBlocks:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from packpredict import mixloss
 from packpredict import (
     AdversaryNature,
     ExponentialWeightsLearner,
@@ -176,12 +177,12 @@ class TestGame:
         total = sum(run.mix_loss)
         assert run.cumulative_mix_loss[-1] == pytest.approx(total, abs=1e-12)
         report = json.loads(emit_adversary_report(
-            run, "json", 2, "uniform", "adversary", run.forced))
+            run, "json", "uniform", "adversary", run.forced))
         assert [t["trial_index"] for t in report["trials"]] == [0, 1, 2]
         d = report["trials"][0]
         assert d["pack_size"] == 1 and d["mix_loss"] == pytest.approx(LN2)
         with pytest.raises(ValueError, match="unknown format"):
-            emit_adversary_report(run, "csv", 2, "uniform", "adversary", True)
+            emit_adversary_report(run, "csv", "uniform", "adversary", True)
 
     def test_derived_columns_are_running_sums(self):
         # Sums pack by pack in Python floats, from 0.0: each derived column
@@ -249,6 +250,44 @@ class TestGame:
     def test_pack_size_validation(self):
         with pytest.raises(ValueError):
             run_mixloss_game(UniformLearner(2), ZeroNature(), [0])
+
+    def test_each_pack_checked_once(self, monkeypatch):
+        # The game checks a pack's distributions where they enter; the
+        # natures and the scoring kernel take the checked array.
+        calls = []
+        check = mixloss._as_probabilities
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(mixloss, "_as_probabilities", counted)
+        for learner, nature in ((UniformLearner(3), AdversaryNature()),
+                                (ExponentialWeightsLearner(3), ZeroNature())):
+            calls.clear()
+            run_mixloss_game(learner, nature, [1, 2, 3, 4, 5])
+            assert len(calls) == 5, (learner, nature)
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda p: p[1:], "1 rows for a pack of 2"),
+        (lambda p: p + [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "row 1 sums to"),
+        (lambda p: p * [[1.0, 1.0, np.nan]], "free of NaN"),
+    ])
+    def test_bad_rows_never_reach_the_nature(self, spoil, match):
+        class SpoiltLearner(UniformLearner):
+            def distributions(self, pack_size):
+                return spoil(super().distributions(pack_size))
+
+        seen = []
+
+        class RecordingNature(ZeroNature):
+            def __call__(self, distributions):
+                seen.append(distributions)
+                return super().__call__(distributions)
+
+        with pytest.raises(ValueError, match=match):
+            run_mixloss_game(SpoiltLearner(3), RecordingNature(), [2])
+        assert seen == []
 
 
 class TestLowerBoundFormula:
