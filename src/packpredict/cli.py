@@ -215,7 +215,8 @@ def _cmd_audit(args) -> int:
     try:
         with open(args.result) as fh:
             result, verdicts = _read_report(fh.read())
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as e:
         print(f"error: cannot read result file {args.result!r}: {e}",
               file=sys.stderr)
         return EXIT_ERROR

@@ -6,15 +6,11 @@ per expert.  Months are played in chronological order; within a month, rows
 keep file order unless an explicit order column says otherwise.
 
 Cells mean what `csv.DictReader` and `float()` make of them.  The loader
-reads the rows in one `np.loadtxt` pass, fed blocks of lines, into
-fixed-width records: the timestamp's first bytes, then the numbers.  All
-the stamps are then turned into month codes (year * 12 + month) at once,
-with no Python call per row.  A file that pass cannot vouch for (say, a
-cell `np.loadtxt` refuses, a non-finite value, a stamp it cannot read as a
-month, no rows, a record over several lines) is read again by the
-per-cell reader, which either returns the same values or raises naming the
-CSV line of the first bad cell.  Both readers feed the same grouping code,
-which gathers the stream's columns straight out of the rows read.
+reads the rows in one `np.loadtxt` pass (`_read_columns`), with no Python
+call per row.  A file that pass cannot vouch for is read again by the
+per-cell reader (`_read_cells`), which either returns the same values or
+raises naming the CSV line of the first bad cell.  Both readers feed the
+same grouping code, which gathers the stream's columns out of the rows.
 
 An experiment runs one stream through any subset of the algorithms named in
 `bounds._TABLE`, audits each run against its guarantees, and serializes
@@ -24,14 +20,15 @@ round-trips losslessly: a reader re-runs the audit from the stored records.
 This module alone states the JSON report; `algorithms`, `parallel`,
 `bounds`, `mixloss` and `cli` hold no JSON code.  The writer is
 `_report_object`, dumped with one `json.dumps`, and `_records_parts` for
-each run's records: it writes them from the columns, and the expert columns
-a stream's runs share once per report.  The text is the same as
-`json.dumps` of the whole object with the records as per-trial dicts.  The
-reader (`_read_report`) parses only what the runs produced, rebuilds the
-result through the re-audit, and refuses a file that is not, key for key,
-the writer's object for that result (apart from the advisory verdicts), or
-that holds an impossible record.  `emit_adversary_report` writes the
-`adversary` command's report of a mix-loss game from its ledger.
+each run's records: it writes them from the columns, and the columns the
+runs share once, from the first run (a result is one stream's runs: see
+`ExperimentResult`).  The text is the same as `json.dumps` of the whole
+object with the records as per-trial dicts.  The reader (`_read_report`)
+parses only what the runs produced, rebuilds the result through the
+re-audit, and refuses a file that is not, key for key, the writer's object
+for that result (apart from the advisory verdicts), or that holds an
+impossible record.  `emit_adversary_report` writes the `adversary`
+command's report of a mix-loss game from its ledger.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import math
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -425,13 +422,30 @@ class AlgorithmResult:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Everything one experiment produced, JSON round-trippable."""
+    """Everything one experiment produced, JSON round-trippable.  It is one
+    stream's runs: at least one, each with records of the stream's
+    `pack_sizes`, a column per expert of `prior`, and the first run's
+    expert pack losses, bit for bit."""
 
     game: GameSpec
     prior: tuple
     pack_sizes: tuple
     algorithms: tuple
     shuffle: ShuffleSummary | None = None
+
+    def __post_init__(self):
+        if not self.algorithms:
+            raise ValueError("algorithms: a report holds at least one run")
+        first = self.algorithms[0].records.expert_pack_losses.tobytes()
+        for i, records in enumerate(a.records for a in self.algorithms):
+            if not np.array_equal(records.pack_size, self.pack_sizes):
+                raise ValueError(f"algorithms.{i}: records do not match pack_sizes")
+            if records.expert_pack_losses.shape[1:] != (self.num_experts,):
+                raise ValueError(f"algorithms.{i}: expert_pack_losses need "
+                                 f"{self.num_experts} columns, one per expert")
+            if records.expert_pack_losses.tobytes() != first:
+                raise ValueError(f"algorithms.{i}: expert_pack_losses differ "
+                                 f"from those of algorithms.0")
 
     @property
     def num_experts(self) -> int:
@@ -521,13 +535,8 @@ def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
     if shuffles > 0:
         shuffle = shuffle_experiment(stream, game, prior,
                                      num_shuffles=shuffles, seed=shuffle_seed)
-    return ExperimentResult(
-        game=game,
-        prior=tuple(float(x) for x in prior),
-        pack_sizes=stream.pack_sizes,
-        algorithms=results,
-        shuffle=shuffle,
-    )
+    return ExperimentResult(game, tuple(prior.tolist()), stream.pack_sizes,
+                            results, shuffle)
 
 
 # Stands in for each algorithm's records in `_report_object`; the JSON
@@ -542,10 +551,7 @@ _GAME_FIELDS = ("lower", "upper", "eta", "c")
 def _report_object(result: ExperimentResult) -> dict:
     """The JSON report's object, with `_RECORDS` for each run's records.  A
     guarantee report is stored as its verdict and how the audit ran; the
-    checks themselves are not stored, and a reader re-runs the audit.  A
-    result of no run is refused: it would carry a verdict on nothing."""
-    if not result.algorithms:
-        raise ValueError("algorithms: a report holds at least one run")
+    checks themselves are not stored, and a reader re-runs the audit."""
     shuffle = result.shuffle
     return {
         "schema_version": SCHEMA_VERSION,
@@ -589,11 +595,12 @@ def _column(records: RunRecords, name: str) -> np.ndarray:
     return getattr(records, name)
 
 
-def _json_trials(**columns) -> dict:
-    """For each column of per-trial values (numbers, or lists of numbers),
-    the placeholder of a trial's value in a trial template ("%s", or "[%s]"
-    for a list) and each trial's text, cut from one `json.dumps` of the
-    whole column."""
+def _json_trials(records: RunRecords, names, **columns) -> dict:
+    """For the columns `names` of a run's records and each further column of
+    per-trial values (numbers, or lists of numbers), the placeholder of a
+    trial's value in a trial template ("%s", or "[%s]" for a list) and each
+    trial's text, cut from one `json.dumps` of the whole column."""
+    columns.update((name, _column(records, name).tolist()) for name in names)
     formats = {}
     for name, values in columns.items():
         text = json.dumps(values, separators=(",", ":"))
@@ -603,27 +610,18 @@ def _json_trials(**columns) -> dict:
     return formats
 
 
-def _records_parts(records: RunRecords, memo: dict) -> list:
+def _records_parts(records: RunRecords, shared: dict) -> list:
     """A run's records as `json.dumps(rows, sort_keys=True, separators=(",",
     ":"))` would write them, one object per trial, as a list of parts to
     join.  Each column is written by one `json.dumps` call and cut into
     per-trial texts, laid out by one trial template made from the sorted
-    column names.  `memo` holds the columns a run shares with every run
-    whose pack sizes and expert pack losses are bitwise equal to its own (on
-    one stream, every run): those are written once."""
-    def values(names):
-        return {name: _column(records, name).tolist() for name in names}
-
-    key = (records.expert_pack_losses.shape, records.pack_size.tobytes(),
-           records.expert_pack_losses.tobytes())
-    if key not in memo:
-        memo[key] = _json_trials(**values(_SHARED_COLUMNS))
+    column names.  `shared` is `_json_trials` of `_SHARED_COLUMNS`: a
+    result is one stream's runs (`ExperimentResult`), so a report writes
+    those once, from its first run."""
     preds = records.learner_preds.tolist()
     ends = np.cumsum(records.pack_size).tolist()
-    columns = {**memo[key], **_json_trials(
-        learner_preds=[preds[e - k:e]
-                       for k, e in zip(records.pack_size.tolist(), ends)],
-        **values(_RUN_COLUMNS))}
+    columns = {**shared, **_json_trials(records, _RUN_COLUMNS, learner_preds=[
+        preds[e - k:e] for k, e in zip(records.pack_size.tolist(), ends)])}
     names = sorted(columns)
     trial = "{%s}" % ",".join(f'"{name}":{columns[name][0]}' for name in names)
     # Trial after trial: the template's first literal, then each column's
@@ -646,17 +644,17 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
 
     The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` of the report's object, with each run's records written from
-    its columns by `_records_parts`; the runs share one memo, so the expert
-    columns of a stream are written once, and the whole text is joined
-    once."""
+    its columns by `_records_parts`; the columns the runs share are written
+    once, from the first run, and the whole text is joined once."""
     if format == "json":
         texts = json.dumps(_report_object(result), sort_keys=True,
                            separators=(",", ":")).split(json.dumps(_RECORDS))
         if len(texts) != len(result.algorithms) + 1:
             raise ValueError(f"a value of the report holds {_RECORDS!r}")
-        memo, parts = {}, texts[:1]
+        shared = _json_trials(result.algorithms[0].records, _SHARED_COLUMNS)
+        parts = texts[:1]
         for a, text in zip(result.algorithms, texts[1:]):
-            parts += _records_parts(a.records, memo)
+            parts += _records_parts(a.records, shared)
             parts.append(text)
         return "".join(parts)
     if format == "csv":
@@ -791,8 +789,14 @@ def _read_records(rows: list, num_experts: int,
     `num_experts` expert losses in each trial, and every other column must
     be the one the writer writes for them."""
     def column(name, dtype=float, lengths=None):
-        return _json_column(f"{where}: {name}", map(itemgetter(name), rows),
-                            dtype, lengths)
+        try:
+            values = list(map(itemgetter(name), rows))
+        except (KeyError, TypeError):
+            t, row = next((t, row) for t, row in enumerate(rows)
+                          if type(row) is not dict or name not in row)
+            raise ValueError(f"no {where}.{t}.{name}" if type(row) is dict
+                             else f"{where}.{t} must be a JSON object") from None
+        return _json_column(f"{where}: {name}", values, dtype, lengths)
 
     sizes = column("pack_size", int)
     records = RunRecords(
@@ -857,12 +861,12 @@ def _read_report(text: str) -> tuple:
     verdicts, one per report.  Only what the runs produced is parsed: the
     game, prior and pack sizes, each run's name, records and `every_prefix`,
     and the shuffle study's losses and seed.  The result is rebuilt from
-    them through the re-audit, so its reports are the re-audit's.  The file
-    must then be the writer's object for that result (`_check_written`),
-    and no record may be impossible: a pack's loss is a sum of squares of
-    differences within the game's interval, every prediction lies in that
-    interval (to which it is clipped), and every run has the same expert
-    losses."""
+    them through the re-audit, so its reports are the re-audit's, and the
+    runs must be one stream's (`ExperimentResult`) before they are audited.
+    The file must then be the writer's object for that result
+    (`_check_written`), and no record may be impossible: a pack's loss is a
+    sum of squares of differences within the game's interval, and every
+    prediction lies in that interval (to which it is clipped)."""
     d = json.loads(text)
     version = d.get("schema_version") if isinstance(d, dict) else None
     if version != SCHEMA_VERSION:
@@ -889,8 +893,6 @@ def _read_report(text: str) -> tuple:
             raise ValueError(f"{where}.name: unknown algorithm {name!r}")
         records = _read_records(_at(d, "algorithms", i, "records", kind=list),
                                 prior.size, f"{where}.records")
-        if not np.array_equal(records.pack_size, pack_sizes):
-            raise ValueError(f"{where}: records do not match pack_sizes")
         # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]
         # as rounded (rounding is monotone).  The sum's k - 1 additions
         # round up by at most (k - 1) eps/2 relative, and this limit's own
@@ -903,20 +905,11 @@ def _read_report(text: str) -> tuple:
             if not ((losses >= 0) & (losses <= limit)).all():
                 raise ValueError(f"{where}: {field} must lie in "
                                  f"[0, k (B - A)^2] for a pack of k items")
-        # Every run sees the same experts, so the same expert losses.
-        if algorithms and (records.expert_pack_losses.tobytes()
-                           != algorithms[0].records.expert_pack_losses.tobytes()):
-            raise ValueError(f"{where}: expert_pack_losses differ from "
-                             f"those of algorithms.0")
         if not game.contains(records.learner_preds):
             raise ValueError(f"{where}: learner_preds must lie in "
                              f"[{game.lower}, {game.upper}]")
-        every_prefix = _at(d, "algorithms", i, "reports", 0,
-                           "every_prefix") is True
-        params = _declared(name, pack_sizes)
-        algorithms.append(AlgorithmResult(
-            name, params, records,
-            _audit(name, records, game, prior, params, every_prefix)))
+        algorithms.append(AlgorithmResult(name, _declared(name, pack_sizes),
+                                          records, ()))
     shuffle = _at(d, "shuffle")
     if type(shuffle) is dict:  # otherwise it must be null, as written
         losses = _json_column("shuffle.losses",
@@ -927,8 +920,13 @@ def _read_report(text: str) -> tuple:
         shuffle = ShuffleSummary(tuple(losses.tolist()), seed)
     else:
         shuffle = None
+    # Checked as one stream's runs before an audit can refuse them otherwise.
     result = ExperimentResult(game, tuple(prior.tolist()), pack_sizes,
                               tuple(algorithms), shuffle)
+    result = replace(result, algorithms=tuple(replace(a, reports=_audit(
+        a.name, a.records, game, prior, a.params,
+        _at(d, "algorithms", i, "reports", 0, "every_prefix") is True))
+        for i, a in enumerate(algorithms)))
     _check_written(d, _report_object(result))
     return result, tuple(tuple(r["passed"] for r in run["reports"])
                          for run in runs)

@@ -278,19 +278,25 @@ class TestUnits:
     """A verdict does not depend on the data's units: every loss and slack
     scales with (B - A)^2, and so does the audit's tolerance."""
 
+    @staticmethod
+    def _cases(rng):
+        """Seven streams on [0, 1], each with its prior: the stress family
+        (sizes 1 and K, no prior), then three random streams with random
+        priors, drawn from `rng` in this order."""
+        cases = [(ends_stream([1, k], [0, 1], [0, 1]), None)
+                 for k in (2, 3, 5, 20)]
+        return cases + [(stream, random_prior(rng, stream.num_experts))
+                        for stream in (make_stream(rng, 3, 12),
+                                       make_stream(rng, 4, 10, 1, 1),
+                                       make_stream(rng, 2, 8, 3, 3))]
+
     @pytest.mark.parametrize("scale", [2.0 ** -17, 2.0 ** 20])
     def test_rescaling_keeps_every_verdict(self, rng, scale):
         # Powers of two scale exactly: the predictions by s and the slacks
         # by s^2, bit for bit.  On [0, 1] the stress family (sizes 1 and K)
         # fails aap-incremental's audit for K >= 3 (ROADMAP item 1); on
         # [0, 2^-17] its slacks are within 1e-9 of zero, and still fail.
-        cases = [(ends_stream([1, k], [0, 1], [0, 1]), None)
-                 for k in (2, 3, 5, 20)]
-        cases += [(stream, random_prior(rng, stream.num_experts))
-                  for stream in (make_stream(rng, 3, 12),
-                                 make_stream(rng, 4, 10, 1, 1),
-                                 make_stream(rng, 2, 8, 3, 3))]
-        for unit, prior in cases:
+        for unit, prior in self._cases(rng):
             runs = [run_experiment(stream, GameSpec.for_interval(0, upper),
                                    prior=prior, every_prefix=True).algorithms
                     for stream, upper in ((unit, 1),
@@ -313,16 +319,9 @@ class TestUnits:
         # An affine map x -> A + s x with s = B - A moves the origin: the
         # predictions map affinely and the slacks scale by s^2, up to
         # rounding, and no verdict moves (the smallest unit-interval |slack|
-        # of these cases is 0.061).  The cases are
-        # test_rescaling_keeps_every_verdict's.
+        # of these cases is 0.061).
         s = upper - lower
-        cases = [(ends_stream([1, k], [0, 1], [0, 1]), None)
-                 for k in (2, 3, 5, 20)]
-        cases += [(stream, random_prior(rng, stream.num_experts))
-                  for stream in (make_stream(rng, 3, 12),
-                                 make_stream(rng, 4, 10, 1, 1),
-                                 make_stream(rng, 2, 8, 3, 3))]
-        for unit, prior in cases:
+        for unit, prior in self._cases(rng):
             runs = [run_experiment(stream, GameSpec.for_interval(a, b),
                                    prior=prior, every_prefix=True).algorithms
                     for stream, a, b in (

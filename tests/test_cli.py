@@ -360,7 +360,8 @@ class TestAudit:
         records = harness._read_records(run["records"], len(payload["prior"]))
         records = dataclasses.replace(records, **{
             field: edit(getattr(records, field)) for field, edit in edits.items()})
-        run["records"] = json.loads("".join(harness._records_parts(records, {})))
+        shared = harness._json_trials(records, harness._SHARED_COLUMNS)
+        run["records"] = json.loads("".join(harness._records_parts(records, shared)))
         run["total_loss"] = float(records.cumulative_loss[-1])
         run["total_average_loss"] = float(records.cumulative_average_loss[-1])
         with open(path, "w") as fh:
@@ -445,6 +446,14 @@ class TestAudit:
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "missing.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        # Past its nesting limit `json.loads` raises RecursionError: a read
+        # error too, not a traceback.
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["audit", str(p)]) == 1
+        assert "cannot read result file" in capsys.readouterr().err
 
     def test_big_shuffle_seed_round_trips(self, tmp_path, capsys):
         # --seed takes any integer; the file keeps it exactly, past int64.
@@ -581,10 +590,20 @@ class TestAudit:
             (("algorithms", 0, "extra"), 1),
             (("algorithms", 0, "records", 0, "bogus"), 1),
             (("algorithms", 2, "records", 5, "bogus"), None),
+            # A trial's record that is no object, or that lacks a key.
+            (("algorithms", 0, "records", 2), 1),
+            (("algorithms", 0, "records", 3, "learner_preds"), drop),
         ]
         for path, value in named:
             field = next(k for k in reversed(path) if isinstance(k, str))
             assert field in audit_edited(path, value), path
+        # Those two name their key path, as the rest of the reader does.
+        for path, value, message in [
+                (("algorithms", 0, "records", 2), [],
+                 "algorithms.0.records.2 must be a JSON object"),
+                (("algorithms", 1, "records", 3, "learner_preds"), drop,
+                 "no algorithms.1.records.3.learner_preds")]:
+            assert message in audit_edited(path, value), path
         # A result on no packs that still holds a run: aap-equal declares the
         # size of its first pack, aap-max its largest.
         for name in ("aap-equal", "aap-max"):

@@ -662,42 +662,47 @@ class TestReports:
                                 every_prefix=every_prefix)
         assert emit_report(result, "json") == per_trial_json(result)
 
-    def test_writer_shares_only_equal_expert_columns(self):
-        # One ulp apart: the second run's expert columns must be its own.
+    def test_result_refuses_runs_of_different_streams(self):
+        # A result is one stream's runs: the same pack sizes, and the same
+        # expert losses to the bit (one ulp apart is another stream).  The
+        # refusal names the run and the field, as a reader's does.
         base = two_pack_records()
         losses = base.expert_pack_losses.copy()
         losses[1, 1] = np.nextafter(losses[1, 1], 1.0)
         near = two_pack_records(expert_pack_losses=losses)
         other_sizes = two_pack_records(pack_size=np.array([2, 1]))
-        for runs in [(base, near), (near, base), (base, base, near),
-                     (base, other_sizes)]:
-            result = hand_built(*runs)
-            text = emit_report(result, "json")
-            assert text == per_trial_json(result)
-            stored = [a["records"] for a in json.loads(text)["algorithms"]]
-            assert [harness._read_records(s, 2) for s in stored] == list(runs)
+        for runs, message in [
+                ((base, near), "algorithms.1: expert_pack_losses differ"),
+                ((near, base), "algorithms.1: expert_pack_losses differ"),
+                ((base, base, near), "algorithms.2: expert_pack_losses differ"),
+                ((base, other_sizes), "algorithms.1: records do not match "
+                                      "pack_sizes")]:
+            with pytest.raises(ValueError, match=message):
+                hand_built(*runs)
+        three_experts = two_pack_records(expert_pack_losses=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="algorithms.0: expert_pack_losses"):
+            hand_built(three_experts)
 
     def test_writer_writes_non_finite_numbers_as_json_does(self):
         records = two_pack_records(
             learner_preds=np.array([np.nan, 0.5, np.inf]),
             learner_pack_loss=np.array([-np.inf, 1e300]),
             expert_pack_losses=np.array([[5e-324, np.nan], [-0.0, 1e22]]))
-        result = hand_built(records, two_pack_records())
+        result = hand_built(records, records)
         text = emit_report(result, "json")
         assert "NaN" in text and "Infinity" in text
         assert text == per_trial_json(result)
 
     def test_writer_on_empty_results(self):
         # The smallest results: one pack of one item, on one expert, with no
-        # run or with one.  The writer refuses a result of no run, and the
-        # reader a file of no run, naming algorithms: its report would carry
-        # a verdict on nothing.
+        # run or with one.  A result of no run is refused when it is built,
+        # and the reader refuses a file of no run, naming algorithms: its
+        # report would carry a verdict on nothing.
         game = GameSpec(0, 1, 2.0)
         stream = PackStream(np.full((1, 1), 0.25), np.full(1, 0.5), [1])
-        no_run = ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
-                                  algorithms=())
         with pytest.raises(ValueError, match="algorithms"):
-            emit_report(no_run, "json")
+            ExperimentResult(game=game, prior=(1.0,), pack_sizes=(1,),
+                             algorithms=())
         result = run_experiment(stream, game, algorithms="aa")
         text = emit_report(result, "json")
         assert text == per_trial_json(result)

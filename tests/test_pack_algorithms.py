@@ -119,7 +119,8 @@ class TestPackTypes:
             run_aap_current(stream, GAME), run_parallel(stream, GAME),
         )
         for records in runs:
-            rows = json.loads("".join(harness._records_parts(records, {})))
+            shared = harness._json_trials(records, harness._SHARED_COLUMNS)
+            rows = json.loads("".join(harness._records_parts(records, shared)))
             assert [r["trial_index"] for r in rows] == list(range(len(records)))
             assert harness._read_records(rows, 3) == records
 
