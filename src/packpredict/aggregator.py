@@ -107,8 +107,13 @@ class AggregatorState:
         return self.prior.size
 
 
-def _as_prior(prior) -> np.ndarray:
+def _as_prior(prior, num_experts: int | None = None) -> np.ndarray:
+    """`prior` checked as a positive probability vector with one weight per
+    expert (any count if `num_experts` is None): the one statement of the
+    prior contract.  None is no prior; a caller's default is its own."""
     p = _as_probabilities(prior)
+    if num_experts is not None and p.size != num_experts:
+        raise ValueError(f"prior has {p.size} entries for {num_experts} experts")
     if np.any(p == 0):
         # A zero prior weight can never recover under any policy; forbid it
         # so every bound ln(1/p^n) is finite.

@@ -199,15 +199,13 @@ def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
     on the schedule `policy`: a `DivisorPolicy`, or None for the parallel
     copies.  The weights at an item are p * exp(-c), with c its charges."""
     stream.validate_for_game(game)
-    num_experts = stream.num_experts
-    p = _as_prior(uniform_prior(num_experts) if prior is None else prior)
-    if p.size != num_experts:
-        raise ValueError(f"prior has {p.size} entries for {num_experts} experts")
+    n = stream.num_experts
+    p = _as_prior(uniform_prior(n) if prior is None else prior, n)
     sizes, starts = stream.sizes, stream.starts
     expert_losses = (stream.expert_preds - stream.outcomes) ** 2
     pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
     if policy is None:
-        # Copy k's weights for item k of pack t: p * exp(-eta * L), with L
+        # Copy k's weights at item k of pack t: p * exp(-eta * L), with L
         # the experts' losses on item k of the packs before t.
         charged = np.empty_like(expert_losses)
         for k in range(sizes.max()):

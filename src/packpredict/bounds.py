@@ -251,15 +251,11 @@ def audit_run(records, algorithm: str, game, prior, *,
     if len(records) == 0:
         raise ValueError("cannot audit a run on no packs")
     owner, g = _guarantee(algorithm)
-    prior = _as_prior(prior)
     every_prefix = bool(every_prefix)
     params = {"c": float(game.c), "eta": float(game.eta)}
     sizes = records.pack_size
     num_trials, num_experts = records.expert_pack_losses.shape
-    if prior.size != num_experts:
-        raise ValueError(
-            f"prior has {prior.size} entries for {num_experts} experts"
-        )
+    prior = _as_prior(prior, num_experts)
     _require_fit(owner, sizes, declared_pack_size)
 
     running_max = np.maximum.accumulate(sizes)

@@ -101,18 +101,14 @@ def _expand_columns(raw: str):
     return tuple(cols)
 
 
-def _parse_prior(raw: str, num_experts: int):
+def _parse_prior(raw: str):
+    """`--prior` as floats, or None for 'uniform'; `_as_prior` checks them."""
     if raw == "uniform":
         return None
     try:
-        weights = [float(s) for s in raw.split(",") if s.strip()]
+        return [float(s) for s in raw.split(",") if s.strip()]
     except ValueError:
         raise _CliError(f"bad --prior {raw!r}") from None
-    if len(weights) != num_experts:
-        raise _CliError(
-            f"--prior has {len(weights)} weights for {num_experts} experts"
-        )
-    return weights
 
 
 def _warn_eta(game: GameSpec) -> None:
@@ -139,7 +135,7 @@ def _run(stream, game: GameSpec, args):
     return run_experiment(
         stream, game,
         algorithms=[s.strip() for s in args.algorithms.split(",") if s.strip()],
-        prior=_parse_prior(args.prior, stream.num_experts),
+        prior=_parse_prior(args.prior),
         shuffles=args.shuffles,
         shuffle_seed=args.seed,
         every_prefix=args.every_prefix,
@@ -228,8 +224,7 @@ def _cmd_audit(args) -> int:
     for alg, stored in zip(result.algorithms, verdicts):
         reports = alg.reports
         if args.every_prefix and not reports[0].every_prefix:
-            reports = _audit(alg.name, alg.records, result.game, result.prior,
-                             alg.params, every_prefix=True)
+            reports = _audit(alg, result.game, result.prior, every_prefix=True)
         for report, said in zip(reports, stored):
             ok = report.passed
             all_ok = all_ok and ok

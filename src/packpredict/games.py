@@ -258,18 +258,18 @@ def check_substitution_validity(gamma: float, weights, expert_preds, game: GameS
                                 grid_size: int = 1001) -> float:
     """Worst slack of the aggregation inequality over the outcomes in [A, B].
 
-    Returns the max of (gamma - omega)^2 - g(omega), a valid substitution
-    keeping it at or below numerical noise (<= 1e-12).  The maximum is taken
-    on a uniform grid of `grid_size` outcomes, then refined beside the
-    grid's eight highest peaks (a peak is above its left neighbour and not
-    below its right one; on a flat slack, rounding makes many): a 257-point
-    grid over the one or two cells beside the peak, then again beside that
-    grid's maximum, three times in all, which leaves the points at most
-    2.5e-7 * (B - A) apart, so the maximum is off by at most 1e-14 times
-    the slack's second derivative times (B - A)^2.  With c = 1 the slack is convex in omega, so it
-    peaks at an endpoint, which every grid holds.  With c > 1 it can peak
-    between grid points, and that peak counts in full unless the grid is
-    monotone across it.
+    Returns the max of (gamma - omega)^2 - g(omega), which a valid
+    substitution keeps within noise, 1e-12 * (B - A)^2 in the game's units.
+    The maximum is taken on a uniform grid of `grid_size` outcomes, then
+    refined beside the grid's eight highest peaks (a peak is above its left
+    neighbour and not below its right one; on a flat slack, rounding makes
+    many): a 257-point grid over the one or two cells beside the peak, then
+    again beside that grid's maximum, three times in all, which leaves the
+    points at most 2.5e-7 * (B - A) apart, so the maximum is off by at most
+    1e-14 times the slack's second derivative times (B - A)^2.  With c = 1
+    the slack is convex in omega, so it peaks at an endpoint, which every
+    grid holds.  With c > 1 it can peak between grid points, and that peak
+    counts in full unless the grid is monotone across it.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")

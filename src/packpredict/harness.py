@@ -400,12 +400,21 @@ def generate_synthetic_stream(config: SyntheticConfig):
 
 @dataclass(frozen=True)
 class AlgorithmResult:
-    """One algorithm's run on one stream: records plus its guarantee checks."""
+    """One algorithm's run on one stream: records plus its guarantee checks.
+    `name` is a row of `bounds._TABLE`; `params` (its declared pack size, if
+    any) is derived from the name and the records, never passed in."""
 
     name: str
-    params: dict
     records: RunRecords
     reports: tuple
+
+    def __post_init__(self):
+        if self.name not in bd._TABLE:
+            raise ValueError(f"unknown algorithm {self.name!r}")
+
+    @property
+    def params(self) -> dict:
+        return _declared(self.name, self.records.pack_size)
 
     @property
     def total_loss(self) -> float:
@@ -464,21 +473,21 @@ class ExperimentResult:
         return all(a.passed for a in self.algorithms)
 
 
-def _declared(name: str, pack_sizes: tuple) -> dict:
+def _declared(name: str, pack_sizes) -> dict:
     """The params of algorithm `name` on these packs: the pack size it
     declares, if it declares one."""
     declare = bd._TABLE[name].declare
-    return {} if declare is None else {"pack_size": declare(pack_sizes)}
+    return {} if declare is None else {"pack_size": int(declare(pack_sizes))}
 
 
-def _audit(name: str, records: RunRecords, game: GameSpec, prior,
-           params: dict, every_prefix: bool) -> tuple:
-    """The reports of a run of `name` with these params, one per guarantee."""
+def _audit(a: AlgorithmResult, game: GameSpec, prior,
+           every_prefix: bool) -> tuple:
+    """The reports of run `a`, one per guarantee, at its declared size."""
     return tuple(
-        audit_run(records, g.name, game, prior,
-                  declared_pack_size=params.get("pack_size"),
+        audit_run(a.records, g.name, game, prior,
+                  declared_pack_size=a.params.get("pack_size"),
                   every_prefix=every_prefix)
-        for g in bd._TABLE[name].guarantees
+        for g in bd._TABLE[a.name].guarantees
     )
 
 
@@ -503,14 +512,12 @@ def _expand_algorithms(names, stream: PackStream) -> list:
 def _run_one(name: str, stream: PackStream, game: GameSpec, prior,
              every_prefix: bool):
     """Run one named algorithm and audit it; returns an AlgorithmResult."""
-    params = _declared(name, stream.pack_sizes)
     # The public run_<name>, looked up when called so that a wrapper put on
-    # that name (by a profiler) sees the call; params hold its size, if any.
+    # that name (by a profiler) sees the call, with the declared size if any.
     run = globals()["run_" + name.replace("-", "_")]
-    records = run(stream, *params.values(), game, prior)
-    return AlgorithmResult(name, params, records,
-                           _audit(name, records, game, prior, params,
-                                  every_prefix))
+    records = run(stream, *_declared(name, stream.sizes).values(), game, prior)
+    a = AlgorithmResult(name, records, ())
+    return replace(a, reports=_audit(a, game, prior, every_prefix))
 
 
 def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
@@ -524,9 +531,8 @@ def run_experiment(stream: PackStream, game: GameSpec, algorithms="all",
     """
     if shuffles < 0:
         raise ValueError(f"shuffles must be >= 0, got {shuffles}")
-    if prior is None:
-        prior = uniform_prior(stream.num_experts)
-    prior = np.asarray(prior, dtype=float)
+    n = stream.num_experts
+    prior = _as_prior(uniform_prior(n) if prior is None else prior, n)
     names = _expand_algorithms(algorithms, stream)
     results = tuple(
         _run_one(name, stream, game, prior, every_prefix) for name in names
@@ -908,8 +914,7 @@ def _read_report(text: str) -> tuple:
         if not game.contains(records.learner_preds):
             raise ValueError(f"{where}: learner_preds must lie in "
                              f"[{game.lower}, {game.upper}]")
-        algorithms.append(AlgorithmResult(name, _declared(name, pack_sizes),
-                                          records, ()))
+        algorithms.append(AlgorithmResult(name, records, ()))
     shuffle = _at(d, "shuffle")
     if type(shuffle) is dict:  # otherwise it must be null, as written
         losses = _json_column("shuffle.losses",
@@ -924,7 +929,7 @@ def _read_report(text: str) -> tuple:
     result = ExperimentResult(game, tuple(prior.tolist()), pack_sizes,
                               tuple(algorithms), shuffle)
     result = replace(result, algorithms=tuple(replace(a, reports=_audit(
-        a.name, a.records, game, prior, a.params,
+        a, game, prior,
         _at(d, "algorithms", i, "reports", 0, "every_prefix") is True))
         for i, a in enumerate(algorithms)))
     _check_written(d, _report_object(result))

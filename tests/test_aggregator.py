@@ -6,15 +6,22 @@ import pytest
 from packpredict import (
     DivisorPolicy,
     GameSpec,
+    PackStream,
+    audit_run,
     init_state,
     normalized_weights,
     observe_pack,
     predict_item,
     predict_pack,
+    run_aa,
+    run_aap_incremental,
+    run_experiment,
+    run_parallel,
     substitute,
     substitute_pack,
     uniform_prior,
 )
+from packpredict.cli import main
 
 # Weights after one pack with per-expert loss sums {0, 0.5}, uniform prior,
 # current-pack divisor K_t = 2, eta = 2: w2 = 0.5*exp(-0.5), then normalize.
@@ -91,6 +98,38 @@ class TestInit:
     def test_uniform_prior_validation(self):
         with pytest.raises(ValueError):
             uniform_prior(0)
+
+
+# Three experts, four single-item packs.
+THREE = PackStream(np.tile([[0.2], [0.5], [0.9]], 4), np.full(4, 0.4),
+                   [1, 1, 1, 1])
+PRIOR_ENTRIES = {
+    "run_aap_incremental": lambda p: run_aap_incremental(THREE, GAME, p),
+    "run_parallel": lambda p: run_parallel(THREE, GAME, p),
+    "run_experiment": lambda p: run_experiment(THREE, GAME, prior=p),
+    "audit_run": lambda p: audit_run(run_aa(THREE, GAME), "aa", GAME, p),
+    "init_state": init_state,
+}
+
+
+@pytest.mark.parametrize("entry, prior, message", [
+    ("run_aap_incremental", [0.5, 0.5], "prior has 2 entries for 3 experts"),
+    ("run_parallel", [0.5, 0.5], "prior has 2 entries for 3 experts"),
+    ("run_experiment", [0.5, 0.5], "prior has 2 entries for 3 experts"),
+    ("audit_run", [0.5, 0.5], "prior has 2 entries for 3 experts"),
+    ("cli", [0.5, 0.5], "prior has 2 entries for 3 experts"),
+    # None means a uniform prior only to the runs; these two refuse it.
+    ("audit_run", None, "must form a 1-d array"),
+    ("init_state", None, "must form a 1-d array"),
+])
+def test_prior_contract_is_stated_once(entry, prior, message, capsys):
+    if entry == "cli":
+        assert main(["synth", "--experts", "3", "--trials", "4",
+                     "--prior", ",".join(map(str, prior))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValueError, match=message):
+            PRIOR_ENTRIES[entry](prior)
 
 
 class TestObserve:

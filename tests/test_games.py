@@ -24,6 +24,8 @@ from packpredict import (
 )
 from packpredict.games import WEIGHT_TOL, _logsumexp, _mixed_loss, _substitute
 
+from conftest import INTERVALS
+
 # Reference values for weights (0.75, 0.25), experts (0.2, 0.8) on [0, 1]
 # with eta = 2, computed independently with 60-digit arithmetic.
 REF_W = np.array([0.75, 0.25])
@@ -296,19 +298,25 @@ class TestSubstitute:
         assert check_substitution_validity(gamma, w, preds, game) <= 1e-12
 
     @given(
-        lower=st.floats(-5, 0),
-        width=st.floats(0.5, 10),
+        interval=st.tuples(st.floats(-5, 0), st.floats(0.5, 10)).map(
+            lambda lw: (lw[0], lw[0] + lw[1])) | st.sampled_from(INTERVALS),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_validity_other_intervals(self, lower, width, seed):
+    def test_validity_other_intervals(self, interval, seed):
+        # The slack is in the game's units, so its noise is 1e-12 (B - A)^2;
+        # INTERVALS holds dollar-scale ones, one far from zero.  Equal
+        # experts leave no room above the noise: on (3e4, 8e5) their slack
+        # reaches about 4e-4, which is 6e-16 (B - A)^2.
         r = np.random.default_rng(seed)
-        game = GameSpec.for_interval(lower, lower + width)
+        game = GameSpec.for_interval(*interval)
         w = r.dirichlet(np.ones(4))
-        preds = r.uniform(lower, lower + width, size=4)
-        gamma = substitute(w, preds, game)
-        assert game.lower <= gamma <= game.upper
-        assert check_substitution_validity(gamma, w, preds, game) <= 1e-12
+        spread = r.uniform(game.lower, game.upper, size=4)
+        for preds in (spread, np.full(4, spread[0])):
+            gamma = substitute(w, preds, game)
+            assert game.lower <= gamma <= game.upper
+            assert (check_substitution_validity(gamma, w, preds, game)
+                    <= 1e-12 * game.width ** 2)
 
     def test_validity_does_not_depend_on_the_grid(self, rng):
         # With c > 1 the slack can peak between grid points.  Refined beside

@@ -448,6 +448,27 @@ class TestRunExperiment:
         assert [(a.name, a.params) for a in result.algorithms] == [
             (name, params) for name, params, _ in expected]
 
+    @pytest.mark.parametrize("name, sizes", [
+        ("aa", (1, 1, 1)), ("aap-equal", (3, 3, 3)), ("aap-max", (2, 1, 4)),
+        ("aap-incremental", (2, 1, 4)), ("aap-current", (2, 1, 4)),
+        ("parallel", (2, 1, 4))])
+    def test_params_are_derived_from_the_run(self, rng, name, sizes):
+        # A result's params come from its name and its records' pack sizes,
+        # so the writer stores what the reader derives; none is passed in,
+        # and a name with no row in the table is no result.
+        items = sum(sizes)
+        stream = PackStream(rng.uniform(0, 1, (2, items)),
+                            rng.uniform(0, 1, items), sizes)
+        result = run_experiment(stream, GameSpec(0, 1, 2.0), algorithms=[name])
+        a = result.algorithms[0]
+        text = emit_report(result)
+        assert a.params == json.loads(text)["algorithms"][0]["params"]
+        assert result_from_json(text).algorithms[0].params == a.params
+        with pytest.raises(TypeError):
+            AlgorithmResult(name, {"pack_size": 99}, a.records, ())
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            AlgorithmResult("bogus", a.records, ())
+
     def test_each_run_function_called_by_name(self, rng, monkeypatch):
         # A profiler may wrap each public run_* wherever packpredict binds
         # it, as perfbench/tracing.py does; every run must go through the
@@ -552,7 +573,7 @@ def per_trial_json(result):
 def hand_built(*records, pack_sizes=(1, 2)):
     """A result holding the given records, as runs of aap-incremental,
     aap-current, ... with no reports; for the writer only."""
-    runs = tuple(AlgorithmResult(name, {}, r, ()) for name, r in
+    runs = tuple(AlgorithmResult(name, r, ()) for name, r in
                  zip(("aap-incremental", "aap-current", "parallel"), records))
     return ExperimentResult(game=GameSpec(0, 1, 2.0), prior=(0.5, 0.5),
                             pack_sizes=pack_sizes, algorithms=runs)
