@@ -13,7 +13,6 @@ from .aggregator import (
     AggregatorState,
     DivisorPolicy,
     init_state,
-    normalized_weights,
     observe_pack,
     predict_item,
     predict_pack,
@@ -28,19 +27,11 @@ from .algorithms import (
     run_aap_incremental,
     run_aap_max,
 )
-from .bounds import (
-    ALGORITHMS,
-    SLACK_TOL,
-    BoundReport,
-    audit_run,
-    theoretical_bound,
-)
+from .bounds import SLACK_TOL, BoundReport, audit_run
 from .games import (
     GameSpec,
     check_substitution_validity,
-    generalized_prediction,
     max_mixable_eta,
-    substitute,
     substitute_pack,
 )
 from .harness import (
@@ -63,8 +54,6 @@ from .mixloss import (
     MixLossRun,
     UniformLearner,
     ZeroNature,
-    find_low_product_expert,
-    mix_loss,
     regret_lower_bound,
     run_mixloss_game,
 )

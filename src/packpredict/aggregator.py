@@ -9,8 +9,8 @@ schedule, and both this learner and the replay call it.
 All weight arithmetic stays in the log domain; a weight of exactly zero is
 represented as -inf and an all-(-inf) state is a fatal error rather than a
 silent renormalization.  `predict_pack` and `predict_item` substitute
-straight from the log-weights (`normalized_weights` is for inspection), and
-check their input with the helper `substitute_pack` uses.
+straight from the log-weights, and check their input with the helper
+`substitute_pack` uses.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (GameSpec, _as_pred_column, _as_pred_matrix,
-                    _as_probabilities, _logsumexp, _substitute)
+                    _as_probabilities, _substitute)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,6 @@ class AggregatorState:
     cumulative_losses: np.ndarray
     charged_losses: np.ndarray
     running_max_pack: int = 1
-    trial_index: int = 0
 
     @property
     def num_experts(self) -> int:
@@ -137,26 +136,6 @@ def uniform_prior(num_experts: int) -> np.ndarray:
     return np.full(num_experts, 1.0 / num_experts)
 
 
-def _top_log_weight(state: AggregatorState) -> float:
-    """The largest log-weight; raises if every weight has underflowed."""
-    top = np.maximum.reduce(state.log_weights, axis=None)
-    if -math.inf < top < math.inf:
-        return top
-    if top == -math.inf:
-        raise FloatingPointError(
-            "all expert weights have underflowed to zero; "
-            "the learning rate or losses are too large for this prior"
-        )
-    raise ValueError(f"log-weights must be free of NaN and +inf, got {top}")
-
-
-def normalized_weights(state: AggregatorState) -> np.ndarray:
-    """Current weights as a probability vector."""
-    _top_log_weight(state)
-    lw = state.log_weights
-    return np.exp(lw - _logsumexp(lw))
-
-
 def predict_item(state: AggregatorState, expert_preds, game: GameSpec) -> float:
     """Aggregated prediction for one item at the current weights.
 
@@ -172,10 +151,18 @@ def predict_item(state: AggregatorState, expert_preds, game: GameSpec) -> float:
 def predict_pack(state: AggregatorState, expert_pred_matrix, game: GameSpec) -> np.ndarray:
     """Aggregated predictions for a whole pack, weights frozen across it.
     They come straight from the log-weights, shifted so that the largest is
-    0: the substitution needs no normalized weights."""
+    0: the substitution needs no normalized weights.  Raises if every
+    weight has underflowed."""
     preds = _as_pred_matrix(expert_pred_matrix, state.num_experts, game)
-    shifted = state.log_weights - _top_log_weight(state)
-    return _substitute(shifted[:, None], preds, game)
+    top = np.maximum.reduce(state.log_weights, axis=None)
+    if top == -math.inf:
+        raise FloatingPointError(
+            "all expert weights have underflowed to zero; "
+            "the learning rate or losses are too large for this prior"
+        )
+    if not top < math.inf:
+        raise ValueError(f"log-weights must be free of NaN and +inf, got {top}")
+    return _substitute((state.log_weights - top)[:, None], preds, game)
 
 
 def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
@@ -199,7 +186,6 @@ def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
     state.cumulative_losses = state.cumulative_losses + sums
     state.charged_losses = charged
     state.running_max_pack = max(state.running_max_pack, pack_size)
-    state.trial_index += 1
     state.log_weights = (
         np.log(state.prior)
         - (game.eta / policy.divisor(state.running_max_pack)) * charged

@@ -55,10 +55,10 @@ PARALLEL = "parallel"
 @dataclass(frozen=True)
 class _Guarantee:
     """One row of the guarantee table above.  `sizes` names the pack sizes
-    it depends on, as report params and `theoretical_bound` keywords;
-    `divisor` and `mult` map them to D and mult (arrays over prefixes in an
-    audit).  D is not read off the run's schedule, so that the audit does
-    not move with the schedule it checks."""
+    it depends on, as report params; `divisor` and `mult` map them to D
+    and mult (arrays over prefixes in an audit).  D is not read off the
+    run's schedule, so that the audit does not move with the schedule it
+    checks."""
 
     name: str
     metric: str  # "total" or "average"
@@ -119,7 +119,16 @@ _TABLE = {
 _GUARANTEES = {g.name: (name, g)
                for name, row in _TABLE.items() for g in row.guarantees}
 
-ALGORITHMS = tuple(_GUARANTEES)
+
+def _algorithm(name, path: str = "") -> _Algorithm:
+    """The `_TABLE` row of algorithm `name`: the one refusal of an unknown
+    name, an unhashable value too, after the key path `path` if given."""
+    try:
+        return _TABLE[name]
+    except (KeyError, TypeError):
+        where = f"{path}: " if path else ""
+        raise ValueError(f"{where}unknown algorithm {name!r}; choose from "
+                         f"{', '.join(_TABLE)}") from None
 
 
 def _guarantee(algorithm: str) -> tuple:
@@ -154,30 +163,6 @@ def _bound(g: _Guarantee, expert_loss, prior, sizes: dict, c: float,
     log_terms = np.log(1.0 / prior)
     return (g.mult(sizes) * c * expert_loss
             + (c * g.divisor(sizes) / eta) * log_terms)
-
-
-def theoretical_bound(algorithm: str, expert_loss, *, c: float, eta: float,
-                      prior_weight: float, pack_size: int | None = None,
-                      max_pack: int | None = None, min_pack: int | None = None,
-                      max_delay: int | None = None):
-    """Guaranteed learner total against one expert.  `expert_loss` is that
-    expert's total (or average-loss total, for aap-current-average).
-
-    Accepts scalars or arrays for `expert_loss` and broadcasts.
-    """
-    if not 0 < prior_weight <= 1:
-        raise ValueError(f"prior weight must be in (0, 1], got {prior_weight}")
-    _, g = _guarantee(algorithm)
-    sizes = {"pack_size": pack_size, "max_pack": max_pack,
-             "min_pack": min_pack, "max_delay": max_delay}
-    for name in g.sizes:
-        if sizes[name] is None or sizes[name] < 1:
-            raise ValueError(f"{algorithm} bound needs {name} >= 1")
-    if "min_pack" in g.sizes and min_pack > max_pack:
-        raise ValueError(f"{algorithm} bound needs min_pack <= max_pack")
-    out = _bound(g, np.asarray(expert_loss, dtype=float), prior_weight, sizes,
-                 c, eta)
-    return float(out) if out.ndim == 0 else out
 
 
 # One row per (prefix, expert) check: a report's entries, as a structured array.

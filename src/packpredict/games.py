@@ -171,8 +171,9 @@ def _checked_inputs(weights, expert_pred_matrix, game: GameSpec) -> tuple:
 
 
 def _mixed_loss(log_w, preds, omega, game: GameSpec):
-    """The mixed loss profile of the experts' predictions `preds` (expert
-    axis -2) under the log-weights `log_w`, at the outcomes `omega`:
+    """The mixed loss profile, or generalized prediction, of the experts'
+    predictions `preds` (expert axis -2) under the log-weights `log_w`, at
+    the outcomes `omega`:
 
         g(omega) = -(C/eta) * ln sum_n p^n * exp(-eta * (gamma^n - omega)^2)
 
@@ -183,15 +184,6 @@ def _mixed_loss(log_w, preds, omega, game: GameSpec):
     np.multiply(x, -game.eta, out=x)
     np.add(x, log_w, out=x)
     return -(game.c / game.eta) * _logsumexp(x, axis=-2)
-
-
-def generalized_prediction(weights, expert_preds, game: GameSpec, omega):
-    """Evaluate the mixed loss profile g at `omega` (scalar or array)."""
-    log_w, preds = _checked_inputs(weights, _as_pred_column(expert_preds), game)
-    o = np.asarray(omega, dtype=float)
-    game._require_inside(o, "outcome")
-    g = _mixed_loss(log_w, preds, np.atleast_1d(o), game)
-    return float(g[0]) if o.ndim == 0 else g
 
 
 def _as_pred_matrix(expert_pred_matrix, num_experts: int,
@@ -246,12 +238,6 @@ def _substitute(log_w, preds, game: GameSpec) -> np.ndarray:
     np.divide(gamma, 2.0 * (b - a), out=gamma)
     np.add(gamma, 0.5 * (a + b), out=gamma)
     return gamma.clip(a, b, out=gamma)
-
-
-def substitute(weights, expert_preds, game: GameSpec) -> float:
-    """Single prediction solving the aggregation inequality for one round of
-    expert predictions."""
-    return float(substitute_pack(weights, _as_pred_column(expert_preds), game)[0])
 
 
 def check_substitution_validity(gamma: float, weights, expert_preds, game: GameSpec,

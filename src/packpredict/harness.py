@@ -409,8 +409,7 @@ class AlgorithmResult:
     reports: tuple
 
     def __post_init__(self):
-        if self.name not in bd._TABLE:
-            raise ValueError(f"unknown algorithm {self.name!r}")
+        bd._algorithm(self.name)
 
     @property
     def params(self) -> dict:
@@ -499,13 +498,10 @@ def _expand_algorithms(names, stream: PackStream) -> list:
         return [n for n in ALGORITHM_CHOICES if bd._TABLE[n].fits(
             stream.sizes, _declared(n, stream.pack_sizes).get("pack_size")).all()]
     names = [names] if isinstance(names, str) else list(names)
+    for n in names:
+        bd._algorithm(n)
     if not names or len(set(names)) < len(names):
         raise ValueError(f"select at least one algorithm, each once; got {names}")
-    for n in names:
-        if n not in ALGORITHM_CHOICES:
-            raise ValueError(
-                f"unknown algorithm {n!r}; choose from {ALGORITHM_CHOICES} or 'all'"
-            )
     return names
 
 
@@ -895,8 +891,7 @@ def _read_report(text: str) -> tuple:
     for i in range(len(runs)):
         where = f"algorithms.{i}"
         name = _at(d, "algorithms", i, "name")
-        if type(name) is not str or name not in bd._TABLE:
-            raise ValueError(f"{where}.name: unknown algorithm {name!r}")
+        bd._algorithm(name, f"{where}.name")
         records = _read_records(_at(d, "algorithms", i, "records", kind=list),
                                 prior.size, f"{where}.records")
         # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]

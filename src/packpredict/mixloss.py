@@ -47,38 +47,22 @@ def _as_losses(losses, shape: tuple) -> np.ndarray:
     return ell
 
 
-def mix_loss(distributions, losses) -> float:
-    """Total mix loss of one pack.
-
-    `distributions` is K x N (one row per item), `losses` is N x K with
-    entries in [0, +inf].  Computed in the log domain so that zero masses and
-    infinite losses drop out exactly; the result is +inf when some item has
-    no expert with both positive mass and finite loss.
-    """
-    p = _as_probabilities(distributions, 2)
-    return _mix_loss(p, _as_losses(losses, p.shape[::-1]))
-
-
 def _mix_loss(p: np.ndarray, ell: np.ndarray) -> float:
-    """`mix_loss` of checked K x N distributions and N x K losses."""
+    """The mix loss of one pack, from its checked K x N distributions `p`
+    and N x K losses `ell`, in the log domain: zero masses and infinite
+    losses drop out exactly, and it is +inf when some item has no expert
+    with both positive mass and finite loss."""
     with np.errstate(divide="ignore"):  # exponent ln p_{k,n} - loss_{n,k}
         per_item = _logsumexp(np.log(p) - ell.T, axis=1)
     return float(-per_item.sum())
 
 
-def find_low_product_expert(distributions) -> int:
-    """Index of an expert whose product of assigned masses over the pack's
-    items is at most N^(-K).  Such an expert always exists: the experts'
-    products average, geometrically, at most prod_k (s_k / N) for rows
-    summing to s_k, which is N^(-K) for rows summing to exactly 1.  This
-    returns the one with the smallest product (first index on ties) and
-    raises if it exceeds that bound by more than rounding.
-    """
-    return _low_product_expert(_as_probabilities(distributions, 2))
-
-
 def _low_product_expert(p: np.ndarray) -> int:
-    """`find_low_product_expert` of checked K x N distributions."""
+    """The expert with the smallest product of masses over the items of
+    the checked K x N distributions `p`, first on ties.  The products
+    average, geometrically, at most prod_k (s_k / N) for rows summing to
+    s_k (N^(-K) for rows summing to 1), so this raises if the smallest
+    exceeds that bound by more than rounding."""
     with np.errstate(divide="ignore"):
         log_products = np.log(p).sum(axis=0)
     n0 = int(np.argmin(log_products))

@@ -40,7 +40,7 @@ def test_acceptance_1_admissibility_suite():
         n = int(rng.integers(1, 11))
         w = rng.dirichlet(np.ones(n))
         preds = rng.uniform(0, 1, size=n)
-        gamma = pp.substitute(w, preds, GAME)
+        gamma = pp.substitute_pack(w, preds[:, None], GAME)[0]
         slack = pp.check_substitution_validity(gamma, w, preds, GAME,
                                                grid_size=1001)
         if slack > 1e-12:
@@ -204,13 +204,15 @@ def test_acceptance_6_mixloss_lower_bound():
                                                 run.lower_bound_increment)):
             if not regret >= bound - 1e-9:
                 failures.append(("exp-weights", n, t, regret))
-    # Averaging lemma: the low-product expert exists in 10^4 random tuples.
+    # Averaging lemma: the low-product expert exists in 10^4 random tuples,
+    # and the adversary spares it.
     rng = np.random.default_rng(606)
+    nature = pp.AdversaryNature()
     for i in range(10_000):
         k = int(rng.integers(1, 6))
         n = int(rng.integers(2, 7))
         dists = rng.dirichlet(np.ones(n), size=k)
-        n0 = pp.find_low_product_expert(dists)
+        n0 = int(np.flatnonzero(nature(dists)[:, 0] == 0)[0])
         if np.sum(np.log(dists[:, n0])) > -k * math.log(n) + 1e-12:
             failures.append(("product", i))
     _verdict(6, "mix-loss lower bound and averaging lemma", failures)

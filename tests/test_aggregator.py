@@ -9,7 +9,6 @@ from packpredict import (
     PackStream,
     audit_run,
     init_state,
-    normalized_weights,
     observe_pack,
     predict_item,
     predict_pack,
@@ -17,17 +16,23 @@ from packpredict import (
     run_aap_incremental,
     run_experiment,
     run_parallel,
-    substitute,
     substitute_pack,
     uniform_prior,
 )
 from packpredict.cli import main
+from packpredict.games import _logsumexp
 
 # Weights after one pack with per-expert loss sums {0, 0.5}, uniform prior,
 # current-pack divisor K_t = 2, eta = 2: w2 = 0.5*exp(-0.5), then normalize.
 # Reference from 60-digit arithmetic.
 REF_P1 = 0.62245933120185456464
 REF_P2 = 0.37754066879814543536
+
+
+def weights(state):
+    """The state's weights as a probability vector."""
+    return np.exp(state.log_weights - _logsumexp(state.log_weights))
+
 
 GAME = GameSpec(0.0, 1.0, 2.0)
 
@@ -75,7 +80,6 @@ class TestInit:
     def test_uniform_prior_logs(self):
         state = init_state(uniform_prior(4))
         np.testing.assert_allclose(state.log_weights, np.log(0.25), atol=0)
-        assert state.trial_index == 0
         assert state.running_max_pack == 1
         np.testing.assert_array_equal(state.cumulative_losses, np.zeros(4))
         np.testing.assert_array_equal(state.charged_losses, np.zeros(4))
@@ -137,10 +141,9 @@ class TestObserve:
         state = init_state(uniform_prior(2))
         losses = np.array([[0.0, 0.0], [0.25, 0.25]])
         observe_pack(state, losses, DivisorPolicy.current_pack(), GAME)
-        w = normalized_weights(state)
+        w = weights(state)
         assert w[0] == pytest.approx(REF_P1, abs=1e-15)
         assert w[1] == pytest.approx(REF_P2, abs=1e-15)
-        assert state.trial_index == 1
         np.testing.assert_allclose(state.cumulative_losses, [0.0, 0.5], atol=0)
         np.testing.assert_allclose(state.charged_losses, [0.0, 0.25], atol=0)
 
@@ -157,15 +160,14 @@ class TestObserve:
         state = init_state(uniform_prior(2))
         observe_pack(state, np.full((2, 1), 0.5), DivisorPolicy.fixed(2), GAME)
         before = (state.log_weights.copy(), state.cumulative_losses.copy(),
-                  state.charged_losses.copy(), state.running_max_pack,
-                  state.trial_index)
+                  state.charged_losses.copy(), state.running_max_pack)
         for losses in (np.zeros((2, 3)), np.array([[0.1, np.inf], [0.2, 0.3]])):
             with pytest.raises(ValueError):
                 observe_pack(state, losses, DivisorPolicy.fixed(2), GAME)
             np.testing.assert_array_equal(state.log_weights, before[0])
             np.testing.assert_array_equal(state.cumulative_losses, before[1])
             np.testing.assert_array_equal(state.charged_losses, before[2])
-            assert (state.running_max_pack, state.trial_index) == before[3:]
+            assert state.running_max_pack == before[3]
 
     def test_running_max_recomputes_from_prior(self):
         # Sizes 2 then 5: after the second pack every log-weight must equal
@@ -217,18 +219,19 @@ class TestWeightsAndPredict:
         state = init_state(uniform_prior(2))
         state.log_weights = np.array([-np.inf, -np.inf])
         with pytest.raises(FloatingPointError):
-            normalized_weights(state)
-        with pytest.raises(FloatingPointError):
             predict_pack(state, np.full((2, 3), 0.5), GAME)
         with pytest.raises(FloatingPointError):
             predict_item(state, np.full(2, 0.5), GAME)
 
     def test_weights_stay_normalized(self, rng):
+        # Every log-weight is ln p^n less a non-negative charge: finite, and
+        # the weights sum to at most 1.
         state = init_state(uniform_prior(3))
         for _ in range(30):
             losses = rng.uniform(0, 1, size=(3, 2))
             observe_pack(state, losses, DivisorPolicy.current_pack(), GAME)
-            assert normalized_weights(state).sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.isfinite(state.log_weights).all()
+            assert _logsumexp(state.log_weights) <= 1e-12
 
     def test_predict_matches_substitution(self, rng):
         # Predicting straight from the log-weights skips their normalization,
@@ -240,12 +243,12 @@ class TestWeightsAndPredict:
             state = init_state(rng.dirichlet(np.ones(n)))
             for _ in range(20):
                 matrix = rng.uniform(game.lower, game.upper, size=(n, 6))
-                w = normalized_weights(state)
+                w = weights(state)
                 np.testing.assert_allclose(predict_pack(state, matrix, game),
                                            substitute_pack(w, matrix, game),
                                            rtol=0, atol=tol)
                 assert predict_item(state, matrix[:, 0], game) == pytest.approx(
-                    substitute(w, matrix[:, 0], game), rel=0, abs=tol)
+                    substitute_pack(w, matrix[:, :1], game)[0], rel=0, abs=tol)
                 observe_pack(state, (matrix - matrix[0]) ** 2,
                              DivisorPolicy.running_max(), game)
 

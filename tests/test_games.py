@@ -12,14 +12,11 @@ from packpredict import (
     GameSpec,
     PackStream,
     check_substitution_validity,
-    find_low_product_expert,
-    generalized_prediction,
     init_state,
     max_mixable_eta,
-    mix_loss,
+    predict_item,
     rescale_stream,
     run_mixloss_game,
-    substitute,
     substitute_pack,
 )
 from packpredict.games import WEIGHT_TOL, _logsumexp, _mixed_loss, _substitute
@@ -39,6 +36,21 @@ REF_GAMMA_GRID = 0.36233623362336237
 
 def unit_game(eta=2.0):
     return GameSpec(0.0, 1.0, eta)
+
+
+def substitute_one(weights, expert_preds, game):
+    """`substitute_pack` on one column of expert predictions."""
+    column = np.reshape(np.asarray(expert_preds, dtype=float), (-1, 1))
+    return float(substitute_pack(weights, column, game)[0])
+
+
+def mixed_loss_at(weights, expert_preds, game, omega):
+    """The mixed loss profile g of one round of expert predictions at the
+    outcomes `omega`, from the kernel `_mixed_loss`."""
+    with np.errstate(divide="ignore"):  # a zero weight is -inf
+        log_w = np.log(np.asarray(weights, dtype=float))[:, None]
+    preds = np.asarray(expert_preds, dtype=float)[:, None]
+    return _mixed_loss(log_w, preds, np.atleast_1d(omega), game)
 
 
 class TestLogSumExp:
@@ -127,15 +139,15 @@ class TestGameSpec:
 class TestGeneralizedPrediction:
     def test_reference_values(self):
         g = unit_game()
-        assert generalized_prediction(REF_W, REF_PREDS, g, 0.0) == \
+        assert mixed_loss_at(REF_W, REF_PREDS, g, 0.0) == \
             pytest.approx(REF_G0, abs=1e-15)
-        assert generalized_prediction(REF_W, REF_PREDS, g, 1.0) == \
+        assert mixed_loss_at(REF_W, REF_PREDS, g, 1.0) == \
             pytest.approx(REF_G1, abs=1e-15)
 
     def test_array_evaluation(self):
         g = unit_game()
         grid = np.linspace(0, 1, 11)
-        vals = generalized_prediction(REF_W, REF_PREDS, g, grid)
+        vals = mixed_loss_at(REF_W, REF_PREDS, g, grid)
         assert vals.shape == (11,)
         assert vals[0] == pytest.approx(REF_G0, abs=1e-15)
         assert vals[-1] == pytest.approx(REF_G1, abs=1e-15)
@@ -143,42 +155,39 @@ class TestGeneralizedPrediction:
     def test_single_expert_profile_is_own_loss(self):
         g = unit_game()
         grid = np.linspace(0, 1, 101)
-        vals = generalized_prediction([1.0], [0.4], g, grid)
+        vals = mixed_loss_at([1.0], [0.4], g, grid)
         np.testing.assert_allclose(vals, (0.4 - grid) ** 2, atol=1e-14)
 
-    def test_outcome_domain_error(self):
-        with pytest.raises(ValueError):
-            generalized_prediction(REF_W, REF_PREDS, unit_game(), 1.5)
-
     def test_weight_validation(self):
+        # The profile's weights are checked where they enter: by the
+        # substitution and by the validity check that evaluates g.
         g = unit_game()
-        with pytest.raises(ValueError):
-            generalized_prediction([0.6, 0.6], REF_PREDS, g, 0.0)
-        with pytest.raises(ValueError):
-            generalized_prediction([-0.1, 1.1], REF_PREDS, g, 0.0)
-        with pytest.raises(ValueError):
-            generalized_prediction([np.nan, 1.0], REF_PREDS, g, 0.0)
+        for weights in ([0.6, 0.6], [-0.1, 1.1], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                substitute_one(weights, REF_PREDS, g)
+            with pytest.raises(ValueError):
+                check_substitution_validity(0.5, weights, REF_PREDS, g)
 
     def test_zero_weight_expert_drops_out(self):
         g = unit_game()
-        with_zero = generalized_prediction([0.0, 1.0], [0.1, 0.8], g, 0.3)
-        alone = generalized_prediction([1.0], [0.8], g, 0.3)
+        with_zero = mixed_loss_at([0.0, 1.0], [0.1, 0.8], g, 0.3)
+        alone = mixed_loss_at([1.0], [0.8], g, 0.3)
         assert with_zero == pytest.approx(alone, abs=1e-15)
 
 
 class TestSubstitute:
     def test_reference_value(self):
-        gamma = substitute(REF_W, REF_PREDS, unit_game())
+        gamma = substitute_one(REF_W, REF_PREDS, unit_game())
         assert gamma == pytest.approx(REF_GAMMA, abs=1e-14)
 
     def test_matches_brute_force_minimax(self):
         # The closed form must land within one grid step of the best
         # prediction found by exhaustive search over 10^4 candidates.
-        gamma = substitute(REF_W, REF_PREDS, unit_game())
+        gamma = substitute_one(REF_W, REF_PREDS, unit_game())
         assert abs(gamma - REF_GAMMA_GRID) < 1.0 / 9999
 
     def test_reference_validity(self):
-        gamma = substitute(REF_W, REF_PREDS, unit_game())
+        gamma = substitute_one(REF_W, REF_PREDS, unit_game())
         slack = check_substitution_validity(gamma, REF_W, REF_PREDS, unit_game())
         assert slack <= 1e-12
 
@@ -186,11 +195,11 @@ class TestSubstitute:
         g = unit_game()
         for _ in range(50):
             p = float(rng.uniform(0, 1))
-            assert substitute([1.0], [p], g) == p
+            assert substitute_one([1.0], [p], g) == p
 
     def test_equal_experts_reproduced(self):
         g = unit_game()
-        gamma = substitute([0.3, 0.7], [0.4, 0.4], g)
+        gamma = substitute_one([0.3, 0.7], [0.4, 0.4], g)
         assert gamma == pytest.approx(0.4, abs=1e-14)
 
     def test_pack_columns_independent(self, rng):
@@ -198,7 +207,7 @@ class TestSubstitute:
         w = np.array([0.5, 0.25, 0.25])
         preds = rng.uniform(0, 1, size=(3, 6))
         pack = substitute_pack(w, preds, g)
-        singles = np.array([substitute(w, preds[:, k], g) for k in range(6)])
+        singles = np.array([substitute_one(w, preds[:, k], g) for k in range(6)])
         np.testing.assert_array_equal(pack, singles)
 
     def test_fused_endpoints_match_two_calls(self, rng):
@@ -226,17 +235,17 @@ class TestSubstitute:
         with pytest.raises(ValueError):
             substitute_pack(REF_W, np.zeros((3, 2)), g)
         with pytest.raises(ValueError):
-            substitute(REF_W, [0.2, 1.4], g)
+            substitute_one(REF_W, [0.2, 1.4], g)
         # Every function taking one round of expert predictions checks them
         # the same way: a scalar or a matrix is no round.
+        state = init_state([1.0])
         for bad in (0.4, np.full((1, 2), 0.4)):
-            for check in (lambda p: substitute([1.0], p, g),
-                          lambda p: generalized_prediction([1.0], p, g, 0.3),
+            for check in (lambda p: predict_item(state, p, g),
                           lambda p: check_substitution_validity(0.4, [1.0], p, g)):
                 with pytest.raises(ValueError, match="1-d vector"):
                     check(bad)
         with pytest.raises(ValueError, match="2 x K"):
-            generalized_prediction(REF_W, [0.4], g, 0.3)
+            predict_item(init_state(REF_W), [0.4], g)
         with pytest.raises(ValueError, match="2 x K"):
             check_substitution_validity(0.4, REF_W, [0.4, 0.5, 0.6], g)
 
@@ -250,7 +259,7 @@ class TestSubstitute:
         n = int(r.integers(1, 7))
         w = r.dirichlet(np.ones(n))
         preds = r.uniform(0, 1, size=n)
-        gamma = substitute(w, preds, unit_game(2.0))
+        gamma = substitute_one(w, preds, unit_game(2.0))
         smaller = unit_game(2.0 * eta_frac)
         assert check_substitution_validity(gamma, w, preds, smaller) <= 1e-12
 
@@ -293,7 +302,7 @@ class TestSubstitute:
         w = r.dirichlet(np.ones(n))
         preds = r.uniform(0, 1, size=n)
         game = GameSpec(0.0, 1.0, 2.0 * eta_frac)
-        gamma = substitute(w, preds, game)
+        gamma = substitute_one(w, preds, game)
         assert 0.0 <= gamma <= 1.0
         assert check_substitution_validity(gamma, w, preds, game) <= 1e-12
 
@@ -313,7 +322,7 @@ class TestSubstitute:
         w = r.dirichlet(np.ones(4))
         spread = r.uniform(game.lower, game.upper, size=4)
         for preds in (spread, np.full(4, spread[0])):
-            gamma = substitute(w, preds, game)
+            gamma = substitute_one(w, preds, game)
             assert game.lower <= gamma <= game.upper
             assert (check_substitution_validity(gamma, w, preds, game)
                     <= 1e-12 * game.width ** 2)
@@ -332,7 +341,7 @@ class TestSubstitute:
             n = int(rng.integers(1, 6))
             w = rng.dirichlet(np.ones(n))
             preds = rng.uniform(lower, lower + width, size=n)
-            gamma = substitute(w, preds, game)
+            gamma = substitute_one(w, preds, game)
             tol = 1e-12 * width ** 2
             coarse = check_substitution_validity(gamma, w, preds, game, 5)
             fine = check_substitution_validity(gamma, w, preds, game, 100001)
@@ -340,7 +349,7 @@ class TestSubstitute:
             for size in (5, 100001):
                 grid = np.linspace(game.lower, game.upper, size)
                 plain = np.max((gamma - grid) ** 2
-                               - generalized_prediction(w, preds, game, grid))
+                               - mixed_loss_at(w, preds, game, grid))
                 assert plain <= coarse + tol
                 short += size == 5 and plain < coarse - 1e-6 * width ** 2
         assert short > 5
@@ -370,14 +379,9 @@ class _Repeating:
 PROBABILITY_ENTRIES = {
     "substitute_pack": lambda p: substitute_pack(
         p, np.full((3, 2), 0.5), unit_game()),
-    "generalized_prediction": lambda p: generalized_prediction(
-        p, [0.2, 0.5, 0.8], unit_game(), 0.3),
     "check_substitution_validity": lambda p: check_substitution_validity(
         0.5, p, [0.2, 0.5, 0.8], unit_game(), grid_size=11),
     "init_state": init_state,
-    "mix_loss": lambda p: mix_loss(np.tile(p, (4, 1)), np.ones((3, 4))),
-    "find_low_product_expert": lambda p: find_low_product_expert(
-        np.tile(p, (4, 1))),
     "run_mixloss_game": lambda p: run_mixloss_game(
         _Repeating(p), AdversaryNature(), [4, 2]),
 }

@@ -1,5 +1,8 @@
+import dataclasses
+import importlib.util
 import json
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -25,6 +28,7 @@ from packpredict import (
     run_experiment,
     write_pack_csv,
 )
+import packpredict
 from packpredict import harness
 from packpredict.cli import main
 from packpredict.harness import ALGORITHM_CHOICES
@@ -410,6 +414,29 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(stream, GameSpec(0, 1, 2.0), algorithms=["sgd"])
 
+    def test_one_unknown_name_refusal(self, rng):
+        # Every place a name enters refuses an unknown one alike, an
+        # unhashable one too, with the choices: the selection, a result,
+        # and the reader, which adds the key path.
+        stream = make_stream(rng, 2, 4)
+        game = GameSpec(0, 1, 2.0)
+        result = run_experiment(stream, game, algorithms=["aap-max"])
+        d = json.loads(emit_report(result))
+        for name in ("sgd", 7, None, ["aa"], {"aa": 1}):
+            message = (f"unknown algorithm {name!r}; choose from aa, "
+                       f"aap-equal, aap-max, aap-incremental, aap-current, "
+                       f"parallel")
+            with pytest.raises(ValueError) as refused:
+                run_experiment(stream, game, algorithms=[name])
+            assert str(refused.value) == message
+            with pytest.raises(ValueError) as refused:
+                AlgorithmResult(name, result.algorithms[0].records, ())
+            assert str(refused.value) == message
+            d["algorithms"][0]["name"] = name
+            with pytest.raises(ValueError) as refused:
+                result_from_json(json.dumps(d))
+            assert str(refused.value) == f"algorithms.0.name: {message}"
+
     def test_empty_or_repeated_selection(self, rng):
         stream = make_stream(rng, 2, 4)
         for names in ([], (), ["aap-max", "aap-current", "aap-max"]):
@@ -751,3 +778,57 @@ class TestReports:
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
             result_from_json(json.dumps(payload))
+
+
+# The public surface: what README, scripts/ and perfbench/ use.
+PUBLIC_NAMES = [
+    'AdversaryNature', 'AggregatorState', 'AlgorithmResult', 'BoundReport',
+    'DatasetSpec', 'DivisorPolicy', 'ExperimentResult',
+    'ExponentialWeightsLearner', 'GameSpec', 'MixLossRun', 'PackStream',
+    'RunRecords', 'SLACK_TOL', 'ShuffleSummary', 'SyntheticConfig',
+    'UniformLearner', 'ZeroNature', 'audit_run',
+    'check_substitution_validity', 'emit_adversary_report', 'emit_report',
+    'generate_synthetic_stream', 'init_state', 'load_pack_csv',
+    'max_mixable_eta', 'observe_pack', 'predict_item', 'predict_pack',
+    'regret_lower_bound', 'rescale_stream', 'result_from_json', 'run_aa',
+    'run_aap_current', 'run_aap_equal', 'run_aap_incremental',
+    'run_aap_max', 'run_experiment', 'run_mixloss_game', 'run_parallel',
+    'shuffle_experiment', 'shuffle_within_packs', 'substitute_pack',
+    'uniform_prior', 'write_pack_csv',
+]
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+class TestPublicSurface:
+    """A cut to the surface fails here, not first in the benchmark."""
+
+    def test_public_names(self):
+        assert sorted(packpredict.__all__) == PUBLIC_NAMES
+
+    def test_benchmark_names_resolve(self):
+        # The tracer wraps each TRACED name on its defining module; its
+        # file imports only sys, time and numpy, so it loads by path.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, functions in tracing.TRACED.items():
+            home = importlib.import_module(f"packpredict.{module}")
+            for name in functions:
+                assert callable(getattr(home, name, None)), (module, name)
+        # The workload and the runner call packpredict as `pp.` and `cli.`
+        # and import names from it.
+        homes = {"pp": packpredict, "cli": packpredict.cli}
+        for script in ("workload.py", "run.py"):
+            with open(os.path.join(PERFBENCH, script)) as f:
+                text = f.read()
+            used = re.findall(r"\b(pp|cli)\.(\w+)", text)
+            used += [("pp", name.strip()) for names in re.findall(
+                r"from packpredict import ([\w, ]+)", text)
+                for name in names.split(",")]
+            assert used, script
+            for home, name in used:
+                assert hasattr(homes[home], name), (script, home, name)
+        # The online workload reads the state's loss ledger.
+        assert "cumulative_losses" in {
+            f.name for f in dataclasses.fields(packpredict.AggregatorState)}

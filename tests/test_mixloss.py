@@ -10,12 +10,11 @@ from packpredict import (
     ExponentialWeightsLearner,
     UniformLearner,
     ZeroNature,
-    find_low_product_expert,
-    mix_loss,
     regret_lower_bound,
     run_mixloss_game,
 )
 from packpredict.harness import emit_adversary_report
+from packpredict.mixloss import _low_product_expert, _mix_loss
 
 LN2 = 0.69314718055994530942
 
@@ -23,78 +22,80 @@ LN2 = 0.69314718055994530942
 class TestMixLoss:
     def test_zero_losses_cost_nothing(self):
         dists = np.full((3, 2), 0.5)
-        assert mix_loss(dists, np.zeros((2, 3))) == 0.0
+        assert _mix_loss(dists, np.zeros((2, 3))) == 0.0
 
     def test_single_item_one_dead_expert(self):
         # Uniform over two experts, losses {0, inf}: -ln(1/2).
-        out = mix_loss(np.array([[0.5, 0.5]]), np.array([[0.0], [np.inf]]))
+        out = _mix_loss(np.array([[0.5, 0.5]]), np.array([[0.0], [np.inf]]))
         assert out == pytest.approx(LN2, abs=1e-15)
 
     def test_three_items_one_dead_expert(self):
         dists = np.full((3, 2), 0.5)
         losses = np.array([[0.0] * 3, [np.inf] * 3])
-        assert mix_loss(dists, losses) == pytest.approx(
+        assert _mix_loss(dists, losses) == pytest.approx(
             2.0794415416798359283, abs=1e-15
         )
 
     def test_infinite_when_no_expert_survives(self):
-        out = mix_loss(np.array([[1.0, 0.0]]), np.array([[np.inf], [0.0]]))
+        out = _mix_loss(np.array([[1.0, 0.0]]), np.array([[np.inf], [0.0]]))
         assert out == np.inf
 
     def test_zero_mass_expert_excluded_exactly(self):
         # Mass 0 on an infinite-loss expert must not poison the sum.
-        out = mix_loss(np.array([[0.0, 1.0]]), np.array([[np.inf], [0.0]]))
+        out = _mix_loss(np.array([[0.0, 1.0]]), np.array([[np.inf], [0.0]]))
         assert out == 0.0
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            mix_loss(np.full((2, 2), 0.5), np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            mix_loss(np.array([[0.5, 0.4]]), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            mix_loss(np.full((1, 2), 0.5), -np.ones((2, 1)))
+        # The game checks a nature's losses before it scores them: N x K,
+        # no NaN, none negative.
+        for losses in (np.zeros((2, 3)), np.zeros((3, 2)), -np.ones((2, 2)),
+                       np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="losses must be"):
+                run_mixloss_game(UniformLearner(2), lambda p: losses, [2])
 
 
 class TestDistributions:
     def test_refusal_names_the_row(self):
         dists = np.full((3, 2), 0.5)
         dists[2, 1] = 0.6
+        learner = UniformLearner(2)
+        learner.distributions = lambda pack_size: dists
         with pytest.raises(ValueError, match="row 2 sums to 1.1"):
-            mix_loss(dists, np.zeros((2, 3)))
+            run_mixloss_game(learner, ZeroNature(), [3])
 
 
 class TestLowProductExpert:
     def test_uniform_picks_first(self):
-        assert find_low_product_expert(np.full((3, 4), 0.25)) == 0
+        assert _low_product_expert(np.full((3, 4), 0.25)) == 0
 
     def test_single_item_smallest_mass(self):
-        assert find_low_product_expert(np.array([[0.9, 0.1]])) == 1
+        assert _low_product_expert(np.array([[0.9, 0.1]])) == 1
 
     def test_two_item_three_expert_case(self):
         # Products are 0.10, 0.09, 0.10; the middle expert has the smallest,
         # and 0.09 <= 1/9.  (All three actually clear the 1/9 ceiling here.)
         dists = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
-        assert find_low_product_expert(dists) == 1
+        assert _low_product_expert(dists) == 1
 
     def test_tie_breaks_low_index(self):
         dists = np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]])
-        assert find_low_product_expert(dists) == 2  # product 0 beats ties
+        assert _low_product_expert(dists) == 2  # product 0 beats ties
         tie = np.array([[0.4, 0.4, 0.2], [0.2, 0.2, 0.6]])
         # experts 0 and 1 tie at 0.08; lowest index wins
-        assert find_low_product_expert(tie) == 0
+        assert _low_product_expert(tie) == 0
 
     def test_rows_off_by_rounding(self):
         # Rows summing to 1 + 9e-13, within the tolerance: every expert's
         # log-product is 4 ln((1 + 9e-13)/3), above -4 ln 3 but within the
         # bound sum_k ln(s_k) - K ln N of the rows' own sums.
-        assert find_low_product_expert(np.full((4, 3), (1 + 9e-13) / 3)) == 0
+        assert _low_product_expert(np.full((4, 3), (1 + 9e-13) / 3)) == 0
 
     def test_guarantee_on_random_tuples(self, rng):
         for _ in range(500):
             k = int(rng.integers(1, 6))
             n = int(rng.integers(1, 7))
             dists = rng.dirichlet(np.ones(n), size=k)
-            n0 = find_low_product_expert(dists)
+            n0 = _low_product_expert(dists)
             log_product = np.sum(np.log(dists[:, n0]))
             assert log_product <= -k * math.log(n) + 1e-12
 
@@ -114,7 +115,7 @@ class TestNatures:
         nature = AdversaryNature()
         dists = np.array([[0.9, 0.1]])
         losses = nature(dists)
-        out = mix_loss(dists, losses)
+        out = _mix_loss(dists, losses)
         assert out == pytest.approx(2.302585092994045684, abs=1e-15)
         assert out >= LN2
 
