@@ -23,9 +23,10 @@ schedule; an mpmath oracle in the tests checks both.
 
 A stream is stored as the columns the replay reads (`PackStream`): one
 N x items matrix of expert predictions, the outcomes and the pack sizes.
-`PackStream(expert_preds, outcomes, sizes)` checks the columns; the
-producers in this package (the CSV loader, the synthetic generator,
-rescaling, shuffling) write them through the unchecked `_from_columns`.
+`PackStream(expert_preds, outcomes, sizes)` is the one way to build a
+stream, and it checks the columns: every producer in this package (the CSV
+loader, the synthetic generator, rescaling, shuffling, the one-pack views)
+passes the same checks.
 
 A run's records are the four columns the replay produced (`RunRecords`):
 the pack sizes, every item's prediction, the learner's pack losses and the
@@ -49,10 +50,11 @@ class PackStream:
     """An ordered sequence of at least one pack, all sharing one expert
     panel, stored as columns: `expert_preds` (N x items, packs side by
     side), `outcomes` and `sizes`; pack t holds the `sizes[t]` items from
-    column `starts[t]`.  `stream[t]` is pack t as a one-pack stream of its
-    columns, and iteration gives the packs in order."""
+    column `starts[t]`.  The constructor checks the columns and stores them
+    in C order, the sizes as `intp`.  `stream[t]` is pack t as a one-pack
+    stream of its columns, and iteration gives the packs in order."""
 
-    def __new__(cls, expert_preds, outcomes, sizes):
+    def __init__(self, expert_preds, outcomes, sizes):
         sizes = np.array(sizes)  # a copy: the stream derives `starts` from it
         if sizes.size == 0:
             raise ValueError("a stream needs at least one pack")
@@ -71,20 +73,12 @@ class PackStream:
         if sizes.sum() != outcomes.size:
             raise ValueError(f"pack sizes sum to {sizes.sum()}, not to the "
                              f"{outcomes.size} items")
-        return cls._from_columns(expert_preds, outcomes, sizes)
-
-    @classmethod
-    def _from_columns(cls, expert_preds, outcomes, sizes) -> "PackStream":
-        """Unchecked: for producers in this package holding valid columns
-        of at least one pack."""
-        stream = super().__new__(cls)
-        stream.sizes = np.asarray(sizes, dtype=np.intp)
+        self.sizes = sizes.astype(np.intp, copy=False)
         # One memory order, whoever built the stream: sums over the experts
         # round by it (numpy sums eight or more adjacent values pairwise).
-        stream.expert_preds = np.ascontiguousarray(expert_preds, dtype=float)
-        stream.outcomes = np.ascontiguousarray(outcomes, dtype=float)
-        stream.starts = np.cumsum(stream.sizes) - stream.sizes
-        return stream
+        self.expert_preds = np.ascontiguousarray(expert_preds)
+        self.outcomes = np.ascontiguousarray(outcomes)
+        self.starts = np.cumsum(self.sizes) - self.sizes
 
     def __len__(self):
         return len(self.sizes)
@@ -94,9 +88,8 @@ class PackStream:
 
     def __getitem__(self, i):
         items = slice(self.starts[i], self.starts[i] + self.sizes[i])
-        return PackStream._from_columns(self.expert_preds[:, items],
-                                        self.outcomes[items],
-                                        self.sizes[i:i + 1 or None])
+        return PackStream(self.expert_preds[:, items], self.outcomes[items],
+                          self.sizes[i:i + 1 or None])
 
     def __eq__(self, other):
         if not isinstance(other, PackStream):

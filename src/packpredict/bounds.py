@@ -22,6 +22,10 @@ of per-pack average losses:
   aap-current-plain      total     max size seen so far     max/min size seen
   parallel               total     pool size (= max size)   1
 
+Each row of this table is data in `_TABLE`: a `_Guarantee` names the pack
+sizes that give its D and mult.  `_row` is the one refusal of a name the
+table lacks, an algorithm's or a guarantee's.
+
 `audit_run` reads the running totals of a finished run (`RunRecords`)
 and checks the matching guarantee for every expert, either at the end or at
 every prefix, and reports the slack bound - learner_total.  Anything below
@@ -55,16 +59,14 @@ PARALLEL = "parallel"
 @dataclass(frozen=True)
 class _Guarantee:
     """One row of the guarantee table above.  `sizes` names the pack sizes
-    it depends on, as report params; `divisor` and `mult` map them to D
-    and mult (arrays over prefixes in an audit).  D is not read off the
-    run's schedule, so that the audit does not move with the schedule it
-    checks."""
+    it depends on, as report params: D is the first (1 if none), and mult
+    the first over the second (1 if there is no second); in an audit they
+    are arrays over prefixes.  D is not read off the run's schedule, so
+    that the audit does not move with the schedule it checks."""
 
     name: str
     metric: str  # "total" or "average"
-    sizes: tuple
-    divisor: Callable
-    mult: Callable = lambda s: 1
+    sizes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -85,34 +87,28 @@ class _Algorithm:
 _TABLE = {
     "aa": _Algorithm(
         lambda k: DivisorPolicy.fixed(1),
-        (_Guarantee(AA, "total", (), lambda s: 1),),
+        (_Guarantee(AA, "total"),),
         fits=lambda sizes, k: sizes == 1, requires="single items"),
     "aap-equal": _Algorithm(
         DivisorPolicy.fixed,
-        (_Guarantee(AAP_EQUAL, "total", ("pack_size",),
-                    lambda s: s["pack_size"]),),
+        (_Guarantee(AAP_EQUAL, "total", ("pack_size",)),),
         declare=lambda sizes: sizes[0],
         fits=lambda sizes, k: sizes == k, requires="every pack of size {k}"),
     "aap-max": _Algorithm(
         DivisorPolicy.fixed,
-        (_Guarantee(AAP_MAX, "total", ("pack_size",),
-                    lambda s: s["pack_size"]),),
+        (_Guarantee(AAP_MAX, "total", ("pack_size",)),),
         declare=max,
         fits=lambda sizes, k: sizes <= k, requires="no pack larger than {k}"),
     "aap-incremental": _Algorithm(
         lambda k: DivisorPolicy.running_max(),
-        (_Guarantee(AAP_INCREMENTAL, "total", ("max_pack",),
-                    lambda s: s["max_pack"]),)),
+        (_Guarantee(AAP_INCREMENTAL, "total", ("max_pack",)),)),
     "aap-current": _Algorithm(
         lambda k: DivisorPolicy.current_pack(),
-        (_Guarantee(AAP_CURRENT_AVERAGE, "average", (), lambda s: 1),
-         _Guarantee(AAP_CURRENT_PLAIN, "total", ("max_pack", "min_pack"),
-                    lambda s: s["max_pack"],
-                    lambda s: s["max_pack"] / s["min_pack"]))),
+        (_Guarantee(AAP_CURRENT_AVERAGE, "average"),
+         _Guarantee(AAP_CURRENT_PLAIN, "total", ("max_pack", "min_pack")))),
     "parallel": _Algorithm(
         lambda k: None,
-        (_Guarantee(PARALLEL, "total", ("max_delay",),
-                    lambda s: s["max_delay"]),)),
+        (_Guarantee(PARALLEL, "total", ("max_delay",)),)),
 }
 
 # Guarantee name -> (the algorithm that owns it, the guarantee).
@@ -120,22 +116,16 @@ _GUARANTEES = {g.name: (name, g)
                for name, row in _TABLE.items() for g in row.guarantees}
 
 
-def _algorithm(name, path: str = "") -> _Algorithm:
-    """The `_TABLE` row of algorithm `name`: the one refusal of an unknown
-    name, an unhashable value too, after the key path `path` if given."""
+def _row(table: dict, name, what: str, path: str = ""):
+    """The row of `table` named `name`: the one refusal of an unknown name
+    of a `what`, an unhashable value too, after the key path `path` if
+    given."""
     try:
-        return _TABLE[name]
+        return table[name]
     except (KeyError, TypeError):
         where = f"{path}: " if path else ""
-        raise ValueError(f"{where}unknown algorithm {name!r}; choose from "
-                         f"{', '.join(_TABLE)}") from None
-
-
-def _guarantee(algorithm: str) -> tuple:
-    try:
-        return _GUARANTEES[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}") from None
+        raise ValueError(f"{where}unknown {what} {name!r}; choose from "
+                         f"{', '.join(table)}") from None
 
 
 def _require_fit(name: str, sizes, declared) -> None:
@@ -159,10 +149,13 @@ def _sizes(declared, running_max, running_min) -> dict:
 
 def _bound(g: _Guarantee, expert_loss, prior, sizes: dict, c: float,
            eta: float):
-    """mult * c * expert_loss + (c * D / eta) * ln(1 / prior), broadcast."""
+    """mult * c * expert_loss + (c * D / eta) * ln(1 / prior), broadcast,
+    with D and mult read from `sizes` as `_Guarantee` says."""
     log_terms = np.log(1.0 / prior)
-    return (g.mult(sizes) * c * expert_loss
-            + (c * g.divisor(sizes) / eta) * log_terms)
+    named = [sizes[name] for name in g.sizes]
+    divisor = named[0] if named else 1
+    mult = named[0] / named[1] if len(named) > 1 else 1
+    return mult * c * expert_loss + (c * divisor / eta) * log_terms
 
 
 # One row per (prefix, expert) check: a report's entries, as a structured array.
@@ -235,7 +228,7 @@ def audit_run(records, algorithm: str, game, prior, *,
     """
     if len(records) == 0:
         raise ValueError("cannot audit a run on no packs")
-    owner, g = _guarantee(algorithm)
+    owner, g = _row(_GUARANTEES, algorithm, "guarantee")
     every_prefix = bool(every_prefix)
     params = {"c": float(game.c), "eta": float(game.eta)}
     sizes = records.pack_size

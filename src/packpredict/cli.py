@@ -194,8 +194,6 @@ def _cmd_adversary(args) -> int:
         pack_sizes = [int(s) for s in args.packs.split(",") if s.strip()]
     except ValueError:
         raise _CliError(f"bad --packs {args.packs!r}") from None
-    if not pack_sizes or any(k < 1 for k in pack_sizes):
-        raise _CliError("--packs needs positive integers")
     learner = (UniformLearner(args.experts) if args.learner == "uniform"
                else ExponentialWeightsLearner(args.experts))
     nature = ZeroNature() if args.nature == "zero" else AdversaryNature()

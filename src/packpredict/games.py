@@ -130,15 +130,6 @@ class GameSpec:
         if not self.contains(values):
             raise ValueError(f"{what} outside [{self.lower}, {self.upper}]")
 
-    def loss(self, gamma, omega):
-        """Square loss (gamma - omega)^2; both arguments must lie in [lower, upper]."""
-        g = np.asarray(gamma, dtype=float)
-        o = np.asarray(omega, dtype=float)
-        self._require_inside(g, "prediction")
-        self._require_inside(o, "outcome")
-        out = (g - o) ** 2
-        return float(out) if out.ndim == 0 else out
-
 
 def _as_probabilities(values, ndim: int = 1) -> np.ndarray:
     """`values` as a float array of `ndim` axes, none empty, whose vectors

@@ -306,7 +306,7 @@ def load_pack_csv(spec: DatasetSpec):
     game = GameSpec.for_interval(lower, upper, spec.eta, spec.c)
     np.clip(outcomes, lower, upper, out=outcomes)
     np.clip(expert_preds, lower, upper, out=expert_preds)
-    return PackStream._from_columns(expert_preds, outcomes, sizes), game
+    return PackStream(expert_preds, outcomes, sizes), game
 
 
 def write_pack_csv(stream: PackStream, path: str) -> None:
@@ -329,8 +329,8 @@ def write_pack_csv(stream: PackStream, path: str) -> None:
 def rescale_stream(stream: PackStream, lower: float, upper: float) -> PackStream:
     """Affinely map a stream living on [0, 1] onto [lower, upper]."""
     span = _checked_width(lower, upper)
-    return PackStream._from_columns(lower + span * stream.expert_preds,
-                                    lower + span * stream.outcomes, stream.sizes)
+    return PackStream(lower + span * stream.expert_preds,
+                      lower + span * stream.outcomes, stream.sizes)
 
 
 @dataclass(frozen=True)
@@ -394,8 +394,8 @@ def generate_synthetic_stream(config: SyntheticConfig):
                      config.noise, 4.0 * config.noise)
     preds = latent[None, :] + np.hstack(expert_noise) * sigma
     outcomes = latent + np.concatenate(outcome_noise) * config.noise
-    return PackStream._from_columns(np.clip(preds, 0.0, 1.0),
-                                    np.clip(outcomes, 0.0, 1.0), sizes), game
+    return PackStream(np.clip(preds, 0.0, 1.0), np.clip(outcomes, 0.0, 1.0),
+                      sizes), game
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,7 @@ class AlgorithmResult:
     reports: tuple
 
     def __post_init__(self):
-        bd._algorithm(self.name)
+        bd._row(bd._TABLE, self.name, "algorithm")
 
     @property
     def params(self) -> dict:
@@ -494,12 +494,12 @@ def _expand_algorithms(names, stream: PackStream) -> list:
     """The names `names` selects: "all" is every algorithm that may take
     all of the stream's packs; otherwise each name must be known, and
     given once."""
-    if names == "all" or names == ["all"] or names == ("all",):
+    names = [names] if isinstance(names, str) else list(names)
+    if names == ["all"]:
         return [n for n in ALGORITHM_CHOICES if bd._TABLE[n].fits(
             stream.sizes, _declared(n, stream.pack_sizes).get("pack_size")).all()]
-    names = [names] if isinstance(names, str) else list(names)
     for n in names:
-        bd._algorithm(n)
+        bd._row(bd._TABLE, n, "algorithm")
     if not names or len(set(names)) < len(names):
         raise ValueError(f"select at least one algorithm, each once; got {names}")
     return names
@@ -891,7 +891,7 @@ def _read_report(text: str) -> tuple:
     for i in range(len(runs)):
         where = f"algorithms.{i}"
         name = _at(d, "algorithms", i, "name")
-        bd._algorithm(name, f"{where}.name")
+        bd._row(bd._TABLE, name, "algorithm", f"{where}.name")
         records = _read_records(_at(d, "algorithms", i, "records", kind=list),
                                 prior.size, f"{where}.records")
         # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]

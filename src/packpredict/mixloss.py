@@ -93,9 +93,6 @@ class MixLossRun:
     mix_loss: np.ndarray
     expert_pack_losses: np.ndarray
 
-    def __len__(self):
-        return len(self.pack_size)
-
     @property
     def regret_increment(self) -> np.ndarray:
         best = self.expert_pack_losses.min(axis=1)

@@ -66,8 +66,8 @@ def shuffle_within_packs(stream: PackStream, rng) -> PackStream:
     order = np.empty(stream.num_items, dtype=np.intp)
     for start, size in zip(stream.starts.tolist(), stream.sizes.tolist()):
         order[start:start + size] = start + rng.permutation(size)
-    return PackStream._from_columns(stream.expert_preds[:, order],
-                                    stream.outcomes[order], stream.sizes)
+    return PackStream(stream.expert_preds[:, order], stream.outcomes[order],
+                      stream.sizes)
 
 
 def shuffle_experiment(stream: PackStream, game: GameSpec, prior=None,

@@ -133,20 +133,24 @@ class TestTightness:
 
     @pytest.mark.parametrize("k", [1, 2, 20])
     def test_witness_reaches_every_bound(self, k):
-        # Experts at 0 and 1, every outcome 1, five packs of k items, a
-        # uniform prior, eta = 2.  Against expert 1, which loses nothing,
-        # each run's total is about 0.806 of its bound's (C D / eta) ln 2,
-        # for every row and every k: so each row needs its divisor D, and
-        # one with D doubled would read about 0.403.
-        n = 5 * k
-        stream = PackStream([np.zeros(n), np.ones(n)], np.ones(n), [k] * 5)
-        result = run_experiment(stream, GAME)
-        reports = [r for a in result.algorithms for r in a.reports]
-        assert len(reports) == (7 if k == 1 else 6)  # aa takes single items
-        for report in reports:
-            assert report.passed, report.algorithm
-            learner, bound = report.entries[["learner_loss", "bound"]][1]
-            assert learner / bound >= 0.75, (report.algorithm, learner / bound)
+        # N experts evenly spaced on [0, 1], ends included, every outcome 1,
+        # 50 packs of k items, a uniform prior, eta = 2.  Against expert
+        # N - 1, which loses nothing, each run's total is about 0.806, 0.751
+        # and 0.640 of its bound's (C D / eta) ln N for N = 2, 4 and 16, for
+        # every row and every k: so each row needs its divisor D, and one
+        # with D doubled would read at most about 0.403.
+        items = 50 * k
+        for n in (2, 4, 16):
+            preds = np.repeat(np.linspace(0, 1, n)[:, None], items, axis=1)
+            stream = PackStream(preds, np.ones(items), [k] * 50)
+            result = run_experiment(stream, GAME)
+            reports = [r for a in result.algorithms for r in a.reports]
+            assert len(reports) == (7 if k == 1 else 6)  # aa: single items
+            for report in reports:
+                assert report.passed, (n, report.algorithm)
+                learner, bound = report.entries[["learner_loss", "bound"]][n - 1]
+                assert learner / bound >= 0.6, (n, report.algorithm,
+                                                learner / bound)
 
 
 class TestAuditRun:
@@ -166,6 +170,18 @@ class TestAuditRun:
                                every_prefix=True, **kwargs)
             assert report.passed, (algorithm, report.min_slack)
             assert report.min_slack >= -1e-9
+
+    def test_unknown_guarantee_refusal(self, rng):
+        # The refusal of an unknown algorithm name, for guarantee names: an
+        # unhashable value and an algorithm that is not a guarantee too.
+        records = run_aa(make_stream(rng, 2, 4, size_max=1), GAME)
+        for name in (["aa"], "aap-current", None, 7, {}):
+            with pytest.raises(ValueError) as refused:
+                audit_run(records, name, GAME, uniform_prior(2))
+            assert str(refused.value) == (
+                f"unknown guarantee {name!r}; choose from aa, aap-equal, "
+                f"aap-max, aap-incremental, aap-current-average, "
+                f"aap-current-plain, parallel")
 
     def test_entry_counts(self, rng):
         stream = make_stream(rng, 3, 10)

@@ -250,6 +250,13 @@ class TestAdversary:
     def test_bad_packs(self, capsys):
         assert main(["adversary", "--packs", "two"]) == 1
         assert main(["adversary", "--packs", "0,3"]) == 1
+        capsys.readouterr()
+        # A list that parses is checked once, by the game.
+        for packs, message in (("2,x", "bad --packs '2,x'"),
+                               ("0,2", "error: pack sizes must be >= 1"),
+                               (",", "error: a game needs at least one pack")):
+            assert main(["adversary", "--packs", packs]) == 1
+            assert capsys.readouterr().err.strip() == message
 
     # The sha256 prefixes of the table and the JSON report, and the exit
     # code.  The second holds `Infinity` tokens; the third, the sixth and

@@ -121,19 +121,6 @@ class TestGameSpec:
         assert GameSpec(0.0, 1.0, 1e-307).eta == 1e-307
         assert GameSpec(0.0, 1.0, 2.0, 1e300).c == 1e300
 
-    def test_loss(self):
-        g = unit_game()
-        assert g.loss(0.3, 0.7) == pytest.approx((0.3 - 0.7) ** 2, abs=0)
-        np.testing.assert_allclose(
-            g.loss(np.array([0.0, 1.0]), np.array([1.0, 1.0])), [1.0, 0.0]
-        )
-
-    def test_loss_domain_errors(self):
-        g = unit_game()
-        with pytest.raises(ValueError):
-            g.loss(1.2, 0.5)
-        with pytest.raises(ValueError):
-            g.loss(0.5, -0.1)
 
 
 class TestGeneralizedPrediction:

@@ -173,7 +173,7 @@ class TestGame:
 
     def test_trial_bookkeeping(self):
         run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [1, 2, 3])
-        assert list(range(len(run))) == [0, 1, 2]
+        assert list(range(len(run.pack_size))) == [0, 1, 2]
         assert run.pack_size.tolist() == [1, 2, 3]
         total = sum(run.mix_loss)
         assert run.cumulative_mix_loss[-1] == pytest.approx(total, abs=1e-12)
