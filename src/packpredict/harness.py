@@ -22,9 +22,12 @@ This module alone states the JSON report; `algorithms`, `parallel`,
 `_report_object`, dumped with one `json.dumps`, and `_records_parts` for
 each run's records: it writes them from the columns, and the columns the
 runs share once, from the first run (a result is one stream's runs: see
-`ExperimentResult`).  The text is the same as `json.dumps` of the whole
-object with the records as per-trial dicts.  The reader (`_read_report`)
-parses only what the runs produced, rebuilds the result through the
+`ExperimentResult`).  `_float_texts` writes every float column of the
+records at once, each number as `json.dumps` writes it, and the CSV
+outputs write their floats through it too.  The text is the same as
+`json.dumps` of the whole object with the records as per-trial dicts.
+The reader (`_read_report`), on `json.loads` (see `_float_texts` for
+why), parses only what the runs produced, rebuilds the result through the
 re-audit, and refuses a file that is not, key for key, the writer's object
 for that result (apart from the advisory verdicts), or that holds an
 impossible record.  `emit_adversary_report` writes the `adversary`
@@ -41,10 +44,11 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
+import orjson
 
 from . import bounds as bd
 from .aggregator import _as_prior, uniform_prior
@@ -320,10 +324,10 @@ def write_pack_csv(stream: PackStream, path: str) -> None:
         writer = csv.writer(fh)
         n = stream.num_experts
         trial = np.repeat(np.arange(len(stream)), stream.sizes).tolist()
-        values = np.column_stack([stream.outcomes, stream.expert_preds.T]).tolist()
+        values = _repr_texts(np.column_stack([stream.outcomes, stream.expert_preds.T]))
         writer.writerow(["month", "target"] + [f"e{i + 1}" for i in range(n)])
-        writer.writerows([f"{2000 + t // 12:04d}-{t % 12 + 1:02d}", *map(repr, row)]
-                         for t, row in zip(trial, values))
+        writer.writerows([f"{2000 + t // 12:04d}-{t % 12 + 1:02d}", *row]
+                         for t, row in zip(trial, zip(*[iter(values)] * (n + 1))))
 
 
 def rescale_stream(stream: PackStream, lower: float, upper: float) -> PackStream:
@@ -582,13 +586,14 @@ def _report_object(result: ExperimentResult) -> dict:
 
 # The columns of a run's JSON records, one value per trial: `trial_index`
 # (the row number) and attributes of `RunRecords`.  The runs on one stream
-# share `_SHARED_COLUMNS`, written once per report; `_RUN_COLUMNS` and
-# `learner_preds` (each trial's predictions, as a list) are each run's own.
-# The reader parses the fields of `RunRecords` and checks every other column
-# against these.
+# share `_SHARED_COLUMNS`, written once per report; `_RUN_COLUMNS` are each
+# run's own, `learner_preds` among them (each trial's predictions, as a
+# list).  The reader parses the fields of `RunRecords` and checks every
+# other column against these.
 _SHARED_COLUMNS = ("trial_index", "pack_size", "expert_pack_losses",
                    "expert_cumulative_losses", "expert_cumulative_average_losses")
-_RUN_COLUMNS = ("learner_pack_loss", "cumulative_loss", "cumulative_average_loss")
+_RUN_COLUMNS = ("learner_pack_loss", "cumulative_loss", "cumulative_average_loss",
+                "learner_preds")
 
 
 def _column(records: RunRecords, name: str) -> np.ndarray:
@@ -597,33 +602,77 @@ def _column(records: RunRecords, name: str) -> np.ndarray:
     return getattr(records, name)
 
 
-def _json_trials(records: RunRecords, names, **columns) -> dict:
-    """For the columns `names` of a run's records and each further column of
-    per-trial values (numbers, or lists of numbers), the placeholder of a
-    trial's value in a trial template ("%s", or "[%s]" for a list) and each
-    trial's text, cut from one `json.dumps` of the whole column."""
-    columns.update((name, _column(records, name).tolist()) for name in names)
+def _float_texts(a) -> list:
+    """Each value of the float array `a`, in C order, as the text
+    `json.dumps` writes for it: `repr`'s, the shortest digits that read
+    back as the same float, or `NaN`, `Infinity` and `-Infinity`.
+
+    orjson writes the same shortest digits (Ryu's), a column at a time
+    with no Python object per value.  It writes `null` for a non-finite
+    value, and without Python's exponent (`0.00001`, `1e16` where `repr`
+    has `1e-05`, `1e+16`) for a magnitude below 1e-4 or from 1e16 up, so
+    those values alone are written again by one `json.dumps`.  Only this
+    writer uses orjson: a report is read by `json.loads`, because
+    `orjson.loads` refuses `NaN` and `Infinity`, which a report may hold,
+    and integers past 64 bits, such as a shuffle `seed` may be."""
+    a = np.ravel(np.asarray(a, dtype=float))
+    if not a.size:
+        return []
+    dumped = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = dumped[1:-1].decode().split(",")
+    size = np.abs(a)
+    odd = np.flatnonzero(~(size < 1e16) | ((size > 0) & (size < 1e-4)))
+    if odd.size:
+        redone = json.dumps(a[odd].tolist(), separators=(",", ":"))
+        for i, text in zip(odd.tolist(), redone[1:-1].split(",")):
+            texts[i] = text
+    return texts
+
+
+def _repr_texts(a) -> list:
+    """`repr` of each value of the float array `a`, in C order: the text
+    `_float_texts` writes, apart from a non-finite value (`nan`, `inf`)."""
+    a = np.ravel(a)
+    texts = _float_texts(a)
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        texts[i] = repr(float(a[i]))
+    return texts
+
+
+def _json_trials(records: RunRecords, names) -> dict:
+    """For the columns `names` of a run's records, the placeholder of a
+    trial's value in a trial template ("%s", or "[%s]" for a list) and
+    each trial's text.  A column's numbers are written at once, flat (a
+    float column by `_float_texts`, an integer one by one `json.dumps`),
+    then grouped per trial: a row of a T x N column, or a pack's
+    `learner_preds`."""
     formats = {}
-    for name, values in columns.items():
-        text = json.dumps(values, separators=(",", ":"))
-        formats[name] = (("[%s]", text[2:-2].split("],["))
-                         if isinstance(values[0], list)
-                         else ("%s", text[1:-1].split(",")))
+    for name in names:
+        values = _column(records, name)
+        if values.dtype.kind == "f":
+            texts = _float_texts(values)
+        else:
+            texts = json.dumps(values.tolist(),
+                               separators=(",", ":"))[1:-1].split(",")
+        if name == "learner_preds" or values.ndim == 2:
+            counts = (records.pack_size.tolist() if name == "learner_preds"
+                      else repeat(values.shape[1], len(values)))
+            items = iter(texts)
+            formats[name] = "[%s]", [",".join(islice(items, k)) for k in counts]
+        else:
+            formats[name] = "%s", texts
     return formats
 
 
 def _records_parts(records: RunRecords, shared: dict) -> list:
     """A run's records as `json.dumps(rows, sort_keys=True, separators=(",",
     ":"))` would write them, one object per trial, as a list of parts to
-    join.  Each column is written by one `json.dumps` call and cut into
-    per-trial texts, laid out by one trial template made from the sorted
+    join.  Each column is written at once and cut into per-trial texts
+    (`_json_trials`), laid out by one trial template made from the sorted
     column names.  `shared` is `_json_trials` of `_SHARED_COLUMNS`: a
     result is one stream's runs (`ExperimentResult`), so a report writes
     those once, from its first run."""
-    preds = records.learner_preds.tolist()
-    ends = np.cumsum(records.pack_size).tolist()
-    columns = {**shared, **_json_trials(records, _RUN_COLUMNS, learner_preds=[
-        preds[e - k:e] for k, e in zip(records.pack_size.tolist(), ends)])}
+    columns = {**shared, **_json_trials(records, _RUN_COLUMNS)}
     names = sorted(columns)
     trial = "{%s}" % ",".join(f'"{name}":{columns[name][0]}' for name in names)
     # Trial after trial: the template's first literal, then each column's
@@ -647,7 +696,8 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
     The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` of the report's object, with each run's records written from
     its columns by `_records_parts`; the columns the runs share are written
-    once, from the first run, and the whole text is joined once."""
+    once, from the first run, and the whole text is joined once.  The `csv`
+    text writes each loss as `repr` does (`_repr_texts`)."""
     if format == "json":
         texts = json.dumps(_report_object(result), sort_keys=True,
                            separators=(",", ":")).split(json.dumps(_RECORDS))
@@ -663,9 +713,9 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["trial", "pack_size"] + [a.name for a in result.algorithms])
-        columns = [a.records.cumulative_loss.tolist() for a in result.algorithms]
+        columns = [_repr_texts(a.records.cumulative_loss) for a in result.algorithms]
         for t, row in enumerate(zip(result.pack_sizes, *columns)):
-            writer.writerow([t, row[0], *map(repr, row[1:])])
+            writer.writerow([t, *row])
         return buf.getvalue()
     if format == "table":
         lines = []
@@ -814,7 +864,7 @@ def _read_records(rows: list, num_experts: int,
                 raise ValueError(f"{where}: {name} does not match "
                                  f"{', '.join(produced)}")
     # Each row holds every column, so a longer one holds an unknown key.
-    names = {*_SHARED_COLUMNS, *_RUN_COLUMNS, "learner_preds"}
+    names = {*_SHARED_COLUMNS, *_RUN_COLUMNS}
     if set(map(len, rows)) - {len(names)}:
         t = next(t for t, row in enumerate(rows) if len(row) != len(names))
         raise ValueError(f"unknown key {where}.{t}.{min(rows[t].keys() - names)}")

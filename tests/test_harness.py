@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import re
@@ -23,6 +25,7 @@ from packpredict import (
     emit_report,
     generate_synthetic_stream,
     load_pack_csv,
+    max_mixable_eta,
     rescale_stream,
     result_from_json,
     run_experiment,
@@ -548,6 +551,12 @@ class TestRunExperiment:
         assert alg.total_average_loss == alg.records.cumulative_average_loss[-1]
 
 
+# The game intervals the writer's byte check draws: every loss is below
+# 1e-4 on the first, and on the last most are 1e16 or more, numbers `json`
+# writes with an exponent.
+INTERVALS = [(0, 2**-17), (0, 1), (3e4, 8e5), (0, 1e9)]
+
+
 def per_trial_json(result):
     """The JSON report written the plain way: the whole object, records as
     one dict per trial, through one `json.dumps`.  The report's writer must
@@ -695,17 +704,21 @@ class TestReports:
         every_prefix=st.booleans(),
         shuffles=st.integers(0, 2),
         integer_game=st.booleans(),
+        interval=st.sampled_from(INTERVALS),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_writer_matches_per_trial_json(self, num_experts, sizes,
                                            every_prefix, shuffles,
-                                           integer_game, seed):
+                                           integer_game, interval, seed):
         rng = np.random.default_rng(seed)
         items = sum(sizes)
-        stream = PackStream(rng.uniform(0, 1, (num_experts, items)),
-                            rng.uniform(0, 1, items), sizes)
-        game = GameSpec(0, 1, 2, 1) if integer_game else GameSpec(0, 1, 2.0)
+        stream = rescale_stream(
+            PackStream(rng.uniform(0, 1, (num_experts, items)),
+                       rng.uniform(0, 1, items), sizes), *interval)
+        ends = [int(x) if integer_game and float(x).is_integer() else x
+                for x in (*interval, max_mixable_eta(*interval))]
+        game = GameSpec(*ends, 1) if integer_game else GameSpec(*ends)
         result = run_experiment(stream, game, shuffles=shuffles,
                                 every_prefix=every_prefix)
         assert emit_report(result, "json") == per_trial_json(result)
@@ -778,6 +791,84 @@ class TestReports:
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
             result_from_json(json.dumps(payload))
+
+
+class TestFloatTexts:
+    """`harness._float_texts` writes each float as `json.dumps` does, and
+    the CSV outputs write each as `repr` does."""
+
+    @staticmethod
+    def _check(a):
+        a = np.asarray(a, dtype=float)
+        expected = json.dumps(a.tolist(), separators=(",", ":"))[1:-1].split(",")
+        assert harness._float_texts(a) == (expected if a.size else [])
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_floats(self, values):
+        self._check(values)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_patterns(self, bits):
+        self._check(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_many_values(self):
+        # Random bit patterns, and magnitudes spread over every exponent
+        # within [1e-4, 1e16), where the digits are orjson's own.
+        rng = np.random.default_rng(2017)
+        self._check(rng.integers(0, 2**64, 50_000, dtype=np.uint64,
+                                 endpoint=False).view(np.float64))
+        self._check(10.0 ** rng.uniform(-4, 16, 50_000))
+        self._check(np.round(10.0 ** rng.uniform(0, 16, 50_000)))
+
+    def test_notation_edges(self):
+        edges = []
+        for x in (1e-4, 1e16):
+            edges += [x, np.nextafter(x, 0), np.nextafter(x, np.inf)]
+        edges += [5e-324, np.finfo(float).max, 0.0, np.nan, np.inf]
+        edges += [10.0 ** k for k in range(-6, 24)]
+        edges = np.array(edges)
+        self._check(np.concatenate([edges, -edges]))
+
+    @pytest.mark.parametrize("interval", [(0, 2**-17), (0, 1e9)])
+    def test_csv_outputs_write_repr(self, tmp_path, interval):
+        def repr_csv(header, rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows([*head, *map(repr, tail)] for head, tail in rows)
+            return buf.getvalue()
+
+        rng = np.random.default_rng(7)
+        stream = rescale_stream(make_stream(rng, 3, 40), *interval)
+        result = run_experiment(stream, GameSpec.for_interval(*interval))
+        losses = [a.records.cumulative_loss.tolist() for a in result.algorithms]
+        assert emit_report(result, "csv") == repr_csv(
+            ["trial", "pack_size", *(a.name for a in result.algorithms)],
+            [((t, k), tail) for t, (k, *tail)
+             in enumerate(zip(result.pack_sizes, *losses))])
+
+        # A stream may hold a non-finite value, which `repr` writes as nan
+        # or inf where JSON has NaN or Infinity.
+        preds = stream.expert_preds.copy()
+        preds[0, :3] = np.nan, np.inf, -np.inf
+        for s in (stream, PackStream(preds, stream.outcomes, stream.sizes)):
+            path = tmp_path / "s.csv"
+            write_pack_csv(s, str(path))
+            trial = np.repeat(np.arange(len(s)), s.sizes)
+            assert path.read_bytes() == repr_csv(
+                ["month", "target", "e1", "e2", "e3"],
+                [((f"{2000 + t // 12:04d}-{t % 12 + 1:02d}",), row) for t, row
+                 in zip(trial, np.column_stack([s.outcomes, s.expert_preds.T])
+                        .tolist())]).encode()
+
+    def test_csv_report_writes_non_finite_totals_as_repr(self):
+        result = hand_built(two_pack_records(
+            learner_pack_loss=np.array([np.inf, np.nan])))
+        assert emit_report(result, "csv").splitlines()[1:] == [
+            "0,1,inf", "1,2,nan"]
 
 
 # The public surface: what README, scripts/ and perfbench/ use.
