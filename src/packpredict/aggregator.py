@@ -4,7 +4,8 @@ The month-by-month form of the pack algorithms that `algorithms` and
 `parallel` replay over a whole stream.  One observed pack of K_t items costs
 expert n the sum of its K_t square losses.  The divisor policy decides how
 much of that sum reaches the exponential weights; `DivisorPolicy` states the
-schedule, and both this learner and the replay call it.
+schedule and `_log_weights` the weights, both called by the replay too, so
+stepping this learner gives the replay's predictions bit for bit.
 
 All weight arithmetic stays in the log domain; a weight of exactly zero is
 represented as -inf and an all-(-inf) state is a fatal error rather than a
@@ -92,10 +93,10 @@ class DivisorPolicy:
 
 @dataclass
 class AggregatorState:
-    """Mutable per-run state: prior, current log-weights, loss ledgers (the
+    """Mutable per-run state: ln p, current log-weights, loss ledgers (the
     experts' loss sums, and their charges under the policy)."""
 
-    prior: np.ndarray
+    log_prior: np.ndarray
     log_weights: np.ndarray
     cumulative_losses: np.ndarray
     charged_losses: np.ndarray
@@ -103,7 +104,7 @@ class AggregatorState:
 
     @property
     def num_experts(self) -> int:
-        return self.prior.size
+        return self.log_prior.size
 
 
 def _as_prior(prior, num_experts: int | None = None) -> np.ndarray:
@@ -121,13 +122,10 @@ def _as_prior(prior, num_experts: int | None = None) -> np.ndarray:
 
 
 def init_state(prior) -> AggregatorState:
-    p = _as_prior(prior)
-    return AggregatorState(
-        prior=p.copy(),
-        log_weights=np.log(p),
-        cumulative_losses=np.zeros(p.size),
-        charged_losses=np.zeros(p.size),
-    )
+    log_p = np.log(_as_prior(prior))
+    return AggregatorState(log_prior=log_p, log_weights=log_p.copy(),
+                           cumulative_losses=np.zeros(log_p.size),
+                           charged_losses=np.zeros(log_p.size))
 
 
 def uniform_prior(num_experts: int) -> np.ndarray:
@@ -149,20 +147,26 @@ def predict_item(state: AggregatorState, expert_preds, game: GameSpec) -> float:
 
 
 def predict_pack(state: AggregatorState, expert_pred_matrix, game: GameSpec) -> np.ndarray:
-    """Aggregated predictions for a whole pack, weights frozen across it.
-    They come straight from the log-weights, shifted so that the largest is
-    0: the substitution needs no normalized weights.  Raises if every
-    weight has underflowed."""
+    """Aggregated predictions for a whole pack, weights frozen across it,
+    straight from the log-weights: the substitution needs no normalized
+    weights.  Raises if every weight is zero, which `observe_pack` never
+    leaves."""
     preds = _as_pred_matrix(expert_pred_matrix, state.num_experts, game)
     top = np.maximum.reduce(state.log_weights, axis=None)
     if top == -math.inf:
-        raise FloatingPointError(
-            "all expert weights have underflowed to zero; "
-            "the learning rate or losses are too large for this prior"
-        )
+        raise FloatingPointError("every expert weight is zero (log-weight -inf)")
     if not top < math.inf:
         raise ValueError(f"log-weights must be free of NaN and +inf, got {top}")
-    return _substitute((state.log_weights - top)[:, None], preds, game)
+    return _substitute(state.log_weights[:, None], preds, game)
+
+
+def _log_weights(log_prior, charged, divisor, eta):
+    """ln p - (eta/D) * (c - min c) for charges c (N, or N x T at T points
+    of a run): the weights of ln p - (eta/D) * c, in the most precise logs."""
+    return log_prior - (eta / divisor) * (charged - np.minimum.reduce(charged, axis=0))
+
+
+_FIRST = np.zeros(1, dtype=np.intp)  # where a pack starts, for reduceat
 
 
 def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
@@ -171,22 +175,20 @@ def observe_pack(state: AggregatorState, expert_losses, policy: DivisorPolicy,
     rejected pack leaves the state as it was."""
     losses = np.array(expert_losses, dtype=float, copy=None, ndmin=2)
     if losses.ndim != 2 or losses.shape[0] != state.num_experts:
-        raise ValueError(
-            f"expected losses for {state.num_experts} experts, got shape {losses.shape}"
-        )
+        raise ValueError(f"expected losses for {state.num_experts} experts, "
+                         f"got shape {losses.shape}")
     pack_size = losses.shape[1]
     if pack_size < 1:
         raise ValueError("empty pack")
-    # A NaN minimum or maximum fails its comparison.
-    if not (np.minimum.reduce(losses, axis=None) >= 0
-            and np.maximum.reduce(losses, axis=None) < math.inf):
+    if not np.minimum.reduce(losses, axis=None) >= 0:  # NaN fails it too
         raise ValueError("losses must be non-negative and finite")
-    sums = np.add.reduce(losses, axis=1)
+    sums = np.add.reduceat(losses, _FIRST, axis=1).ravel()  # as the replay
     charged = state.charged_losses + policy.charge(sums, pack_size)
+    if not np.maximum.reduce(charged, axis=None) < math.inf:  # inf loss or sum
+        raise ValueError("losses must be finite, and so must their charged sums")
     state.cumulative_losses = state.cumulative_losses + sums
     state.charged_losses = charged
     state.running_max_pack = max(state.running_max_pack, pack_size)
-    state.log_weights = (
-        np.log(state.prior)
-        - (game.eta / policy.divisor(state.running_max_pack)) * charged
-    )
+    state.log_weights = _log_weights(state.log_prior, charged,
+                                     policy.divisor(state.running_max_pack),
+                                     game.eta)

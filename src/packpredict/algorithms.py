@@ -19,7 +19,8 @@ weight update is slowed.  The predictions never feed back into the weights,
 so `_replay` computes a whole run from cumulative sums of the experts'
 losses and one vectorized substitution, the parallel copies' too.  The
 online learner of `aggregator` is the month-by-month form of the same
-schedule; an mpmath oracle in the tests checks both.
+schedule and weights, and predicts the same bits; an mpmath oracle in the
+tests checks both.
 
 A stream is stored as the columns the replay reads (`PackStream`): one
 N x items matrix of expert predictions, the outcomes and the pack sizes.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aggregator import _as_prior, uniform_prior
+from .aggregator import _as_prior, _log_weights, uniform_prior
 from .bounds import _TABLE, _require_fit
 from .games import GameSpec, _substitute
 
@@ -74,8 +75,7 @@ class PackStream:
             raise ValueError(f"pack sizes sum to {sizes.sum()}, not to the "
                              f"{outcomes.size} items")
         self.sizes = sizes.astype(np.intp, copy=False)
-        # One memory order, whoever built the stream: sums over the experts
-        # round by it (numpy sums eight or more adjacent values pairwise).
+        # C order, whoever built the stream: the replay reads it faster.
         self.expert_preds = np.ascontiguousarray(expert_preds)
         self.outcomes = np.ascontiguousarray(outcomes)
         self.starts = np.cumsum(self.sizes) - self.sizes
@@ -179,43 +179,39 @@ _REPLAY_BLOCK = 2048
 
 
 def _losses_before(losses: np.ndarray) -> np.ndarray:
-    """Per column t of an N x T loss matrix, each expert's sum over the
-    columns before t, less the smallest such sum: the shift leaves the
-    weights unchanged and keeps the log-weights near zero, the most precise."""
+    """Per column t of an N x T loss matrix, each expert's sum before t."""
     before = np.zeros_like(losses)
     np.cumsum(losses[:, :-1], axis=1, out=before[:, 1:])
-    return before - before.min(axis=0)
+    return before
 
 
 def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
     """A whole run's records, from the stream's columns (see `PackStream`),
     on the schedule `policy`: a `DivisorPolicy`, or None for the parallel
-    copies.  The weights at an item are p * exp(-c), with c its charges."""
+    copies.  The weights at an item are those `aggregator._log_weights`
+    states for the online learner."""
     stream.validate_for_game(game)
     n = stream.num_experts
-    p = _as_prior(uniform_prior(n) if prior is None else prior, n)
+    log_p = np.log(_as_prior(uniform_prior(n) if prior is None else prior, n))[:, None]
     sizes, starts = stream.sizes, stream.starts
     expert_losses = (stream.expert_preds - stream.outcomes) ** 2
     pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
     if policy is None:
-        # Copy k's weights at item k of pack t: p * exp(-eta * L), with L
-        # the experts' losses on item k of the packs before t.
-        charged = np.empty_like(expert_losses)
+        # Copy k's weights at item k of pack t, at divisor 1, from the
+        # experts' losses on item k of the packs before t.
+        log_w = np.empty_like(expert_losses)
         for k in range(sizes.max()):
             items = starts[sizes > k] + k  # what copy k sees, in order
-            charged[:, items] = game.eta * _losses_before(expert_losses[:, items])
+            log_w[:, items] = _log_weights(
+                log_p, _losses_before(expert_losses[:, items]), 1, game.eta)
     else:
-        # Weights before pack t: p * exp(-(eta / D_t) * charges before t).
+        # Weights before pack t: divisor D_t, charges before t.
         running_max = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
-        charged = np.repeat((game.eta / policy.divisor(running_max))
-                            * _losses_before(policy.charge(pack_losses, sizes)),
-                            sizes, axis=1)
-    # In place: the charges are as large as the predictions and not used again.
-    log_w = np.subtract(np.log(p)[:, None], charged, out=charged)
+        log_w = np.repeat(_log_weights(
+            log_p, _losses_before(policy.charge(pack_losses, sizes)),
+            policy.divisor(running_max), game.eta), sizes, axis=1)
     del expert_losses  # as large as the predictions; free it before substituting
-    # Near-equal column blocks bound the substitution's temporaries; none is
-    # a single column, which would sum its experts pairwise and round
-    # differently (numpy sums eight or more adjacent values pairwise).
+    # Near-equal column blocks bound the substitution's temporaries.
     blocks = -(-stream.num_items // _REPLAY_BLOCK)
     learner = np.concatenate([
         _substitute(w, x, game) for w, x in

@@ -109,8 +109,8 @@ class GameSpec:
 
     @cached_property
     def _endpoints(self) -> np.ndarray:
-        """A and B on a leading axis, against N x K predictions; read-only."""
-        ends = np.array([self.lower, self.upper])[:, None, None]
+        """A and B as a 2 x 1 column, against N x 1 x K predictions."""
+        ends = np.array([[self.lower], [self.upper]])
         ends.flags.writeable = False
         return ends
 
@@ -163,26 +163,27 @@ def _checked_inputs(weights, expert_pred_matrix, game: GameSpec) -> tuple:
 
 def _mixed_loss(log_w, preds, omega, game: GameSpec):
     """The mixed loss profile, or generalized prediction, of the experts'
-    predictions `preds` (expert axis -2) under the log-weights `log_w`, at
-    the outcomes `omega`:
+    predictions `preds` (experts on axis 0) under the log-weights `log_w`,
+    at the outcomes `omega`:
 
         g(omega) = -(C/eta) * ln sum_n p^n * exp(-eta * (gamma^n - omega)^2)
 
     reduced over the experts; the arguments broadcast, and `log_w` fits the
-    shape of `preds - omega`.  The exponent is built in place in one array."""
-    x = np.subtract(preds, omega)
+    shape of `preds - omega`.  The exponent is built in place in one C-order
+    array, so the sum adds its rows in expert order, whatever the inputs'
+    memory order, if a row holds two or more values (numpy sums eight or
+    more adjacent values pairwise)."""
+    x = np.subtract(preds, omega, order="C")
     np.square(x, out=x)
     np.multiply(x, -game.eta, out=x)
     np.add(x, log_w, out=x)
-    return -(game.c / game.eta) * _logsumexp(x, axis=-2)
+    return -(game.c / game.eta) * _logsumexp(x, axis=0)
 
 
 def _as_pred_matrix(expert_pred_matrix, num_experts: int,
                     game: GameSpec) -> np.ndarray:
-    """An N x K matrix of expert predictions in [A, B], K >= 1, as a C-order
-    float array: sums over the experts round by memory order (numpy sums
-    eight or more adjacent values pairwise), so one order for every caller."""
-    preds = np.ascontiguousarray(expert_pred_matrix, dtype=float)
+    """An N x K matrix of expert predictions in [A, B], K >= 1."""
+    preds = np.asarray(expert_pred_matrix, dtype=float)
     if preds.ndim != 2 or preds.shape[0] != num_experts or preds.shape[1] < 1:
         raise ValueError(
             f"expert prediction matrix must be {num_experts} x K with K >= 1, "
@@ -218,17 +219,18 @@ def _substitute(log_w, preds, game: GameSpec) -> np.ndarray:
     """The closed form of `substitute_pack`, unchecked, with column k of
     `preds` mixed under the log-weights log_w[:, k].  Only differences within
     a column matter, so they need not be normalized.  g(A) and g(B) come
-    from one `_mixed_loss` over a leading endpoint axis."""
+    from one `_mixed_loss`, N x 2 x K: no expert's row is a single value."""
     a, b = game.lower, game.upper
     if preds.shape[0] == 1:
         # Mixing a single expert can only reproduce it; skip the closed form
         # to avoid pointless cancellation noise.
         return preds[0].clip(a, b)
-    g = _mixed_loss(log_w, preds, game._endpoints, game)
+    g = _mixed_loss(log_w[:, None], preds[:, None], game._endpoints, game)
     gamma = np.subtract(g[0], g[1])
     np.divide(gamma, 2.0 * (b - a), out=gamma)
     np.add(gamma, 0.5 * (a + b), out=gamma)
-    return gamma.clip(a, b, out=gamma)
+    np.maximum(gamma, a, out=gamma)
+    return np.minimum(gamma, b, out=gamma)
 
 
 def check_substitution_validity(gamma: float, weights, expert_preds, game: GameSpec,

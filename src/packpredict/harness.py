@@ -375,19 +375,19 @@ def generate_synthetic_stream(config: SyntheticConfig):
     """Deterministic synthetic (PackStream, GameSpec) on [0, 1] from a seed.
 
     The seed contract: for each pack in turn the generator draws its size
-    `integers(pack_size_min, pack_size_max + 1)`, then the experts' noise
-    `normal(size=(N, k))`, then the outcomes' noise `normal(size=k)`, in
-    that order.  Reordering these draws changes every seeded stream.  The
+    `integers(pack_size_min, pack_size_max + 1)`, then its noise
+    `normal(size=(N + 1, k))`: rows 0..N-1 are the experts', row N the
+    outcomes'.  Reordering these draws changes every seeded stream.  The
     rest is elementwise over all items at once, and writes the columns."""
     rng = np.random.default_rng(config.seed)
     game = GameSpec.for_interval(0.0, 1.0)
     n = config.num_experts
-    sizes, expert_noise, outcome_noise = [], [], []
+    sizes, noise = [], []
     for _ in range(config.num_trials):
         k = int(rng.integers(config.pack_size_min, config.pack_size_max + 1))
         sizes.append(k)
-        expert_noise.append(rng.normal(size=(n, k)))
-        outcome_noise.append(rng.normal(size=k))
+        noise.append(rng.normal(size=(n + 1, k)))
+    noise = np.hstack(noise)
     idx = np.arange(sum(sizes))
     latent = 0.5 + 0.35 * np.sin(2 * np.pi * idx / 97.0)
     if config.drift_period > 0:
@@ -396,8 +396,8 @@ def generate_synthetic_stream(config: SyntheticConfig):
         sharp = np.zeros(idx.size, dtype=int)
     sigma = np.where(np.arange(n)[:, None] == sharp[None, :],
                      config.noise, 4.0 * config.noise)
-    preds = latent[None, :] + np.hstack(expert_noise) * sigma
-    outcomes = latent + np.concatenate(outcome_noise) * config.noise
+    preds = latent[None, :] + noise[:n] * sigma
+    outcomes = latent + noise[n] * config.noise
     return PackStream(np.clip(preds, 0.0, 1.0), np.clip(outcomes, 0.0, 1.0),
                       sizes), game
 

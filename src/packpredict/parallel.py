@@ -16,8 +16,8 @@ changes the total loss: shuffling reassigns items to copies.
 `run_parallel` replays all copies at once through the replay of
 `algorithms`, on the copies' row of `bounds._TABLE`; stepping copy k item
 by item with the online learner (`predict_item`, then `observe_pack` with
-divisor 1) gives the same run.  A `ShuffleSummary`'s JSON form is stated
-in `harness`, with the rest of the report.
+divisor 1) gives the same predictions, bit for bit.  A `ShuffleSummary`'s
+JSON form is stated in `harness`, with the rest of the report.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ def ends_stream(sizes, ends, leaders):
 
 
 @st.composite
-def stress_streams(draw, max_experts=6, max_packs=8, max_size=9):
+def stress_streams(draw, min_experts=2, max_experts=6, max_packs=8, max_size=9):
     """`ends_stream`s: pack sizes that grow after a small first pack, experts
     at both ends of the interval, each pack's outcomes following one expert."""
-    n = draw(st.integers(2, max_experts))
+    n = draw(st.integers(min_experts, max_experts))
     first = draw(st.integers(1, 3))
     sizes = [first] + draw(st.lists(st.integers(first + 1, max_size),
                                     max_size=max_packs - 1))
@@ -43,6 +43,15 @@ def stress_streams(draw, max_experts=6, max_packs=8, max_size=9):
     leaders = draw(st.lists(st.integers(0, n - 1), min_size=len(sizes),
                             max_size=len(sizes)))
     return ends_stream(sizes, ends, leaders)
+
+
+@st.composite
+def noisy_streams(draw, min_experts=2, max_experts=6, max_packs=8, max_size=9):
+    """`make_stream`s from a drawn seed: predictions and outcomes anywhere
+    in [0, 1], so the experts' loss sums round."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make_stream(rng, draw(st.integers(min_experts, max_experts)),
+                       draw(st.integers(1, max_packs)), 1, max_size)
 
 
 def random_prior(rng, num_experts):
@@ -89,14 +98,13 @@ INTERVALS = ((0.0, 1.0), (3e4, 8e5), (1e9, 1e9 + 1e7))
 
 def assert_matches_online(records, online_preds, online_totals, stream, game):
     """Replay records against the online learner's per-trial predictions and
-    cumulative expert losses: predictions within 1e-12*(B-A), cumulative
-    losses within 1e-12*(B-A)^2*items."""
+    cumulative expert losses: predictions bit for bit, cumulative losses
+    within 1e-12*(B-A)^2*items."""
     width = game.upper - game.lower
     loss_tol = 1e-12 * width ** 2 * stream.num_items
     assert len(records) == len(stream)
-    np.testing.assert_allclose(records.learner_preds,
-                               np.concatenate(online_preds), rtol=0,
-                               atol=1e-12 * width)
+    np.testing.assert_array_equal(records.learner_preds,
+                                  np.concatenate(online_preds))
     np.testing.assert_allclose(records.expert_cumulative_losses,
                                np.array(online_totals), rtol=0, atol=loss_tol)
     learner_totals = np.cumsum([np.sum((np.asarray(preds) - pack.outcomes) ** 2)

@@ -151,18 +151,21 @@ class TestObserve:
         state = init_state([0.7, 0.3])
         losses = np.array([[0.1, 0.3], [0.2, 0.0]])
         observe_pack(state, losses, DivisorPolicy.fixed(4), GAME)
-        expected = np.log([0.7, 0.3]) - (2.0 / 4.0) * np.array([0.4, 0.2])
+        # Charges 0.4 and 0.2, shifted so that the smallest is 0.
+        expected = np.log([0.7, 0.3]) - (2.0 / 4.0) * np.array([0.2, 0.0])
         np.testing.assert_allclose(state.log_weights, expected, atol=0)
 
     def test_fixed_rejects_oversize_pack(self):
-        # A rejected pack, here one too large for the declared size or one
-        # with an infinite loss, must leave the state untouched.
+        # A rejected pack, here one too large for the declared size, one
+        # with an infinite loss or one whose loss sums overflow (which would
+        # leave NaN log-weights), must leave the state untouched.
         state = init_state(uniform_prior(2))
         observe_pack(state, np.full((2, 1), 0.5), DivisorPolicy.fixed(2), GAME)
         before = (state.log_weights.copy(), state.cumulative_losses.copy(),
                   state.charged_losses.copy(), state.running_max_pack)
-        for losses in (np.zeros((2, 3)), np.array([[0.1, np.inf], [0.2, 0.3]])):
-            with pytest.raises(ValueError):
+        for losses in (np.zeros((2, 3)), np.array([[0.1, np.inf], [0.2, 0.3]]),
+                       np.full((2, 2), 1e308)):
+            with pytest.raises(ValueError), np.errstate(over="ignore"):
                 observe_pack(state, losses, DivisorPolicy.fixed(2), GAME)
             np.testing.assert_array_equal(state.log_weights, before[0])
             np.testing.assert_array_equal(state.cumulative_losses, before[1])
@@ -171,20 +174,22 @@ class TestObserve:
 
     def test_running_max_recomputes_from_prior(self):
         # Sizes 2 then 5: after the second pack every log-weight must equal
-        # ln(prior) - eta * cumulative / 5, i.e. the early losses get
-        # re-discounted at the new slower rate.
+        # ln(prior) - eta * cumulative / 5, the cumulative losses shifted so
+        # that the smallest is 0, i.e. the early losses get re-discounted at
+        # the new slower rate.
         prior = np.array([0.6, 0.4])
         state = init_state(prior)
         first = np.array([[0.2, 0.1], [0.0, 0.4]])
         second = np.array([[0.1] * 5, [0.2] * 5])
         observe_pack(state, first, DivisorPolicy.running_max(), GAME)
+        total = first.sum(axis=1)
         np.testing.assert_array_equal(
-            state.log_weights, np.log(prior) - (2.0 / 2.0) * first.sum(axis=1)
+            state.log_weights, np.log(prior) - (2.0 / 2.0) * (total - total.min())
         )
         observe_pack(state, second, DivisorPolicy.running_max(), GAME)
-        total = first.sum(axis=1) + second.sum(axis=1)
+        total = total + second.sum(axis=1)
         np.testing.assert_array_equal(
-            state.log_weights, np.log(prior) - (2.0 / 5.0) * total
+            state.log_weights, np.log(prior) - (2.0 / 5.0) * (total - total.min())
         )
         assert state.running_max_pack == 5
 
@@ -193,9 +198,8 @@ class TestObserve:
         observe_pack(state, np.zeros((2, 4)), DivisorPolicy.running_max(), GAME)
         observe_pack(state, np.ones((2, 1)), DivisorPolicy.running_max(), GAME)
         assert state.running_max_pack == 4
-        np.testing.assert_allclose(
-            state.log_weights, np.log(0.5) - (2.0 / 4.0) * np.ones(2), atol=0
-        )
+        # Equal charges of 1 shift to 0: the weights stay the prior's.
+        np.testing.assert_allclose(state.log_weights, np.log([0.5, 0.5]), atol=0)
 
     def test_loss_validation(self):
         state = init_state(uniform_prior(2))
@@ -326,5 +330,5 @@ class TestOnlineBytes:
 
         digests = [hashlib.sha256(b).hexdigest()[:16] for b in
                    (pack_preds, pack_totals, item_preds, item_totals)]
-        assert digests == ["caa172aa4cead1eb", "264abffecb56f60e",
-                           "30a588448296836d", "342a845484ced2c4"]
+        assert digests == ["590dd36add1f4717", "23b969cb6bbe7844",
+                           "9fca57db3a7d246e", "342a845484ced2c4"]

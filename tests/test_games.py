@@ -190,18 +190,34 @@ class TestSubstitute:
         assert gamma == pytest.approx(0.4, abs=1e-14)
 
     def test_pack_columns_independent(self, rng):
+        # Each column of a pack rounds as if substituted alone, whatever the
+        # memory order, with expert counts on both sides of eight (numpy
+        # sums eight or more adjacent values pairwise).
         g = unit_game()
-        w = np.array([0.5, 0.25, 0.25])
-        preds = rng.uniform(0, 1, size=(3, 6))
-        pack = substitute_pack(w, preds, g)
-        singles = np.array([substitute_one(w, preds[:, k], g) for k in range(6)])
-        np.testing.assert_array_equal(pack, singles)
+        for n in (3, 8, 9, 17):
+            w = rng.dirichlet(np.ones(n))
+            for k in (1, 2, 7):
+                for order in "CF":
+                    preds = np.asarray(rng.uniform(0, 1, size=(n, k)), order=order)
+                    singles = [substitute_one(w, preds[:, j], g) for j in range(k)]
+                    np.testing.assert_array_equal(substitute_pack(w, preds, g),
+                                                  singles)
 
     def test_fused_endpoints_match_two_calls(self, rng):
-        # One `_mixed_loss` over both endpoints must round exactly like one
-        # call per endpoint, whatever the memory order of its inputs.
+        # One `_mixed_loss` over both endpoints must round exactly like each
+        # endpoint's mixture summed expert by expert in expert order,
+        # whatever the memory order of its inputs.
         game = GameSpec.for_interval(-2.0, 3.0)
         a, b = game.lower, game.upper
+
+        def in_expert_order(log_w, preds, omega):
+            x = (preds - omega) ** 2 * -game.eta + log_w
+            top = x.max(axis=0)
+            total = np.exp(x[0] - top)
+            for row in x[1:]:
+                total = total + np.exp(row - top)
+            return -(game.c / game.eta) * (np.log(total) + top)
+
         for n in (2, 3, 8, 9, 17):
             for k in (1, 2, 7, 64):
                 for order in "CF":
@@ -210,8 +226,8 @@ class TestSubstitute:
                     zero_weight[0] = -np.inf
                     for log_w in (rng.normal(0, 3, (n, 1)), zero_weight,
                                   np.asarray(rng.normal(0, 3, (n, k)), order=order)):
-                        g_a = _mixed_loss(log_w, preds, a, game)
-                        g_b = _mixed_loss(log_w, preds, b, game)
+                        g_a = in_expert_order(log_w, preds, a)
+                        g_b = in_expert_order(log_w, preds, b)
                         two_calls = np.clip(
                             0.5 * (a + b) + (g_a - g_b) / (2.0 * (b - a)), a, b)
                         np.testing.assert_array_equal(

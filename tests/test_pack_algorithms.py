@@ -12,6 +12,7 @@ from packpredict import (
     PackStream,
     init_state,
     observe_pack,
+    predict_item,
     predict_pack,
     rescale_stream,
     run_aa,
@@ -28,6 +29,7 @@ from conftest import (
     ends_stream,
     invariant_gap,
     make_stream,
+    noisy_streams,
     random_prior,
     stress_streams,
     trial_preds,
@@ -386,15 +388,57 @@ class TestReplayMatchesOnline:
     policy) pack by pack must give the same run."""
 
     @staticmethod
-    def online(stream, game, policy, prior):
+    def online(stream, game, policy, prior, order="C"):
         state = init_state(prior)
         preds, totals = [], []
         for pack in stream:
-            preds.append(predict_pack(state, pack.expert_preds, game))
-            observe_pack(state, (pack.expert_preds - pack.outcomes) ** 2,
-                         policy, game)
+            matrix = np.asarray(pack.expert_preds, order=order)
+            preds.append(predict_pack(state, matrix, game))
+            observe_pack(state, (matrix - pack.outcomes) ** 2, policy, game)
             totals.append(state.cumulative_losses)
         return preds, totals
+
+    @staticmethod
+    def online_copies(stream, game, prior):
+        """The parallel copies stepped item by item: `predict_item`, then
+        `observe_pack` with divisor 1, on F-order inputs."""
+        copies, preds = [], []
+        for pack in stream:
+            matrix = np.asfortranarray(pack.expert_preds)
+            while len(copies) < pack.num_items:
+                copies.append(init_state(prior))
+            preds += [predict_item(copies[k], matrix[:, k], game)
+                      for k in range(pack.num_items)]
+            for k in range(pack.num_items):
+                observe_pack(copies[k], (matrix[:, k:k + 1] - pack.outcomes[k]) ** 2,
+                             DivisorPolicy.fixed(1), game)
+        return np.array(preds)
+
+    @given(stream=stress_streams(8, 17, max_size=12)
+           | noisy_streams(8, 17, max_size=60),
+           interval=st.sampled_from(INTERVALS), seed=st.integers(0, 99))
+    @settings(max_examples=40, deadline=None)
+    def test_online_steps_are_the_replay_bit_for_bit(self, stream, interval,
+                                                     seed):
+        # Eight or more experts, whose sums numpy could take pairwise, a
+        # non-uniform prior, F-order inputs and packs of size 1 (every
+        # parallel copy's): the online learner computes the replay's
+        # numbers in the replay's order.
+        stream = rescale_stream(stream, *interval)
+        game = GameSpec.for_interval(*interval)
+        prior = random_prior(np.random.default_rng(seed), stream.num_experts)
+        k = stream.max_pack_size
+        for records, policy in (
+            (run_aap_max(stream, k, game, prior), DivisorPolicy.fixed(k)),
+            (run_aap_incremental(stream, game, prior),
+             DivisorPolicy.running_max()),
+            (run_aap_current(stream, game, prior), DivisorPolicy.current_pack()),
+        ):
+            preds, _ = self.online(stream, game, policy, prior, order="F")
+            assert (np.concatenate(preds).tobytes()
+                    == records.learner_preds.tobytes()), policy
+        assert (self.online_copies(stream, game, prior).tobytes()
+                == run_parallel(stream, game, prior).learner_preds.tobytes())
 
     def cases(self, rng, size_min=1, size_max=7):
         """Random streams over every interval, N = 1 included, each with a
