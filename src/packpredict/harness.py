@@ -23,9 +23,12 @@ This module alone states the JSON report; `algorithms`, `parallel`,
 each run's records: it writes them from the columns, and the columns the
 runs share once, from the first run (a result is one stream's runs: see
 `ExperimentResult`).  `_float_texts` writes every float column of the
-records at once, each number as `json.dumps` writes it, and the CSV
-outputs write their floats through it too.  The text is the same as
-`json.dumps` of the whole object with the records as per-trial dicts.
+records in one dump, each number as `json.dumps` writes it, and cuts a
+list column (a row of a T x N column, or a pack's `learner_preds`) from
+that dump into per-trial texts, with no `str` per value; the CSV outputs
+write their floats through it too, one text per value.  The text is the
+same as `json.dumps` of the whole object with the records as per-trial
+dicts.
 The reader (`_read_report`), on `json.loads` (see `_float_texts` for
 why), parses only what the runs produced, rebuilds the result through the
 re-audit, and refuses a file that is not, key for key, the writer's object
@@ -44,7 +47,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -602,31 +605,72 @@ def _column(records: RunRecords, name: str) -> np.ndarray:
     return getattr(records, name)
 
 
-def _float_texts(a) -> list:
+def _float_texts(a, sizes=None) -> list:
     """Each value of the float array `a`, in C order, as the text
     `json.dumps` writes for it: `repr`'s, the shortest digits that read
-    back as the same float, or `NaN`, `Infinity` and `-Infinity`.
+    back as the same float, or `NaN`, `Infinity` and `-Infinity`.  Given
+    `sizes`, one text per group of `sizes[i]` consecutive values instead,
+    the group's texts joined by commas (a row of a T x N column, or a
+    pack's `learner_preds`), with no `str` made per value.
 
-    orjson writes the same shortest digits (Ryu's), a column at a time
-    with no Python object per value.  It writes `null` for a non-finite
-    value, and without Python's exponent (`0.00001`, `1e16` where `repr`
-    has `1e-05`, `1e+16`) for a magnitude below 1e-4 or from 1e16 up, so
-    those values alone are written again by one `json.dumps`.  Only this
-    writer uses orjson: a report is read by `json.loads`, because
-    `orjson.loads` refuses `NaN` and `Infinity`, which a report may hold,
-    and integers past 64 bits, such as a shuffle `seed` may be."""
+    orjson writes the same shortest digits (Ryu's), the whole array in one
+    dump with no Python object per value.  It writes `null` for a
+    non-finite value, and without Python's exponent (`0.00001`, `1e16`
+    where `repr` has `1e-05`, `1e+16`) for a magnitude below 1e-4 or from
+    1e16 up, so those values alone are written again by one `json.dumps`
+    (`_patched`).  The text is then cut at the commas that end each value
+    or group, found by one numpy scan of its bytes.  Only this writer uses
+    orjson: a report is read by `json.loads`, because `orjson.loads`
+    refuses `NaN` and `Infinity`, which a report may hold, and integers
+    past 64 bits, such as a shuffle `seed` may be."""
     a = np.ravel(np.asarray(a, dtype=float))
     if not a.size:
         return []
-    dumped = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
-    texts = dumped[1:-1].decode().split(",")
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
     size = np.abs(a)
-    odd = np.flatnonzero(~(size < 1e16) | ((size > 0) & (size < 1e-4)))
-    if odd.size:
-        redone = json.dumps(a[odd].tolist(), separators=(",", ":"))
-        for i, text in zip(odd.tolist(), redone[1:-1].split(",")):
-            texts[i] = text
-    return texts
+    odd = ~(size < 1e16) | ((size > 0) & (size < 1e-4))
+    if odd.any():
+        text = _patched(text, a, odd)
+    return _cut(text, sizes)
+
+
+def _cut(text: bytes, sizes=None) -> list:
+    """The values of `text`, a flat JSON list of numbers, one text each, or
+    given `sizes` one text per group of `sizes[i]` consecutive values, cut
+    at the commas that end the groups."""
+    if sizes is None:
+        return text[1:-1].decode().split(",")
+    cuts = _delimiters(text)[np.concatenate(([0], np.cumsum(sizes)))].tolist()
+    text = text.decode()
+    return [text[i + 1:j] for i, j in zip(cuts[:-1], cuts[1:])]
+
+
+def _delimiters(text: bytes) -> np.ndarray:
+    """The offsets of the `[`, each `,` and the `]` of `text`, a flat JSON
+    list of numbers: its value i lies between delimiters i and i + 1."""
+    commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+    return np.concatenate(([0], commas, [len(text) - 1]))
+
+
+def _patched(text: bytes, a: np.ndarray, odd: np.ndarray) -> bytes:
+    """`text`, `_float_texts`' dump of the flat float array `a`, with the
+    values where `odd` is true written as `json.dumps` writes them.  Each run of
+    consecutive values of one kind is copied in one slice, from `text` or
+    from one `json.dumps` of the odd values, so a column that is mostly
+    odd, or mostly not, is a few slices."""
+    redone = json.dumps(a[odd].tolist(), separators=(",", ":")).encode()
+    edges = np.flatnonzero(odd[1:] != odd[:-1]) + 1
+    first, last = np.concatenate(([0], edges)), np.concatenate((edges, [a.size]))
+    kind = odd[first]
+    ours = _delimiters(text)
+    lo, hi = ours[first], ours[last]
+    # The odd runs, in order, are consecutive in `redone`.
+    ends = np.cumsum(last[kind] - first[kind])
+    theirs = _delimiters(redone)
+    lo[kind], hi[kind] = theirs[np.concatenate(([0], ends[:-1]))], theirs[ends]
+    sources = text, redone
+    return b"[%s]" % b",".join([sources[k][i + 1:j] for k, i, j in zip(
+        kind.tolist(), lo.tolist(), hi.tolist())])
 
 
 def _repr_texts(a) -> list:
@@ -642,35 +686,34 @@ def _repr_texts(a) -> list:
 def _json_trials(records: RunRecords, names) -> dict:
     """For the columns `names` of a run's records, the placeholder of a
     trial's value in a trial template ("%s", or "[%s]" for a list) and
-    each trial's text.  A column's numbers are written at once, flat (a
-    float column by `_float_texts`, an integer one by one `json.dumps`),
-    then grouped per trial: a row of a T x N column, or a pack's
-    `learner_preds`."""
+    each trial's text.  Each column is written in one dump, a float
+    column by `_float_texts` and an integer one by one `json.dumps`, and
+    a list column (a row of a T x N column, or a pack's `learner_preds`)
+    is cut from that dump into per-trial texts (`_cut`)."""
     formats = {}
     for name in names:
         values = _column(records, name)
+        sizes = None
+        if name == "learner_preds":
+            sizes = records.pack_size
+        elif values.ndim == 2:
+            sizes = np.full(len(values), values.shape[1])
         if values.dtype.kind == "f":
-            texts = _float_texts(values)
+            texts = _float_texts(values, sizes)
         else:
-            texts = json.dumps(values.tolist(),
-                               separators=(",", ":"))[1:-1].split(",")
-        if name == "learner_preds" or values.ndim == 2:
-            counts = (records.pack_size.tolist() if name == "learner_preds"
-                      else repeat(values.shape[1], len(values)))
-            items = iter(texts)
-            formats[name] = "[%s]", [",".join(islice(items, k)) for k in counts]
-        else:
-            formats[name] = "%s", texts
+            texts = _cut(json.dumps(values.tolist(),
+                                    separators=(",", ":")).encode(), sizes)
+        formats[name] = ("%s" if sizes is None else "[%s]"), texts
     return formats
 
 
 def _records_parts(records: RunRecords, shared: dict) -> list:
     """A run's records as `json.dumps(rows, sort_keys=True, separators=(",",
     ":"))` would write them, one object per trial, as a list of parts to
-    join.  Each column is written at once and cut into per-trial texts
-    (`_json_trials`), laid out by one trial template made from the sorted
-    column names.  `shared` is `_json_trials` of `_SHARED_COLUMNS`: a
-    result is one stream's runs (`ExperimentResult`), so a report writes
+    join.  Each column is written in one dump and cut into per-trial
+    texts (`_json_trials`), laid out by one trial template made from the
+    sorted column names.  `shared` is `_json_trials` of `_SHARED_COLUMNS`:
+    a result is one stream's runs (`ExperimentResult`), so a report writes
     those once, from its first run."""
     columns = {**shared, **_json_trials(records, _RUN_COLUMNS)}
     names = sorted(columns)

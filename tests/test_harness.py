@@ -775,16 +775,21 @@ class TestReports:
 
     def test_writer_memory_at_the_reference_size(self):
         # Every column is written once and the expert columns once per
-        # report: the emit's peak stays within three times the text.
-        stream, game = generate_synthetic_stream(SyntheticConfig(8, 2000))
-        result = run_experiment(stream, game, every_prefix=True)
-        tracemalloc.start()
-        try:
-            text = emit_report(result, "json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * len(text), (peak, len(text))
+        # report: the emit's peak stays within three times the text.  On
+        # [0, 1e-3] most values are below 1e-4, so most are written again
+        # by `json.dumps` (`harness._patched`).
+        stream, _ = generate_synthetic_stream(SyntheticConfig(8, 2000))
+        for interval in [(0.0, 1.0), (0.0, 1e-3)]:
+            result = run_experiment(rescale_stream(stream, *interval),
+                                    GameSpec.for_interval(*interval),
+                                    every_prefix=True)
+            tracemalloc.start()
+            try:
+                text = emit_report(result, "json")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * len(text), (interval, peak, len(text))
 
     def test_schema_version_enforced(self, rng):
         payload = json.loads(emit_report(self._result(rng), "json"))
@@ -831,6 +836,73 @@ class TestFloatTexts:
         edges += [10.0 ** k for k in range(-6, 24)]
         edges = np.array(edges)
         self._check(np.concatenate([edges, -edges]))
+
+    # Grouped: one text per group of consecutive values, the group's
+    # values as `json.dumps` writes each, joined by commas.
+
+    @staticmethod
+    def _check_grouped(a, sizes):
+        flat = [json.dumps(x) for x in np.ravel(a).tolist()]
+        ends = np.cumsum(sizes).tolist()
+        expected = [",".join(flat[i:j]) for i, j in zip([0, *ends[:-1]], ends)]
+        assert harness._float_texts(a, sizes) == expected
+
+    def _check_groups(self, groups):
+        self._check_grouped(np.array([x for g in groups for x in g], dtype=float),
+                            [len(g) for g in groups])
+
+    @given(st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                       allow_subnormal=True),
+                             min_size=1, max_size=9), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_grouped_floats(self, groups):
+        self._check_groups(groups)
+
+    @given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                             max_size=9), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_grouped_bit_patterns(self, groups):
+        values = np.array([x for g in groups for x in g], dtype=np.uint64)
+        self._check_grouped(values.view(np.float64), [len(g) for g in groups])
+
+    @given(st.integers(1, 30), st.integers(1, 9), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_grouped_rows(self, rows, columns, fortran, seed):
+        # A T x N column, cut into its rows, in either memory order.
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, (rows, columns), dtype=np.uint64,
+                            endpoint=False)
+        for a in (bits.view(np.float64), 10.0 ** rng.uniform(-8, 20, bits.shape)):
+            a = np.asfortranarray(a) if fortran else a
+            self._check_grouped(a, np.full(rows, columns))
+
+    def test_grouped_odd_values_at_the_edges(self):
+        # Values `json.dumps` writes again (below 1e-4 or from 1e16 up, or
+        # not finite) alone, first, last, inside, and filling a group or
+        # the whole column.
+        odd = [np.nan, np.inf, -np.inf, 5e-324, -1e-5, 1e16, 1e300]
+        normal = [0.0, -0.0, 1e-4, 0.5, -123.25]
+        groups = [[x] for x in odd + normal]
+        for x in odd:
+            for y in normal:
+                groups += [[x, y, y], [y, y, x], [x, y, x], [y, x, y], [y, x]]
+        groups.append(odd)
+        self._check_groups(groups)
+        self._check_groups([[x] for x in odd])
+        self._check_groups([odd, odd[::-1], odd[2:]])
+        self._check_groups([normal, normal[::-1], [-0.0]])
+
+    def test_grouped_many_values(self):
+        # Pack-sized groups of 1 to 7 over 50k values, sparse and dense in
+        # values written again.
+        rng = np.random.default_rng(2017)
+        sizes = rng.integers(1, 8, 12_000)
+        values = 10.0 ** rng.uniform(-4.05, 4, sizes.sum())
+        self._check_grouped(values, sizes)
+        self._check_grouped(values * 1e-4, sizes)
+        self._check_grouped(rng.integers(0, 2**64, sizes.sum(), dtype=np.uint64,
+                                         endpoint=False).view(np.float64), sizes)
 
     @pytest.mark.parametrize("interval", [(0, 2**-17), (0, 1e9)])
     def test_csv_outputs_write_repr(self, tmp_path, interval):
