@@ -18,17 +18,12 @@ import numpy as np
 
 from packpredict import (
     SyntheticConfig,
-    audit_run,
-    bounds,
     generate_synthetic_stream,
-    run_aap_current,
-    run_aap_incremental,
-    run_aap_max,
-    run_parallel,
-    shuffle_experiment,
+    run_experiment,
     shuffle_within_packs,
-    uniform_prior,
 )
+
+PACK_ALGORITHMS = ["aap-max", "aap-incremental", "aap-current"]
 
 
 def parse_args():
@@ -50,41 +45,31 @@ def main():
         seed=args.seed,
     )
     stream, game = generate_synthetic_stream(config)
-    prior = uniform_prior(stream.num_experts)
     print(f"stream: {len(stream)} packs, {stream.num_items} items, "
           f"{stream.num_experts} experts")
 
-    # The pack algorithms: max deviation of the total across reshuffles.
-    runners = {
-        "aap-max": lambda s: run_aap_max(s, stream.max_pack_size, game),
-        "aap-incremental": lambda s: run_aap_incremental(s, game),
-        "aap-current": lambda s: run_aap_current(s, game),
-    }
+    # Every algorithm on each reshuffle, with every prefix audited; the
+    # parallel copies' spread comes from the stream's own shuffle study.
+    base = run_experiment(stream, game, PACK_ALGORITHMS,
+                          shuffles=args.shuffles, shuffle_seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    reshuffled = [shuffle_within_packs(stream, rng) for _ in range(args.shuffles)]
+    runs = [run_experiment(shuffle_within_packs(stream, rng), game,
+                           PACK_ALGORITHMS + ["parallel"], every_prefix=True)
+            for _ in range(args.shuffles)]
     print(f"\nwithin-pack reshuffles: {args.shuffles}")
-    for name, runner in runners.items():
-        base = runner(stream).cumulative_loss[-1]
-        dev = max(abs(runner(s).cumulative_loss[-1] - base) for s in reshuffled)
-        print(f"{name:>18}: total {base:.6f}   max |shift| over reshuffles "
-              f"{dev:.3e}  (invariant)")
-
-    # Parallel copies: real spread, and the guarantee on every reshuffle.
-    summary = shuffle_experiment(stream, game, num_shuffles=args.shuffles,
-                                 seed=args.seed)
+    for i, a in enumerate(base.algorithms):
+        dev = max(abs(r.algorithms[i].total_loss - a.total_loss) for r in runs)
+        print(f"{a.name:>18}: total {a.total_loss:.6f}   max |shift| over "
+              f"reshuffles {dev:.3e}  (invariant)")
+    summary = base.shuffle
     print(f"{'parallel copies':>18}: mean {summary.mean:.6f}   "
           f"spread [{summary.min:.6f}, {summary.max:.6f}]   "
           f"width {summary.max - summary.min:.6f}")
 
-    violations = 0
-    for s in reshuffled:
-        records = run_parallel(s, game, prior)
-        report = audit_run(records, bounds.PARALLEL, game, prior,
-                           every_prefix=True)
-        violations += 0 if report.passed else 1
+    held = sum(r.algorithms[-1].passed for r in runs)
     print(f"\nguarantee on reshuffled parallel-copies runs: "
-          f"{args.shuffles - violations}/{args.shuffles} hold")
-    return 0 if violations == 0 else 2
+          f"{held}/{args.shuffles} hold")
+    return 0 if held == args.shuffles else 2
 
 
 if __name__ == "__main__":

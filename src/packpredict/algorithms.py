@@ -107,14 +107,6 @@ class PackStream:
         return self.outcomes.size
 
     @property
-    def max_pack_size(self) -> int:
-        return int(self.sizes.max())
-
-    @property
-    def min_pack_size(self) -> int:
-        return int(self.sizes.min())
-
-    @property
     def pack_sizes(self) -> tuple:
         return tuple(self.sizes.tolist())
 

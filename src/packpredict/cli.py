@@ -76,6 +76,11 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shuffles", type=int, default=0,
                    help="also measure parallel-copies loss over this many "
                         "within-pack shuffles")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the shuffle study and, for synth, the stream")
+    p.add_argument("--eta", type=float, default=None,
+                   help="learning rate (default: largest safe rate)")
+    p.add_argument("--c", type=float, default=1.0)
     _add_output_options(p)
 
 
@@ -264,11 +269,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--upper", type=float, default=None)
     p_run.add_argument("--calibration-packs", type=int, default=None,
                        help="derive the interval from this many leading packs")
-    p_run.add_argument("--eta", type=float, default=None,
-                       help="learning rate (default: largest safe rate)")
-    p_run.add_argument("--c", type=float, default=1.0)
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="seed for the shuffle study")
     _add_run_options(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -280,12 +280,9 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--drift-period", type=int, default=0,
                          help="rotate the sharp expert every this many items")
     p_synth.add_argument("--noise", type=float, default=0.05)
-    p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--lower", type=float, default=0.0,
                          help="rescale the generated stream to this interval")
     p_synth.add_argument("--upper", type=float, default=1.0)
-    p_synth.add_argument("--eta", type=float, default=None)
-    p_synth.add_argument("--c", type=float, default=1.0)
     p_synth.add_argument("--emit-data", default=None,
                          help="also write the generated stream to this CSV")
     _add_run_options(p_synth)

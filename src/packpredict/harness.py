@@ -734,7 +734,8 @@ def _records_parts(records: RunRecords, shared: dict) -> list:
 
 def emit_report(result: ExperimentResult, format: str = "json") -> str:
     """Serialize a result: full-fidelity `json`, per-trial cumulative-loss
-    `csv`, or a human-oriented `table` of totals and guarantee slacks.
+    `csv`, or a human-oriented `table` of totals and guarantee slacks, with
+    the best expert's totals.
 
     The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` of the report's object, with each run's records written from
@@ -782,6 +783,14 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
                 f"{a.name:<18} {a.total_loss:>14.6f} {a.total_average_loss:>14.6f} "
                 f"{tight.min_slack:>12.4e} {status:>7}  {_where(tight)}"
             )
+        # The expert of least total loss; on a tie, the first.
+        records = result.algorithms[0].records
+        totals = records.expert_cumulative_losses[-1]
+        best = int(np.argmin(totals))
+        lines.append(
+            f"{f'best expert {best}':<18} {totals[best]:>14.6f} "
+            f"{records.expert_cumulative_average_losses[-1, best]:>14.6f}"
+        )
         if result.shuffle is not None:
             s = result.shuffle
             lines.append(

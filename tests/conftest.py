@@ -3,7 +3,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from packpredict import PackStream
+from packpredict import (DivisorPolicy, PackStream, init_state, observe_pack,
+                         predict_item)
 
 
 def make_stream(rng, num_experts, num_trials, size_min=1, size_max=7):
@@ -94,6 +95,23 @@ def trial_preds(records):
 # Intervals for the replay-vs-online comparison: the unit interval and two
 # dollar-scale ones, one of them far from zero.
 INTERVALS = ((0.0, 1.0), (3e4, 8e5), (1e9, 1e9 + 1e7))
+
+
+def step_copies(packs, game, prior):
+    """The parallel copies stepped item by item over (N x K matrix,
+    outcomes) pairs: copy k predicts item k of each pack with `predict_item`,
+    then observes its loss with `observe_pack` at divisor 1.  Yields each
+    pack's predictions and the copies after the pack."""
+    copies = []
+    for matrix, outcomes in packs:
+        while len(copies) < outcomes.size:
+            copies.append(init_state(prior))
+        preds = np.array([predict_item(copies[k], matrix[:, k], game)
+                          for k in range(outcomes.size)])
+        for k in range(outcomes.size):
+            observe_pack(copies[k], (matrix[:, k:k + 1] - outcomes[k]) ** 2,
+                         DivisorPolicy.fixed(1), game)
+        yield preds, copies
 
 
 def assert_matches_online(records, online_preds, online_totals, stream, game):

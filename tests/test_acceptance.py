@@ -77,7 +77,7 @@ def test_acceptance_2_regret_bound_suite():
             if not report.passed:
                 failures.append((i, algorithm, report.min_slack))
 
-        kmax = stream.max_pack_size
+        kmax = int(stream.sizes.max())
         check(pp.run_aap_max(stream, kmax, GAME, prior), bd.AAP_MAX,
               declared_pack_size=kmax)
         check(pp.run_aap_incremental(stream, GAME, prior), bd.AAP_INCREMENTAL)
@@ -142,7 +142,7 @@ def test_acceptance_4_pack_order_invariance():
         stream = make_stream(rng, n, 15, size_min=1, size_max=6)
         shuffled = pp.shuffle_within_packs(stream, rng)
         for name, runner in (
-            ("max", lambda s: pp.run_aap_max(s, stream.max_pack_size, GAME)),
+            ("max", lambda s: pp.run_aap_max(s, int(stream.sizes.max()), GAME)),
             ("incremental", lambda s: pp.run_aap_incremental(s, GAME)),
             ("current", lambda s: pp.run_aap_current(s, GAME)),
         ):

@@ -22,6 +22,8 @@ from packpredict import (
 from packpredict.cli import main
 from packpredict.games import _logsumexp
 
+from conftest import step_copies
+
 # Weights after one pack with per-expert loss sums {0, 0.5}, uniform prior,
 # current-pack divisor K_t = 2, eta = 2: w2 = 0.5*exp(-0.5), then normalize.
 # Reference from 60-digit arithmetic.
@@ -98,6 +100,13 @@ class TestInit:
     def test_unnormalized_prior_rejected(self):
         with pytest.raises(ValueError):
             init_state([0.5, 0.6])
+
+    def test_prior_sum_boundary(self):
+        # A sum off 1 by 1e-9 is refused, and one off by 4e-13 is rounding.
+        # The limits are literal, not the games' tolerance.
+        with pytest.raises(ValueError, match="sums to 1.000000001"):
+            init_state([0.5, 0.5 + 1e-9])
+        init_state([0.5, 0.5 + 4e-13])
 
     def test_uniform_prior_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +218,8 @@ class TestObserve:
         for shape in ((3, 1), (2, 1, 1)):
             with pytest.raises(ValueError, match="experts"):
                 observe_pack(state, np.zeros(shape), DivisorPolicy.fixed(1), GAME)
+        with pytest.raises(ValueError, match="^empty pack$"):
+            observe_pack(state, np.zeros((2, 0)), DivisorPolicy.fixed(1), GAME)
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 observe_pack(state, np.array([[bad], [0.2]]),
@@ -316,17 +327,10 @@ class TestOnlineBytes:
         pack_preds = np.concatenate(preds).tobytes()
         pack_totals = state.cumulative_losses.tobytes()
 
-        copies, preds = [], []
-        for matrix, outcomes in packs:
-            while len(copies) < outcomes.size:
-                copies.append(init_state(uniform_prior(10)))
-            preds += [predict_item(copies[k], matrix[:, k], game)
-                      for k in range(outcomes.size)]
-            for k in range(outcomes.size):
-                observe_pack(copies[k], (matrix[:, k:k + 1] - outcomes[k]) ** 2,
-                             DivisorPolicy.fixed(1), game)
-        item_preds = np.array(preds).tobytes()
-        item_totals = b"".join(c.cumulative_losses.tobytes() for c in copies)
+        steps = list(step_copies(packs, game, uniform_prior(10)))
+        item_preds = np.concatenate([preds for preds, _ in steps]).tobytes()
+        item_totals = b"".join(c.cumulative_losses.tobytes()
+                               for c in steps[-1][1])
 
         digests = [hashlib.sha256(b).hexdigest()[:16] for b in
                    (pack_preds, pack_totals, item_preds, item_totals)]

@@ -158,8 +158,8 @@ class TestAuditRun:
         stream = make_stream(rng, 4, 20)
         prior = uniform_prior(4)
         cases = [
-            (run_aap_max(stream, stream.max_pack_size, GAME), bd.AAP_MAX,
-             dict(declared_pack_size=stream.max_pack_size)),
+            (run_aap_max(stream, int(stream.sizes.max()), GAME), bd.AAP_MAX,
+             dict(declared_pack_size=int(stream.sizes.max()))),
             (run_aap_incremental(stream, GAME), bd.AAP_INCREMENTAL, {}),
             (run_aap_current(stream, GAME), bd.AAP_CURRENT_AVERAGE, {}),
             (run_aap_current(stream, GAME), bd.AAP_CURRENT_PLAIN, {}),
@@ -221,6 +221,23 @@ class TestAuditRun:
         assert not report.passed
         assert len(report.violations) > 0
 
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (3e4, 8e5)])
+    def test_slack_boundary_in_the_games_units(self, lower, upper):
+        # One single-item pack in which expert 0 loses nothing: under a
+        # uniform prior of two, its aa bound is ln(2)/eta.  A learner loss
+        # past it by 1e-6 (B - A)^2 is a violation; by 1e-12 (B - A)^2,
+        # rounding.  The limits are literal, not the audit's tolerance.
+        game = GameSpec.for_interval(lower, upper)
+        width2 = (upper - lower) ** 2
+        for excess, passed in ((1e-6, False), (1e-12, True)):
+            records = RunRecords(
+                np.array([1]), np.array([lower]),
+                np.array([math.log(2) / game.eta + excess * width2]),
+                np.array([[0.0, width2]]))
+            report = audit_run(records, bd.AA, game, uniform_prior(2))
+            assert report.min_slack / width2 == pytest.approx(-excess, rel=1e-3)
+            assert report.passed is passed, excess
+
     def test_empty_records(self):
         # Records are public input; a run has at least one pack.
         records = RunRecords(np.empty(0, int), np.empty(0), np.empty(0),
@@ -236,7 +253,7 @@ class TestAuditRun:
     def test_declared_size_validation(self, rng):
         stream = make_stream(rng, 2, 6, size_min=1, size_max=4)
         records = run_aap_incremental(stream, GAME)
-        sizes, top = np.asarray(stream.pack_sizes), stream.max_pack_size
+        sizes, top = np.asarray(stream.pack_sizes), int(stream.sizes.max())
         for algorithm, declared, bad in [(bd.AAP_EQUAL, 4, sizes != 4),
                                          (bd.AAP_MAX, top - 1, sizes == top),
                                          (bd.AA, None, sizes != 1)]:

@@ -34,6 +34,22 @@ class TestSynth:
         assert code == 0
         assert "aap-incremental" in out and "ok" in out
 
+    def test_table_names_the_best_expert(self, capsys):
+        # Under drift, the learners beat every expert; expert 3 does best.
+        assert main(["synth", "--experts", "5", "--trials", "60",
+                     "--drift-period", "15", "--every-prefix"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("best expert")]
+        stream, game = generate_synthetic_stream(
+            SyntheticConfig(num_experts=5, num_trials=60, drift_period=15))
+        records = run_experiment(stream, game).algorithms[0].records
+        totals = records.expert_cumulative_losses[-1]
+        average = records.expert_cumulative_average_losses[-1, 3]
+        assert int(np.argmin(totals)) == 3
+        assert rows == [["best", "expert", "3", f"{totals[3]:.6f}",
+                         f"{average:.6f}"]]
+        assert rows[0][3:] == ["5.495821", "1.456549"]
+
     def test_json_deterministic(self, capsys):
         argv = ["synth", "--experts", "3", "--trials", "12", "--seed", "5",
                 "--algorithms", "aap-current", "--format", "json"]
@@ -257,6 +273,13 @@ class TestAdversary:
                                (",", "error: a game needs at least one pack")):
             assert main(["adversary", "--packs", packs]) == 1
             assert capsys.readouterr().err.strip() == message
+
+    def test_no_experts(self, capsys):
+        for learner in ("uniform", "exp-weights"):
+            assert main(["adversary", "--experts", "0",
+                         "--learner", learner]) == 1
+            assert (capsys.readouterr().err
+                    == "error: need at least one expert\n"), learner
 
     # The sha256 prefixes of the table and the JSON report, and the exit
     # code.  The second holds `Infinity` tokens; the third, the sixth and

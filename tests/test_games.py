@@ -357,6 +357,11 @@ class TestSubstitute:
                 short += size == 5 and plain < coarse - 1e-6 * width ** 2
         assert short > 5
 
+    def test_validity_grid_needs_two_points(self):
+        with pytest.raises(ValueError, match="grid_size must be >= 2, got 1"):
+            check_substitution_validity(0.5, [0.5, 0.5], [0.1, 0.2],
+                                        unit_game(), grid_size=1)
+
     def test_validity_checker_flags_bad_prediction(self):
         # An endpoint prediction against a far-away consensus must violate.
         g = unit_game()

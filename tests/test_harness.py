@@ -101,6 +101,10 @@ class TestDatasetSpec:
         with pytest.raises(ValueError):
             fixture_spec(clip_upper=None)  # half a clip interval
 
+    def test_no_expert_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one expert column"):
+            fixture_spec(expert_cols=())
+
     def test_duplicate_experts_rejected(self):
         with pytest.raises(ValueError):
             fixture_spec(expert_cols=("m1", "m1"))
@@ -684,6 +688,16 @@ class TestReports:
             assert name in table
         assert "shuffle" in table
 
+    def test_table_best_expert_tie(self):
+        # Experts 1 and 2 tie for the least loss: the first is named.
+        stream = PackStream([[0.2, 0.7], [0.4, 0.4], [0.4, 0.4]], [0.5, 0.5],
+                            [1, 1])
+        table = emit_report(run_experiment(stream, GameSpec(0, 1, 2.0)),
+                            "table")
+        rows = [line for line in table.splitlines()
+                if line.startswith("best expert")]
+        assert rows == [f"{'best expert 1':<18} {0.02:>14.6f} {0.02:>14.6f}"]
+
     def test_unknown_format(self, rng):
         with pytest.raises(ValueError):
             emit_report(self._result(rng), "yaml")
@@ -790,6 +804,23 @@ class TestReports:
             finally:
                 tracemalloc.stop()
             assert peak <= 3 * len(text), (interval, peak, len(text))
+
+    def test_shuffle_study_of_no_losses_refused(self, rng):
+        payload = json.loads(emit_report(self._result(rng, shuffles=2), "json"))
+        payload["shuffle"]["losses"] = []
+        with pytest.raises(ValueError, match="^shuffle.losses: no losses$"):
+            result_from_json(json.dumps(payload))
+
+    def test_records_marker_in_a_value_refused(self, rng):
+        # The writer puts each run's records where the marker stands, so a
+        # value that holds it would misplace them.
+        result = self._result(rng)
+        a = result.algorithms[0]
+        report = dataclasses.replace(a.reports[0], algorithm="\0records")
+        result = dataclasses.replace(result, algorithms=(
+            dataclasses.replace(a, reports=(report,)), *result.algorithms[1:]))
+        with pytest.raises(ValueError, match="a value of the report holds"):
+            emit_report(result, "json")
 
     def test_schema_version_enforced(self, rng):
         payload = json.loads(emit_report(self._result(rng), "json"))

@@ -214,6 +214,11 @@ class TestGame:
             assert repr(run.total_regret) == repr(regret_sums[-1])
             assert repr(run.total_lower_bound) == repr(sum(bounds))
 
+    def test_learners_need_an_expert(self):
+        for learner in (UniformLearner, ExponentialWeightsLearner):
+            with pytest.raises(ValueError, match="at least one expert"):
+                learner(0)
+
     def test_empty_game(self):
         # A game has at least one pack, as a stream does.
         with pytest.raises(ValueError, match="at least one pack"):
@@ -296,6 +301,10 @@ class TestLowerBoundFormula:
         assert regret_lower_bound([1, 2, 3, 4, 5], 12) == pytest.approx(
             37.273599746820004653, abs=1e-12
         )
+
+    def test_needs_an_expert(self):
+        with pytest.raises(ValueError, match="at least one expert"):
+            regret_lower_bound([1], 0)
 
     def test_ledger_states_the_same_floor(self):
         # One K*ln(N) floor, bit for bit, on 28 small games: the ledger's

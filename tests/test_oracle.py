@@ -44,8 +44,8 @@ LOSS_TOL = 1e-16   # times (B - A)^2 * items
 
 REPLAYS = {
     "aa": run_aa,
-    "aap-equal": lambda s, g, p: run_aap_equal(s, s.max_pack_size, g, p),
-    "aap-max": lambda s, g, p: run_aap_max(s, s.max_pack_size, g, p),
+    "aap-equal": lambda s, g, p: run_aap_equal(s, int(s.sizes.max()), g, p),
+    "aap-max": lambda s, g, p: run_aap_max(s, int(s.sizes.max()), g, p),
     "aap-incremental": run_aap_incremental,
     "aap-current": run_aap_current,
     "parallel": run_parallel,
@@ -53,7 +53,7 @@ REPLAYS = {
 
 # The online learner's policy for each pack algorithm it can play.
 POLICIES = {
-    "aap-max": lambda s: DivisorPolicy.fixed(s.max_pack_size),
+    "aap-max": lambda s: DivisorPolicy.fixed(int(s.sizes.max())),
     "aap-incremental": lambda s: DivisorPolicy.running_max(),
     "aap-current": lambda s: DivisorPolicy.current_pack(),
 }
@@ -116,7 +116,7 @@ def mp_run(algorithm, stream, game, prior):
         elif algorithm == "aap-current":
             w = mp_weights(prior, averages, eta)
         elif algorithm != "parallel":  # aa, aap-equal, aap-max: declared K
-            w = mp_weights(prior, totals, eta / stream.max_pack_size)
+            w = mp_weights(prior, totals, eta / int(stream.sizes.max()))
         for j in range(k):
             if algorithm == "parallel":
                 w = mp_weights(prior, copies.get(j, [mp.mpf(0)] * n), eta)

@@ -12,7 +12,6 @@ from packpredict import (
     PackStream,
     init_state,
     observe_pack,
-    predict_item,
     predict_pack,
     rescale_stream,
     run_aa,
@@ -31,6 +30,7 @@ from conftest import (
     make_stream,
     noisy_streams,
     random_prior,
+    step_copies,
     stress_streams,
     trial_preds,
 )
@@ -72,7 +72,7 @@ class TestPackTypes:
         assert s.num_experts == 2
         assert s.num_items == 4
         assert s.pack_sizes == (3, 1)
-        assert s.max_pack_size == 3 and s.min_pack_size == 1
+        assert s.sizes.max() == 3 and s.sizes.min() == 1
         packs = [PackStream(preds[:, :3], outcomes[:3], [3]),
                  PackStream(preds[:, 3:], outcomes[3:], [1])]
         assert all(s[i] == p for i, p in enumerate(packs))
@@ -204,7 +204,7 @@ class TestRunners:
 
     def test_aap_max_rejects_oversize(self, rng):
         stream = make_stream(rng, 2, 8, size_min=2, size_max=5)
-        top = stream.max_pack_size
+        top = int(stream.sizes.max())
         with pytest.raises(ValueError, match=f"^trial {stream.pack_sizes.index(top)}"
                            f" has size {top}; aap-max requires"):
             run_aap_max(stream, top - 1, GAME)
@@ -261,7 +261,7 @@ class TestInductionInvariants:
     def test_fixed_divisor_invariant(self, rng):
         for trial in range(5):
             stream = make_stream(rng, int(rng.integers(2, 7)), 25)
-            k = stream.max_pack_size
+            k = int(stream.sizes.max())
             prior = random_prior(rng, stream.num_experts)
             records = run_aap_max(stream, k, GAME, prior=prior)
             assert invariant_gap(records, GAME, prior, mode=k) >= -1e-9
@@ -312,8 +312,8 @@ class TestOrderInvariance:
             b = runner(shuffled, GAME)
             np.testing.assert_allclose(a.learner_pack_loss, b.learner_pack_loss,
                                        rtol=0, atol=1e-12)
-        records = run_aap_max(stream, stream.max_pack_size, GAME)
-        records_b = run_aap_max(shuffled, stream.max_pack_size, GAME)
+        records = run_aap_max(stream, int(stream.sizes.max()), GAME)
+        records_b = run_aap_max(shuffled, int(stream.sizes.max()), GAME)
         assert records.cumulative_loss[-1] == pytest.approx(
             records_b.cumulative_loss[-1], abs=1e-9
         )
@@ -323,7 +323,7 @@ def six_runs(stream, game, prior):
     """Every algorithm's predictions on packs of the stream's columns that
     it may take: aa on single items, aap-equal on packs of the largest size
     (the last items left out), the rest on the stream's own packs."""
-    items, k = stream.num_items, stream.max_pack_size
+    items, k = stream.num_items, int(stream.sizes.max())
     single = PackStream(stream.expert_preds, stream.outcomes,
                         np.ones(items, int))
     equal = PackStream(stream.expert_preds[:, :items // k * k],
@@ -400,19 +400,11 @@ class TestReplayMatchesOnline:
 
     @staticmethod
     def online_copies(stream, game, prior):
-        """The parallel copies stepped item by item: `predict_item`, then
-        `observe_pack` with divisor 1, on F-order inputs."""
-        copies, preds = [], []
-        for pack in stream:
-            matrix = np.asfortranarray(pack.expert_preds)
-            while len(copies) < pack.num_items:
-                copies.append(init_state(prior))
-            preds += [predict_item(copies[k], matrix[:, k], game)
-                      for k in range(pack.num_items)]
-            for k in range(pack.num_items):
-                observe_pack(copies[k], (matrix[:, k:k + 1] - pack.outcomes[k]) ** 2,
-                             DivisorPolicy.fixed(1), game)
-        return np.array(preds)
+        """The parallel copies stepped item by item, on F-order inputs."""
+        packs = ((np.asfortranarray(pack.expert_preds), pack.outcomes)
+                 for pack in stream)
+        return np.concatenate([preds for preds, _ in
+                               step_copies(packs, game, prior)])
 
     @given(stream=stress_streams(8, 17, max_size=12)
            | noisy_streams(8, 17, max_size=60),
@@ -427,7 +419,7 @@ class TestReplayMatchesOnline:
         stream = rescale_stream(stream, *interval)
         game = GameSpec.for_interval(*interval)
         prior = random_prior(np.random.default_rng(seed), stream.num_experts)
-        k = stream.max_pack_size
+        k = int(stream.sizes.max())
         for records, policy in (
             (run_aap_max(stream, k, game, prior), DivisorPolicy.fixed(k)),
             (run_aap_incremental(stream, game, prior),
@@ -452,7 +444,7 @@ class TestReplayMatchesOnline:
 
     def test_variable_size_protocols(self, rng):
         for stream, game, prior in self.cases(rng):
-            k = stream.max_pack_size
+            k = int(stream.sizes.max())
             for records, policy in (
                 (run_aap_max(stream, k + 1, game, prior),
                  DivisorPolicy.fixed(k + 1)),

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from packpredict import (
-    DivisorPolicy,
     GameSpec,
     PackStream,
     audit_run,
-    init_state,
-    observe_pack,
-    predict_item,
     emit_report,
     rescale_stream,
     result_from_json,
@@ -26,6 +22,7 @@ from conftest import (
     assert_matches_online,
     make_stream,
     random_prior,
+    step_copies,
     trial_preds,
 )
 
@@ -78,19 +75,11 @@ class TestReplayMatchesOnline:
             for n in (1, 2, 5):
                 stream = rescale_stream(make_stream(rng, n, 30), lower, upper)
                 prior = random_prior(rng, n)
-                copies, preds, totals = [], [], []
-                for pack in stream:
-                    while len(copies) < pack.num_items:
-                        copies.append(init_state(prior))
-                    preds.append([
-                        predict_item(copies[k], pack.expert_preds[:, k], game)
-                        for k in range(pack.num_items)
-                    ])
-                    for k in range(pack.num_items):
-                        losses = (pack.expert_preds[:, k:k + 1]
-                                  - pack.outcomes[k]) ** 2
-                        observe_pack(copies[k], losses, DivisorPolicy.fixed(1),
-                                     game)
+                packs = ((pack.expert_preds, pack.outcomes)
+                         for pack in stream)
+                preds, totals = [], []
+                for pack_preds, copies in step_copies(packs, game, prior):
+                    preds.append(pack_preds)
                     totals.append(sum(c.cumulative_losses for c in copies))
                 assert_matches_online(run_parallel(stream, game, prior),
                                       preds, totals, stream, game)
