@@ -33,7 +33,10 @@ def parse_args():
     ap.add_argument("--max-pack", type=int, default=7)
     ap.add_argument("--shuffles", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    return ap.parse_args()
+    args = ap.parse_args()
+    if args.shuffles < 1:
+        ap.error("--shuffles must be >= 1")
+    return args
 
 
 def main():

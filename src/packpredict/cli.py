@@ -35,13 +35,7 @@ from .harness import (
     run_experiment,
     write_pack_csv,
 )
-from .mixloss import (
-    AdversaryNature,
-    ExponentialWeightsLearner,
-    UniformLearner,
-    ZeroNature,
-    run_mixloss_game,
-)
+from .mixloss import LEARNERS, NATURES, run_mixloss_game
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -199,10 +193,7 @@ def _cmd_adversary(args) -> int:
         pack_sizes = [int(s) for s in args.packs.split(",") if s.strip()]
     except ValueError:
         raise _CliError(f"bad --packs {args.packs!r}") from None
-    learner = (UniformLearner(args.experts) if args.learner == "uniform"
-               else ExponentialWeightsLearner(args.experts))
-    nature = ZeroNature() if args.nature == "zero" else AdversaryNature()
-    run = run_mixloss_game(learner, nature, pack_sizes)
+    run = run_mixloss_game(args.learner, args.nature, args.experts, pack_sizes)
     # Only the adversary sets out to force the bound.
     forced = args.nature != "adversary" or run.forced
     _emit(emit_adversary_report(run, args.format, args.learner, args.nature,
@@ -293,10 +284,8 @@ def build_parser() -> _Parser:
     p_adv.add_argument("--experts", type=int, default=3)
     p_adv.add_argument("--packs", default="1,2,3,4,5",
                        help="comma-separated pack sizes, one per trial")
-    p_adv.add_argument("--learner", choices=("uniform", "exp-weights"),
-                       default="uniform")
-    p_adv.add_argument("--nature", choices=("adversary", "zero"),
-                       default="adversary")
+    p_adv.add_argument("--learner", choices=tuple(LEARNERS), default="uniform")
+    p_adv.add_argument("--nature", choices=tuple(NATURES), default="adversary")
     p_adv.add_argument("--format", choices=("json", "table"), default="table")
     p_adv.add_argument("--out", default=None)
     p_adv.set_defaults(func=_cmd_adversary)

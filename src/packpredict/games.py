@@ -12,9 +12,9 @@ produces such a gamma.  Validity is never trusted: `check_substitution_validity`
 evaluates the worst slack on an outcome grid.
 
 This module alone states what the games accept.  A probability vector
-(weights, a prior, a mix-loss item's row) sums to 1 within `WEIGHT_TOL`
-(`_as_probabilities`); an interval has finite ends, lower < upper and a
-finite squared width (`_checked_width`).
+(weights, a prior) sums to 1 within `WEIGHT_TOL` (`_as_probabilities`); an
+interval has finite ends, lower < upper and a finite squared width
+(`_checked_width`).
 """
 
 from __future__ import annotations
@@ -131,24 +131,19 @@ class GameSpec:
             raise ValueError(f"{what} outside [{self.lower}, {self.upper}]")
 
 
-def _as_probabilities(values, ndim: int = 1) -> np.ndarray:
-    """`values` as a float array of `ndim` axes, none empty, whose vectors
-    along the last axis are probability vectors: a vector of weights
-    (`ndim` 1) or K x N rows, one per item (`ndim` 2).  A refusal names
-    the first row that does not sum to 1."""
+def _as_probabilities(values) -> np.ndarray:
+    """`values` as a non-empty 1-d float array that is a probability vector:
+    weights or a prior."""
     p = np.asarray(values, dtype=float)
-    if p.ndim != ndim or 0 in p.shape:
-        raise ValueError(f"probability vectors must form a {ndim}-d array "
+    if p.ndim != 1 or not p.size:
+        raise ValueError(f"probability vectors must form a 1-d array "
                          f"with no empty axis, got shape {p.shape}")
     if np.any(np.isnan(p)) or np.any(p < 0):
         raise ValueError("probabilities must be non-negative and free of NaN")
-    sums = p.sum(axis=-1).reshape(-1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > WEIGHT_TOL)
-    if bad.size:
-        row = f"row {bad[0]} " if ndim > 1 else ""
-        raise ValueError(f"probability vector {row}sums to "
-                         f"{float(sums[bad[0]])!r}, expected 1 within "
-                         f"{WEIGHT_TOL}")
+    total = p.sum()
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"probability vector sums to {float(total)!r}, "
+                         f"expected 1 within {WEIGHT_TOL}")
     return p
 
 

@@ -852,9 +852,10 @@ def _where(report: BoundReport) -> str:
 
 def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
     """JSON values as an array of `dtype`, checked as a whole: each must be
-    a number, and an integer for an int `dtype`; a bool or a string is an
-    error, never converted.  With `lengths`, each value is a list of that
-    many numbers (one length for all, or one each), concatenated."""
+    a number that `dtype` holds, and an integer for an int `dtype`; a bool
+    or a string is an error, never converted.  With `lengths`, each value
+    is a list of that many numbers (one length for all, or one each),
+    concatenated."""
     values = list(values)
     if lengths is not None:
         if (set(map(type, values)) - {list}
@@ -865,7 +866,11 @@ def _json_column(name: str, values, dtype=float, lengths=None) -> np.ndarray:
     if set(map(type, values)) - ({int} if dtype is int else {int, float}):
         kind = "integers" if dtype is int else "numbers"
         raise ValueError(f"{name}: values must be JSON {kind}")
-    return np.array(values, dtype=dtype)
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name}: a value is out of range for "
+                         f"{np.dtype(dtype)}") from None
 
 
 def _dotted(path) -> str:

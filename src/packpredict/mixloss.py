@@ -14,12 +14,14 @@ nature that zeroes that expert's losses while blowing up everyone else's
 makes the learner pay at least K*ln(N) in that pack alone -- per pack, not
 per game.
 
-Each row of a distribution is a probability vector as `games` states it,
-summing to 1 within `games.WEIGHT_TOL` (1e-12); a pack's losses are N x K
-in [0, +inf] (`_as_losses`).  `run_mixloss_game` checks each pack once, as
-it enters: its nature and the kernel `_mix_loss` take the checked arrays.
-It returns the game's ledger, a `MixLossRun`, from which `harness` writes
-the `adversary` command's report, table or JSON.
+The game's strategies are named, as `bounds._TABLE` names the algorithms:
+`LEARNERS` holds the learners (`uniform`, `exp-weights`) and `NATURES` the
+natures (`adversary`, `zero`).  Each learner's rows are probability
+vectors as `games` states them, and each nature's losses lie in
+[0, +inf], by construction, so the game checks no pack.
+`run_mixloss_game` plays a named pair and returns the game's ledger, a
+`MixLossRun`, from which `harness` writes the `adversary` command's report,
+table or JSON.
 """
 
 from __future__ import annotations
@@ -29,40 +31,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import SLACK_TOL
-from .games import _as_probabilities, _logsumexp
+from .bounds import SLACK_TOL, _row
+from .games import _logsumexp
 
 # Rounding allowance: the low-product expert's log-product may exceed its
 # averaging bound by at most this.
 _PRODUCT_TOL = 1e-12
 
 
-def _as_losses(losses, shape: tuple) -> np.ndarray:
-    """`losses` as an N x K float array of `shape`, entries in [0, +inf]."""
-    ell = np.asarray(losses, dtype=float)
-    if ell.shape != shape:
-        raise ValueError(f"losses must be N x K = {shape}, got {ell.shape}")
-    if np.any(np.isnan(ell)) or np.any(ell < 0):
-        raise ValueError("losses must be non-negative and non-NaN")
-    return ell
-
-
 def _mix_loss(p: np.ndarray, ell: np.ndarray) -> float:
-    """The mix loss of one pack, from its checked K x N distributions `p`
-    and N x K losses `ell`, in the log domain: zero masses and infinite
-    losses drop out exactly, and it is +inf when some item has no expert
-    with both positive mass and finite loss."""
+    """The mix loss of one pack, from its K x N distributions `p` and N x K
+    losses `ell`, in the log domain: zero masses and infinite losses drop
+    out exactly, and it is +inf when some item has no expert with both
+    positive mass and finite loss."""
     with np.errstate(divide="ignore"):  # exponent ln p_{k,n} - loss_{n,k}
         per_item = _logsumexp(np.log(p) - ell.T, axis=1)
     return float(-per_item.sum())
 
 
 def _low_product_expert(p: np.ndarray) -> int:
-    """The expert with the smallest product of masses over the items of
-    the checked K x N distributions `p`, first on ties.  The products
-    average, geometrically, at most prod_k (s_k / N) for rows summing to
-    s_k (N^(-K) for rows summing to 1), so this raises if the smallest
-    exceeds that bound by more than rounding."""
+    """The expert with the smallest product of masses over the items of the
+    K x N distributions `p`, first on ties.  The products average,
+    geometrically, at most prod_k (s_k / N) for rows summing to s_k
+    (N^(-K) for rows summing to 1), so this raises if the smallest exceeds
+    that bound by more than rounding."""
     with np.errstate(divide="ignore"):
         log_products = np.log(p).sum(axis=0)
     n0 = int(np.argmin(log_products))
@@ -83,10 +75,10 @@ class MixLossRun:
 
     A pack's regret is its mix loss less its best expert's loss, and the
     cumulative regret sums these: regret against each pack's own best
-    expert, not against the best expert of the game.  Against
-    `ExponentialWeightsLearner` and the adversary (N >= 2) it is inf from
-    the second pack on, where the learner weights only the expert the
-    adversary spared in the first, and the adversary spares another.
+    expert, not against the best expert of the game.  With `exp-weights`
+    against the adversary (N >= 2) it is inf from the second pack on,
+    where the learner weights only the expert the adversary spared in the
+    first, and the adversary spares another.
     """
 
     pack_size: np.ndarray
@@ -131,90 +123,63 @@ class MixLossRun:
                            >= self.lower_bound_increment - SLACK_TOL))
 
 
-class UniformLearner:
-    """Plays the uniform distribution on every item, forever."""
-
-    def __init__(self, num_experts: int):
-        if num_experts < 1:
-            raise ValueError("need at least one expert")
-        self.num_experts = num_experts
-
-    def distributions(self, pack_size: int) -> np.ndarray:
-        return np.full((pack_size, self.num_experts), 1.0 / self.num_experts)
-
-    def observe(self, losses) -> None:
-        pass
+def _uniform(pack_size: int, sums: np.ndarray) -> np.ndarray:
+    """The uniform distribution on every item, forever."""
+    return np.full((pack_size, sums.size), 1.0 / sums.size)
 
 
-class ExponentialWeightsLearner:
-    """Multiplicative weights at unit rate: after each pack, each expert's
-    log-weight drops by its summed pack loss.
-
-    Infinite losses zero experts out exactly; if every expert has been zeroed
-    (possible against natures that play +inf widely) the learner restarts
-    from uniform rather than dividing by zero.
-    """
-
-    def __init__(self, num_experts: int):
-        if num_experts < 1:
-            raise ValueError("need at least one expert")
-        self.num_experts = num_experts
-        self.log_weights = np.zeros(num_experts)
-
-    def distributions(self, pack_size: int) -> np.ndarray:
-        lw = self.log_weights
-        if np.all(np.isinf(lw) & (lw < 0)):
-            lw = np.zeros(self.num_experts)
-        p = np.exp(lw - _logsumexp(lw))
-        return np.tile(p, (pack_size, 1))
-
-    def observe(self, losses) -> None:
-        self.log_weights = self.log_weights - np.sum(losses, axis=1)
+def _exp_weights(pack_size: int, sums: np.ndarray) -> np.ndarray:
+    """Exponential weights at unit rate: on every item, the softmax of minus
+    each expert's summed losses.  An infinite sum zeroes its expert exactly;
+    once every sum is infinite (as natures that play +inf widely can make
+    them) it restarts from uniform rather than dividing by zero."""
+    lw = np.zeros(sums.size) if np.all(np.isinf(sums)) else -sums
+    return np.tile(np.exp(lw - _logsumexp(lw)), (pack_size, 1))
 
 
-class AdversaryNature:
-    """Given the game's checked K x N distributions, zeroes the losses of a
-    lowest-mass-product expert and gives +inf to everyone else, forcing a
-    mix loss of at least K*ln(N) in every pack."""
-
-    def __call__(self, distributions: np.ndarray) -> np.ndarray:
-        losses = np.full(distributions.shape[::-1], np.inf)
-        losses[_low_product_expert(distributions), :] = 0.0
-        return losses
+def _adversary(p: np.ndarray) -> np.ndarray:
+    """Zero losses for a lowest-mass-product expert and +inf for everyone
+    else, forcing a mix loss of at least K*ln(N) in every pack."""
+    losses = np.full(p.shape[::-1], np.inf)
+    losses[_low_product_expert(p), :] = 0.0
+    return losses
 
 
-class ZeroNature:
-    """All losses zero; the learner's mix loss is then its own entropy cost.
-    It reads only the shape of the game's checked K x N distributions."""
-
-    def __call__(self, distributions: np.ndarray) -> np.ndarray:
-        return np.zeros(distributions.shape[::-1])
+def _zero(p: np.ndarray) -> np.ndarray:
+    """All losses zero: each item's mix loss is -ln(sum_n p_{k,n}), which is
+    0 up to rounding (the table prints a pack's -0.0 as -0.000000)."""
+    return np.zeros(p.shape[::-1])
 
 
-def run_mixloss_game(learner, nature, pack_sizes) -> MixLossRun:
-    """Play the mix-loss game for len(pack_sizes) >= 1 packs and return its
-    ledger.  `learner` supplies distributions(pack_size) and observe(losses);
-    `nature` maps the checked distributions to an N x K loss matrix.
-    """
+# Learner name -> its K x N distributions for a pack of K, given each
+# expert's losses summed over the packs before; nature name -> its N x K
+# losses for the learner's distributions.
+LEARNERS = {"uniform": _uniform, "exp-weights": _exp_weights}
+NATURES = {"adversary": _adversary, "zero": _zero}
+
+
+def run_mixloss_game(learner: str, nature: str, num_experts: int,
+                     pack_sizes) -> MixLossRun:
+    """Play the named `learner` against the named `nature` over
+    `num_experts` >= 1 experts and len(pack_sizes) >= 1 packs, and return
+    the game's ledger."""
+    play = _row(LEARNERS, learner, "learner")
+    answer = _row(NATURES, nature, "nature")
+    if num_experts < 1:
+        raise ValueError("need at least one expert")
     sizes = [int(k) for k in pack_sizes]
     if not sizes:
         raise ValueError("a game needs at least one pack")
     if any(k < 1 for k in sizes):
         raise ValueError("pack sizes must be >= 1")
+    sums = np.zeros(num_experts)
     mix, expert = [], []
-    for t, k in enumerate(sizes):
-        dists = _as_probabilities(learner.distributions(k), 2)
-        if dists.shape[0] != k:
-            raise ValueError(f"learner returned {dists.shape[0]} rows for a "
-                             f"pack of {k}")
-        num_experts = dists.shape[1]
-        if expert and num_experts != expert[0].size:
-            raise ValueError(f"learner returned {num_experts} experts in pack "
-                             f"{t}, {expert[0].size} before")
-        losses = _as_losses(nature(dists), (num_experts, k))
-        mix.append(_mix_loss(dists, losses))
+    for k in sizes:
+        p = play(k, sums)
+        losses = answer(p)
+        mix.append(_mix_loss(p, losses))
         expert.append(losses.sum(axis=1))
-        learner.observe(losses)
+        sums = sums + expert[-1]
     return MixLossRun(np.array(sizes, dtype=int), np.array(mix, dtype=float),
                       np.array(expert, dtype=float))
 

@@ -17,6 +17,7 @@ from scipy.special import logsumexp
 import packpredict as pp
 from packpredict import bounds as bd
 from packpredict.cli import main as cli_main
+from packpredict.mixloss import NATURES
 
 from conftest import make_stream, random_prior
 
@@ -189,8 +190,7 @@ def test_acceptance_5_pack_mixability_brute_force():
 def test_acceptance_6_mixloss_lower_bound():
     failures = []
     # Uniform learner vs adversary, N=2, sizes {3,3,3}: regret exactly 9 ln 2.
-    run = pp.run_mixloss_game(pp.UniformLearner(2), pp.AdversaryNature(),
-                              [3, 3, 3])
+    run = pp.run_mixloss_game("uniform", "adversary", 2, [3, 3, 3])
     target = 9 * math.log(2)
     if abs(run.cumulative_regret[-1] - target) > 1e-9:
         failures.append(("uniform", run.cumulative_regret[-1]))
@@ -198,8 +198,7 @@ def test_acceptance_6_mixloss_lower_bound():
     # regret increment >= K_t ln N - 1e-9 every time.
     for n, sizes in ((2, [3] * 10), (3, [1, 2, 3, 4, 5]), (4, [2, 2, 2]),
                      (5, [4, 1, 3])):
-        run = pp.run_mixloss_game(pp.ExponentialWeightsLearner(n),
-                                  pp.AdversaryNature(), sizes)
+        run = pp.run_mixloss_game("exp-weights", "adversary", n, sizes)
         for t, (regret, bound) in enumerate(zip(run.regret_increment,
                                                 run.lower_bound_increment)):
             if not regret >= bound - 1e-9:
@@ -207,7 +206,7 @@ def test_acceptance_6_mixloss_lower_bound():
     # Averaging lemma: the low-product expert exists in 10^4 random tuples,
     # and the adversary spares it.
     rng = np.random.default_rng(606)
-    nature = pp.AdversaryNature()
+    nature = NATURES["adversary"]
     for i in range(10_000):
         k = int(rng.integers(1, 6))
         n = int(rng.integers(2, 7))

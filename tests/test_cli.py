@@ -477,6 +477,33 @@ class TestAudit:
         assert main(["audit", str(path)]) == 0
         assert result_from_json(path.read_text()) == result
 
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (3e4, 8e5)])
+    def test_pack_loss_past_the_bound_refused(self, tmp_path, capsys, lower,
+                                              upper):
+        # Each pack's learner loss forged to k (B - A)^2 (1 + 1e-9), past
+        # the most a pack of k items can lose: a read error naming the
+        # field, on the unit interval and on a wide one.
+        path = self._write_result(tmp_path, capsys, "--lower", str(lower),
+                                  "--upper", str(upper))
+        past = self._full_losses(path) * (upper - lower) ** 2 * (1 + 1e-9)
+        self._forge(path, learner_pack_loss=lambda loss: past)
+        assert main(["audit", path]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read result file" in err and "learner_pack_loss" in err
+
+    def test_bool_pack_size_refused(self, tmp_path, capsys):
+        # A one-item pack whose record's pack_size is written `true`: a
+        # bool is no JSON integer, though it would read as 1.
+        path = self._write_result(tmp_path, capsys, "--max-pack", "1")
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["algorithms"][0]["records"][0]["pack_size"] = True
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert main(["audit", path]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read result file" in err and "pack_size:" in err
+
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "missing.json")]) == 1
         assert "error" in capsys.readouterr().err
@@ -627,6 +654,13 @@ class TestAudit:
             # A trial's record that is no object, or that lacks a key.
             (("algorithms", 0, "records", 2), 1),
             (("algorithms", 0, "records", 3, "learner_preds"), drop),
+            # Numbers too large for the column's type.
+            (("pack_sizes", 0), 10 ** 30),
+            (("algorithms", 0, "records", 0, "pack_size"), 10 ** 30),
+            (("algorithms", 0, "records", 0, "trial_index"), 10 ** 30),
+            (("game", "eta"), 10 ** 400),
+            (("prior", 0), 10 ** 400),
+            (("algorithms", 0, "records", 0, "learner_pack_loss"), 10 ** 400),
         ]
         for path, value in named:
             field = next(k for k in reversed(path) if isinstance(k, str))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packpredict import (
-    AdversaryNature,
     DatasetSpec,
     GameSpec,
     PackStream,
@@ -16,7 +15,6 @@ from packpredict import (
     max_mixable_eta,
     predict_item,
     rescale_stream,
-    run_mixloss_game,
     substitute_pack,
 )
 from packpredict.games import WEIGHT_TOL, _logsumexp, _mixed_loss, _substitute
@@ -369,29 +367,14 @@ class TestSubstitute:
         assert slack > 0.1
 
 
-class _Repeating:
-    """A mix-loss learner that plays one vector on every item."""
-
-    def __init__(self, p):
-        self.p = p
-
-    def distributions(self, pack_size):
-        return np.tile(self.p, (pack_size, 1))
-
-    def observe(self, losses):
-        pass
-
-
 # Every entry that takes probability vectors, as a call on one vector over
-# three experts; a mix-loss distribution plays it on each of four items.
+# three experts.
 PROBABILITY_ENTRIES = {
     "substitute_pack": lambda p: substitute_pack(
         p, np.full((3, 2), 0.5), unit_game()),
     "check_substitution_validity": lambda p: check_substitution_validity(
         0.5, p, [0.2, 0.5, 0.8], unit_game(), grid_size=11),
     "init_state": init_state,
-    "run_mixloss_game": lambda p: run_mixloss_game(
-        _Repeating(p), AdversaryNature(), [4, 2]),
 }
 
 # Every entry that takes an interval [lower, upper].

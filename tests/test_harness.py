@@ -976,11 +976,11 @@ class TestFloatTexts:
 
 # The public surface: what README, scripts/ and perfbench/ use.
 PUBLIC_NAMES = [
-    'AdversaryNature', 'AggregatorState', 'AlgorithmResult', 'BoundReport',
+    'AggregatorState', 'AlgorithmResult', 'BoundReport',
     'DatasetSpec', 'DivisorPolicy', 'ExperimentResult',
-    'ExponentialWeightsLearner', 'GameSpec', 'MixLossRun', 'PackStream',
+    'GameSpec', 'MixLossRun', 'PackStream',
     'RunRecords', 'SLACK_TOL', 'ShuffleSummary', 'SyntheticConfig',
-    'UniformLearner', 'ZeroNature', 'audit_run',
+    'audit_run',
     'check_substitution_validity', 'emit_adversary_report', 'emit_report',
     'generate_synthetic_stream', 'init_state', 'load_pack_csv',
     'max_mixable_eta', 'observe_pack', 'predict_item', 'predict_pack',

@@ -1,20 +1,15 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from packpredict import mixloss
-from packpredict import (
-    AdversaryNature,
-    ExponentialWeightsLearner,
-    UniformLearner,
-    ZeroNature,
-    regret_lower_bound,
-    run_mixloss_game,
-)
+from packpredict import regret_lower_bound, run_mixloss_game
+from packpredict.games import _as_probabilities
 from packpredict.harness import emit_adversary_report
-from packpredict.mixloss import _low_product_expert, _mix_loss
+from packpredict.mixloss import (LEARNERS, NATURES, _low_product_expert,
+                                 _mix_loss)
 
 LN2 = 0.69314718055994530942
 
@@ -44,24 +39,6 @@ class TestMixLoss:
         # Mass 0 on an infinite-loss expert must not poison the sum.
         out = _mix_loss(np.array([[0.0, 1.0]]), np.array([[np.inf], [0.0]]))
         assert out == 0.0
-
-    def test_shape_validation(self):
-        # The game checks a nature's losses before it scores them: N x K,
-        # no NaN, none negative.
-        for losses in (np.zeros((2, 3)), np.zeros((3, 2)), -np.ones((2, 2)),
-                       np.full((2, 2), np.nan)):
-            with pytest.raises(ValueError, match="losses must be"):
-                run_mixloss_game(UniformLearner(2), lambda p: losses, [2])
-
-
-class TestDistributions:
-    def test_refusal_names_the_row(self):
-        dists = np.full((3, 2), 0.5)
-        dists[2, 1] = 0.6
-        learner = UniformLearner(2)
-        learner.distributions = lambda pack_size: dists
-        with pytest.raises(ValueError, match="row 2 sums to 1.1"):
-            run_mixloss_game(learner, ZeroNature(), [3])
 
 
 class TestLowProductExpert:
@@ -102,8 +79,7 @@ class TestLowProductExpert:
 
 class TestNatures:
     def test_adversary_matrix_shape(self):
-        nature = AdversaryNature()
-        losses = nature(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        losses = NATURES["adversary"](np.array([[0.9, 0.1], [0.5, 0.5]]))
         assert losses.shape == (2, 2)
         # Expert 1 has product 0.05 <= 1/4: its row is zero, the other inf.
         np.testing.assert_array_equal(losses[1], [0.0, 0.0])
@@ -112,15 +88,14 @@ class TestNatures:
     def test_skewed_learner_pays_more(self):
         # Learner {0.9, 0.1}: the adversary zeroes the low-mass expert and
         # the learner pays -ln(0.1) > ln 2.
-        nature = AdversaryNature()
         dists = np.array([[0.9, 0.1]])
-        losses = nature(dists)
+        losses = NATURES["adversary"](dists)
         out = _mix_loss(dists, losses)
         assert out == pytest.approx(2.302585092994045684, abs=1e-15)
         assert out >= LN2
 
     def test_zero_nature(self):
-        losses = ZeroNature()(np.full((2, 3), 1 / 3))
+        losses = NATURES["zero"](np.full((2, 3), 1 / 3))
         np.testing.assert_array_equal(losses, np.zeros((3, 2)))
 
 
@@ -128,7 +103,7 @@ class TestGame:
     def test_uniform_learner_exact_equality(self):
         # Uniform learner vs the adversary: mix loss is exactly K*ln(N) per
         # pack, so total regret over sizes {3,3,3} with N=2 is 9*ln 2.
-        run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [3, 3, 3])
+        run = run_mixloss_game("uniform", "adversary", 2, [3, 3, 3])
         assert run.cumulative_regret[-1] == pytest.approx(
             6.2383246250395077848, abs=1e-9
         )
@@ -139,7 +114,7 @@ class TestGame:
             assert min(losses) == 0.0
 
     def test_uniform_learner_four_experts(self):
-        run = run_mixloss_game(UniformLearner(4), AdversaryNature(), [2, 3])
+        run = run_mixloss_game("uniform", "adversary", 4, [2, 3])
         assert run.cumulative_regret[-1] == pytest.approx(
             6.9314718055994530942, abs=1e-9
         )
@@ -148,21 +123,18 @@ class TestGame:
         # Whatever the learner, every pack's regret increment is at least
         # K_t*ln(N); exponential weights included (infinite increments count).
         for n, sizes in ((2, [3] * 10), (3, [1, 2, 3, 4]), (5, [2, 5, 1])):
-            learner = ExponentialWeightsLearner(n)
-            run = run_mixloss_game(learner, AdversaryNature(), sizes)
+            run = run_mixloss_game("exp-weights", "adversary", n, sizes)
             for regret, bound in zip(run.regret_increment,
                                      run.lower_bound_increment):
                 assert regret >= bound - 1e-9
             assert run.forced
 
     def test_exp_weights_first_pack_forced(self):
-        run = run_mixloss_game(ExponentialWeightsLearner(2),
-                               AdversaryNature(), [3])
+        run = run_mixloss_game("exp-weights", "adversary", 2, [3])
         assert run.regret_increment[0] >= 3 * LN2 - 1e-9
 
     def test_exp_weights_learns_under_zero_nature(self):
-        learner = ExponentialWeightsLearner(3)
-        run = run_mixloss_game(learner, ZeroNature(), [2, 2])
+        run = run_mixloss_game("exp-weights", "zero", 3, [2, 2])
         assert run.cumulative_mix_loss[-1] == 0.0
         assert run.cumulative_regret[-1] == 0.0
         # Each pack's mix loss is -0.0; the running sums start from 0.0.
@@ -172,7 +144,7 @@ class TestGame:
         assert not run.forced  # regret 0 is below K*ln(N)
 
     def test_trial_bookkeeping(self):
-        run = run_mixloss_game(UniformLearner(2), AdversaryNature(), [1, 2, 3])
+        run = run_mixloss_game("uniform", "adversary", 2, [1, 2, 3])
         assert list(range(len(run.pack_size))) == [0, 1, 2]
         assert run.pack_size.tolist() == [1, 2, 3]
         total = sum(run.mix_loss)
@@ -188,13 +160,12 @@ class TestGame:
     def test_derived_columns_are_running_sums(self):
         # Sums pack by pack in Python floats, from 0.0: each derived column
         # must be bitwise equal to them, the sign of zero included.
-        for learner, nature, sizes in (
-                (ExponentialWeightsLearner(4), AdversaryNature(), [2, 3, 1]),
-                (ExponentialWeightsLearner(3), ZeroNature(), [2, 2, 5]),
-                (UniformLearner(5), AdversaryNature(), [4, 1, 3, 7, 2]),
-                (UniformLearner(1), AdversaryNature(), [2, 1])):
-            run = run_mixloss_game(learner, nature, sizes)
-            n = run.expert_pack_losses.shape[1]
+        for learner, nature, n, sizes in (
+                ("exp-weights", "adversary", 4, [2, 3, 1]),
+                ("exp-weights", "zero", 3, [2, 2, 5]),
+                ("uniform", "adversary", 5, [4, 1, 3, 7, 2]),
+                ("uniform", "adversary", 1, [2, 1])):
+            run = run_mixloss_game(learner, nature, n, sizes)
             cum_mix, cum_regret, increments, bounds = 0.0, 0.0, [], []
             mix_sums, regret_sums = [], []
             for k, ell, losses in zip(sizes, run.mix_loss.tolist(),
@@ -215,85 +186,57 @@ class TestGame:
             assert repr(run.total_lower_bound) == repr(sum(bounds))
 
     def test_learners_need_an_expert(self):
-        for learner in (UniformLearner, ExponentialWeightsLearner):
+        for learner in LEARNERS:
             with pytest.raises(ValueError, match="at least one expert"):
-                learner(0)
+                run_mixloss_game(learner, "adversary", 0, [1])
+
+    def test_unknown_names(self):
+        # One refusal of a name, bounds._row's, listing the table's names;
+        # an unhashable name too.
+        for learner, nature, message in (
+                ("hedge", "zero", "unknown learner 'hedge'; choose from "
+                 "uniform, exp-weights"),
+                ("uniform", "nice", "unknown nature 'nice'; choose from "
+                 "adversary, zero"),
+                (["uniform"], "zero", "unknown learner ['uniform']")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_mixloss_game(learner, nature, 2, [1])
 
     def test_empty_game(self):
         # A game has at least one pack, as a stream does.
         with pytest.raises(ValueError, match="at least one pack"):
-            run_mixloss_game(UniformLearner(2), AdversaryNature(), [])
+            run_mixloss_game("uniform", "adversary", 2, [])
 
     def test_learner_shape_policed(self):
-        class BadLearner:
-            def distributions(self, pack_size):
-                return np.full((pack_size + 1, 2), 0.5)
+        # Every learner plays K rows over the game's N experts, each a
+        # probability vector as `games` states it, whatever the experts'
+        # summed losses, an infinite sum or all of them included.
+        for learner, play in LEARNERS.items():
+            for sums in ([0.0], [0.0, 0.0, 0.0], [3.5, 0.25, 700.0],
+                         [np.inf, 1.0, 2.0], [np.inf, np.inf]):
+                for k in (1, 4):
+                    p = play(k, np.array(sums))
+                    assert p.shape == (k, len(sums)), (learner, sums)
+                    for row in p:
+                        _as_probabilities(row)
+        # Once every sum is infinite, exponential weights restarts from
+        # uniform; a finite sum keeps all the mass while any is finite.
+        play = LEARNERS["exp-weights"]
+        assert (play(2, np.array([np.inf] * 4)) == 0.25).all()
+        assert play(1, np.array([np.inf, 9.0])).tolist() == [[0.0, 1.0]]
 
-            def observe(self, losses):
-                pass
-
-        with pytest.raises(ValueError):
-            run_mixloss_game(BadLearner(), ZeroNature(), [2])
-
-        class GrowingLearner(UniformLearner):
-            """One more expert in every pack: a game has one panel."""
-
-            def distributions(self, pack_size):
-                self.num_experts += 1
-                return super().distributions(pack_size)
-
-        with pytest.raises(ValueError, match="4 experts in pack 1, 3 before"):
-            run_mixloss_game(GrowingLearner(2), ZeroNature(), [1, 2])
-
-    def test_nature_shape_policed(self):
-        class BadNature:
-            def __call__(self, dists):
-                return np.zeros((dists.shape[1], dists.shape[0] + 1))
-
-        with pytest.raises(ValueError):
-            run_mixloss_game(UniformLearner(2), BadNature(), [2])
+    def test_nature_shape_policed(self, rng):
+        # Every nature answers K x N distributions with N x K losses, none
+        # NaN or negative.
+        for nature, answer in NATURES.items():
+            for k, n in ((1, 1), (3, 2), (2, 5)):
+                losses = answer(rng.dirichlet(np.ones(n), size=k))
+                assert losses.shape == (n, k), nature
+                assert not np.isnan(losses).any() and (losses >= 0).all()
 
     def test_pack_size_validation(self):
-        with pytest.raises(ValueError):
-            run_mixloss_game(UniformLearner(2), ZeroNature(), [0])
-
-    def test_each_pack_checked_once(self, monkeypatch):
-        # The game checks a pack's distributions where they enter; the
-        # natures and the scoring kernel take the checked array.
-        calls = []
-        check = mixloss._as_probabilities
-
-        def counted(*args):
-            calls.append(args)
-            return check(*args)
-
-        monkeypatch.setattr(mixloss, "_as_probabilities", counted)
-        for learner, nature in ((UniformLearner(3), AdversaryNature()),
-                                (ExponentialWeightsLearner(3), ZeroNature())):
-            calls.clear()
-            run_mixloss_game(learner, nature, [1, 2, 3, 4, 5])
-            assert len(calls) == 5, (learner, nature)
-
-    @pytest.mark.parametrize("spoil, match", [
-        (lambda p: p[1:], "1 rows for a pack of 2"),
-        (lambda p: p + [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], "row 1 sums to"),
-        (lambda p: p * [[1.0, 1.0, np.nan]], "free of NaN"),
-    ])
-    def test_bad_rows_never_reach_the_nature(self, spoil, match):
-        class SpoiltLearner(UniformLearner):
-            def distributions(self, pack_size):
-                return spoil(super().distributions(pack_size))
-
-        seen = []
-
-        class RecordingNature(ZeroNature):
-            def __call__(self, distributions):
-                seen.append(distributions)
-                return super().__call__(distributions)
-
-        with pytest.raises(ValueError, match=match):
-            run_mixloss_game(SpoiltLearner(3), RecordingNature(), [2])
-        assert seen == []
+        with pytest.raises(ValueError, match="pack sizes must be >= 1"):
+            run_mixloss_game("uniform", "zero", 2, [0])
 
 
 class TestLowerBoundFormula:
@@ -312,14 +255,13 @@ class TestLowerBoundFormula:
         for n in range(2, 9):
             for sizes in ([3] * 10, [1, 2, 3, 4, 5], [4, 1, 3],
                           [7, 1, 1, 9, 2, 3, 3, 8]):
-                run = run_mixloss_game(UniformLearner(n), AdversaryNature(),
-                                       sizes)
+                run = run_mixloss_game("uniform", "adversary", n, sizes)
                 assert (repr(run.total_lower_bound)
                         == repr(regret_lower_bound(sizes, n))
                         == repr(sum(k * math.log(n) for k in sizes))), (n, sizes)
 
     def test_matches_uniform_equality_case(self):
-        run = run_mixloss_game(UniformLearner(3), AdversaryNature(), [2, 4, 1])
+        run = run_mixloss_game("uniform", "adversary", 3, [2, 4, 1])
         assert run.cumulative_regret[-1] == pytest.approx(
             regret_lower_bound([2, 4, 1], 3), abs=1e-9
         )

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -171,6 +175,17 @@ class TestShuffle:
         stream = make_stream(rng, 2, 3)
         with pytest.raises(ValueError):
             shuffle_experiment(stream, GAME, num_shuffles=0)
+
+    def test_script_refuses_no_shuffles(self):
+        # scripts/shuffle_stability.py refuses a count below 1 as a usage
+        # error (exit 2), as shuffle_experiment refuses it.
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        script = os.path.join(root, "scripts", "shuffle_stability.py")
+        done = subprocess.run(
+            [sys.executable, script, "--shuffles", "0"], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith("error: --shuffles must be >= 1\n")
 
     def test_summary_round_trip(self, rng):
         stream = make_stream(rng, 2, 5, size_min=2, size_max=3)
