@@ -48,7 +48,7 @@ from .harness import (
     run_experiment,
     write_pack_csv,
 )
-from .mixloss import MixLossRun, regret_lower_bound, run_mixloss_game
+from .mixloss import MixLossRun, run_mixloss_game
 from .parallel import (
     ShuffleSummary,
     run_parallel,

@@ -194,11 +194,10 @@ def _cmd_adversary(args) -> int:
     except ValueError:
         raise _CliError(f"bad --packs {args.packs!r}") from None
     run = run_mixloss_game(args.learner, args.nature, args.experts, pack_sizes)
+    _emit(emit_adversary_report(run, args.format), args.out)
     # Only the adversary sets out to force the bound.
-    forced = args.nature != "adversary" or run.forced
-    _emit(emit_adversary_report(run, args.format, args.learner, args.nature,
-                                forced), args.out)
-    return EXIT_OK if forced else EXIT_BOUND_FAILED
+    return (EXIT_BOUND_FAILED if run.nature == "adversary" and not run.forced
+            else EXIT_OK)
 
 
 def _cmd_audit(args) -> int:

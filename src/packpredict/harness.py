@@ -34,7 +34,7 @@ why), parses only what the runs produced, rebuilds the result through the
 re-audit, and refuses a file that is not, key for key, the writer's object
 for that result (apart from the advisory verdicts), or that holds an
 impossible record.  `emit_adversary_report` writes the `adversary`
-command's report of a mix-loss game from its ledger.
+command's report of a mix-loss game from its ledger alone.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class DatasetSpec:
 
     The interval either is given outright (clip_lower/clip_upper) or is
     calibrated as the min/max of targets and expert predictions over the
-    first `calibration_packs` months.  Values outside the interval are
+    first `calibration_packs` months, at most the file's, which are then
+    evaluated like every other month.  Values outside the interval are
     clipped, never dropped.
     """
 
@@ -295,11 +296,9 @@ def load_pack_csv(spec: DatasetSpec):
     sizes = np.bincount(month)
 
     if spec.calibration_packs is not None:
-        if spec.calibration_packs >= len(sizes):
-            raise ValueError(
-                f"calibration_packs={spec.calibration_packs} leaves no packs "
-                f"to evaluate (file has {len(sizes)} months)"
-            )
+        if spec.calibration_packs > len(sizes):
+            raise ValueError(f"calibration_packs={spec.calibration_packs} "
+                             f"exceeds the file's {len(sizes)} months")
         head = sizes[:spec.calibration_packs].sum()
         lower = float(min(outcomes[:head].min(), expert_preds[:, :head].min()))
         upper = float(max(outcomes[:head].max(), expert_preds[:, :head].max()))
@@ -802,13 +801,13 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r} (json, csv, table)")
 
 
-def emit_adversary_report(run: MixLossRun, format: str, learner: str,
-                          nature: str, forced: bool) -> str:
-    """The `adversary` command's report of a game: a `table`, or `json` with
-    its own `schema_version` 1, indented, one object per pack (an infinite
-    loss is a bare `Infinity` token).  Each gives the totals and whether
-    every pack's regret reached its bound; the table says so only against
-    the adversary.  The number of experts is the ledger's."""
+def emit_adversary_report(run: MixLossRun, format: str) -> str:
+    """The `adversary` command's report of a game, from its ledger alone: a
+    `table`, or `json` with its own `schema_version` 1, indented, one object
+    per pack (an infinite loss is a bare `Infinity` token).  Each names the
+    learner and the nature and gives the totals; the JSON's `forced` is
+    `run.forced` against any nature, and the table prints that verdict only
+    against the adversary."""
     num_experts = run.expert_pack_losses.shape[1]
     names = ("pack_size", "mix_loss", "expert_pack_losses", "regret_increment",
              "lower_bound_increment", "cumulative_mix_loss", "cumulative_regret")
@@ -817,19 +816,19 @@ def emit_adversary_report(run: MixLossRun, format: str, learner: str,
         return json.dumps({
             "schema_version": 1,
             "num_experts": num_experts,
-            "learner": learner,
-            "nature": nature,
+            "learner": run.learner,
+            "nature": run.nature,
             "trials": [dict(zip(names, row), trial_index=t)
                        for t, row in enumerate(rows)],
             "total_regret": run.total_regret,
             "total_lower_bound": run.total_lower_bound,
-            "forced": forced,
+            "forced": run.forced,
         }, indent=2, sort_keys=True) + "\n"
     if format != "table":
         raise ValueError(f"unknown format {format!r} (json, table)")
     lines = [
-        f"mix-loss game: {num_experts} experts, learner={learner}, "
-        f"nature={nature}",
+        f"mix-loss game: {num_experts} experts, learner={run.learner}, "
+        f"nature={run.nature}",
         f"{'trial':>5} {'K':>3} {'mix loss':>12} {'regret +=':>12} "
         f"{'K*ln(N)':>12} {'cum regret':>12}",
     ]
@@ -838,9 +837,9 @@ def emit_adversary_report(run: MixLossRun, format: str, learner: str,
                      f"{bound:>12.6f} {cum:>12.6f}")
     lines.append(f"total regret {run.total_regret:.6f} vs forced lower bound "
                  f"{run.total_lower_bound:.6f} (ln(N) per item)")
-    if nature == "adversary":
+    if run.nature == "adversary":
         lines.append("per-pack lower bound " +
-                     ("held in every pack" if forced else "VIOLATED"))
+                     ("held in every pack" if run.forced else "VIOLATED"))
     return "\n".join(lines) + "\n"
 
 

@@ -20,8 +20,8 @@ natures (`adversary`, `zero`).  Each learner's rows are probability
 vectors as `games` states them, and each nature's losses lie in
 [0, +inf], by construction, so the game checks no pack.
 `run_mixloss_game` plays a named pair and returns the game's ledger, a
-`MixLossRun`, from which `harness` writes the `adversary` command's report,
-table or JSON.
+`MixLossRun`: the names it played and its columns, from which alone
+`harness` writes the `adversary` command's report, table or JSON.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def _low_product_expert(p: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MixLossRun:
-    """A mix-loss game as played, as columns; row t is pack t: its size, the
-    learner's mix loss and each expert's loss over the pack (T x N), with
-    T, N >= 1.  The rest is derived on each access.
+    """A mix-loss game as played: the learner's and the nature's names, then
+    columns, row t for pack t: its size, the learner's mix loss and each
+    expert's loss over the pack (T x N), with T, N >= 1.  The rest, the
+    K*ln(N) floor and the `forced` verdict included, is derived on each access.
 
     A pack's regret is its mix loss less its best expert's loss, and the
     cumulative regret sums these: regret against each pack's own best
@@ -81,6 +82,8 @@ class MixLossRun:
     first, and the adversary spares another.
     """
 
+    learner: str
+    nature: str
     pack_size: np.ndarray
     mix_loss: np.ndarray
     expert_pack_losses: np.ndarray
@@ -112,9 +115,8 @@ class MixLossRun:
 
     @property
     def total_lower_bound(self) -> float:
-        """The game's K*ln(N) floor, as `regret_lower_bound` states it."""
-        return regret_lower_bound(self.pack_size.tolist(),
-                                  self.expert_pack_losses.shape[1])
+        """The game's floor: the packs' K*ln(N), summed in pack order."""
+        return float(np.cumsum(self.lower_bound_increment)[-1])
 
     @property
     def forced(self) -> bool:
@@ -180,14 +182,5 @@ def run_mixloss_game(learner: str, nature: str, num_experts: int,
         mix.append(_mix_loss(p, losses))
         expert.append(losses.sum(axis=1))
         sums = sums + expert[-1]
-    return MixLossRun(np.array(sizes, dtype=int), np.array(mix, dtype=float),
-                      np.array(expert, dtype=float))
-
-
-def regret_lower_bound(pack_sizes, num_experts: int) -> float:
-    """ln(N) per item: what the adversary extracts from any learner, as
-    the packs' K*ln(N) summed in pack order from 0.0."""
-    if num_experts < 1:
-        raise ValueError("need at least one expert")
-    log_n = math.log(num_experts)
-    return sum((int(k) * log_n for k in pack_sizes), 0.0)
+    return MixLossRun(learner, nature, np.array(sizes, dtype=int),
+                      np.array(mix, dtype=float), np.array(expert, dtype=float))

@@ -20,8 +20,10 @@ from packpredict import (
     harness,
     result_from_json,
     run_experiment,
+    run_mixloss_game,
 )
 from packpredict.cli import main
+from packpredict.mixloss import LEARNERS, NATURES
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_20.csv")
 
@@ -213,6 +215,8 @@ class TestRefusals:
          "bad --prior '1,x'"),
         (f"{RUN} --experts m1,m2,m3 --calibration-packs 0",
          "calibration_packs must be >= 1"),
+        (f"{RUN} --experts m1,m2,m3 --calibration-packs 6",
+         "calibration_packs=6 exceeds the file's 5 months"),
         ("run --data {constant} --target target --experts e1 "
          "--calibration-packs 1",
          "calibration packs are constant at 0.5; cannot form an interval"),
@@ -274,6 +278,37 @@ class TestAdversary:
             assert main(["adversary", "--packs", packs]) == 1
             assert capsys.readouterr().err.strip() == message
 
+    def test_forced_is_the_ledgers(self, capsys):
+        # For every learner and nature, the ledger records the names it
+        # played, the JSON reads them and `forced` from it, and the exit
+        # code is 2 only for an adversary short of its floor: never, for
+        # the shipped learners.  Against `zero`, N >= 2 leaves the
+        # learner's regret 0 below K*ln(N); N = 1 makes the floor 0.
+        for learner in LEARNERS:
+            for nature in NATURES:
+                for experts, packs in ((1, [2, 1]), (3, [2, 2]), (4, [1, 3])):
+                    run = run_mixloss_game(learner, nature, experts, packs)
+                    assert (run.learner, run.nature) == (learner, nature)
+                    code = main(["adversary", "--experts", str(experts),
+                                 "--packs", ",".join(map(str, packs)),
+                                 "--learner", learner, "--nature", nature,
+                                 "--format", "json"])
+                    payload = json.loads(capsys.readouterr().out)
+                    assert (payload["learner"], payload["nature"],
+                            payload["forced"]) == (learner, nature, run.forced)
+                    assert run.forced is (nature == "adversary" or experts == 1)
+                    assert code == 0, (learner, nature, experts)
+
+    def test_unforced_adversary_exits_2(self, capsys, monkeypatch):
+        # An adversary that spares every expert forces nothing: the table
+        # says VIOLATED and the command exits 2, for both formats.
+        monkeypatch.setitem(NATURES, "adversary", NATURES["zero"])
+        assert main(["adversary", "--experts", "2", "--packs", "1"]) == 2
+        assert "per-pack lower bound VIOLATED" in capsys.readouterr().out
+        assert main(["adversary", "--experts", "2", "--packs", "1",
+                     "--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out)["forced"] is False
+
     def test_no_experts(self, capsys):
         for learner in ("uniform", "exp-weights"):
             assert main(["adversary", "--experts", "0",
@@ -284,18 +319,19 @@ class TestAdversary:
     # The sha256 prefixes of the table and the JSON report, and the exit
     # code.  The second holds `Infinity` tokens; the third, the sixth and
     # the last hold mix losses of -0.0, whose running totals print as 0.
+    # The two JSON reports against `zero` say `"forced": false`.
     @pytest.mark.parametrize("args, table, report", [
         ("--experts 2 --packs 3,3,3", "0246b4866ecaa7a2", "2cb8cea71b250f0e"),
         ("--experts 4 --packs 2,3 --learner exp-weights",
          "819d3b8045915907", "a4e023e1bbc60bb2"),
         ("--experts 3 --packs 2,2 --learner exp-weights --nature zero",
-         "8f669cde81d4181e", "5196121173b5c043"),
+         "8f669cde81d4181e", "3fffd1e8d2967ab8"),
         ("--experts 3 --packs 1,2,3,4,5", "3d2a932c47fbf251", "dc97ce2f6d317d5a"),
         ("--experts 5 --packs 4,1,3 --learner exp-weights",
          "d8c8572fafd345f2", "14ca0bb4857e8c25"),
         ("--experts 1 --packs 2,1", "f1fb013f542d911b", "8a3242b20525ebcc"),
         ("--experts 6 --packs 7,1,1,9,2,3,3,8 --nature zero",
-         "e9b1b895d0cc44e8", "3e2c1a67f8f0b64e"),
+         "e9b1b895d0cc44e8", "699242810e947cbf"),
     ])
     def test_output_bytes(self, capsys, args, table, report):
         for fmt, digest in (("table", table), ("json", report)):

@@ -152,10 +152,22 @@ class TestLoadPackCsv:
         assert stream[4].outcomes.max() == 0.66
         assert stream[4].outcomes.min() == 0.20
 
-    def test_calibration_needs_leftover_packs(self):
-        with pytest.raises(ValueError):
+    def test_calibration_on_every_month(self):
+        # M equal to the file's 5 months calibrates on the whole file, and
+        # the calibration months are evaluated like every other month.
+        stream, game = load_pack_csv(
+            fixture_spec(clip_lower=None, clip_upper=None, calibration_packs=5)
+        )
+        assert stream.pack_sizes == (4, 6, 3, 2, 5)
+        assert game.lower == -0.10 and game.upper == 1.20
+        # Nothing is clipped: May keeps its 1.20 and -0.10.
+        assert stream[4].outcomes[1] == 1.20 and stream[4].outcomes[3] == -0.10
+
+    def test_calibration_beyond_the_file_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "calibration_packs=6 exceeds the file's 5 months")):
             load_pack_csv(fixture_spec(clip_lower=None, clip_upper=None,
-                                       calibration_packs=5))
+                                       calibration_packs=6))
 
     def test_eta_override(self):
         _, game = load_pack_csv(fixture_spec(eta=0.5, c=1.25))
@@ -984,7 +996,7 @@ PUBLIC_NAMES = [
     'check_substitution_validity', 'emit_adversary_report', 'emit_report',
     'generate_synthetic_stream', 'init_state', 'load_pack_csv',
     'max_mixable_eta', 'observe_pack', 'predict_item', 'predict_pack',
-    'regret_lower_bound', 'rescale_stream', 'result_from_json', 'run_aa',
+    'rescale_stream', 'result_from_json', 'run_aa',
     'run_aap_current', 'run_aap_equal', 'run_aap_incremental',
     'run_aap_max', 'run_experiment', 'run_mixloss_game', 'run_parallel',
     'shuffle_experiment', 'shuffle_within_packs', 'substitute_pack',

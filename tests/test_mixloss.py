@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from packpredict import regret_lower_bound, run_mixloss_game
+from packpredict import MixLossRun, run_mixloss_game
 from packpredict.games import _as_probabilities
 from packpredict.harness import emit_adversary_report
 from packpredict.mixloss import (LEARNERS, NATURES, _low_product_expert,
@@ -149,13 +149,12 @@ class TestGame:
         assert run.pack_size.tolist() == [1, 2, 3]
         total = sum(run.mix_loss)
         assert run.cumulative_mix_loss[-1] == pytest.approx(total, abs=1e-12)
-        report = json.loads(emit_adversary_report(
-            run, "json", "uniform", "adversary", run.forced))
+        report = json.loads(emit_adversary_report(run, "json"))
         assert [t["trial_index"] for t in report["trials"]] == [0, 1, 2]
         d = report["trials"][0]
         assert d["pack_size"] == 1 and d["mix_loss"] == pytest.approx(LN2)
         with pytest.raises(ValueError, match="unknown format"):
-            emit_adversary_report(run, "csv", "uniform", "adversary", True)
+            emit_adversary_report(run, "csv")
 
     def test_derived_columns_are_running_sums(self):
         # Sums pack by pack in Python floats, from 0.0: each derived column
@@ -239,29 +238,59 @@ class TestGame:
             run_mixloss_game("uniform", "zero", 2, [0])
 
 
+def ledger(sizes, mix_loss, expert_pack_losses):
+    """A ledger built by hand, as if the uniform learner met the adversary."""
+    return MixLossRun("uniform", "adversary", np.array(sizes),
+                      np.array(mix_loss, dtype=float),
+                      np.array(expert_pack_losses, dtype=float))
+
+
 class TestLowerBoundFormula:
     def test_value(self):
-        assert regret_lower_bound([1, 2, 3, 4, 5], 12) == pytest.approx(
+        run = run_mixloss_game("uniform", "adversary", 12, [1, 2, 3, 4, 5])
+        assert run.total_lower_bound == pytest.approx(
             37.273599746820004653, abs=1e-12
         )
 
     def test_needs_an_expert(self):
-        with pytest.raises(ValueError, match="at least one expert"):
-            regret_lower_bound([1], 0)
+        # No floor without an expert: the game refuses N = 0 for every
+        # nature before it states one.
+        for nature in NATURES:
+            with pytest.raises(ValueError, match="at least one expert"):
+                run_mixloss_game("uniform", nature, 0, [1])
 
-    def test_ledger_states_the_same_floor(self):
-        # One K*ln(N) floor, bit for bit, on 28 small games: the ledger's
-        # total is regret_lower_bound's, which adds the packs in order.
+    def test_ledger_states_the_same_floor(self, rng):
+        # One K*ln(N) floor, bit for bit: the ledger's total is the packs'
+        # K*ln(N) added in pack order from 0.0, on 28 small games and on
+        # 2000 hand-built ledgers of random sizes.
         for n in range(2, 9):
             for sizes in ([3] * 10, [1, 2, 3, 4, 5], [4, 1, 3],
                           [7, 1, 1, 9, 2, 3, 3, 8]):
                 run = run_mixloss_game("uniform", "adversary", n, sizes)
                 assert (repr(run.total_lower_bound)
-                        == repr(regret_lower_bound(sizes, n))
-                        == repr(sum(k * math.log(n) for k in sizes))), (n, sizes)
+                        == repr(sum((k * math.log(n) for k in sizes), 0.0))
+                        ), (n, sizes)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            sizes = rng.integers(1, 60, size=int(rng.integers(1, 50)))
+            run = ledger(sizes, np.zeros(sizes.size), np.zeros((sizes.size, n)))
+            want = sum((int(k) * math.log(n) for k in sizes), 0.0)
+            assert repr(run.total_lower_bound) == repr(want), (n, sizes)
 
     def test_matches_uniform_equality_case(self):
         run = run_mixloss_game("uniform", "adversary", 3, [2, 4, 1])
         assert run.cumulative_regret[-1] == pytest.approx(
-            regret_lower_bound([2, 4, 1], 3), abs=1e-9
+            run.total_lower_bound, abs=1e-9
         )
+        assert run.total_lower_bound == pytest.approx(7 * math.log(3),
+                                                      abs=1e-12)
+
+
+class TestForced:
+    def test_tolerance_is_literal(self):
+        # One pack of 2 items over 3 experts, expert 0 spared: the floor is
+        # 2 ln 3.  A regret short of it by 1e-6 is not forced; one short by
+        # 1e-12, rounding, is.
+        for delta, forced in ((1e-6, False), (1e-12, True)):
+            run = ledger([2], [2 * math.log(3) - delta], [[0.0, np.inf, np.inf]])
+            assert run.forced is forced, delta
