@@ -110,15 +110,18 @@ def _parse_prior(raw: str):
         raise _CliError(f"bad --prior {raw!r}") from None
 
 
-def _warn_eta(game: GameSpec) -> None:
-    top = max_mixable_eta(game.lower, game.upper)
+def _game(lower: float, upper: float, args) -> GameSpec:
+    """The game on [lower, upper] at `--eta` and `--c` (shared by `run` and
+    `synth`), with a warning if the rate exceeds the largest known safe."""
+    game = GameSpec.for_interval(lower, upper, args.eta, args.c)
+    top = max_mixable_eta(lower, upper)
     if game.eta > top * (1 + 1e-12):
         print(
             f"warning: eta={game.eta:g} exceeds {top:g}, the largest rate "
-            f"known safe for [{game.lower:g}, {game.upper:g}]; "
-            f"guarantees may fail",
+            f"known safe for [{lower:g}, {upper:g}]; guarantees may fail",
             file=sys.stderr,
         )
+    return game
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -158,11 +161,9 @@ def _cmd_run(args) -> int:
         clip_lower=args.lower,
         clip_upper=args.upper,
         calibration_packs=args.calibration_packs,
-        eta=args.eta,
-        c=args.c,
     )
-    stream, game = load_pack_csv(spec)
-    _warn_eta(game)
+    stream, loaded = load_pack_csv(spec)
+    game = _game(loaded.lower, loaded.upper, args)
     return _report(_run(stream, game, args), args)
 
 
@@ -179,8 +180,7 @@ def _cmd_synth(args) -> int:
     stream, _ = generate_synthetic_stream(config)
     if (args.lower, args.upper) != (0.0, 1.0):
         stream = rescale_stream(stream, args.lower, args.upper)
-    game = GameSpec.for_interval(args.lower, args.upper, args.eta, args.c)
-    _warn_eta(game)
+    game = _game(args.lower, args.upper, args)
     result = _run(stream, game, args)
     # Only a stream the run accepted is written out.
     if args.emit_data is not None:
@@ -204,8 +204,7 @@ def _cmd_audit(args) -> int:
     try:
         with open(args.result) as fh:
             result, verdicts = _read_report(fh.read())
-    except (OSError, KeyError, TypeError, ValueError, OverflowError,
-            RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         print(f"error: cannot read result file {args.result!r}: {e}",
               file=sys.stderr)
         return EXIT_ERROR

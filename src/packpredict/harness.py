@@ -83,7 +83,7 @@ class DatasetSpec:
     calibrated as the min/max of targets and expert predictions over the
     first `calibration_packs` months, at most the file's, which are then
     evaluated like every other month.  Values outside the interval are
-    clipped, never dropped.
+    clipped, never dropped.  The spec holds no rate: see `load_pack_csv`.
     """
 
     path: str
@@ -94,8 +94,6 @@ class DatasetSpec:
     clip_lower: float | None = None
     clip_upper: float | None = None
     calibration_packs: int | None = None
-    eta: float | None = None
-    c: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "expert_cols", tuple(self.expert_cols))
@@ -132,7 +130,7 @@ def _month_key(raw: str, line_num: int, column: str) -> str:
 def _parse_float(raw: str, line_num: int, column: str) -> float:
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(
@@ -256,7 +254,8 @@ def _read_cells(fh, columns: list):
 
 
 def load_pack_csv(spec: DatasetSpec):
-    """Read a pack CSV into (PackStream, GameSpec) per the dataset spec."""
+    """Read a pack CSV into (PackStream, GameSpec) per the dataset spec; the
+    game is the interval's at its default rate, as for synthetic streams."""
     columns = [spec.timestamp_col, spec.target_col, *spec.expert_cols]
     if spec.order_col is not None:
         columns.append(spec.order_col)
@@ -309,7 +308,7 @@ def load_pack_csv(spec: DatasetSpec):
     else:
         lower, upper = float(spec.clip_lower), float(spec.clip_upper)
 
-    game = GameSpec.for_interval(lower, upper, spec.eta, spec.c)
+    game = GameSpec.for_interval(lower, upper)
     np.clip(outcomes, lower, upper, out=outcomes)
     np.clip(expert_preds, lower, upper, out=expert_preds)
     return PackStream(expert_preds, outcomes, sizes), game
@@ -974,7 +973,8 @@ def _read_report(text: str) -> tuple:
     The file must then be the writer's object for that result
     (`_check_written`), and no record may be impossible: a pack's loss is a
     sum of squares of differences within the game's interval, and every
-    prediction lies in that interval (to which it is clipped)."""
+    prediction lies in that interval (to which it is clipped).  Every
+    refusal is a `ValueError`, as `cli`'s `audit` expects."""
     d = json.loads(text)
     version = d.get("schema_version") if isinstance(d, dict) else None
     if version != SCHEMA_VERSION:

@@ -18,6 +18,7 @@ from packpredict import (
     emit_report,
     generate_synthetic_stream,
     harness,
+    max_mixable_eta,
     result_from_json,
     run_experiment,
     run_mixloss_game,
@@ -26,6 +27,10 @@ from packpredict.cli import main
 from packpredict.mixloss import LEARNERS, NATURES
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "fixture_20.csv")
+# `run` on the fixture, short of its interval.
+FIXTURE_RUN = ["run", "--data", FIXTURE, "--target", "price",
+               "--experts", "m1,m2,m3"]
+UNIT = ["--lower", "0", "--upper", "1"]
 
 
 class TestSynth:
@@ -104,10 +109,11 @@ class TestSynth:
 
     def test_nonfinite_rate_rejected(self, capsys):
         # Bad input, not a failed guarantee: each would give NaN losses.
-        for flags in (["--c", "inf"], ["--eta", "inf"], ["--eta", "1e-320"]):
-            code = main(["synth", "--trials", "5", *flags])
-            assert code == 1, flags
-            assert "finite" in capsys.readouterr().err, flags
+        for command in (["synth", "--trials", "5"], [*FIXTURE_RUN, *UNIT]):
+            for flags in (["--c", "inf"], ["--eta", "inf"], ["--eta", "1e-320"]):
+                code = main([*command, *flags])
+                assert code == 1, (command, flags)
+                assert "finite" in capsys.readouterr().err, (command, flags)
 
     def test_empty_stream_rejected(self, capsys, tmp_path):
         # Refused by the config, before a stream is generated or written.
@@ -193,6 +199,26 @@ class TestRun:
             assert code == 1
             assert "at least one algorithm, each once" in capsys.readouterr().err
 
+    def test_eta_override(self, capsys):
+        # `run` and `synth` take the game's rate and constant alike.
+        for command in ([*FIXTURE_RUN, *UNIT], ["synth", "--trials", "6"]):
+            assert main([*command, "--eta", "0.5", "--c", "1.25",
+                         "--format", "json"]) == 0, command
+            game = json.loads(capsys.readouterr().out)["game"]
+            assert (game["eta"], game["c"]) == (0.5, 1.25), command
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (3e4, 8e5)])
+    def test_eta_warning_boundary(self, capsys, lower, upper):
+        # A rate 1e-9 above the largest safe one warns; that rate does not.
+        top = max_mixable_eta(lower, upper)
+        interval = ["--lower", repr(lower), "--upper", repr(upper)]
+        for command in (["synth", "--trials", "3", *interval],
+                        [*FIXTURE_RUN, *interval]):
+            for eta, warns in ((top * (1 + 1e-9), True), (top, False)):
+                assert main([*command, "--eta", repr(eta)]) == 0, command
+                err = capsys.readouterr().err
+                assert ("warning: eta=" in err) == warns, (command, eta, err)
+
     def test_half_interval_rejected(self, capsys):
         code = main(["run", "--data", FIXTURE, "--target", "price",
                      "--experts", "m1,m2,m3", "--lower", "0"])
@@ -229,6 +255,11 @@ class TestRefusals:
          "degenerate interval [0.0, 1e+200]"),
         ("run --data {huge} --target target --experts e1 "
          "--calibration-packs 1", "degenerate interval [0.0, 1e+200]"),
+        # The file is refused before the rate.
+        (f"{RUN} --experts m1,nope {INTERVAL} --c inf",
+         "missing columns ['nope']"),
+        (f"{RUN} --experts m1,m2,m3 --calibration-packs 6 --eta inf",
+         "calibration_packs=6 exceeds the file's 5 months"),
     ])
     def test_refused_with_message(self, tmp_path, capsys, argv, message):
         constant = tmp_path / "constant.csv"
@@ -792,6 +823,61 @@ class TestReaderContract:
         names = [k for k in path if isinstance(k, str)][-2:]
         assert "cannot read result file" in err, (path, edit)
         assert any(name in err for name in names), (path, edit, err)
+
+
+@functools.lru_cache(maxsize=None)
+def small_reports() -> tuple:
+    """A 3-expert, 6-pack report with a shuffle study, in both prefix modes."""
+    stream, game = generate_synthetic_stream(SyntheticConfig(3, 6, seed=6))
+    return tuple(emit_report(run_experiment(stream, game, shuffles=2,
+                                            every_prefix=every), "json")
+                 for every in (False, True))
+
+
+DROP = object()
+# What may be written over any value, or `DROP` a key.
+ODD_VALUES = (None, [], {}, "x", True, 10 ** 400, [[1]])
+
+
+def reads_any(path, value) -> bool:
+    """Whether a read may succeed with `value` at `path`: the verdicts are
+    advisory, the shuffle seed is any integer, and a report may hold no
+    shuffle study."""
+    return (path[-1] in ("passed", "min_slack") or path == ("shuffle", "seed")
+            or (path == ("shuffle",) and value is None))
+
+
+class TestReaderErrors:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_refusal_is_a_value_error(self, tmp_path, capsys, data):
+        # One edit anywhere in the report, records included: the read
+        # succeeds or raises ValueError, which `audit` reports as a bad
+        # file.  Any other exception is a reader bug, and shows as one.
+        text = data.draw(st.sampled_from(small_reports()))
+        payload = json.loads(text)
+        path = data.draw(st.sampled_from(list(key_paths(payload))))
+        *parents, key = path
+        node = functools.reduce(lambda n, k: n[k], parents, payload)
+        values = ODD_VALUES + ((DROP,) if isinstance(node, dict) else ())
+        value = data.draw(st.sampled_from(values))
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+        edited = json.dumps(payload)
+        try:
+            harness._read_report(edited)
+        except ValueError:
+            p = tmp_path / "edited.json"
+            p.write_text(edited)
+            assert main(["audit", str(p)]) == 1, (path, value)
+            assert "cannot read result file" in capsys.readouterr().err
+        else:
+            # An edit to an equal value (`{}` for empty params) is none.
+            unedited = edited == json.dumps(json.loads(text))
+            assert unedited or reads_any(path, value), (path, value)
 
 
 class TestEntryPoint:

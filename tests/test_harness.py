@@ -169,10 +169,6 @@ class TestLoadPackCsv:
             load_pack_csv(fixture_spec(clip_lower=None, clip_upper=None,
                                        calibration_packs=6))
 
-    def test_eta_override(self):
-        _, game = load_pack_csv(fixture_spec(eta=0.5, c=1.25))
-        assert game.eta == 0.5 and game.c == 1.25
-
     def test_missing_column(self, tmp_path):
         with pytest.raises(ValueError, match="missing columns"):
             load_pack_csv(fixture_spec(target_col="nope"))

@@ -8,8 +8,7 @@ import pytest
 from packpredict import MixLossRun, run_mixloss_game
 from packpredict.games import _as_probabilities
 from packpredict.harness import emit_adversary_report
-from packpredict.mixloss import (LEARNERS, NATURES, _low_product_expert,
-                                 _mix_loss)
+from packpredict.mixloss import LEARNERS, NATURES, _mix_loss
 
 LN2 = 0.69314718055994530942
 
@@ -41,39 +40,47 @@ class TestMixLoss:
         assert out == 0.0
 
 
+def spared(dists):
+    """The expert the adversary spares in a pack: its one row of zero losses."""
+    losses = NATURES["adversary"](dists)
+    (n0,) = np.flatnonzero((losses == 0).all(axis=1))
+    return n0
+
+
 class TestLowProductExpert:
+    # The adversary spares the expert with the smallest product of masses.
     def test_uniform_picks_first(self):
-        assert _low_product_expert(np.full((3, 4), 0.25)) == 0
+        assert spared(np.full((3, 4), 0.25)) == 0
 
     def test_single_item_smallest_mass(self):
-        assert _low_product_expert(np.array([[0.9, 0.1]])) == 1
+        assert spared(np.array([[0.9, 0.1]])) == 1
 
     def test_two_item_three_expert_case(self):
         # Products are 0.10, 0.09, 0.10; the middle expert has the smallest,
-        # and 0.09 <= 1/9.  (All three actually clear the 1/9 ceiling here.)
+        # and 0.09 <= 1/9.  (All three actually clear the 1/9 bound here.)
         dists = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
-        assert _low_product_expert(dists) == 1
+        assert spared(dists) == 1
 
     def test_tie_breaks_low_index(self):
         dists = np.array([[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]])
-        assert _low_product_expert(dists) == 2  # product 0 beats ties
+        assert spared(dists) == 2  # product 0 beats ties
         tie = np.array([[0.4, 0.4, 0.2], [0.2, 0.2, 0.6]])
         # experts 0 and 1 tie at 0.08; lowest index wins
-        assert _low_product_expert(tie) == 0
+        assert spared(tie) == 0
 
     def test_rows_off_by_rounding(self):
-        # Rows summing to 1 + 9e-13, within the tolerance: every expert's
-        # log-product is 4 ln((1 + 9e-13)/3), above -4 ln 3 but within the
-        # bound sum_k ln(s_k) - K ln N of the rows' own sums.
-        assert _low_product_expert(np.full((4, 3), (1 + 9e-13) / 3)) == 0
+        # Rows summing to 1 + 9e-13: every expert's log-product is
+        # 4 ln((1 + 9e-13)/3), a hair above -4 ln 3.  All tie, and the
+        # first is spared.
+        assert spared(np.full((4, 3), (1 + 9e-13) / 3)) == 0
 
     def test_guarantee_on_random_tuples(self, rng):
+        # The averaging bound: the spared expert's product is at most N^(-K).
         for _ in range(500):
             k = int(rng.integers(1, 6))
             n = int(rng.integers(1, 7))
             dists = rng.dirichlet(np.ones(n), size=k)
-            n0 = _low_product_expert(dists)
-            log_product = np.sum(np.log(dists[:, n0]))
+            log_product = np.sum(np.log(dists[:, spared(dists)]))
             assert log_product <= -k * math.log(n) + 1e-12
 
 
