@@ -26,9 +26,9 @@ from .harness import (
     SyntheticConfig,
     _audit,
     _read_report,
+    _report_texts,
     _where,
     emit_adversary_report,
-    emit_report,
     generate_synthetic_stream,
     load_pack_csv,
     rescale_stream,
@@ -124,12 +124,15 @@ def _game(lower: float, upper: float, args) -> GameSpec:
     return game
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(texts, out: str | None) -> None:
+    """Write a report's texts, in order, to `out` or to stdout, each as it
+    comes.  Every refusal is raised before `texts` is given here, so a
+    refused report leaves `out` as it was."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _run(stream, game: GameSpec, args):
@@ -146,7 +149,7 @@ def _run(stream, game: GameSpec, args):
 
 def _report(result, args) -> int:
     """Emit the report; the exit code says whether every guarantee held."""
-    _emit(emit_report(result, args.format), args.out)
+    _emit(_report_texts(result, args.format), args.out)
     return EXIT_OK if result.passed else EXIT_BOUND_FAILED
 
 
@@ -194,7 +197,7 @@ def _cmd_adversary(args) -> int:
     except ValueError:
         raise _CliError(f"bad --packs {args.packs!r}") from None
     run = run_mixloss_game(args.learner, args.nature, args.experts, pack_sizes)
-    _emit(emit_adversary_report(run, args.format), args.out)
+    _emit([emit_adversary_report(run, args.format)], args.out)
     # Only the adversary sets out to force the bound.
     return (EXIT_BOUND_FAILED if run.nature == "adversary" and not run.forced
             else EXIT_OK)
@@ -203,7 +206,7 @@ def _cmd_adversary(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         with open(args.result) as fh:
-            result, verdicts = _read_report(fh.read())
+            result, verdicts = _read_report(fh)
     except (OSError, ValueError, RecursionError) as e:
         print(f"error: cannot read result file {args.result!r}: {e}",
               file=sys.stderr)
@@ -233,7 +236,7 @@ def _cmd_audit(args) -> int:
                     f"{'ok' if ok else 'FAIL'}"
                 )
     lines.append("all guarantees hold" if all_ok else "guarantee VIOLATED")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK if all_ok else EXIT_BOUND_FAILED
 
 

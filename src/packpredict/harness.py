@@ -28,8 +28,9 @@ list column (a row of a T x N column, or a pack's `learner_preds`) from
 that dump into per-trial texts, with no `str` per value; the CSV outputs
 write their floats through it too, one text per value.  The text is the
 same as `json.dumps` of the whole object with the records as per-trial
-dicts.
-The reader (`_read_report`), on `json.loads` (see `_float_texts` for
+dicts.  It is made a run at a time (`_report_texts`), so a writer need
+hold only one run's text.
+The reader (`_read_parsed`), on stdlib `json` (see `_float_texts` for
 why), parses only what the runs produced, rebuilds the result through the
 re-audit, and refuses a file that is not, key for key, the writer's object
 for that result (apart from the advisory verdicts), or that holds an
@@ -718,9 +719,9 @@ def _records_parts(records: RunRecords, shared: dict) -> list:
     trial = "{%s}" % ",".join(f'"{name}":{columns[name][0]}' for name in names)
     # Trial after trial: the template's first literal, then each column's
     # text followed by the next literal.  The caller joins the parts once,
-    # with the rest of the report: a text per run or per trial, or a `%`
-    # format (its result grows as it is written), raised the peak
-    # resident set by 2 to 4 MB at the reference size.
+    # into the run's text: a text per trial, or a `%` format (its result
+    # grows as it is written), raised the peak resident set by 2 to 4 MB
+    # at the reference size, as did joining the run texts again into one.
     literals = trial.split("%s")
     streams = [repeat(literals[0])]
     for name, literal in zip(names, [*literals[1:-1], literals[-1] + ","]):
@@ -730,27 +731,22 @@ def _records_parts(records: RunRecords, shared: dict) -> list:
     return parts
 
 
-def emit_report(result: ExperimentResult, format: str = "json") -> str:
-    """Serialize a result: full-fidelity `json`, per-trial cumulative-loss
-    `csv`, or a human-oriented `table` of totals and guarantee slacks, with
-    the best expert's totals.
-
-    The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
-    ":"))` of the report's object, with each run's records written from
-    its columns by `_records_parts`; the columns the runs share are written
-    once, from the first run, and the whole text is joined once.  The `csv`
-    text writes each loss as `repr` does (`_repr_texts`)."""
+def _report_texts(result: ExperimentResult, format: str):
+    """`emit_report`'s text as a few texts, in order, for a writer to write
+    as they come: for `json` the head of the report, then each run's
+    records with the text that follows them, each made only when it is
+    asked for; for `csv` and `table` the one text.  Every refusal is
+    raised by this call, before any text is asked for, so a refused report
+    opens no file."""
     if format == "json":
         texts = json.dumps(_report_object(result), sort_keys=True,
                            separators=(",", ":")).split(json.dumps(_RECORDS))
         if len(texts) != len(result.algorithms) + 1:
             raise ValueError(f"a value of the report holds {_RECORDS!r}")
         shared = _json_trials(result.algorithms[0].records, _SHARED_COLUMNS)
-        parts = texts[:1]
-        for a, text in zip(result.algorithms, texts[1:]):
-            parts += _records_parts(a.records, shared)
-            parts.append(text)
-        return "".join(parts)
+        return chain(texts[:1], (
+            "".join([*_records_parts(a.records, shared), text])
+            for a, text in zip(result.algorithms, texts[1:])))
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -758,7 +754,7 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
         columns = [_repr_texts(a.records.cumulative_loss) for a in result.algorithms]
         for t, row in enumerate(zip(result.pack_sizes, *columns)):
             writer.writerow([t, *row])
-        return buf.getvalue()
+        return [buf.getvalue()]
     if format == "table":
         lines = []
         lines.append(
@@ -796,8 +792,22 @@ def emit_report(result: ExperimentResult, format: str = "json") -> str:
                 f"min {s.min:.6f}  mean {s.mean:.6f}  max {s.max:.6f}  "
                 f"spread {s.max - s.min:.6f}"
             )
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
     raise ValueError(f"unknown format {format!r} (json, csv, table)")
+
+
+def emit_report(result: ExperimentResult, format: str = "json") -> str:
+    """Serialize a result: full-fidelity `json`, per-trial cumulative-loss
+    `csv`, or a human-oriented `table` of totals and guarantee slacks, with
+    the best expert's totals.
+
+    The `json` text is `json.dumps(..., sort_keys=True, separators=(",",
+    ":"))` of the report's object, with each run's records written from
+    its columns by `_records_parts`; the columns the runs share are written
+    once, from the first run.  The `csv` text writes each loss as `repr`
+    does (`_repr_texts`).  The text is `_report_texts`' texts joined; the
+    command line writes those as they come instead."""
+    return "".join(_report_texts(result, format))
 
 
 def emit_adversary_report(run: MixLossRun, format: str) -> str:
@@ -963,19 +973,26 @@ def _check_written(stored, written, path=()) -> None:
                          f"report gives {written!r}")
 
 
-def _read_report(text: str) -> tuple:
-    """A JSON report read back: the result, and each run's stored `passed`
-    verdicts, one per report.  Only what the runs produced is parsed: the
-    game, prior and pack sizes, each run's name, records and `every_prefix`,
-    and the shuffle study's losses and seed.  The result is rebuilt from
-    them through the re-audit, so its reports are the re-audit's, and the
-    runs must be one stream's (`ExperimentResult`) before they are audited.
-    The file must then be the writer's object for that result
-    (`_check_written`), and no record may be impossible: a pack's loss is a
-    sum of squares of differences within the game's interval, and every
-    prediction lies in that interval (to which it is clipped).  Every
-    refusal is a `ValueError`, as `cli`'s `audit` expects."""
-    d = json.loads(text)
+def _read_report(fh) -> tuple:
+    """A JSON report read back from its open text file (see `_read_parsed`).
+    `json.load` drops the file's text once it is parsed."""
+    return _read_parsed(json.load(fh))
+
+
+def _read_parsed(d) -> tuple:
+    """A JSON report read back from its parsed object `d`: the result, and
+    each run's stored `passed` verdicts, one per report.  Only what the
+    runs produced is parsed: the game, prior and pack sizes, each run's
+    name, records and `every_prefix`, and the shuffle study's losses and
+    seed.  The result is rebuilt from them through the re-audit, so its
+    reports are the re-audit's, and the runs must be one stream's
+    (`ExperimentResult`) before they are audited.  The file must then be
+    the writer's object for that result (`_check_written`), and no record
+    may be impossible: a pack's loss is a sum of squares of differences
+    within the game's interval, and every prediction lies in that interval
+    (to which it is clipped).  Every refusal is a `ValueError`, as `cli`'s
+    `audit` expects.  Each run's parsed records are dropped from `d` once
+    they are arrays."""
     version = d.get("schema_version") if isinstance(d, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(
@@ -1000,6 +1017,7 @@ def _read_report(text: str) -> tuple:
         bd._row(bd._TABLE, name, "algorithm", f"{where}.name")
         records = _read_records(_at(d, "algorithms", i, "records", kind=list),
                                 prior.size, f"{where}.records")
+        runs[i]["records"] = _RECORDS  # what `_check_written` expects there
         # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]
         # as rounded (rounding is monotone).  The sum's k - 1 additions
         # round up by at most (k - 1) eps/2 relative, and this limit's own
@@ -1039,5 +1057,5 @@ def _read_report(text: str) -> tuple:
 
 
 def result_from_json(text: str) -> ExperimentResult:
-    """Inverse of emit_report(..., 'json'); see `_read_report`."""
-    return _read_report(text)[0]
+    """Inverse of emit_report(..., 'json'); see `_read_parsed`."""
+    return _read_parsed(json.loads(text))[0]

@@ -1,10 +1,12 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from packpredict import (
     run_experiment,
     run_mixloss_game,
 )
+from packpredict import cli
 from packpredict.cli import main
 from packpredict.mixloss import LEARNERS, NATURES
 
@@ -422,6 +425,90 @@ class TestReferenceReports:
                      "--format", "json"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest()[:16] == "9e16c08901dc2e79"
+
+
+def _synth_result():
+    stream, game = generate_synthetic_stream(
+        SyntheticConfig(num_experts=4, num_trials=30, seed=5))
+    return run_experiment(stream, game, shuffles=2, shuffle_seed=5,
+                          every_prefix=True)
+
+
+def _run_result():
+    stream, loaded = harness.load_pack_csv(harness.DatasetSpec(
+        FIXTURE, "month", "price", ("m1", "m2", "m3"), clip_lower=0.0,
+        clip_upper=1.0))
+    game = GameSpec.for_interval(loaded.lower, loaded.upper)
+    return run_experiment(stream, game, every_prefix=True)
+
+
+# `synth` and `run` arguments, each with the result they report.
+WRITTEN = {
+    "synth": (["synth", "--experts", "4", "--trials", "30", "--seed", "5",
+               "--shuffles", "2", "--every-prefix"], _synth_result),
+    "run": ([*FIXTURE_RUN, *UNIT, "--every-prefix"], _run_result),
+}
+
+
+class TestReportWriter:
+    """`synth` and `run` write their report as it is made, a run at a time,
+    with the bytes `emit_report` joins, and refuse before opening `--out`."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("command", sorted(WRITTEN))
+    def test_out_and_stdout_are_the_report(self, tmp_path, capsys, command,
+                                           fmt):
+        argv, result = WRITTEN[command]
+        report = emit_report(result(), fmt).encode()
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == report
+        out = tmp_path / "report"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == report
+
+    def test_write_holds_less_than_the_report(self, tmp_path):
+        # After the run, writing the reference-size JSON report holds one
+        # run's text at a time, so the traced peak stays below the size of
+        # the report; joining the whole text and then encoding it holds
+        # twice that.
+        stream, game = generate_synthetic_stream(SyntheticConfig(8, 2000))
+        result = run_experiment(stream, game, every_prefix=True)
+        out = tmp_path / "r.json"
+        args = cli.build_parser().parse_args(
+            ["synth", "--format", "json", "--out", str(out)])
+        tracemalloc.start()
+        try:
+            assert cli._report(result, args) == cli.EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_refused_report_leaves_out_as_it_was(self, tmp_path, capsys,
+                                                monkeypatch, existing):
+        # A value holding the records' placeholder is refused by the writer:
+        # an existing `--out` keeps its bytes, and no file is made.
+        def placeholder_run(*args, **kwargs):
+            result = run_experiment(*args, **kwargs)
+            a = result.algorithms[0]
+            report = dataclasses.replace(a.reports[0], algorithm="\0records")
+            return dataclasses.replace(result, algorithms=(
+                dataclasses.replace(a, reports=(report,)),
+                *result.algorithms[1:]))
+
+        monkeypatch.setattr(cli, "run_experiment", placeholder_run)
+        out = tmp_path / "r.json"
+        if existing:
+            out.write_bytes(b"an earlier report\n")
+        argv, _ = WRITTEN["synth"]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "a value of the report holds" in captured.err
+        assert (out.read_bytes() == b"an earlier report\n" if existing
+                else not out.exists())
+        assert main([*argv, "--format", "json"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 def last_pack_to_one(losses):
@@ -868,7 +955,7 @@ class TestReaderErrors:
             node[key] = value
         edited = json.dumps(payload)
         try:
-            harness._read_report(edited)
+            harness._read_report(io.StringIO(edited))
         except ValueError:
             p = tmp_path / "edited.json"
             p.write_text(edited)
