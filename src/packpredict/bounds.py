@@ -28,7 +28,8 @@ table lacks, an algorithm's or a guarantee's.
 
 `audit_run` reads the running totals of a finished run (`RunRecords`)
 and checks the matching guarantee for every expert, either at the end or at
-every prefix, and reports the slack bound - learner_total.  Anything below
+every prefix, and reports the slack bound - learner_total, keeping each
+prefix's least (`_checks` gives them all).  Anything below
 -1e-9 * (B - A)^2 is a violation: slacks scale with (B - A)^2.  A
 `BoundReport`'s JSON form (its verdict and how the audit ran) is stated in
 `harness`, with the rest of the report.
@@ -158,7 +159,7 @@ def _bound(g: _Guarantee, expert_loss, prior, sizes: dict, c: float,
     return mult * c * expert_loss + (c * divisor / eta) * log_terms
 
 
-# One row per (prefix, expert) check: a report's entries, as a structured array.
+# One row per check of a guarantee: a report's entries, as a structured array.
 _ENTRY_DTYPE = np.dtype([
     ("expert_index", int),
     ("learner_loss", float),
@@ -171,18 +172,21 @@ _ENTRY_DTYPE = np.dtype([
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """All guarantee checks for one algorithm on one run.  `entries` is a
-    structured array with one row per (prefix, expert) check, at least one,
-    prefix-major, and the fields expert_index, learner_loss, expert_loss,
-    bound, slack and prefix (the number of trials included); a check passes
-    if its slack is at least -`tolerance`, `SLACK_TOL` in the game's units;
-    `every_prefix` says whether every prefix was checked or only the whole
-    run."""
+    """All guarantee checks for one algorithm on one run, kept as one row
+    per prefix checked.  `entries` is a structured array of `_ENTRY_DTYPE`,
+    at least one row, in prefix order, and the fields expert_index,
+    learner_loss, expert_loss, bound, slack and prefix (the number of
+    trials included): each row is its prefix's check of least slack, the
+    first expert's on a tie.  `checks` counts the checks made, one per
+    (prefix, expert); a check passes if its slack is at least -`tolerance`,
+    `SLACK_TOL` in the game's units; `every_prefix` says whether every
+    prefix was checked or only the whole run."""
 
     algorithm: str
     metric: str  # "total" or "average"
     params: dict
     entries: np.ndarray
+    checks: int
     tolerance: float
     every_prefix: bool = False
 
@@ -192,7 +196,8 @@ class BoundReport:
 
     @property
     def binding(self) -> tuple:
-        """(expert_index, prefix) of the check with the minimum slack."""
+        """(expert_index, prefix) of the check with the minimum slack: on a
+        tie, the earliest prefix's, and there the first expert's."""
         row = self.entries[np.argmin(self.entries["slack"])]
         return int(row["expert_index"]), int(row["prefix"])
 
@@ -200,37 +205,25 @@ class BoundReport:
     def passed(self) -> bool:
         return self.min_slack >= -self.tolerance
 
-    @property
-    def violations(self) -> np.ndarray:
-        return self.entries[self.entries["slack"] < -self.tolerance]
-
     def __eq__(self, other):
         if not isinstance(other, BoundReport):
             return NotImplemented
-        return ((self.algorithm, self.metric, self.params, self.tolerance,
-                 self.every_prefix)
-                == (other.algorithm, other.metric, other.params,
+        return ((self.algorithm, self.metric, self.params, self.checks,
+                 self.tolerance, self.every_prefix)
+                == (other.algorithm, other.metric, other.params, other.checks,
                     other.tolerance, other.every_prefix)
                 and np.array_equal(self.entries, other.entries))
 
 
-def audit_run(records, algorithm: str, game, prior, *,
-              declared_pack_size: int | None = None,
-              every_prefix: bool = False) -> BoundReport:
-    """Check a run's records against the guarantee for `algorithm`.
-
-    `declared_pack_size` is the size K the run declared, which aap-equal
-    and aap-max need; the packs must be ones the algorithm owning the
-    guarantee may take (see `_TABLE`).  With `every_prefix` the guarantee
-    is checked after every trial, not just the last; prefix-dependent
-    divisors (running max size, pool size, max/min ratio) use their value
-    as of that prefix.  Records of no trials are refused.
-    """
+def _checks(records, algorithm: str, game, prior, declared_pack_size=None,
+            every_prefix: bool = False) -> np.ndarray:
+    """Every check `audit_run` makes, as a structured array of
+    `_ENTRY_DTYPE` with a row per prefix checked and a column per expert;
+    `audit_run` keeps each row's least slack.  It refuses what `audit_run`
+    refuses."""
     if len(records) == 0:
         raise ValueError("cannot audit a run on no packs")
     owner, g = _row(_GUARANTEES, algorithm, "guarantee")
-    every_prefix = bool(every_prefix)
-    params = {"c": float(game.c), "eta": float(game.eta)}
     sizes = records.pack_size
     num_trials, num_experts = records.expert_pack_losses.shape
     prior = _as_prior(prior, num_experts)
@@ -248,21 +241,44 @@ def audit_run(records, algorithm: str, game, prior, *,
     else:
         learner = records.cumulative_loss[idx, None]
         expert = records.expert_cumulative_losses[idx, :]
-
-    final = _sizes(declared_pack_size, int(running_max[-1]),
-                   int(running_min[-1]))
-    params.update((name, final[name]) for name in g.sizes)
     bounds = _bound(g, expert, prior,
                     _sizes(declared_pack_size, running_max[idx, None],
                            running_min[idx, None]),
                     game.c, game.eta)
 
-    entries = np.empty(bounds.size, dtype=_ENTRY_DTYPE)
-    entries["expert_index"] = np.tile(np.arange(num_experts), idx.size)
-    entries["learner_loss"] = np.repeat(learner[:, 0], num_experts)
-    entries["expert_loss"] = expert.ravel()
-    entries["bound"] = bounds.ravel()
-    entries["slack"] = (bounds - learner).ravel()
-    entries["prefix"] = np.repeat(prefixes, num_experts)
-    return BoundReport(algorithm, g.metric, params, entries,
+    checks = np.empty(bounds.shape, dtype=_ENTRY_DTYPE)
+    checks["expert_index"] = np.arange(num_experts)
+    checks["learner_loss"] = learner
+    checks["expert_loss"] = expert
+    checks["bound"] = bounds
+    checks["slack"] = bounds - learner
+    checks["prefix"] = prefixes[:, None]
+    return checks
+
+
+def audit_run(records, algorithm: str, game, prior, *,
+              declared_pack_size: int | None = None,
+              every_prefix: bool = False) -> BoundReport:
+    """Check a run's records against the guarantee for `algorithm`.
+
+    `declared_pack_size` is the size K the run declared, which aap-equal
+    and aap-max need; the packs must be ones the algorithm owning the
+    guarantee may take (see `_TABLE`).  With `every_prefix` the guarantee
+    is checked after every trial, not just the last; prefix-dependent
+    divisors (running max size, pool size, max/min ratio) use their value
+    as of that prefix.  Records of no trials are refused.  The report
+    keeps each prefix's check of least slack (see `BoundReport`).
+    """
+    every_prefix = bool(every_prefix)
+    checks = _checks(records, algorithm, game, prior, declared_pack_size,
+                     every_prefix)
+    # The first expert's on a tie, as `BoundReport.binding` takes the
+    # earliest prefix's.
+    entries = checks[np.arange(len(checks)), checks["slack"].argmin(axis=1)]
+    _, g = _GUARANTEES[algorithm]
+    sizes = records.pack_size
+    final = _sizes(declared_pack_size, int(sizes.max()), int(sizes.min()))
+    params = {"c": float(game.c), "eta": float(game.eta)}
+    params.update((name, final[name]) for name in g.sizes)
+    return BoundReport(algorithm, g.metric, params, entries, checks.size,
                        SLACK_TOL * game.width ** 2, every_prefix)

@@ -225,7 +225,7 @@ def _cmd_audit(args) -> int:
             all_ok = all_ok and ok
             lines.append(
                 f"{alg.name:<18} {report.algorithm:<22} {report.metric:<8} "
-                f"checks={len(report.entries):<6} "
+                f"checks={report.checks:<6} "
                 f"min slack={report.min_slack:>12.4e} "
                 f"{'ok' if ok else 'FAIL'}  at {_where(report)}"
             )

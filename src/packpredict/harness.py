@@ -30,12 +30,15 @@ write their floats through it too, one text per value.  The text is the
 same as `json.dumps` of the whole object with the records as per-trial
 dicts.  It is made a run at a time (`_report_texts`), so a writer need
 hold only one run's text.
-The reader (`_read_parsed`), on stdlib `json` (see `_float_texts` for
-why), parses only what the runs produced, rebuilds the result through the
-re-audit, and refuses a file that is not, key for key, the writer's object
-for that result (apart from the advisory verdicts), or that holds an
-impossible record.  `emit_adversary_report` writes the `adversary`
-command's report of a mix-loss game from its ledger alone.
+The reader parses a report a run at a time (`_parse`): it walks the
+top-level object and the `algorithms` list itself, has the stdlib `json`
+scanner (see `_float_texts` for why) parse every other value, and makes
+each run's records into arrays before it parses the next run.  It
+(`_read_parsed`) reads only what the runs produced, rebuilds the result
+through the re-audit, and refuses a file that is not, key for key, the
+writer's object for that result (apart from the advisory verdicts), or
+that holds an impossible record.  `emit_adversary_report` writes the
+`adversary` command's report of a mix-loss game from its ledger alone.
 """
 
 from __future__ import annotations
@@ -899,12 +902,17 @@ def _at(d, *path, kind=None):
     return value
 
 
-def _read_records(rows: list, num_experts: int,
-                  where: str = "records") -> RunRecords:
+def _read_records(rows: list, where: str = "records") -> RunRecords:
     """A run's records read back from their JSON objects (`_records_parts`):
-    the fields of `RunRecords` are parsed, with `pack_size` predictions and
-    `num_experts` expert losses in each trial, and every other column must
-    be the one the writer writes for them."""
+    the fields of `RunRecords` are parsed, with `pack_size` predictions in
+    each trial and as many expert losses as the first trial holds, and
+    every other column must be the one the writer writes for them.  A
+    report lists its `prior` after its runs, so the expert count is the
+    rows' own; `ExperimentResult` refuses one that is not the prior's."""
+    head = rows[0] if rows and type(rows[0]) is dict else {}
+    losses = head.get("expert_pack_losses")
+    num_experts = len(losses) if type(losses) is list else 0
+
     def column(name, dtype=float, lengths=None):
         try:
             values = list(map(itemgetter(name), rows))
@@ -918,7 +926,8 @@ def _read_records(rows: list, num_experts: int,
     sizes = column("pack_size", int)
     records = RunRecords(
         sizes, column("learner_preds", float, sizes), column("learner_pack_loss"),
-        column("expert_pack_losses", float, num_experts).reshape(-1, num_experts))
+        column("expert_pack_losses", float, num_experts).reshape(
+            len(sizes), num_experts))
     produced = [f.name for f in fields(RunRecords)]
     for name in _SHARED_COLUMNS + _RUN_COLUMNS:
         if name not in produced:
@@ -973,26 +982,101 @@ def _check_written(stored, written, path=()) -> None:
                          f"report gives {written!r}")
 
 
+# JSON's whitespace, which `json` skips between tokens.
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _walk(text: str, i: int, scan, path: tuple = ()) -> tuple:
+    """The JSON value that starts at `text[i]`, past any whitespace, and the
+    index past it, as `json.loads` parses it, but with each run's records
+    (`algorithms.i.records`) read by `_read_records` as soon as they are
+    parsed, or the ValueError that read raised, for `_read_parsed` to raise
+    in its turn.  Only the top-level object, its `algorithms` list and the
+    objects in that list are walked here (`path` is the key path of the
+    value); `scan`, the json module's own scanner, parses every other
+    value."""
+    i = _SPACE.match(text, i).end()
+    if path == ("algorithms",):
+        opener = "["
+    else:
+        opener = "{" if len(path) in (0, 2) else None
+    if opener is None or not text.startswith(opener, i):
+        try:
+            value, i = scan(text, i)
+        except StopIteration as e:
+            raise json.JSONDecodeError("Expecting value", text,
+                                       e.value) from None
+        if path[2:] == ("records",) and type(value) is list:
+            try:
+                value = _read_records(value, _dotted(path))
+            except ValueError as e:
+                value = e
+        return value, i
+    closer = "}" if opener == "{" else "]"
+    items = {} if opener == "{" else []
+    i = _SPACE.match(text, i + 1).end()
+    if text.startswith(closer, i):
+        return items, i + 1
+    while True:
+        if opener == "[":
+            item, i = _walk(text, i, scan, (*path, len(items)))
+            items.append(item)
+        else:
+            if not text.startswith('"', i):
+                raise json.JSONDecodeError("Expecting property name enclosed "
+                                           "in double quotes", text, i)
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _SPACE.match(text, i).end()
+            if not text.startswith(":", i):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+            # A repeated key keeps its last value.
+            items[key], i = _walk(text, i + 1, scan, (*path, key))
+        i = _SPACE.match(text, i).end()
+        if text.startswith(closer, i):
+            return items, i + 1
+        if not text.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _SPACE.match(text, i + 1).end()
+
+
+def _parse(text: str):
+    """The JSON document `text` as `json.loads` parses it, and refuses it,
+    with `JSONDecodeError`, but a run at a time (`_walk`): each run's parsed
+    rows are dropped once they are arrays, before the next run is parsed."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    value, i = _walk(text, 0, json.JSONDecoder().scan_once)
+    i = _SPACE.match(text, i).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return value
+
+
 def _read_report(fh) -> tuple:
-    """A JSON report read back from its open text file (see `_read_parsed`).
-    `json.load` drops the file's text once it is parsed."""
-    return _read_parsed(json.load(fh))
+    """A JSON report read back from its open text file (see `_read_parsed`),
+    parsed a run at a time (`_parse`); the file's text is dropped once it is
+    parsed."""
+    return _read_parsed(_parse(fh.read()))
 
 
 def _read_parsed(d) -> tuple:
     """A JSON report read back from its parsed object `d`: the result, and
     each run's stored `passed` verdicts, one per report.  Only what the
     runs produced is parsed: the game, prior and pack sizes, each run's
-    name, records and `every_prefix`, and the shuffle study's losses and
-    seed.  The result is rebuilt from them through the re-audit, so its
-    reports are the re-audit's, and the runs must be one stream's
-    (`ExperimentResult`) before they are audited.  The file must then be
-    the writer's object for that result (`_check_written`), and no record
-    may be impossible: a pack's loss is a sum of squares of differences
-    within the game's interval, and every prediction lies in that interval
-    (to which it is clipped).  Every refusal is a `ValueError`, as `cli`'s
-    `audit` expects.  Each run's parsed records are dropped from `d` once
-    they are arrays."""
+    name and records, the first run's `every_prefix` (every run is audited
+    alike), and the shuffle study's losses and seed.  The result is rebuilt
+    from them through the re-audit, so its reports are the re-audit's, and
+    the runs must be one stream's (`ExperimentResult`) before they are
+    audited.  The file must then be the writer's object for that result
+    (`_check_written`), and no record may be impossible: a pack's loss is
+    a sum of squares of differences within the game's interval, and every
+    prediction lies in that interval (to which it is clipped).  Every
+    refusal is a `ValueError`, as `cli`'s `audit` expects, in the same
+    order whoever parsed `d`: a run's records are `json.loads`' rows, or
+    what `_parse` made of them (the records, or the refusal it met, raised
+    here in its turn).  Each run's records are dropped from `d` once they
+    are arrays."""
     version = d.get("schema_version") if isinstance(d, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(
@@ -1015,8 +1099,13 @@ def _read_parsed(d) -> tuple:
         where = f"algorithms.{i}"
         name = _at(d, "algorithms", i, "name")
         bd._row(bd._TABLE, name, "algorithm", f"{where}.name")
-        records = _read_records(_at(d, "algorithms", i, "records", kind=list),
-                                prior.size, f"{where}.records")
+        # `_parse` read the records as it parsed them; `json.loads` did not.
+        records = _at(d, "algorithms", i, "records")
+        if isinstance(records, ValueError):
+            raise records
+        if type(records) is not RunRecords:
+            records = _read_records(
+                _at(d, "algorithms", i, "records", kind=list), f"{where}.records")
         runs[i]["records"] = _RECORDS  # what `_check_written` expects there
         # A pack of k items loses a sum of k squares, each in [0, (B - A)^2]
         # as rounded (rounding is monotone).  The sum's k - 1 additions
@@ -1047,15 +1136,18 @@ def _read_parsed(d) -> tuple:
     # Checked as one stream's runs before an audit can refuse them otherwise.
     result = ExperimentResult(game, tuple(prior.tolist()), pack_sizes,
                               tuple(algorithms), shuffle)
-    result = replace(result, algorithms=tuple(replace(a, reports=_audit(
-        a, game, prior,
-        _at(d, "algorithms", i, "reports", 0, "every_prefix") is True))
-        for i, a in enumerate(algorithms)))
+    # A result's runs are audited alike (`run_experiment`), so the first
+    # run's `every_prefix` is every run's: `_check_written` refuses a run
+    # whose reports say otherwise.
+    every_prefix = _at(d, "algorithms", 0, "reports", 0, "every_prefix") is True
+    result = replace(result, algorithms=tuple(
+        replace(a, reports=_audit(a, game, prior, every_prefix))
+        for a in algorithms))
     _check_written(d, _report_object(result))
     return result, tuple(tuple(r["passed"] for r in run["reports"])
                          for run in runs)
 
 
 def result_from_json(text: str) -> ExperimentResult:
-    """Inverse of emit_report(..., 'json'); see `_read_parsed`."""
-    return _read_parsed(json.loads(text))[0]
+    """Inverse of emit_report(..., 'json'); see `_read_report`."""
+    return _read_parsed(_parse(text))[0]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packpredict import (
     GameSpec,
@@ -23,7 +25,7 @@ from packpredict import (
 )
 from packpredict import bounds as bd
 
-from conftest import ends_stream, make_stream, random_prior
+from conftest import ends_stream, make_stream, random_prior, stress_streams
 
 GAME = GameSpec(0.0, 1.0, 2.0)
 
@@ -36,8 +38,7 @@ def final_bounds(guarantee, preds, outcomes, sizes, game=GAME, prior=None,
     if prior is None:
         prior = uniform_prior(stream.num_experts)
     records = run_aap_current(stream, game, prior)
-    return audit_run(records, guarantee, game, prior,
-                     declared_pack_size=declared).entries["bound"]
+    return bd._checks(records, guarantee, game, prior, declared)["bound"][-1]
 
 
 class TestClosedForms:
@@ -144,11 +145,13 @@ class TestTightness:
             preds = np.repeat(np.linspace(0, 1, n)[:, None], items, axis=1)
             stream = PackStream(preds, np.ones(items), [k] * 50)
             result = run_experiment(stream, GAME)
-            reports = [r for a in result.algorithms for r in a.reports]
-            assert len(reports) == (7 if k == 1 else 6)  # aa: single items
-            for report in reports:
+            runs = [(a, r) for a in result.algorithms for r in a.reports]
+            assert len(runs) == (7 if k == 1 else 6)  # aa: single items
+            for a, report in runs:
                 assert report.passed, (n, report.algorithm)
-                learner, bound = report.entries[["learner_loss", "bound"]][n - 1]
+                checks = bd._checks(a.records, report.algorithm, GAME,
+                                    uniform_prior(n), a.params.get("pack_size"))
+                learner, bound = checks[["learner_loss", "bound"]][-1, n - 1]
                 assert learner / bound >= 0.6, (n, report.algorithm,
                                                 learner / bound)
 
@@ -184,22 +187,77 @@ class TestAuditRun:
                 f"aap-current-plain, parallel")
 
     def test_entry_counts(self, rng):
+        # A report keeps a row per prefix checked, and counts a check per
+        # (prefix, expert).
         stream = make_stream(rng, 3, 10)
         records = run_aap_incremental(stream, GAME)
         prior = uniform_prior(3)
         final_only = audit_run(records, bd.AAP_INCREMENTAL, GAME, prior)
-        assert len(final_only.entries) == 3
-        assert set(final_only.entries["prefix"].tolist()) == {10}
+        assert (len(final_only.entries), final_only.checks) == (1, 3)
+        assert final_only.entries["prefix"].tolist() == [10]
         full = audit_run(records, bd.AAP_INCREMENTAL, GAME, prior,
                          every_prefix=True)
-        assert len(full.entries) == 30
-        # One row per (prefix, expert), prefix-major, read off the records.
+        assert (len(full.entries), full.checks) == (10, 30)
+        assert full.entries["prefix"].tolist() == list(range(1, 11))
+        # Every check: a row per prefix and a column per expert, read off
+        # the records.
+        checks = bd._checks(records, bd.AAP_INCREMENTAL, GAME, prior,
+                            every_prefix=True)
+        assert checks.shape == (10, 3)
         learner = records.cumulative_loss.tolist()
         experts = records.expert_cumulative_losses.tolist()
         expected = [(n, learner[t], experts[t][n], t + 1)
                     for t in range(len(records)) for n in range(3)]
-        assert full.entries[["expert_index", "learner_loss", "expert_loss",
-                             "prefix"]].tolist() == expected
+        assert checks[["expert_index", "learner_loss", "expert_loss",
+                       "prefix"]].ravel().tolist() == expected
+
+    @staticmethod
+    def _assert_keeps_every_check(report, checks):
+        """`report`, kept as a row per prefix, says what its every check
+        `checks` says: the least slack, where it is (the earliest prefix
+        and there the first expert, on a tie), the verdict and the count."""
+        slack = checks["slack"].ravel()
+        least = int(np.argmin(slack))
+        assert report.min_slack == slack[least]
+        assert report.binding == (int(checks["expert_index"].flat[least]),
+                                  int(checks["prefix"].flat[least]))
+        assert report.passed == (slack[least] >= -report.tolerance)
+        assert report.checks == checks.size
+        assert report.entries["prefix"].tolist() == checks["prefix"][:, 0].tolist()
+
+    @given(stream=stress_streams(), unit=st.booleans(),
+           every_prefix=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_agree_with_every_check(self, stream, unit, every_prefix):
+        # Every guarantee: on single items every algorithm may run.  Experts
+        # at the same end of the interval lose alike, so ties abound.
+        if unit:
+            stream = PackStream(stream.expert_preds, stream.outcomes,
+                                np.ones(stream.num_items, int))
+        prior = uniform_prior(stream.num_experts)
+        result = run_experiment(stream, GAME, every_prefix=every_prefix)
+        assert not unit or len(result.algorithms) == len(bd._TABLE)
+        for a in result.algorithms:
+            for report in a.reports:
+                self._assert_keeps_every_check(report, bd._checks(
+                    a.records, report.algorithm, GAME, prior,
+                    a.params.get("pack_size"), every_prefix))
+
+    def test_planted_tie(self):
+        # Experts 1 and 2 lose nothing and expert 0 loses 1 in the first of
+        # three single items, where the learner loses 1/4: experts 1 and 2
+        # tie for the least slack at every prefix, and the report names the
+        # first prefix and expert 1.
+        records = RunRecords(np.ones(3, int), np.zeros(3),
+                             np.array([0.25, 0.0, 0.0]),
+                             np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0]]))
+        prior = uniform_prior(3)
+        report = audit_run(records, bd.AA, GAME, prior, every_prefix=True)
+        checks = bd._checks(records, bd.AA, GAME, prior, every_prefix=True)
+        assert (checks["slack"][:, 1:] == checks["slack"].min()).all()
+        assert report.binding == (1, 1)
+        assert report.entries["expert_index"].tolist() == [1, 1, 1]
+        self._assert_keeps_every_check(report, checks)
 
     def test_average_metric_selected(self, rng):
         stream = make_stream(rng, 2, 5)
@@ -219,7 +277,8 @@ class TestAuditRun:
         tampered = dataclasses.replace(records, learner_pack_loss=bad)
         report = audit_run(tampered, bd.AAP_INCREMENTAL, GAME, uniform_prior(3))
         assert not report.passed
-        assert len(report.violations) > 0
+        checks = bd._checks(tampered, bd.AAP_INCREMENTAL, GAME, uniform_prior(3))
+        assert (checks["slack"] < -report.tolerance).any()
 
     @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (3e4, 8e5)])
     def test_slack_boundary_in_the_games_units(self, lower, upper):
@@ -280,14 +339,13 @@ class TestAuditRun:
         report = audit_run(records, bd.AAP_INCREMENTAL, GAME, uniform_prior(2),
                            every_prefix=True)
         assert report.passed
-        entries = report.entries
-        term = entries["bound"] - entries["expert_loss"]
+        checks = bd._checks(records, bd.AAP_INCREMENTAL, GAME, uniform_prior(2),
+                            every_prefix=True)
+        term = checks["bound"] - checks["expert_loss"]
         # Early prefixes use divisor 1, so their additive term is smaller
         # than the final one with divisor 6.
-        early_term = term[(entries["prefix"] == 1)
-                          & (entries["expert_index"] == 0)][0]
-        late_term = term[(entries["prefix"] == 4)
-                         & (entries["expert_index"] == 0)][0]
+        early_term = term[0, 0]
+        late_term = term[3, 0]
         assert early_term == pytest.approx((1 / 2) * math.log(2), abs=1e-12)
         assert late_term == pytest.approx((6 / 2) * math.log(2), abs=1e-12)
 
@@ -327,28 +385,42 @@ class TestUnits:
                                        make_stream(rng, 4, 10, 1, 1),
                                        make_stream(rng, 2, 8, 3, 3))]
 
+    @staticmethod
+    def _runs(unit, prior, games):
+        """The every-prefix runs of `unit`, mapped onto each game's interval,
+        each with every check's slack of each of its reports."""
+        for game in games:
+            stream = rescale_stream(unit, game.lower, game.upper)
+            n = stream.num_experts
+            runs = run_experiment(stream, game, prior=prior,
+                                  every_prefix=True).algorithms
+            yield [(a, [bd._checks(a.records, r.algorithm, game,
+                                   uniform_prior(n) if prior is None else prior,
+                                   a.params.get("pack_size"),
+                                   every_prefix=True)["slack"]
+                        for r in a.reports]) for a in runs]
+
     @pytest.mark.parametrize("scale", [2.0 ** -17, 2.0 ** 20])
     def test_rescaling_keeps_every_verdict(self, rng, scale):
         # Powers of two scale exactly: the predictions by s and the slacks
         # by s^2, bit for bit.  On [0, 1] the stress family (sizes 1 and K)
         # fails aap-incremental's audit for K >= 3 (ROADMAP item 1); on
         # [0, 2^-17] its slacks are within 1e-9 of zero, and still fail.
+        games = [GameSpec.for_interval(0, upper) for upper in (1, scale)]
         for unit, prior in self._cases(rng):
-            runs = [run_experiment(stream, GameSpec.for_interval(0, upper),
-                                   prior=prior, every_prefix=True).algorithms
-                    for stream, upper in ((unit, 1),
-                                          (rescale_stream(unit, 0, scale),
-                                           scale))]
-            for ours, scaled in zip(*runs):
+            for (ours, ours_slacks), (scaled, scaled_slacks) in zip(
+                    *self._runs(unit, prior, games)):
                 np.testing.assert_array_equal(
                     scaled.records.learner_preds,
                     scale * ours.records.learner_preds)
-                for a, b in zip(ours.reports, scaled.reports):
-                    np.testing.assert_array_equal(
-                        b.entries["slack"], scale ** 2 * a.entries["slack"])
+                for a, b, slack_a, slack_b in zip(
+                        ours.reports, scaled.reports, ours_slacks,
+                        scaled_slacks):
+                    np.testing.assert_array_equal(slack_b, scale ** 2 * slack_a)
                     assert b.min_slack == scale ** 2 * a.min_slack
                     assert b.passed == a.passed
-                    assert len(b.violations) == len(a.violations)
+                    assert ((slack_b < -b.tolerance).sum()
+                            == (slack_a < -a.tolerance).sum())
 
     @pytest.mark.parametrize("lower, upper", [
         (5.0, 9.0), (-3.0, 1.0), (1e6, 1e6 + 1024), (-1e-3, 1e-3)])
@@ -358,20 +430,20 @@ class TestUnits:
         # rounding, and no verdict moves (the smallest unit-interval |slack|
         # of these cases is 0.061).
         s = upper - lower
+        games = [GameSpec.for_interval(0, 1), GameSpec.for_interval(lower, upper)]
         for unit, prior in self._cases(rng):
-            runs = [run_experiment(stream, GameSpec.for_interval(a, b),
-                                   prior=prior, every_prefix=True).algorithms
-                    for stream, a, b in (
-                        (unit, 0, 1),
-                        (rescale_stream(unit, lower, upper), lower, upper))]
-            for ours, shifted in zip(*runs):
+            for (ours, ours_slacks), (shifted, shifted_slacks) in zip(
+                    *self._runs(unit, prior, games)):
                 np.testing.assert_allclose(
                     shifted.records.learner_preds,
                     lower + s * ours.records.learner_preds,
                     rtol=0, atol=1e-12 * s)
-                for a, b in zip(ours.reports, shifted.reports):
+                for a, b, slack_a, slack_b in zip(
+                        ours.reports, shifted.reports, ours_slacks,
+                        shifted_slacks):
                     np.testing.assert_allclose(
-                        b.entries["slack"], s ** 2 * a.entries["slack"],
+                        slack_b, s ** 2 * slack_a,
                         rtol=0, atol=bd.SLACK_TOL * s ** 2)
                     assert b.passed == a.passed
-                    assert len(b.violations) == len(a.violations)
+                    assert ((slack_b < -b.tolerance).sum()
+                            == (slack_a < -a.tolerance).sum())

@@ -545,7 +545,7 @@ class TestAudit:
         with open(path) as fh:
             payload = json.load(fh)
         run = payload["algorithms"][0]
-        records = harness._read_records(run["records"], len(payload["prior"]))
+        records = harness._read_records(run["records"])
         records = dataclasses.replace(records, **{
             field: edit(getattr(records, field)) for field, edit in edits.items()})
         shared = harness._json_trials(records, harness._SHARED_COLUMNS)
@@ -800,6 +800,11 @@ class TestAudit:
             (("passed",), 1),
             (("passed",), drop),
             (("algorithms",), []),
+            # The runs of a result are audited alike: a run whose reports
+            # say otherwise than the first run's, or the first against the
+            # rest.
+            (("algorithms", 1, "reports", 0, "every_prefix"), True),
+            (("algorithms", 0, "reports", 0, "every_prefix"), True),
             # Unknown keys, outside the records and inside a trial's record.
             (("extra",), 1),
             (("algorithms", 0, "extra"), 1),

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import importlib.util
 import io
 import json
@@ -835,6 +836,81 @@ class TestReports:
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
             result_from_json(json.dumps(payload))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_report() -> str:
+    """The JSON report at the reference size: 8 experts, 2000 packs of 1 to
+    7 items, all algorithms, every prefix."""
+    stream, game = generate_synthetic_stream(SyntheticConfig(8, 2000))
+    return emit_report(run_experiment(stream, game, every_prefix=True), "json")
+
+
+class TestReader:
+    """The reader parses a report a run at a time (`harness._parse`), as
+    `json.loads` parses it and refuses it."""
+
+    def test_any_json_spelling_reads_alike(self):
+        text = reference_report()
+        payload = json.loads(text)
+        expected = harness._read_parsed(json.loads(text))
+        first_trial = '"records":[{'
+        rewritten = [
+            json.dumps(payload, indent=2),
+            json.dumps(payload, separators=(", ", ": ")),
+            " \t\r\n" + text + "\n\n ",
+            # A repeated key keeps its last value: at the top level, in a run
+            # and in a trial.  The first values here would be refused.
+            text.replace("{", '{"algorithms":[{"name":"x","records":[7]}],', 1),
+            text.replace('[{"name":', '[{"records":[{"bogus":1}],"name":', 1),
+            text.replace(first_trial, first_trial + '"pack_size":99,', 1),
+        ]
+        for variant in rewritten:
+            assert json.loads(variant) == payload
+            assert harness._read_parsed(harness._parse(variant)) == expected
+
+    def test_what_json_refuses_is_refused(self):
+        # A UTF-8 BOM, trailing data, no value, a stray comma.
+        text = reference_report()
+        for bad in ["\ufeff" + text, text + "x", text + " {}", "", " ",
+                    text.replace(",", ", ,", 1)]:
+            with pytest.raises(json.JSONDecodeError):
+                json.loads(bad)
+            with pytest.raises(json.JSONDecodeError):
+                harness._parse(bad)
+        # JSON, but a top level that is no object.
+        for bad in (f"[{text}]", "1", "null"):
+            with pytest.raises(ValueError, match="schema_version"):
+                result_from_json(bad)
+
+    def test_every_truncation_refused(self):
+        stream, game = generate_synthetic_stream(SyntheticConfig(3, 6, seed=6))
+        text = emit_report(run_experiment(stream, game, every_prefix=True),
+                           "json")
+        for end in range(0, len(text), 7):
+            with pytest.raises(json.JSONDecodeError):
+                harness._parse(text[:end])
+            with pytest.raises(ValueError):
+                result_from_json(text[:end])
+
+    def test_read_memory_at_the_reference_size(self, tmp_path):
+        # The read holds the file's text and, of its parsed rows, one run's
+        # at a time: its traced peak, set by the decode of the file's bytes
+        # into that text (2.0 times the size), stays below 2.3 times the
+        # file's size, where parsing the whole file at once took 2.9 times.
+        # A real file, as `audit` opens it: a `StringIO` holds 4 bytes a
+        # character.
+        path = tmp_path / "report.json"
+        path.write_text(reference_report())
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                harness._read_report(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * size, (peak, size)
 
 
 class TestFloatTexts:

@@ -124,7 +124,7 @@ class TestPackTypes:
             shared = harness._json_trials(records, harness._SHARED_COLUMNS)
             rows = json.loads("".join(harness._records_parts(records, shared)))
             assert [r["trial_index"] for r in rows] == list(range(len(records)))
-            assert harness._read_records(rows, 3) == records
+            assert harness._read_records(rows) == records
 
 
 class TestRunners:
