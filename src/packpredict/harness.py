@@ -30,10 +30,11 @@ write their floats through it too, one text per value.  The text is the
 same as `json.dumps` of the whole object with the records as per-trial
 dicts.  It is made a run at a time (`_report_texts`), so a writer need
 hold only one run's text.
-The reader parses a report a run at a time (`_parse`): it walks the
-top-level object and the `algorithms` list itself, has the stdlib `json`
-scanner (see `_float_texts` for why) parse every other value, and makes
-each run's records into arrays before it parses the next run.  It
+The reader parses a report a block at a time (`_parse`), holding one
+window of its text (`_Window`), and a run at a time: it walks the top-level
+object, the `algorithms` list and each run's `records` list itself, has the
+stdlib `json` scanner (see `_float_texts` for why) parse every other value,
+and makes each run's records into arrays before it parses the next run.  It
 (`_read_parsed`) reads only what the runs produced, rebuilds the result
 through the re-audit, and refuses a file that is not, key for key, the
 writer's object for that result (apart from the advisory verdicts), or
@@ -51,7 +52,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -984,80 +985,216 @@ def _check_written(stored, written, path=()) -> None:
 
 # JSON's whitespace, which `json` skips between tokens.
 _SPACE = re.compile(r"[ \t\n\r]*")
+# The json scanner looks at most this far past where a value ends or fails
+# (`-Infinity`), so what it makes of a value that ends or fails nearer the
+# window's end may change with the text past it.
+_LOOKAHEAD = len("-Infinity")
 
 
-def _walk(text: str, i: int, scan, path: tuple = ()) -> tuple:
-    """The JSON value that starts at `text[i]`, past any whitespace, and the
-    index past it, as `json.loads` parses it, but with each run's records
+def _key(text: str, i: int) -> tuple:
+    """The JSON string (an object's key) that starts at `text[i]`, and the
+    index past it."""
+    return json.decoder.scanstring(text, i + 1)
+
+
+class _Window:
+    """A JSON document read a block at a time from `blocks`, an iterator of
+    its text: `text` holds the unparsed tail of what was read, from `i` on,
+    and the blocks read after it.  Text is dropped once it is parsed; the
+    characters and newlines dropped give a refusal's place in the whole
+    document (`error`).  It never seeks, so a pipe reads alike."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.text, self.i = "", 0
+        self.reads = 0  # windows read so far
+        self._tried = -1  # the last window whose trials `scan` refused
+        self._dropped = 0  # characters dropped before `text`
+        self._lines = 0  # newlines among them
+        self._newline = -1  # the last one's index in the document
+        self._end = False  # every block is read
+
+    def more(self) -> bool:
+        """Drop the text before `i` and read at least one block more, and
+        at least as much text as is left after `i`, so that a value scanned
+        again and again costs twice its length at most.  False, with
+        nothing read, once every block is read."""
+        text, i = self.text, self.i
+        window, size = [text[i:]], 0
+        need = max(len(window[0]), 1)
+        while size < need and not self._end:
+            # As many blocks as hold the rest, if each is full.
+            block = "".join(islice(self._blocks,
+                                   math.ceil((need - size) / _BLOCK_CHARS)))
+            window.append(block)
+            size += len(block)
+            self._end = not block
+        if not size:
+            return False
+        newline = text.rfind("\n", 0, i)
+        if newline >= 0:
+            self._lines += text.count("\n", 0, newline + 1)
+            self._newline = self._dropped + newline
+        self._dropped += i
+        self.text, self.i = "".join(window), 0
+        self.reads += 1
+        return True
+
+    def error(self, msg: str, i: int = None) -> json.JSONDecodeError:
+        """The `JSONDecodeError` that `json.loads` raises on the whole
+        document for `msg` at `text[i]` (by default at `i`): the same `msg`,
+        `pos`, `lineno` and `colno`."""
+        i = self.i if i is None else i
+        e = json.JSONDecodeError(msg, self.text, i)
+        e.pos += self._dropped
+        e.lineno += self._lines
+        if self.text.rfind("\n", 0, i) < 0:
+            e.colno = e.pos - self._newline
+        e.args = (f"{msg}: line {e.lineno} column {e.colno} (char {e.pos})",)
+        return e
+
+    def space(self) -> None:
+        """Move `i` past whitespace, reading on while the window ends in it."""
+        while True:
+            self.i = _SPACE.match(self.text, self.i).end()
+            if self.i < len(self.text) or not self.more():
+                return
+
+    def value(self, scan):
+        """The JSON value that `scan` parses at `i`, with `i` moved past
+        it.  A value that ends or fails within `_LOOKAHEAD` of the window's
+        end (a number it cuts, say) or that it leaves unterminated is
+        scanned again once more text is read; only then, or at the end of
+        the document, does its refusal stand."""
+        while True:
+            try:
+                value, end = scan(self.text, self.i)
+            except StopIteration as e:
+                msg, end = "Expecting value", e.value
+            except json.JSONDecodeError as e:
+                msg, end = e.msg, e.pos
+            else:
+                # Only a number can go on past where it seems to end.
+                if (type(value) not in (int, float)
+                        or end + _LOOKAHEAD <= len(self.text)
+                        or not self.more()):
+                    self.i = end
+                    return value
+                continue
+            if ((end + _LOOKAHEAD <= len(self.text)
+                 and not msg.startswith("Unterminated string"))
+                    or not self.more()):
+                raise self.error(msg, end)
+
+    def trials(self, scan) -> list:
+        """The values of a list from `i` on, parsed in one call of `scan`,
+        so that they share its memo of keys, with `i` moved past them: the
+        text up to the last `},` in the window, as a list.  The scan stops
+        at the list's own `]` if the list ends first; then `i` is at that
+        `]`, and otherwise at the `,` after the text, the rest of the window
+        being part of a value, so the next block is read.  Empty, with `i`
+        left where it is, if the scan refuses that text, which is then
+        parsed value by value, and not tried again in this window."""
+        text, i = self.text, self.i
+        cut = text.rfind("},", i)
+        if self._tried == self.reads or cut < 0:
+            return []
+        try:
+            values, end = scan(f"[{text[i:cut + 1]}]", 0)
+        except (StopIteration, ValueError, RecursionError):
+            self._tried = self.reads
+            return []
+        # The scan's `]` stands at `text[i + end - 2]`.
+        self.i = i + end - 2
+        if self.i == cut + 1:
+            self.more()
+        return values
+
+
+def _walk(src: _Window, scan, path: tuple = ()):
+    """The JSON value at `src.i`, past any whitespace, as `json.loads`
+    parses it, with `src.i` moved past it, but with each run's records
     (`algorithms.i.records`) read by `_read_records` as soon as they are
     parsed, or the ValueError that read raised, for `_read_parsed` to raise
-    in its turn.  Only the top-level object, its `algorithms` list and the
-    objects in that list are walked here (`path` is the key path of the
-    value); `scan`, the json module's own scanner, parses every other
-    value."""
-    i = _SPACE.match(text, i).end()
-    if path == ("algorithms",):
+    in its turn.  Only the top-level object, its `algorithms` list, the
+    objects in that list and their `records` lists are walked here (`path`
+    is the key path of the value); `scan`, the json module's own scanner,
+    parses every other value, and a run's trials many at once where it
+    can (`_Window.trials`), so the scanner never needs more than one
+    window."""
+    src.space()
+    records = path[2:] == ("records",)
+    if records or path == ("algorithms",):
         opener = "["
     else:
         opener = "{" if len(path) in (0, 2) else None
-    if opener is None or not text.startswith(opener, i):
-        try:
-            value, i = scan(text, i)
-        except StopIteration as e:
-            raise json.JSONDecodeError("Expecting value", text,
-                                       e.value) from None
-        if path[2:] == ("records",) and type(value) is list:
-            try:
-                value = _read_records(value, _dotted(path))
-            except ValueError as e:
-                value = e
-        return value, i
+    if opener is None or not src.text.startswith(opener, src.i):
+        return src.value(scan)
     closer = "}" if opener == "{" else "]"
     items = {} if opener == "{" else []
-    i = _SPACE.match(text, i + 1).end()
-    if text.startswith(closer, i):
-        return items, i + 1
-    while True:
-        if opener == "[":
-            item, i = _walk(text, i, scan, (*path, len(items)))
-            items.append(item)
-        else:
-            if not text.startswith('"', i):
-                raise json.JSONDecodeError("Expecting property name enclosed "
-                                           "in double quotes", text, i)
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = _SPACE.match(text, i).end()
-            if not text.startswith(":", i):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-            # A repeated key keeps its last value.
-            items[key], i = _walk(text, i + 1, scan, (*path, key))
-        i = _SPACE.match(text, i).end()
-        if text.startswith(closer, i):
-            return items, i + 1
-        if not text.startswith(",", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-        i = _SPACE.match(text, i + 1).end()
+    src.i += 1
+    src.space()
+    if not src.text.startswith(closer, src.i):
+        while True:
+            if records:
+                items += src.trials(scan) or [src.value(scan)]
+            elif opener == "[":
+                items.append(_walk(src, scan, (*path, len(items))))
+            else:
+                if not src.text.startswith('"', src.i):
+                    raise src.error("Expecting property name enclosed in "
+                                    "double quotes")
+                key = src.value(_key)
+                src.space()
+                if not src.text.startswith(":", src.i):
+                    raise src.error("Expecting ':' delimiter")
+                src.i += 1
+                # A repeated key keeps its last value.
+                items[key] = _walk(src, scan, (*path, key))
+            src.space()
+            if src.text.startswith(closer, src.i):
+                break
+            if not src.text.startswith(",", src.i):
+                raise src.error("Expecting ',' delimiter")
+            src.i += 1
+            src.space()
+    src.i += 1
+    if records:
+        try:
+            return _read_records(items, _dotted(path))
+        except ValueError as e:
+            return e
+    return items
 
 
-def _parse(text: str):
-    """The JSON document `text` as `json.loads` parses it, and refuses it,
-    with `JSONDecodeError`, but a run at a time (`_walk`): each run's parsed
-    rows are dropped once they are arrays, before the next run is parsed."""
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError(
-            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    value, i = _walk(text, 0, json.JSONDecoder().scan_once)
-    i = _SPACE.match(text, i).end()
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
+def _slices(text: str):
+    """`text` in slices of `_BLOCK_CHARS`, as `_read_report` reads a file."""
+    return (text[j:j + _BLOCK_CHARS] for j in range(0, len(text), _BLOCK_CHARS))
+
+
+def _parse(blocks):
+    """The JSON document whose text `blocks` yields, a block at a time, as
+    `json.loads` parses the whole text, and refuses it, with the same
+    `JSONDecodeError`; but only one window of the text is held at a time
+    (`_Window`), and each run's parsed rows are dropped once they are
+    arrays, before the next run is parsed (`_walk`)."""
+    src = _Window(blocks)
+    src.more()
+    if src.text.startswith("\ufeff"):
+        raise src.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    value = _walk(src, json.JSONDecoder().scan_once)
+    src.space()
+    if src.i != len(src.text):
+        raise src.error("Extra data")
     return value
 
 
 def _read_report(fh) -> tuple:
     """A JSON report read back from its open text file (see `_read_parsed`),
-    parsed a run at a time (`_parse`); the file's text is dropped once it is
-    parsed."""
-    return _read_parsed(_parse(fh.read()))
+    parsed a block of `_BLOCK_CHARS` at a time (`_parse`): the read holds
+    one window of the file's text and one run's parsed rows, never the
+    whole text."""
+    return _read_parsed(_parse(iter(lambda: fh.read(_BLOCK_CHARS), "")))
 
 
 def _read_parsed(d) -> tuple:
@@ -1149,5 +1286,7 @@ def _read_parsed(d) -> tuple:
 
 
 def result_from_json(text: str) -> ExperimentResult:
-    """Inverse of emit_report(..., 'json'); see `_read_report`."""
-    return _read_parsed(_parse(text))[0]
+    """Inverse of emit_report(..., 'json'); see `_read_report`.  `text` is
+    parsed as a file is, a slice of `_BLOCK_CHARS` at a time, so the read
+    holds no copy of it."""
+    return _read_parsed(_parse(_slices(text)))[0]

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import importlib.util
 import io
+import itertools
 import json
 import os
 import re
@@ -846,8 +847,100 @@ def reference_report() -> str:
     return emit_report(run_experiment(stream, game, every_prefix=True), "json")
 
 
+@functools.lru_cache(maxsize=None)
+def small_report() -> str:
+    """A report of 3 experts and 6 packs, all algorithms, every prefix."""
+    stream, game = generate_synthetic_stream(SyntheticConfig(3, 6, seed=6))
+    return emit_report(run_experiment(stream, game, every_prefix=True), "json")
+
+
+def reference_spellings() -> list:
+    """The reference report, rewritten as `json.dumps` may write it, and
+    with a repeated key at the top level, in a run and in a trial, each
+    read as the reference report itself."""
+    text = reference_report()
+    payload = json.loads(text)
+    first_trial = '"records":[{'
+    return [
+        text,
+        json.dumps(payload, indent=2),
+        json.dumps(payload, separators=(", ", ": ")),
+        # A repeated key keeps its last value.  The first values here would
+        # be refused.
+        text.replace("{", '{"algorithms":[{"name":"x","records":[7]}],', 1)
+        .replace('[{"name":', '[{"records":[{"bogus":1}],"name":', 1)
+        .replace(first_trial, first_trial + '"pack_size":99,', 1),
+    ]
+
+
+def edited_trials() -> list:
+    """The small report with one trial holding a long string of `},` and
+    `}]` and an object with a `},` inside: under a key that a later one
+    repeats, so the report reads as before, and under an unknown key, so
+    it is refused.  A window that ends within them ends at no trial."""
+    text = small_report()
+    third = re.search(r'"pack_size":[0-9]+,"trial_index":2}', text).group()
+    odd = '{"s":"%s","o":{"n":{"m":[{}]},"k":1}}' % ("},}]" * 3000)
+    return [text.replace(third, f'"pack_size":{odd},{third}', 1),
+            text.replace(third, f'{third[:-1]},"zz":{odd}}}', 1)]
+
+
+def parse(text: str):
+    """`text` parsed as a file is, a block of `_BLOCK_CHARS` at a time: the
+    blocks of `harness._slices`, small ones cut in C, as the tests read
+    many."""
+    size = harness._BLOCK_CHARS
+    if size >= 64:
+        return harness._parse(harness._slices(text))
+    blocks = itertools.zip_longest(*[iter(text)] * size, fillvalue="")
+    return harness._parse(map("".join, blocks))
+
+
+def read_outcome(text: str, parsed=None):
+    """What reading `text` gives, the report's object parsed by `parsed`
+    (by default a block at a time): the result and verdicts, or the type
+    and message of the refusal."""
+    try:
+        return harness._read_parsed((parsed or parse)(text))
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def refusal(parse_text, text: str) -> tuple:
+    """The place and message of the `JSONDecodeError` that refuses `text`."""
+    with pytest.raises(json.JSONDecodeError) as info:
+        parse_text(text)
+    e = info.value
+    return e.msg, e.pos, e.lineno, e.colno, str(e)
+
+
+@functools.lru_cache(maxsize=None)
+def split_cases() -> tuple:
+    """The texts that every split into windows must read alike, each with
+    what reading its `json.loads` object gives."""
+    texts = reference_spellings() + edited_trials()
+    cases = tuple((t, read_outcome(t, json.loads)) for t in texts)
+    assert "zz" in cases[-1][1][1]  # the unknown key is what is refused
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def refusal_cases() -> tuple:
+    """Texts that `json.loads` refuses, each with its refusal: those of
+    `TestReader.test_what_json_refuses_is_refused` and of
+    `test_every_truncation_refused`, two more, and truncations of a
+    multi-line report."""
+    text, small = reference_report(), small_report()
+    pretty = json.dumps(json.loads(small), indent=2)
+    bad = ["\ufeff" + text, text + "x", text + " {}", "", " ",
+           text.replace(",", ", ,", 1), "[1,]", '{"a":1,}',
+           *(small[:end] for end in range(0, len(small), 7)),
+           *(pretty[:end] for end in range(0, len(pretty), 29))]
+    return tuple((t, refusal(json.loads, t)) for t in bad)
+
+
 class TestReader:
-    """The reader parses a report a run at a time (`harness._parse`), as
+    """The reader parses a report a block at a time (`harness._parse`), as
     `json.loads` parses it and refuses it."""
 
     def test_any_json_spelling_reads_alike(self):
@@ -855,19 +948,24 @@ class TestReader:
         payload = json.loads(text)
         expected = harness._read_parsed(json.loads(text))
         first_trial = '"records":[{'
-        rewritten = [
-            json.dumps(payload, indent=2),
-            json.dumps(payload, separators=(", ", ": ")),
-            " \t\r\n" + text + "\n\n ",
-            # A repeated key keeps its last value: at the top level, in a run
-            # and in a trial.  The first values here would be refused.
-            text.replace("{", '{"algorithms":[{"name":"x","records":[7]}],', 1),
-            text.replace('[{"name":', '[{"records":[{"bogus":1}],"name":', 1),
-            text.replace(first_trial, first_trial + '"pack_size":99,', 1),
-        ]
-        for variant in rewritten:
+        for variant in [
+                *reference_spellings()[1:3], " \t\r\n" + text + "\n\n ",
+                # A repeated key keeps its last value: at the top level, in
+                # a run and in a trial.  The first values here would be
+                # refused.
+                text.replace("{", '{"algorithms":[{"name":"x","records":[7]}],', 1),
+                text.replace('[{"name":', '[{"records":[{"bogus":1}],"name":', 1),
+                text.replace(first_trial, first_trial + '"pack_size":99,', 1)]:
             assert json.loads(variant) == payload
-            assert harness._read_parsed(harness._parse(variant)) == expected
+            assert harness._read_parsed(parse(variant)) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 4096])
+    def test_every_window_split_reads_alike(self, monkeypatch, block):
+        # Each split of the text into windows, the trials parsed many at a
+        # time or, where a `},` in a value hides where one ends, one by one.
+        monkeypatch.setattr(harness, "_BLOCK_CHARS", block)
+        for text, outcome in split_cases():
+            assert read_outcome(text) == outcome
 
     def test_what_json_refuses_is_refused(self):
         # A UTF-8 BOM, trailing data, no value, a stray comma.
@@ -877,29 +975,46 @@ class TestReader:
             with pytest.raises(json.JSONDecodeError):
                 json.loads(bad)
             with pytest.raises(json.JSONDecodeError):
-                harness._parse(bad)
+                parse(bad)
         # JSON, but a top level that is no object.
         for bad in (f"[{text}]", "1", "null"):
             with pytest.raises(ValueError, match="schema_version"):
                 result_from_json(bad)
 
     def test_every_truncation_refused(self):
-        stream, game = generate_synthetic_stream(SyntheticConfig(3, 6, seed=6))
-        text = emit_report(run_experiment(stream, game, every_prefix=True),
-                           "json")
+        text = small_report()
         for end in range(0, len(text), 7):
             with pytest.raises(json.JSONDecodeError):
-                harness._parse(text[:end])
+                parse(text[:end])
             with pytest.raises(ValueError):
                 result_from_json(text[:end])
 
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_refusals_match_json_loads(self, monkeypatch, block):
+        # The same message, place, line and column as `json.loads` gives,
+        # though the text before the place was dropped: in one line, over
+        # many lines, and at every split of a value over two windows.
+        monkeypatch.setattr(harness, "_BLOCK_CHARS", block)
+        for text, outcome in refusal_cases():
+            assert refusal(parse, text) == outcome
+
+    def test_audit_names_where_json_loads_refuses(self, tmp_path, capsys):
+        # `audit`'s message for a truncated multi-line file is `json.loads`'
+        # on the file's text.
+        text = json.dumps(json.loads(small_report()), indent=2)
+        path = tmp_path / "pretty.json"
+        path.write_text(text[:len(text) // 2])
+        e = refusal(json.loads, text[:len(text) // 2])[-1]
+        assert main(["audit", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read result file {str(path)!r}: {e}\n")
+
     def test_read_memory_at_the_reference_size(self, tmp_path):
-        # The read holds the file's text and, of its parsed rows, one run's
-        # at a time: its traced peak, set by the decode of the file's bytes
-        # into that text (2.0 times the size), stays below 2.3 times the
-        # file's size, where parsing the whole file at once took 2.9 times.
-        # A real file, as `audit` opens it: a `StringIO` holds 4 bytes a
-        # character.
+        # The read holds one window of the file's text and, of its parsed
+        # rows, one run's at a time: its traced peak stays below the file's
+        # size, where decoding the whole file took 2.0 times it and parsing
+        # the whole file at once 2.9 times.  A real file, as `audit` opens
+        # it.
         path = tmp_path / "report.json"
         path.write_text(reference_report())
         size = path.stat().st_size
@@ -910,7 +1025,20 @@ class TestReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.3 * size, (peak, size)
+        assert peak < 1.0 * size, (peak, size)
+
+    def test_text_read_memory_at_the_reference_size(self):
+        # `result_from_json` reads its text a slice at a time, as a file:
+        # its traced peak above the text stays below the text's size (a
+        # `StringIO` copy alone holds 4 bytes a character).
+        text = reference_report()
+        tracemalloc.start()
+        try:
+            result_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * len(text), (peak, len(text))
 
 
 class TestFloatTexts:
