@@ -18,6 +18,9 @@ Every variant predicts each item with the full-rate substitution; only the
 weight update is slowed.  The predictions never feed back into the weights,
 so `_replay` computes a whole run from cumulative sums of the experts'
 losses and one vectorized substitution, the parallel copies' too.  The
+weights are built once per pack (N x T), or per item for the parallel
+copies, and each block of columns gathers its own as it is substituted, so
+a replay holds at most the N x items expert losses besides the stream.  The
 online learner of `aggregator` is the month-by-month form of the same
 schedule and weights, and predicts the same bits; an mpmath oracle in the
 tests checks both.
@@ -111,8 +114,11 @@ class PackStream:
         return tuple(self.sizes.tolist())
 
     def validate_for_game(self, game: GameSpec) -> None:
-        """Raise naming the first trial with a value outside the game."""
-        bad = ~(game._inside(self.expert_preds).all(axis=0)
+        """Raise naming the first trial with a value outside the game.  An
+        item's experts are inside when their least and greatest predictions
+        are: a NaN prediction makes both NaN, which is never inside."""
+        bad = ~(game._inside(np.minimum.reduce(self.expert_preds, axis=0))
+                & game._inside(np.maximum.reduce(self.expert_preds, axis=0))
                 & game._inside(self.outcomes))
         if bad.any():
             i = np.searchsorted(self.starts, np.argmax(bad), side="right") - 1
@@ -163,10 +169,11 @@ class RunRecords:
                    for f in fields(self))
 
 
-# Most columns `_replay` substitutes at once.  The substitution's two
-# temporaries are 2 x N x columns each; at 8192 columns and 8 experts the
-# allocator returned them to the system after each block and the next block
-# faulted them in again, while at 2048 it reuses them.
+# Most columns `_replay` substitutes at once.  A block of a pack run gathers
+# its columns' weights from the N x T table, N x columns; the substitution's
+# two temporaries are 2 x N x columns each.  At 8192 columns and 8 experts
+# the allocator returned them to the system after each block and the next
+# block faulted them in again, while at 2048 it reuses them.
 _REPLAY_BLOCK = 2048
 
 
@@ -181,7 +188,8 @@ def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
     """A whole run's records, from the stream's columns (see `PackStream`),
     on the schedule `policy`: a `DivisorPolicy`, or None for the parallel
     copies.  The weights at an item are those `aggregator._log_weights`
-    states for the online learner."""
+    states for the online learner, built once per unit whose items share
+    them: a pack, or for the parallel copies an item."""
     stream.validate_for_game(game)
     n = stream.num_experts
     log_p = np.log(_as_prior(uniform_prior(n) if prior is None else prior, n))[:, None]
@@ -190,25 +198,34 @@ def _replay(stream: PackStream, game: GameSpec, prior, policy) -> RunRecords:
     pack_losses = np.add.reduceat(expert_losses, starts, axis=1)
     if policy is None:
         # Copy k's weights at item k of pack t, at divisor 1, from the
-        # experts' losses on item k of the packs before t.
-        log_w = np.empty_like(expert_losses)
+        # experts' losses on item k of the packs before t.  Each item's
+        # losses are read once, by its own copy, so its weights take their
+        # place: the table is N x items, and item i reads column i.
+        log_w, column_of = expert_losses, None
         for k in range(sizes.max()):
             items = starts[sizes > k] + k  # what copy k sees, in order
             log_w[:, items] = _log_weights(
                 log_p, _losses_before(expert_losses[:, items]), 1, game.eta)
     else:
-        # Weights before pack t: divisor D_t, charges before t.
+        del expert_losses  # the pack losses are all the weights need
+        # Weights before pack t: divisor D_t, charges before t.  The table
+        # is N x T, and each item reads its pack's column.
         running_max = np.maximum.accumulate(np.concatenate(([1], sizes[:-1])))
-        log_w = np.repeat(_log_weights(
+        log_w = _log_weights(
             log_p, _losses_before(policy.charge(pack_losses, sizes)),
-            policy.divisor(running_max), game.eta), sizes, axis=1)
-    del expert_losses  # as large as the predictions; free it before substituting
-    # Near-equal column blocks bound the substitution's temporaries.
+            policy.divisor(running_max), game.eta)
+        column_of = np.repeat(np.arange(sizes.size), sizes)
+    # Near-equal column blocks, split as `np.array_split` splits, bound the
+    # substitution's temporaries; each block gathers its own columns'
+    # weights from the table.
     blocks = -(-stream.num_items // _REPLAY_BLOCK)
-    learner = np.concatenate([
-        _substitute(w, x, game) for w, x in
-        zip(np.array_split(log_w, blocks, axis=1),
-            np.array_split(stream.expert_preds, blocks, axis=1))])
+    q, r = divmod(stream.num_items, blocks)
+    edges = [b * q + min(b, r) for b in range(blocks + 1)]
+    learner = np.empty(stream.num_items)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cols = slice(lo, hi) if column_of is None else column_of[lo:hi]
+        learner[lo:hi] = _substitute(log_w[:, cols],
+                                     stream.expert_preds[:, lo:hi], game)
     learner_pack = np.add.reduceat((learner - stream.outcomes) ** 2, starts)
     return RunRecords(sizes.copy(), learner, learner_pack, pack_losses.T)
 

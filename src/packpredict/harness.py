@@ -384,7 +384,8 @@ def generate_synthetic_stream(config: SyntheticConfig):
     `integers(pack_size_min, pack_size_max + 1)`, then its noise
     `normal(size=(N + 1, k))`: rows 0..N-1 are the experts', row N the
     outcomes'.  Reordering these draws changes every seeded stream.  The
-    rest is elementwise over all items at once, and writes the columns."""
+    rest is elementwise over all items at once, and turns the experts' rows
+    of the noise into their predictions in place."""
     rng = np.random.default_rng(config.seed)
     game = GameSpec.for_interval(0.0, 1.0)
     n = config.num_experts
@@ -400,12 +401,17 @@ def generate_synthetic_stream(config: SyntheticConfig):
         sharp = (idx // config.drift_period) % n
     else:
         sharp = np.zeros(idx.size, dtype=int)
-    sigma = np.where(np.arange(n)[:, None] == sharp[None, :],
-                     config.noise, 4.0 * config.noise)
-    preds = latent[None, :] + noise[:n] * sigma
-    outcomes = latent + noise[n] * config.noise
-    return PackStream(np.clip(preds, 0.0, 1.0), np.clip(outcomes, 0.0, 1.0),
-                      sizes), game
+    # Noise of scale 4 * noise, except the sharp expert's, of scale noise.
+    preds = noise[:n]
+    sharp_noise = preds[sharp, idx] * config.noise
+    preds *= 4.0 * config.noise
+    preds[sharp, idx] = sharp_noise
+    preds += latent
+    outcomes = noise[n] * config.noise
+    outcomes += latent
+    np.clip(preds, 0.0, 1.0, out=preds)
+    np.clip(outcomes, 0.0, 1.0, out=outcomes)
+    return PackStream(preds, outcomes, sizes), game
 
 
 @dataclass(frozen=True)

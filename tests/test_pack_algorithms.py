@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,21 @@ class TestPackTypes:
             with pytest.raises(ValueError, match=message):
                 run_aap_current(s, GAME)
 
+    def test_bad_expert_in_a_middle_pack_refused_without_a_warning(self):
+        # A NaN, an infinite or an out-of-range prediction, in any expert's
+        # row, in the middle of trial 2 of five: each is refused by name,
+        # with no numpy warning on the way.
+        for expert in (0, 1, 2):
+            for value in (np.nan, np.inf, -np.inf, 1.5, -0.5):
+                preds = np.full((3, 15), 0.5)
+                preds[expert, 7] = value
+                s = PackStream(preds, np.full(15, 0.5), [3, 3, 3, 3, 3])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError,
+                                       match=r"^trial 2: expert prediction outside"):
+                        run_aap_current(s, GAME)
+
     def test_record_round_trip(self, rng):
         stream = make_stream(rng, 3, 12)
         unit = make_stream(rng, 3, 12, size_min=1, size_max=1)
@@ -160,6 +177,25 @@ class TestRunners:
         for runner, records in zip(runners, blocked):
             np.testing.assert_array_equal(records.learner_preds,
                                           runner(stream, GAME).learner_preds)
+
+    def test_replay_holds_one_matrix_beside_the_stream(self):
+        # 32 experts over about 40k items in packs of 1..7: the traced peak
+        # of a pack run is the N x items expert losses plus what the packs
+        # need, never a second N x items matrix of weights.
+        rng = np.random.default_rng(7)
+        sizes = rng.integers(1, 8, size=10_000)
+        items = int(sizes.sum())
+        stream = PackStream(rng.uniform(0, 1, (32, items)),
+                            rng.uniform(0, 1, items), sizes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_aap_incremental(stream, GAME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.5 * stream.expert_preds.nbytes, (
+            (peak - before) / stream.expert_preds.nbytes)
 
     def test_record_bookkeeping(self, rng):
         stream = make_stream(rng, 3, 15)
@@ -431,6 +467,45 @@ class TestReplayMatchesOnline:
                     == records.learner_preds.tobytes()), policy
         assert (self.online_copies(stream, game, prior).tobytes()
                 == run_parallel(stream, game, prior).learner_preds.tobytes())
+
+    def test_block_edges(self, rng, monkeypatch):
+        # One pack wider than two blocks, then small packs, some of which
+        # straddle the edges between the replay's column blocks: every
+        # algorithm the stream admits gives what one block gives and what
+        # the online learner gives, bit for bit.
+        block = algorithms._REPLAY_BLOCK
+        sizes = np.concatenate(([2, 2 * block + 3], rng.integers(1, 8, 600)))
+        items = int(sizes.sum())
+        blocks = -(-items // block)
+        edges = np.cumsum([len(b) for b in
+                           np.array_split(np.arange(items), blocks)])[:-1]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        straddled = (starts[:, None] < edges) & (edges < ends[:, None])
+        assert straddled[1].sum() >= 2 and straddled[2:].any()
+        stream = PackStream(np.clip(rng.normal(0.5, 0.2, (9, items)), 0, 1),
+                            rng.uniform(0, 1, items), sizes)
+        prior = random_prior(rng, 9)
+        k = int(sizes.max())
+        runs = [
+            (lambda: run_aap_max(stream, k, GAME, prior), DivisorPolicy.fixed(k)),
+            (lambda: run_aap_incremental(stream, GAME, prior),
+             DivisorPolicy.running_max()),
+            (lambda: run_aap_current(stream, GAME, prior),
+             DivisorPolicy.current_pack()),
+            (lambda: run_parallel(stream, GAME, prior), None),
+        ]
+        blocked = [run() for run, _ in runs]
+        for records, (_, policy) in zip(blocked, runs):
+            if policy is None:
+                online = self.online_copies(stream, GAME, prior)
+            else:
+                online = np.concatenate(
+                    self.online(stream, GAME, policy, prior)[0])
+            assert online.tobytes() == records.learner_preds.tobytes(), policy
+        monkeypatch.setattr(algorithms, "_REPLAY_BLOCK", items)
+        for records, (run, policy) in zip(blocked, runs):
+            assert run() == records, policy
 
     def cases(self, rng, size_min=1, size_max=7):
         """Random streams over every interval, N = 1 included, each with a
